@@ -37,6 +37,7 @@ from .suspension import (
     compute_splitting,
     embed,
     log_distance_bound,
+    log_distance_bounds,
     qi_comparison,
 )
 from .words import (

@@ -41,6 +41,9 @@ def run_command(args) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
+    except CertificationError as exc:
+        print(f"certification failure: {exc}", file=sys.stderr)
+        return 4
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

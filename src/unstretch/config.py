@@ -3,8 +3,9 @@
 The schema is flat key/value with nested arrays for the matrix, the
 automorphism triple, and element lists. Every field has a default except the
 experiment name and the matrix, so small configs stay small; unknown keys are
-rejected with the nearest known key named, which catches typos before any
-computation starts. Round-tripping is exact: parse(serialize(c)) == c.
+rejected with the nearest known key named, and every value must have the type
+of its field, which catches typos before any computation starts.
+Round-tripping is exact: parse(serialize(c)) == c.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import difflib
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -96,6 +98,9 @@ class ExperimentConfig:
         for required in ("experiment", "matrix"):
             if required not in data:
                 raise ValidationError(f"config is missing required key {required!r}")
+        hints = typing.get_type_hints(cls)
+        for key, value in data.items():
+            _check_type(key, value, hints[key])
         cfg = cls(**data)
         cfg.check_experiment_name()
         return cfg
@@ -110,6 +115,19 @@ class ExperimentConfig:
 
     def serialize(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def _check_type(key: str, value, annotation):
+    """Reject a value whose JSON type does not match the field annotation;
+    a bool is not accepted as an int."""
+    allowed = typing.get_args(annotation) or (annotation,)
+    if isinstance(value, bool) and bool not in allowed or not isinstance(value, allowed):
+        names = " or ".join(
+            "null" if t is type(None) else t.__name__ for t in allowed
+        )
+        raise ValidationError(
+            f"config key {key!r} must be {names}, not {type(value).__name__} {value!r}"
+        )
 
 
 def load_config(path) -> ExperimentConfig:

@@ -19,9 +19,9 @@ import numpy as np
 from . import dynamics, lyapunov, suspension, words
 from .autos import GroupAutomorphism, enumerate_commuting_matrices, require_valid
 from .config import ExperimentConfig
-from .errors import ValidationError
+from .errors import BudgetError, ValidationError
 from .group import GroupContext, GroupElement, ToralMatrix
-from .words import GeneratingSet, choose_lambda, word_ball
+from .words import GeneratingSet, WordLengthOracle, choose_lambda, word_ball
 
 
 def _parse_element(raw, dim: int) -> GroupElement:
@@ -149,19 +149,49 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _write_qi_csv(path: Path, rep: suspension.QiReport):
+    """The rows (length, bound, ratio) byte for byte as csv.writer writes
+    them: ints and float reprs, comma separated and CRLF terminated.
+
+    A row is a function of its length and the bits of its bound, and balls
+    repeat those pairs, so each distinct pair is formatted once.
+    """
+    lengths = rep.lengths.astype(np.int64)
+    _, bound_code = np.unique(rep.bounds.view(np.int64), return_inverse=True)
+    pairs = bound_code * (int(lengths.max()) + 1) + lengths
+    distinct, inverse = np.unique(pairs, return_inverse=True)
+    pick = np.empty(len(distinct), dtype=np.intp)
+    pick[inverse] = np.arange(len(pairs))
+    text = list(map(
+        "{},{!r},{!r}\r\n".format,
+        lengths[pick].tolist(),
+        rep.bounds[pick].tolist(),
+        rep.ratios[pick].tolist(),
+    ))
+    with path.open("w", newline="") as fh:
+        fh.write("word_length,bound,ratio\r\n")
+        for rows in np.array_split(inverse, max(1, len(inverse) >> 16)):
+            fh.write("".join(map(text.__getitem__, rows.tolist())))
+
+
 # ---------------------------------------------------------------- runners
+
+
+def _write_census(path: Path, oracle: WordLengthOracle):
+    _write_csv(path, ["radius", "ball_size", "sphere_size"], oracle.census())
 
 
 def run_ball_census(prep: Prepared, rng, outdir: Path) -> dict:
     cfg = prep.cfg
-    oracle = word_ball(
-        prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements
-    )
-    _write_csv(
-        outdir / "census.csv",
-        ["radius", "ball_size", "sphere_size"],
-        oracle.census(),
-    )
+    try:
+        oracle = word_ball(
+            prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements
+        )
+    except BudgetError as exc:
+        # The radii completed before the budget tripped are exact.
+        _write_census(outdir / "census.csv", exc.partial)
+        raise
+    _write_census(outdir / "census.csv", oracle)
     return {"radius": oracle.radius, "ball_size": len(oracle)}
 
 
@@ -289,14 +319,7 @@ def run_qi_compare(prep: Prepared, rng, outdir: Path) -> dict:
     for r in radii:
         rep = suspension.qi_comparison(oracle.restricted(r), split)
         reports.append(rep)
-        _write_csv(
-            outdir / f"qi_r{r}.csv",
-            ["word_length", "bound", "ratio"],
-            [
-                [int(l), _fmt(b), _fmt(l / b)]
-                for l, b in zip(rep.lengths, rep.bounds)
-            ],
-        )
+        _write_qi_csv(outdir / f"qi_r{r}.csv", rep)
         per_radius[str(r)] = {
             "q_hat": rep.q_hat,
             "fitted_slope": rep.fitted_slope,

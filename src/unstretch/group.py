@@ -14,6 +14,7 @@ cache memoizes idempotently and is safe to share across workers.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -224,3 +225,38 @@ class GroupContext:
 
     def conjugate(self, g: GroupElement, by: GroupElement) -> GroupElement:
         return self.multiply(self.multiply(by, g), self.inverse(by))
+
+
+@dataclass(frozen=True)
+class GeneratingSet:
+    """The standard generators: all lattice vectors of norm one, z, z^-1."""
+
+    h_generators: tuple
+    z_generators: tuple
+
+    @classmethod
+    def standard(cls, dim: int) -> "GeneratingSet":
+        hs = []
+        for i in range(dim):
+            e = tuple(int(j == i) for j in range(dim))
+            ne = tuple(-v for v in e)
+            hs.append(GroupElement(e, 0))
+            hs.append(GroupElement(ne, 0))
+        zs = (GroupElement((0,) * dim, 1), GroupElement((0,) * dim, -1))
+        return cls(tuple(hs), zs)
+
+    @property
+    def all(self) -> tuple:
+        return self.h_generators + self.z_generators
+
+    @property
+    def dim(self) -> int:
+        return len(self.z_generators[0].x)
+
+    def __post_init__(self):
+        for g in self.h_generators:
+            if g.k != 0 or sum(v * v for v in g.x) != 1:
+                raise ValidationError(f"{g} is not a norm-one lattice generator")
+        inv_closed = {tuple(-v for v in g.x) for g in self.h_generators}
+        if inv_closed != {g.x for g in self.h_generators}:
+            raise ValidationError("h generators are not closed under inversion")

@@ -1,0 +1,385 @@
+"""The exact word-length oracle: every element of a ball with its length.
+
+Elements x * z^k are packed into int64 keys (``KeyLayout``), so that a
+generator step is one integer addition. ``word_ball`` enumerates the ball one
+sphere at a time as array operations, and ``WordLengthOracle`` stores it as
+three arrays: the keys in breadth-first order, a sorted copy, and the uint8
+lengths of that copy. A packing certificate checked before every sphere makes
+the ball refuse to grow past what the layout holds instead of wrapping.
+"""
+
+from __future__ import annotations
+
+from itertools import chain
+from pathlib import Path
+from typing import Iterator
+
+import numpy as np
+
+from .errors import BudgetError, ValidationError
+from .group import GeneratingSet, GroupContext, GroupElement, ToralMatrix
+
+# Element-count cap for ball/neighborhood construction. Growth is exponential,
+# so this bounds memory, not accuracy; results below the cap are exact.
+DEFAULT_ELEMENT_BUDGET = 50_000_000
+
+ORACLE_FORMAT_VERSION = 1
+
+# Packed element keys use this many bits of an int64, so keys are nonnegative.
+KEY_BITS = 63
+# Oracle lengths are stored as uint8.
+MAX_ORACLE_RADIUS = 255
+# Rows per block when oracle keys are decoded into Python objects or text.
+_CHUNK = 1 << 16
+# Batched lookups clamp coordinates to this magnitude before packing; anything
+# this large already lies outside every key layout.
+_CLAMP = 1 << 62
+
+
+class KeyLayout:
+    """Fixed bit fields that pack an element (x, k) into one int64 key.
+
+    The low ``k_bits`` bits hold k + radius, and above them each coordinate
+    x_i gets ``x_bits`` bits holding x_i + 2^(x_bits - 1); the fields fill at
+    most KEY_BITS bits, so every key is a nonnegative int64. While all fields
+    stay in range, packing is additive: key(x + y, k + m) = key(x, k) + delta
+    with delta = sum y_i 2^shift_i + m, so a generator step is one addition.
+    An element fits when |k| <= radius and every |x_i| <= x_limit.
+    """
+
+    def __init__(self, dim: int, radius: int):
+        if radius > MAX_ORACLE_RADIUS:
+            raise ValidationError(
+                f"radius {radius} exceeds {MAX_ORACLE_RADIUS}, the largest uint8 length"
+            )
+        self.dim = dim
+        self.radius = radius
+        self.k_bits = max(1, (2 * radius).bit_length())
+        self.x_bits = (KEY_BITS - self.k_bits) // dim
+        if self.x_bits < 2:
+            raise ValidationError(
+                f"radius {radius} leaves no room for {dim} coordinates in an int64 key"
+            )
+        self.x_offset = 1 << (self.x_bits - 1)
+        self.x_limit = self.x_offset - 1
+        self.shifts = tuple(self.k_bits + i * self.x_bits for i in range(dim))
+
+    def delta(self, y) -> int:
+        """The key increment of the lattice translation by y."""
+        return sum(v << s for v, s in zip(y, self.shifts))
+
+    def key(self, g: GroupElement):
+        """The key of one element, or None if it does not fit."""
+        x, k = g
+        if len(x) != self.dim or not -self.radius <= k <= self.radius:
+            return None
+        key = k + self.radius
+        for v, shift in zip(x, self.shifts):
+            if not -self.x_limit <= v <= self.x_limit:
+                return None
+            key += (v + self.x_offset) << shift
+        return key
+
+    def pack(self, xs: np.ndarray, ks: np.ndarray):
+        """Keys of the rows that fit, and the mask of those rows."""
+        fits = (np.abs(xs) <= self.x_limit).all(axis=1) & (np.abs(ks) <= self.radius)
+        keys = ks[fits] + self.radius
+        for i, shift in enumerate(self.shifts):
+            keys += (xs[fits, i] + self.x_offset) << shift
+        return keys, fits
+
+    def unpack(self, keys: np.ndarray):
+        """Coordinates (n, dim) and exponents (n,) of packed keys."""
+        mask = (1 << self.x_bits) - 1
+        xs = np.empty((len(keys), self.dim), dtype=np.int64)
+        for i, shift in enumerate(self.shifts):
+            xs[:, i] = ((keys >> shift) & mask) - self.x_offset
+        ks = (keys & ((1 << self.k_bits) - 1)) - self.radius
+        return xs, ks
+
+    def reach(self, keys: np.ndarray) -> list:
+        """max |x_i| over the keys, per coordinate."""
+        xs, _ = self.unpack(keys)
+        return [int(v) for v in np.abs(xs).max(axis=0)]
+
+
+def _find(sorted_keys: np.ndarray, keys: np.ndarray):
+    """Positions of keys in a sorted array, and the mask of keys present."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=np.intp), np.zeros(len(keys), dtype=bool)
+    pos = np.minimum(sorted_keys.searchsorted(keys), len(sorted_keys) - 1)
+    return pos, sorted_keys[pos] == keys
+
+
+def _first_occurrences(values: np.ndarray):
+    """Sorted distinct values and the index where each first occurs: the
+    result of np.unique(values, return_index=True), from an unstable sort."""
+    order = values.argsort()
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    return ordered[starts], np.minimum.reduceat(order, starts)
+
+
+def _next_sphere(frontier: np.ndarray, steps: np.ndarray, previous):
+    """The sphere after ``frontier`` in breadth-first order, and sorted.
+
+    ``steps`` holds each frontier key's generator increments. Candidates in
+    the sorted spheres ``previous`` are dropped, and the rest keep their
+    first occurrence in (frontier element, generator) order.
+    """
+    cand = (frontier[:, None] + steps).ravel()
+    fresh, first = _first_occurrences(cand)
+    for seen in previous:
+        keep = ~_find(seen, fresh)[1]
+        fresh, first = fresh[keep], first[keep]
+    return cand[np.sort(first)], fresh
+
+
+class WordLengthOracle:
+    """Complete word-length table out to a fixed radius, as packed keys.
+
+    ``keys`` lists the ball in breadth-first order, sphere after sphere, so
+    the word length of ``keys[i]`` is the sphere holding index i; lengths are
+    implicit in ``sphere_sizes``. Lookups binary-search a sorted copy of the
+    keys that carries uint8 lengths; absence certifies length > radius.
+    ``restricted`` oracles are prefix views that share the sorted copy and
+    ignore its entries beyond their radius. Queries after construction are
+    read-only and safe to share across workers.
+    """
+
+    def __init__(self, ctx, gens, radius, layout, keys, sphere_sizes, index=None):
+        self.ctx = ctx
+        self.gens = gens
+        self.radius = radius
+        self.layout = layout
+        self.keys = keys
+        self.sphere_sizes = list(sphere_sizes)
+        if index is None:
+            order = keys.argsort()
+            index = (keys[order], self._length_column(np.uint8)[order])
+        self._sorted_keys, self._sorted_lengths = index
+
+    def _length_column(self, dtype=np.int64) -> np.ndarray:
+        return np.repeat(np.arange(len(self.sphere_sizes), dtype=dtype), self.sphere_sizes)
+
+    def word_length(self, g: GroupElement):
+        """Exact length, or None certifying length > radius."""
+        key = self.layout.key(g)
+        if key is None:
+            return None
+        keys = self._sorted_keys
+        i = int(keys.searchsorted(key))
+        if i < len(keys) and keys[i] == key:
+            n = int(self._sorted_lengths[i])
+            if n <= self.radius:
+                return n
+        return None
+
+    def lengths(self, elements) -> np.ndarray:
+        """Exact lengths of many elements as int64; -1 certifies > radius."""
+        elements = list(elements)
+        if len(elements) > _CHUNK:  # in blocks, so the temporaries stay small
+            return np.concatenate([
+                self.lengths(elements[lo : lo + _CHUNK])
+                for lo in range(0, len(elements), _CHUNK)
+            ])
+        dim = self.ctx.dim
+        flat = lambda: chain.from_iterable((*g.x, g.k) for g in elements)
+        size = len(elements) * (dim + 1)
+        try:
+            arr = np.fromiter(flat(), dtype=np.int64, count=size)
+        except OverflowError:
+            # Entries beyond int64 lie outside every key layout; clamping
+            # keeps them outside it.
+            clamped = (min(max(v, -_CLAMP), _CLAMP) for v in flat())
+            arr = np.fromiter(clamped, dtype=np.int64, count=size)
+        arr = arr.reshape(len(elements), dim + 1)
+        keys, fits = self.layout.pack(arr[:, :dim], arr[:, dim])
+        pos, hit = _find(self._sorted_keys, keys)
+        found = np.full(len(keys), -1, dtype=np.int64)
+        found[hit] = self._sorted_lengths[pos[hit]]
+        found[found > self.radius] = -1
+        out = np.full(len(elements), -1, dtype=np.int64)
+        out[fits] = found
+        return out
+
+    def __contains__(self, g):
+        return self.word_length(g) is not None
+
+    def __len__(self):
+        return len(self.keys)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the key arrays and the sorted lookup copy."""
+        return self.keys.nbytes + self._sorted_keys.nbytes + self._sorted_lengths.nbytes
+
+    def columns(self):
+        """Coordinates (n, dim), exponents and lengths as int64 arrays, in
+        breadth-first order."""
+        xs, ks = self.layout.unpack(self.keys)
+        return xs, ks, self._length_column()
+
+    def _blocks(self):
+        """Coordinates, exponents and lengths of successive blocks of keys."""
+        lengths = self._length_column()
+        for lo in range(0, len(self), _CHUNK):
+            xs, ks = self.layout.unpack(self.keys[lo : lo + _CHUNK])
+            yield xs, ks, lengths[lo : lo + _CHUNK]
+
+    def items(self) -> Iterator[tuple]:
+        """(element, length) pairs in breadth-first order."""
+        for xs, ks, lengths in self._blocks():
+            elements = map(GroupElement, map(tuple, xs.tolist()), ks.tolist())
+            yield from zip(elements, lengths.tolist())
+
+    def elements(self) -> Iterator[GroupElement]:
+        return (g for g, _ in self.items())
+
+    def ball_size(self, r: int) -> int:
+        return sum(self.sphere_sizes[: r + 1])
+
+    def census(self):
+        """Rows (radius, ball_size, sphere_size) for 0 <= radius <= R."""
+        rows = []
+        total = 0
+        for r, s in enumerate(self.sphere_sizes):
+            total += s
+            rows.append((r, total, s))
+        return rows
+
+    def restricted(self, radius: int) -> "WordLengthOracle":
+        """The oracle for a smaller radius: a prefix view of the keys that
+        shares the sorted lookup copy."""
+        if radius > self.radius:
+            raise ValidationError(
+                f"cannot restrict radius {self.radius} oracle to {radius}"
+            )
+        return WordLengthOracle(
+            self.ctx, self.gens, radius, self.layout,
+            self.keys[: self.ball_size(radius)], self.sphere_sizes[: radius + 1],
+            index=(self._sorted_keys, self._sorted_lengths),
+        )
+
+    def save(self, path):
+        """Versioned text snapshot: header line, then one element per line
+        ("x_1 ... x_d k length") in breadth-first order."""
+        p = Path(path)
+        line = " ".join(["{}"] * (self.ctx.dim + 2)) + "\n"
+        with p.open("w") as fh:
+            fh.write(
+                f"unstretch-oracle v{ORACLE_FORMAT_VERSION} "
+                f"dim={self.ctx.dim} radius={self.radius}\n"
+            )
+            fh.write(
+                "matrix " + " ".join(
+                    str(v) for row in self.ctx.matrix.entries for v in row
+                ) + "\n"
+            )
+            for xs, ks, lengths in self._blocks():
+                cols = (*xs.T.tolist(), ks.tolist(), lengths.tolist())
+                fh.write("".join(map(line.format, *cols)))
+
+    @classmethod
+    def load(cls, path) -> "WordLengthOracle":
+        p = Path(path)
+        with p.open() as fh:
+            header = fh.readline().split()
+            if len(header) < 4 or header[0] != "unstretch-oracle":
+                raise ValidationError(f"{p} is not an oracle snapshot")
+            if header[1] != f"v{ORACLE_FORMAT_VERSION}":
+                raise ValidationError(f"unsupported oracle format {header[1]}")
+            dim = int(header[2].split("=")[1])
+            radius = int(header[3].split("=")[1])
+            mline = fh.readline().split()
+            vals = list(map(int, mline[1:]))
+            rows = [vals[i * dim : (i + 1) * dim] for i in range(dim)]
+            ctx = GroupContext(ToralMatrix(rows))
+            body = fh.read().split()
+        try:
+            data = np.array([int(v) for v in body], dtype=np.int64)
+        except OverflowError:
+            raise ValidationError(f"{p} holds an entry beyond int64") from None
+        if data.size % (dim + 2):
+            raise ValidationError(f"{p} has a truncated element line")
+        data = data.reshape(-1, dim + 2)
+        lengths = data[:, dim + 1]
+        if len(lengths) and (
+            lengths[0] < 0 or lengths[-1] > radius or (np.diff(lengths) < 0).any()
+        ):
+            raise ValidationError(f"{p} is not in breadth-first order within radius {radius}")
+        layout = KeyLayout(dim, radius)
+        keys, fits = layout.pack(data[:, :dim], data[:, dim])
+        if not fits.all():
+            raise ValidationError(f"{p} holds an element outside the int64 key layout")
+        sphere = np.bincount(lengths, minlength=radius + 1).tolist()
+        return cls(ctx, GeneratingSet.standard(dim), radius, layout, keys, sphere)
+
+
+def word_ball(
+    ctx: GroupContext,
+    gens: GeneratingSet,
+    radius: int,
+    budget: int = DEFAULT_ELEMENT_BUDGET,
+) -> WordLengthOracle:
+    """Enumerate the ball of the given radius by breadth-first search.
+
+    Sphere r comes from sphere r-1 in one array step: the keys of every
+    (element, generator) product, less those in spheres r-1 and r-2 (the
+    generators are symmetric, so no earlier element is adjacent to sphere
+    r-1), keeping first occurrences in (element, generator) order, which is
+    the order a dictionary-driven search would insert them in.
+
+    Raises BudgetError (reporting the largest completed radius) if the table
+    would exceed ``budget`` elements, and ValidationError naming the radius
+    if a sphere could leave the int64 key layout.
+    """
+    if radius < 0:
+        raise ValidationError("radius must be nonnegative")
+    layout = KeyLayout(ctx.dim, radius)
+    h_vecs = [g.x for g in gens.h_generators]
+    n_gens = len(gens.all)
+    # deltas[k + radius] holds the key increments of the generators at z^k.
+    deltas = np.zeros((2 * radius + 1, n_gens), dtype=np.int64)
+    deltas[:, -2:] = (1, -1)
+    k_mask = (1 << layout.k_bits) - 1
+    twist_reach = [0] * ctx.dim
+    spheres = [np.array([layout.key(ctx.identity)], dtype=np.int64)]
+    previous = (spheres[0], spheres[0][:0])  # sorted spheres r-1 and r-2
+    total = 1
+    for r in range(1, radius + 1):
+        frontier = spheres[-1]
+        # Conservative pre-check: the next layer can add at most one element
+        # per (frontier element, generator) pair.
+        projected = total + len(frontier) * n_gens
+        if projected > budget:
+            raise BudgetError(
+                f"ball of radius {r} may exceed budget of {budget} elements",
+                completed_radius=r - 1,
+                partial=WordLengthOracle(
+                    ctx, gens, r - 1, layout, np.concatenate(spheres),
+                    [len(s) for s in spheres],
+                ),
+            )
+        # Packing certificate: sphere r lies within the frontier's reach plus
+        # the largest twisted generator at the frontier's exponents.
+        twists = {k: [ctx.twist(k, y) for y in h_vecs] for k in {r - 1, 1 - r}}
+        for row in twists.values():
+            twist_reach = [
+                max(m, *(abs(t[i]) for t in row)) for i, m in enumerate(twist_reach)
+            ]
+        reach = [a + b for a, b in zip(layout.reach(frontier), twist_reach)]
+        if max(reach) > layout.x_limit:
+            raise ValidationError(
+                f"ball of radius {r} does not fit the int64 key layout: "
+                f"coordinates may reach {max(reach)} > {layout.x_limit}"
+            )
+        for k, row in twists.items():
+            deltas[k + radius, :-2] = [layout.delta(t) for t in row]
+        sphere, fresh = _next_sphere(frontier, deltas[frontier & k_mask], previous)
+        spheres.append(sphere)
+        previous = (fresh, previous[0])
+        total += len(sphere)
+    return WordLengthOracle(
+        ctx, gens, radius, layout, np.concatenate(spheres), [len(s) for s in spheres]
+    )

@@ -1,11 +1,12 @@
-"""Word metric machinery: generating sets, breadth-first ball enumeration,
-exact box sets, neighborhoods, and diameters of finite subsets.
+"""Word metric machinery: exact box sets, neighborhoods, and diameters of
+finite subsets.
 
-The generating set is the 2d norm-one lattice vectors plus z and z^-1, so the
-word metric is symmetric. Balls are enumerated frontier by frontier; the
-resulting oracle answers exact word lengths up to its radius and certifies
-"longer than the radius" for everything else. Finite subsets of the group are
-plain Python sets of GroupElement, which enforces normal-form uniqueness.
+The generating set (``group.GeneratingSet``) is the 2d norm-one lattice
+vectors plus z and z^-1, so the word metric is symmetric. Exact word lengths
+come from the ball oracle of ``oracle.py``, which answers up to its radius and
+certifies "longer than the radius" for everything else; its names are
+importable from here too. Finite subsets of the group are plain Python sets of
+GroupElement, which enforces normal-form uniqueness.
 
 Box sets B(ell, h) hold the elements with ||x|| <= lam^ell and |k| <= h for an
 exact rational lam; membership is decided by integer cross-multiplication, so
@@ -17,202 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from . import matrices
-from .errors import BudgetError, ValidationError
-from .group import GroupContext, GroupElement, ToralMatrix
-
-# Element-count cap for ball/neighborhood construction. Growth is exponential,
-# so this bounds memory, not accuracy; results below the cap are exact.
-DEFAULT_ELEMENT_BUDGET = 50_000_000
-
-ORACLE_FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class GeneratingSet:
-    """The standard generators: all lattice vectors of norm one, z, z^-1."""
-
-    h_generators: tuple
-    z_generators: tuple
-
-    @classmethod
-    def standard(cls, dim: int) -> "GeneratingSet":
-        hs = []
-        for i in range(dim):
-            e = tuple(int(j == i) for j in range(dim))
-            ne = tuple(-v for v in e)
-            hs.append(GroupElement(e, 0))
-            hs.append(GroupElement(ne, 0))
-        zs = (GroupElement((0,) * dim, 1), GroupElement((0,) * dim, -1))
-        return cls(tuple(hs), zs)
-
-    @property
-    def all(self) -> tuple:
-        return self.h_generators + self.z_generators
-
-    @property
-    def dim(self) -> int:
-        return len(self.z_generators[0].x)
-
-    def __post_init__(self):
-        for g in self.h_generators:
-            if g.k != 0 or sum(v * v for v in g.x) != 1:
-                raise ValidationError(f"{g} is not a norm-one lattice generator")
-        inv_closed = {tuple(-v for v in g.x) for g in self.h_generators}
-        if inv_closed != {g.x for g in self.h_generators}:
-            raise ValidationError("h generators are not closed under inversion")
-
-
-def _expand_frontier(ctx: GroupContext, gens: GeneratingSet, frontier, table, length):
-    """One breadth-first layer of right multiplication with deduplication."""
-    new = []
-    h_vecs = [g.x for g in gens.h_generators]
-    twist = ctx.twist
-    for g in frontier:
-        x, k = g
-        for y in h_vecs:
-            s = twist(k, y)
-            cand = GroupElement(tuple(a + b for a, b in zip(x, s)), k)
-            if cand not in table:
-                table[cand] = length
-                new.append(cand)
-        for dk in (1, -1):
-            cand = GroupElement(x, k + dk)
-            if cand not in table:
-                table[cand] = length
-                new.append(cand)
-    return new
-
-
-class WordLengthOracle:
-    """Complete word-length table out to a fixed radius.
-
-    ``table[g]`` is the exact word length for every g in the radius-R ball;
-    absence from the table certifies length > R. Queries after construction
-    are read-only and safe to share across workers.
-    """
-
-    def __init__(self, ctx, gens, radius, table, sphere_sizes):
-        self.ctx = ctx
-        self.gens = gens
-        self.radius = radius
-        self.table = table
-        self.sphere_sizes = list(sphere_sizes)
-
-    def word_length(self, g: GroupElement):
-        """Exact length, or None certifying length > radius."""
-        return self.table.get(g)
-
-    def __contains__(self, g):
-        return g in self.table
-
-    def __len__(self):
-        return len(self.table)
-
-    def elements(self) -> Iterable[GroupElement]:
-        return self.table.keys()
-
-    def ball_size(self, r: int) -> int:
-        return sum(self.sphere_sizes[: r + 1])
-
-    def census(self):
-        """Rows (radius, ball_size, sphere_size) for 0 <= radius <= R."""
-        rows = []
-        total = 0
-        for r, s in enumerate(self.sphere_sizes):
-            total += s
-            rows.append((r, total, s))
-        return rows
-
-    def restricted(self, radius: int) -> "WordLengthOracle":
-        """The oracle for a smaller radius; the table is a fresh copy (the
-        group context is shared, its caches are idempotent)."""
-        if radius > self.radius:
-            raise ValidationError(
-                f"cannot restrict radius {self.radius} oracle to {radius}"
-            )
-        table = {g: n for g, n in self.table.items() if n <= radius}
-        return WordLengthOracle(
-            self.ctx, self.gens, radius, table, self.sphere_sizes[: radius + 1]
-        )
-
-    def save(self, path):
-        """Versioned text snapshot: header line, then one element per line."""
-        p = Path(path)
-        with p.open("w") as fh:
-            fh.write(
-                f"unstretch-oracle v{ORACLE_FORMAT_VERSION} "
-                f"dim={self.ctx.dim} radius={self.radius}\n"
-            )
-            fh.write(
-                "matrix " + " ".join(
-                    str(v) for row in self.ctx.matrix.entries for v in row
-                ) + "\n"
-            )
-            for g, n in self.table.items():
-                fh.write(" ".join(map(str, g.x)) + f" {g.k} {n}\n")
-
-    @classmethod
-    def load(cls, path) -> "WordLengthOracle":
-        p = Path(path)
-        with p.open() as fh:
-            header = fh.readline().split()
-            if len(header) < 4 or header[0] != "unstretch-oracle":
-                raise ValidationError(f"{p} is not an oracle snapshot")
-            if header[1] != f"v{ORACLE_FORMAT_VERSION}":
-                raise ValidationError(f"unsupported oracle format {header[1]}")
-            dim = int(header[2].split("=")[1])
-            radius = int(header[3].split("=")[1])
-            mline = fh.readline().split()
-            vals = list(map(int, mline[1:]))
-            rows = [vals[i * dim : (i + 1) * dim] for i in range(dim)]
-            ctx = GroupContext(ToralMatrix(rows))
-            table = {}
-            sphere = [0] * (radius + 1)
-            for line in fh:
-                parts = list(map(int, line.split()))
-                g = GroupElement(tuple(parts[:dim]), parts[dim])
-                n = parts[dim + 1]
-                table[g] = n
-                sphere[n] += 1
-        return cls(ctx, GeneratingSet.standard(dim), radius, table, sphere)
-
-
-def word_ball(
-    ctx: GroupContext,
-    gens: GeneratingSet,
-    radius: int,
-    budget: int = DEFAULT_ELEMENT_BUDGET,
-) -> WordLengthOracle:
-    """Enumerate the ball of the given radius by breadth-first search.
-
-    Raises BudgetError (reporting the largest completed radius) if the table
-    would exceed ``budget`` elements.
-    """
-    if radius < 0:
-        raise ValidationError("radius must be nonnegative")
-    table = {ctx.identity: 0}
-    frontier = [ctx.identity]
-    sphere_sizes = [1]
-    for r in range(1, radius + 1):
-        # Conservative pre-check: the next layer can add at most one element
-        # per (frontier element, generator) pair.
-        projected = len(table) + len(frontier) * len(gens.all)
-        if projected > budget:
-            raise BudgetError(
-                f"ball of radius {r} may exceed budget of {budget} elements",
-                completed_radius=r - 1,
-                partial=WordLengthOracle(ctx, gens, r - 1, table, sphere_sizes),
-            )
-        frontier = _expand_frontier(ctx, gens, frontier, table, r)
-        sphere_sizes.append(len(frontier))
-    return WordLengthOracle(ctx, gens, radius, table, sphere_sizes)
-
+from .errors import BudgetError, CertificationError, ValidationError
+from .group import GeneratingSet, GroupContext, GroupElement, ToralMatrix
+from .oracle import DEFAULT_ELEMENT_BUDGET, WordLengthOracle, word_ball  # noqa: F401
 
 def neighborhood(
     ctx: GroupContext,
@@ -270,14 +83,14 @@ def set_diameter(oracle: WordLengthOracle, elements) -> Diameter:
     ctx = oracle.ctx
     radius = oracle.radius
     inf = math.inf
-    lengths = [oracle.word_length(g) for g in S]
-    caps = [inf if v is None else v for v in lengths]
+    lengths = oracle.lengths(S)
+    caps = [inf if v < 0 else v for v in lengths.tolist()]
 
     ks = [g.k for g in S]
     best = max(ks) - min(ks)
-    known = [v for v in lengths if v is not None]
-    if known:
-        best = max(best, max(known) - min(known))
+    known = lengths[lengths >= 0]
+    if known.size:
+        best = max(best, int(known.max() - known.min()))
     if best > radius:
         return Diameter(radius + 1, False)
 
@@ -335,7 +148,8 @@ def choose_lambda(A: ToralMatrix, phi, i_max: int = 50) -> Fraction:
 
     The binding quantities are max(2, ||A||, ||A^-1||, ||B||, ||B^-1||,
     ||v|| + ||A v|| - 1, and ||A^i v||^(1/i) over 2 < i <= i_max). The choice
-    is verified by assertion against the strict forms of all the conditions.
+    is checked against the strict forms of all the conditions, and a failed
+    check raises CertificationError.
     """
     a_arr = A.as_array()
     b_arr = np.array(phi.B, dtype=float)
@@ -361,16 +175,27 @@ def choose_lambda(A: ToralMatrix, phi, i_max: int = 50) -> Fraction:
         lam += Fraction(1, 100)
 
     lam_f = float(lam)
-    assert lam_f > 2.0
-    assert A.op_norm < lam_f and A.op_norm_inv < lam_f
-    assert np.linalg.norm(b_arr, 2) < lam_f and np.linalg.norm(b_inv, 2) < lam_f
+
+    def require(ok, condition):
+        if not ok:
+            raise CertificationError(f"box scale lam = {lam} fails {condition}")
+
+    require(lam_f > 2.0, "lam > 2")
+    require(A.op_norm < lam_f and A.op_norm_inv < lam_f, "||A||, ||A^-1|| < lam")
+    require(
+        np.linalg.norm(b_arr, 2) < lam_f and np.linalg.norm(b_inv, 2) < lam_f,
+        "||B||, ||B^-1|| < lam",
+    )
     if v_norm > 0:
-        assert v_norm + av_norm < 1.0 + lam_f
+        require(v_norm + av_norm < 1.0 + lam_f, "||v|| + ||A v|| < 1 + lam")
         w = v
         for i in range(1, i_max + 1):
             w = matrices.matvec(A.entries, w)
             if i > 2:
-                assert math.sqrt(sum(c * c for c in w)) < lam_f ** i
+                require(
+                    math.sqrt(sum(c * c for c in w)) < lam_f ** i,
+                    f"||A^{i} v|| < lam^{i}",
+                )
     return lam
 
 

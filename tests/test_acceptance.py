@@ -107,7 +107,7 @@ def test_criterion_2_oracle_equivalence(ctx, gens, big_oracle):
         start = time.perf_counter()
         for n in range(7):
             reach = neighborhood(ctx, gens, {ctx.identity}, n)
-            expected = {g for g, ln in oracle.table.items() if ln <= n}
+            expected = {g for g, ln in oracle.items() if ln <= n}
             assert reach == expected, f"neighborhood mismatch at N={n}"
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from unstretch.cli import main
 from unstretch.config import EXPERIMENT_NAMES
 from unstretch.errors import CertificationError
@@ -244,3 +246,60 @@ def test_determinism_byte_identical_csvs(tmp_path):
         assert run_cli(cfg) == 0
         outs.append((out / "box_checks.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_budget_exhaustion_writes_partial_census(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "budget", {
+        "experiment": "ball-census", "matrix": CAT, "bfs_radius": 10,
+        "budget_elements": 5000, "output_dir": str(out),
+    })
+    assert run_cli(cfg) == 3
+    done = read_summary(out)["completed_radius"]
+    assert 0 < done < 10
+    full = out / "full"
+    cfg = write_cfg(tmp_path, "full", {
+        "experiment": "ball-census", "matrix": CAT, "bfs_radius": done,
+        "output_dir": str(full),
+    })
+    assert run_cli(cfg) == 0
+    lines = (out / "census.csv").read_text().splitlines()
+    assert len(lines) == done + 2
+    assert lines == (full / "census.csv").read_text().splitlines()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("bfs_radius", "7"),
+    ("bfs_radius", 7.5),
+    ("bfs_radius", True),
+    ("k_max", None),
+    ("qi_radii", 12),
+    ("automorphism", [[2, 1], [1, 1]]),
+    ("dump_orbit", 1),
+    ("notes", 3),
+])
+def test_mistyped_config_field_exits_2_naming_it(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "typed", {
+        "experiment": "ball-census", "matrix": CAT, key: value,
+        "output_dir": str(out),
+    })
+    assert run_cli(cfg) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_certification_failure_in_prepare_exits_4(tmp_path, monkeypatch):
+    from unstretch import experiments
+
+    def refuse(matrix, phi):
+        raise CertificationError("planted scale failure")
+
+    monkeypatch.setattr(experiments, "choose_lambda", refuse)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "dyn", {
+        "experiment": "set-dynamics", "matrix": CAT,
+        "automorphism": {"b": CAT, "v": [0, 0], "e": 1}, "k_max": 1,
+        "bfs_radius": 2, "output_dir": str(out),
+    })
+    assert run_cli(cfg) == 4

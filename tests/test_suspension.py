@@ -11,6 +11,7 @@ from unstretch import (
     embed,
     lattice_element,
     log_distance_bound,
+    log_distance_bounds,
     qi_comparison,
 )
 
@@ -137,3 +138,13 @@ def test_qi_comparison_radius_guard(cat_matrix, ctx, gens):
     split = compute_splitting(cat_matrix)
     with pytest.raises(ValidationError):
         qi_comparison(word_ball(ctx, gens, 4), split)
+
+
+def test_scalar_and_array_bounds_agree_exactly(cat_matrix, oracle6):
+    split = compute_splitting(cat_matrix)
+    xs, ks, _ = oracle6.columns()
+    bounds = log_distance_bounds(split, xs, ks)
+    scalar = [log_distance_bound(split, embed(g)) for g in oracle6.elements()]
+    assert bounds.tolist() == scalar
+    # a batch's rows do not depend on the batch around them
+    assert log_distance_bounds(split, xs[:7], ks[:7]).tolist() == scalar[:7]

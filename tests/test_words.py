@@ -7,8 +7,10 @@ import pytest
 from unstretch import (
     BoxSet,
     BudgetError,
+    CertificationError,
     GroupAutomorphism,
     GroupElement,
+    ToralMatrix,
     ValidationError,
     WordLengthOracle,
     choose_lambda,
@@ -23,7 +25,7 @@ from unstretch.words import check_box_inclusion_u1, check_box_inclusion_un, samp
 
 def test_ball_radius_zero(ctx, gens):
     oracle = word_ball(ctx, gens, 0)
-    assert dict(oracle.table) == {ctx.identity: 0}
+    assert dict(oracle.items()) == {ctx.identity: 0}
     assert oracle.census() == [(0, 1, 1)]
 
 
@@ -58,14 +60,14 @@ def test_ball_sizes_monotone(oracle8):
 
 
 def test_word_length_symmetric_under_inversion(ctx, oracle6):
-    for g, n in oracle6.table.items():
+    for g, n in oracle6.items():
         assert oracle6.word_length(ctx.inverse(g)) == n
 
 
 def test_left_invariance_within_radius(ctx, gens, oracle6):
     rng = np.random.default_rng(11)
-    elems = [g for g, n in oracle6.table.items() if n <= 2]
-    ws = [g for g, n in oracle6.table.items() if n <= 1]
+    elems = [g for g, n in oracle6.items() if n <= 2]
+    ws = [g for g, n in oracle6.items() if n <= 1]
     for _ in range(100):
         g = elems[rng.integers(len(elems))]
         h = elems[rng.integers(len(elems))]
@@ -90,7 +92,7 @@ def test_budget_error_reports_completed_radius(ctx, gens):
 def test_set_diameter_examples(ctx, oracle6):
     assert set_diameter(oracle6, [ctx.z]) == (0, True)
     assert set_diameter(oracle6, [ctx.identity, ctx.z]) == (1, True)
-    ball2 = [g for g, n in oracle6.table.items() if n <= 2]
+    ball2 = [g for g, n in oracle6.items() if n <= 2]
     assert set_diameter(oracle6, ball2) == (4, True)
     with pytest.raises(ValidationError):
         set_diameter(oracle6, [])
@@ -106,13 +108,13 @@ def test_neighborhood_basics(ctx, gens, oracle6):
     s = {GroupElement((1, 1), 2)}
     assert neighborhood(ctx, gens, s, 0) == s
     ball1 = neighborhood(ctx, gens, {ctx.identity}, 1)
-    assert ball1 == set(g for g, n in oracle6.table.items() if n <= 1)
+    assert ball1 == set(g for g, n in oracle6.items() if n <= 1)
 
 
 def test_neighborhood_matches_ball(ctx, gens, oracle6):
     for n in range(5):
         reach = neighborhood(ctx, gens, {ctx.identity}, n)
-        expected = {g for g, ln in oracle6.table.items() if ln <= n}
+        expected = {g for g, ln in oracle6.items() if ln <= n}
         assert reach == expected
 
 
@@ -222,7 +224,7 @@ def test_oracle_save_load_roundtrip(tmp_path, ctx, gens):
     oracle.save(path)
     loaded = WordLengthOracle.load(path)
     assert loaded.radius == 3
-    assert dict(loaded.table) == dict(oracle.table)
+    assert dict(loaded.items()) == dict(oracle.items())
     assert loaded.sphere_sizes == oracle.sphere_sizes
 
 
@@ -230,6 +232,22 @@ def test_oracle_restriction(oracle6):
     small = oracle6.restricted(2)
     assert small.radius == 2
     assert len(small) == 33
-    assert max(small.table.values()) == 2
+    assert max(n for _, n in small.items()) == 2
     with pytest.raises(ValidationError):
         oracle6.restricted(10)
+
+
+def test_choose_lambda_failed_check_raises_certification_error():
+    class DriftingNorm(ToralMatrix):
+        """A matrix whose reported norm grows between choice and check."""
+
+        reads = 0
+
+        @property
+        def op_norm(self):
+            self.reads += 1
+            return 2.5 * self.reads
+
+    drifting = DriftingNorm([[2, 1], [1, 1]])
+    with pytest.raises(CertificationError, match="lam"):
+        choose_lambda(drifting, GroupAutomorphism.identity(2))
