@@ -11,10 +11,15 @@ word-length oracle and classified as polynomial or exponential by competing
 straight-line fits. The flat lattice control runs the same iteration in Z^d,
 where the word metric is the l1 distance and diameters are exact at any
 scale, to exhibit the contrasting exponential growth.
+
+Both iterations run on sorted int64 key arrays of one key layout fixed for
+the run (``packed.py``): the map is one array step on the unpacked columns,
+U_N is ``packed.spread``, and the envelope and diameters read the columns.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -23,17 +28,25 @@ import numpy as np
 
 from . import matrices
 from .autos import GroupAutomorphism, apply_automorphism, require_valid
-from .errors import BudgetError, CertificationError, ValidationError
+from .errors import CertificationError, ValidationError
 from .group import GroupContext, GroupElement, ToralMatrix
+from .packed import (
+    KeyLayout,
+    StepTable,
+    certify,
+    element_columns,
+    group_steps,
+    pack_elements,
+    spread,
+)
 from .words import (
     DEFAULT_ELEMENT_BUDGET,
     BoxSet,
     GeneratingSet,
     InclusionReport,
     WordLengthOracle,
-    neighborhood,
+    column_diameter,
     sample_box,
-    set_diameter,
 )
 
 # Verdict selection: the better straight-line fit must win by this much R^2.
@@ -84,6 +97,42 @@ def envelope_offset(h0: int, n_rounds: int, k: int) -> int:
     return sum(2 * (h0 + n_rounds * i) ** 2 for i in range(1, k + 1))
 
 
+def _map_keys(layout: KeyLayout, keys: np.ndarray, rows, shift, e: int, what: str):
+    """Sorted keys of the image {(M x + shift(k), e k)} of a set of keys.
+
+    ``rows`` is the integer matrix M and ``shift(k)`` a lattice vector per
+    exponent, asked once for each exponent present. Packing certificate: a
+    coordinate of the image is at most the M-row's |entries| times the set's
+    reach (at least 1) plus the largest |shift|; ValidationError naming
+    ``what`` if that could leave the layout.
+    """
+    xs, ks = layout.unpack(keys)
+    radius = layout.radius
+    present = np.flatnonzero(np.bincount(ks + radius, minlength=2 * radius + 1))
+    shifts = {int(row) - radius: shift(int(row) - radius) for row in present}
+    reach = [max(int(v), 1) for v in np.abs(xs).max(axis=0, initial=0)]
+    bound = max(
+        sum(abs(m) * r for m, r in zip(row, reach))
+        + max((abs(c[i]) for c in shifts.values()), default=0)
+        for i, row in enumerate(rows)
+    )
+    certify(what, "the image", bound, layout.x_limit)
+    table = np.zeros((2 * radius + 1, layout.dim), dtype=np.int64)
+    for k, c in shifts.items():
+        table[k + radius] = c
+    mapped = xs @ np.array(rows, dtype=np.int64).T + table[ks + radius]
+    image, _ = layout.pack(mapped, e * ks)
+    image.sort()
+    return image
+
+
+def _automorphism_shift(ctx: GroupContext, phi: GroupAutomorphism):
+    """``shift`` for ``_map_keys``: phi(x z^k) = (B x) (v z^e)^k, so the shift
+    at k is c_k, the lattice part of (v z^e)^k, computed once per k."""
+    zero = (0,) * ctx.dim
+    return functools.cache(lambda k: apply_automorphism(ctx, phi, GroupElement(zero, k)).x)
+
+
 def iterate_once(
     ctx: GroupContext,
     gens: GeneratingSet,
@@ -92,11 +141,19 @@ def iterate_once(
     current: Iterable[GroupElement],
     budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> set:
-    """One step of the iteration: U_N applied to the automorphism image."""
+    """One step of the iteration: U_N applied to the automorphism image.
+
+    A set-in, set-out adapter over the packed kernel that ``run_iteration``
+    runs.
+    """
     if n_rounds < 1:
         raise ValidationError("neighborhood rounds N must be >= 1")
-    image = {apply_automorphism(ctx, phi, g) for g in current}
-    return neighborhood(ctx, gens, image, n_rounds, budget=budget)
+    table, keys = pack_elements(ctx, gens, list(current), n_rounds, "iteration")
+    layout = table.layout
+    image = _map_keys(
+        layout, keys, phi.B, _automorphism_shift(ctx, phi), phi.e, "iteration"
+    )
+    return set(layout.elements(spread(image, n_rounds, table, budget, "iteration")))
 
 
 class CurvePoint(NamedTuple):
@@ -133,28 +190,35 @@ def run_iteration(
 ) -> GrowthCurve:
     """Iterate, recording (k, diameter, size) and certifying the envelope.
 
-    The box membership of every element of every iterate is checked with
-    exact rational arithmetic; the first violation aborts the run.
+    The iterates live on one key layout whose exponent range h0 + N k_max
+    holds every envelope. The box membership of every element of every
+    iterate is checked exactly; the first violation aborts the run.
     """
-    current = set(config.a0)
+    n = config.n_rounds
+    table = group_steps(ctx, gens, config.h0 + n * config.k_max)
+    layout = table.layout
+    shift = _automorphism_shift(ctx, config.phi)
+    keys = layout.pack_set(
+        *element_columns(list(config.a0), ctx.dim), "starting set (step 0)"
+    )
     points = []
     for k in range(config.k_max + 1):
-        ell = config.ell0 + envelope_offset(config.h0, config.n_rounds, k)
-        h = config.h0 + config.n_rounds * k
+        xs, ks = layout.unpack(keys)
+        ell = config.ell0 + envelope_offset(config.h0, n, k)
+        h = config.h0 + n * k
         box = BoxSet(config.lam, ell, h)
-        for g in current:
-            if not box.contains(g):
-                raise CertificationError(
-                    f"envelope violated at step {k}: {g} escaped {box}"
-                )
-        diam = set_diameter(oracle, current)
-        points.append(
-            CurvePoint(k, diam.value, diam.exact, len(current), ell, h)
-        )
-        if k < config.k_max:
-            current = iterate_once(
-                ctx, gens, config.phi, config.n_rounds, current, budget=budget
+        inside = box.contains_columns(xs, ks)
+        if not inside.all():
+            g = layout.elements(keys[~inside][:1])[0]
+            raise CertificationError(
+                f"envelope violated at step {k}: {g} escaped {box}"
             )
+        diam = column_diameter(oracle, xs, ks)
+        points.append(CurvePoint(k, diam.value, diam.exact, len(keys), ell, h))
+        if k < config.k_max:
+            what = f"iteration step {k + 1}"
+            image = _map_keys(layout, keys, config.phi.B, shift, config.phi.e, what)
+            keys = spread(image, n, table, budget, what)
     return GrowthCurve(points)
 
 
@@ -206,19 +270,6 @@ def classify_growth(curve: GrowthCurve) -> GrowthVerdict:
     )
 
 
-def _l1_diameter(points: Sequence[tuple]) -> int:
-    """Exact l1 diameter via the 2^d signed-projection trick."""
-    dim = len(next(iter(points)))
-    best = 0
-    pts = list(points)
-    for mask in range(1 << (dim - 1)):
-        # Half the sign patterns suffice: s and -s give the same spread.
-        signs = [1] + [1 if (mask >> i) & 1 else -1 for i in range(dim - 1)]
-        vals = [sum(s * c for s, c in zip(signs, p)) for p in pts]
-        best = max(best, max(vals) - min(vals))
-    return best
-
-
 def abelian_control(
     A: ToralMatrix,
     n_rounds: int,
@@ -231,43 +282,41 @@ def abelian_control(
     The matrix acts as an automorphism of Z^d, U_N is the l1 ball Minkowski
     sum, and diameters are exact l1 distances (no enumeration radius limits).
     The measured growth is exponential at the spectral rate, in contrast to
-    the group side.
+    the group side. It runs the packed kernel of the group iteration on a
+    layout without exponents, with the constant steps +-e_i.
     """
     if not A.is_hyperbolic:
         raise ValidationError(
             f"control requires a hyperbolic matrix: {A.hyperbolicity.reason}"
         )
-    current = {matrices.freeze_vector(v) for v in a0}
-    if not current:
+    seeds = [GroupElement(matrices.freeze_vector(v), 0) for v in a0]
+    if not seeds:
         raise ValidationError("starting set must be nonempty")
     if n_rounds < 1:
         raise ValidationError("neighborhood rounds N must be >= 1")
+    if k_max < 0:
+        raise ValidationError("k_max must be nonnegative")
     dim = A.dim
+    if any(len(g.x) != dim for g in seeds):
+        raise ValidationError(f"control seeds must have dimension {dim}")
+    table = StepTable.lattice(KeyLayout(dim, 0))
+    layout = table.layout
+    keys = layout.pack_set(*element_columns(seeds, dim), "control seeds (step 0)")
+    # Half the sign patterns suffice for the l1 diameter: s and -s give the
+    # same spread.
+    signs = np.array([
+        [1] + [1 if (mask >> i) & 1 else -1 for i in range(dim - 1)]
+        for mask in range(1 << (dim - 1))
+    ], dtype=np.int64)
     points = []
     for k in range(k_max + 1):
-        points.append(
-            CurvePoint(k, _l1_diameter(current), True, len(current), None, None)
-        )
-        if k == k_max:
-            break
-        mapped = {matrices.matvec(A.entries, x) for x in current}
-        out = set(mapped)
-        frontier = list(out)
-        for _ in range(n_rounds):
-            new = []
-            for x in frontier:
-                for i in range(dim):
-                    for dv in (1, -1):
-                        cand = x[:i] + (x[i] + dv,) + x[i + 1 :]
-                        if cand not in out:
-                            out.add(cand)
-                            new.append(cand)
-            frontier = new
-        if len(out) > budget:
-            raise BudgetError(
-                f"control iterate exceeds {budget} lattice points at step {k + 1}"
-            )
-        current = out
+        projections = layout.unpack(keys)[0] @ signs.T
+        diam = int((projections.max(axis=0) - projections.min(axis=0)).max())
+        points.append(CurvePoint(k, diam, True, len(keys), None, None))
+        if k < k_max:
+            what = f"control step {k + 1}"
+            image = _map_keys(layout, keys, A.entries, lambda _: (0,) * dim, 1, what)
+            keys = spread(image, n_rounds, table, budget, what)
     return GrowthCurve(points)
 
 

@@ -1,16 +1,16 @@
 """The exact word-length oracle: every element of a ball with its length.
 
-Elements x * z^k are packed into int64 keys (``KeyLayout``), so that a
+Elements x * z^k are packed into int64 keys (``packed.KeyLayout``), so that a
 generator step is one integer addition. ``word_ball`` enumerates the ball one
-sphere at a time as array operations, and ``WordLengthOracle`` stores it as
-three arrays: the keys in breadth-first order, a sorted copy, and the uint8
-lengths of that copy. A packing certificate checked before every sphere makes
-the ball refuse to grow past what the layout holds instead of wrapping.
+sphere at a time with the shared breadth-first step of ``packed.py``, and
+``WordLengthOracle`` stores it as three arrays: the keys in breadth-first
+order, a sorted copy, and the uint8 lengths of that copy. A packing
+certificate checked before every sphere makes the ball refuse to grow past
+what the layout holds instead of wrapping.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import BudgetError, ValidationError
 from .group import GeneratingSet, GroupContext, GroupElement, ToralMatrix
+from .packed import KeyLayout, element_columns, find, group_steps, next_layer
 
 # Element-count cap for ball/neighborhood construction. Growth is exponential,
 # so this bounds memory, not accuracy; results below the cap are exact.
@@ -25,114 +26,17 @@ DEFAULT_ELEMENT_BUDGET = 50_000_000
 
 ORACLE_FORMAT_VERSION = 1
 
-# Packed element keys use this many bits of an int64, so keys are nonnegative.
-KEY_BITS = 63
 # Oracle lengths are stored as uint8.
 MAX_ORACLE_RADIUS = 255
 # Rows per block when oracle keys are decoded into Python objects or text.
 _CHUNK = 1 << 16
-# Batched lookups clamp coordinates to this magnitude before packing; anything
-# this large already lies outside every key layout.
-_CLAMP = 1 << 62
 
 
-class KeyLayout:
-    """Fixed bit fields that pack an element (x, k) into one int64 key.
-
-    The low ``k_bits`` bits hold k + radius, and above them each coordinate
-    x_i gets ``x_bits`` bits holding x_i + 2^(x_bits - 1); the fields fill at
-    most KEY_BITS bits, so every key is a nonnegative int64. While all fields
-    stay in range, packing is additive: key(x + y, k + m) = key(x, k) + delta
-    with delta = sum y_i 2^shift_i + m, so a generator step is one addition.
-    An element fits when |k| <= radius and every |x_i| <= x_limit.
-    """
-
-    def __init__(self, dim: int, radius: int):
-        if radius > MAX_ORACLE_RADIUS:
-            raise ValidationError(
-                f"radius {radius} exceeds {MAX_ORACLE_RADIUS}, the largest uint8 length"
-            )
-        self.dim = dim
-        self.radius = radius
-        self.k_bits = max(1, (2 * radius).bit_length())
-        self.x_bits = (KEY_BITS - self.k_bits) // dim
-        if self.x_bits < 2:
-            raise ValidationError(
-                f"radius {radius} leaves no room for {dim} coordinates in an int64 key"
-            )
-        self.x_offset = 1 << (self.x_bits - 1)
-        self.x_limit = self.x_offset - 1
-        self.shifts = tuple(self.k_bits + i * self.x_bits for i in range(dim))
-
-    def delta(self, y) -> int:
-        """The key increment of the lattice translation by y."""
-        return sum(v << s for v, s in zip(y, self.shifts))
-
-    def key(self, g: GroupElement):
-        """The key of one element, or None if it does not fit."""
-        x, k = g
-        if len(x) != self.dim or not -self.radius <= k <= self.radius:
-            return None
-        key = k + self.radius
-        for v, shift in zip(x, self.shifts):
-            if not -self.x_limit <= v <= self.x_limit:
-                return None
-            key += (v + self.x_offset) << shift
-        return key
-
-    def pack(self, xs: np.ndarray, ks: np.ndarray):
-        """Keys of the rows that fit, and the mask of those rows."""
-        fits = (np.abs(xs) <= self.x_limit).all(axis=1) & (np.abs(ks) <= self.radius)
-        keys = ks[fits] + self.radius
-        for i, shift in enumerate(self.shifts):
-            keys += (xs[fits, i] + self.x_offset) << shift
-        return keys, fits
-
-    def unpack(self, keys: np.ndarray):
-        """Coordinates (n, dim) and exponents (n,) of packed keys."""
-        mask = (1 << self.x_bits) - 1
-        xs = np.empty((len(keys), self.dim), dtype=np.int64)
-        for i, shift in enumerate(self.shifts):
-            xs[:, i] = ((keys >> shift) & mask) - self.x_offset
-        ks = (keys & ((1 << self.k_bits) - 1)) - self.radius
-        return xs, ks
-
-    def reach(self, keys: np.ndarray) -> list:
-        """max |x_i| over the keys, per coordinate."""
-        xs, _ = self.unpack(keys)
-        return [int(v) for v in np.abs(xs).max(axis=0)]
-
-
-def _find(sorted_keys: np.ndarray, keys: np.ndarray):
-    """Positions of keys in a sorted array, and the mask of keys present."""
-    if not len(sorted_keys):
-        return np.zeros(len(keys), dtype=np.intp), np.zeros(len(keys), dtype=bool)
-    pos = np.minimum(sorted_keys.searchsorted(keys), len(sorted_keys) - 1)
-    return pos, sorted_keys[pos] == keys
-
-
-def _first_occurrences(values: np.ndarray):
-    """Sorted distinct values and the index where each first occurs: the
-    result of np.unique(values, return_index=True), from an unstable sort."""
-    order = values.argsort()
-    ordered = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    return ordered[starts], np.minimum.reduceat(order, starts)
-
-
-def _next_sphere(frontier: np.ndarray, steps: np.ndarray, previous):
-    """The sphere after ``frontier`` in breadth-first order, and sorted.
-
-    ``steps`` holds each frontier key's generator increments. Candidates in
-    the sorted spheres ``previous`` are dropped, and the rest keep their
-    first occurrence in (frontier element, generator) order.
-    """
-    cand = (frontier[:, None] + steps).ravel()
-    fresh, first = _first_occurrences(cand)
-    for seen in previous:
-        keep = ~_find(seen, fresh)[1]
-        fresh, first = fresh[keep], first[keep]
-    return cand[np.sort(first)], fresh
+def _check_radius(radius: int):
+    if radius > MAX_ORACLE_RADIUS:
+        raise ValidationError(
+            f"radius {radius} exceeds {MAX_ORACLE_RADIUS}, the largest uint8 length"
+        )
 
 
 class WordLengthOracle:
@@ -183,23 +87,17 @@ class WordLengthOracle:
                 self.lengths(elements[lo : lo + _CHUNK])
                 for lo in range(0, len(elements), _CHUNK)
             ])
-        dim = self.ctx.dim
-        flat = lambda: chain.from_iterable((*g.x, g.k) for g in elements)
-        size = len(elements) * (dim + 1)
-        try:
-            arr = np.fromiter(flat(), dtype=np.int64, count=size)
-        except OverflowError:
-            # Entries beyond int64 lie outside every key layout; clamping
-            # keeps them outside it.
-            clamped = (min(max(v, -_CLAMP), _CLAMP) for v in flat())
-            arr = np.fromiter(clamped, dtype=np.int64, count=size)
-        arr = arr.reshape(len(elements), dim + 1)
-        keys, fits = self.layout.pack(arr[:, :dim], arr[:, dim])
-        pos, hit = _find(self._sorted_keys, keys)
+        return self.column_lengths(*element_columns(elements, self.ctx.dim))
+
+    def column_lengths(self, xs: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """``lengths`` of the elements with int64 coordinates xs (n, dim) and
+        exponents ks (n,)."""
+        keys, fits = self.layout.pack(xs, ks)
+        pos, hit = find(self._sorted_keys, keys)
         found = np.full(len(keys), -1, dtype=np.int64)
         found[hit] = self._sorted_lengths[pos[hit]]
         found[found > self.radius] = -1
-        out = np.full(len(elements), -1, dtype=np.int64)
+        out = np.full(len(ks), -1, dtype=np.int64)
         out[fits] = found
         return out
 
@@ -308,6 +206,7 @@ class WordLengthOracle:
             lengths[0] < 0 or lengths[-1] > radius or (np.diff(lengths) < 0).any()
         ):
             raise ValidationError(f"{p} is not in breadth-first order within radius {radius}")
+        _check_radius(radius)
         layout = KeyLayout(dim, radius)
         keys, fits = layout.pack(data[:, :dim], data[:, dim])
         if not fits.all():
@@ -336,14 +235,10 @@ def word_ball(
     """
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
-    layout = KeyLayout(ctx.dim, radius)
-    h_vecs = [g.x for g in gens.h_generators]
+    _check_radius(radius)
+    table = group_steps(ctx, gens, radius)
+    layout = table.layout
     n_gens = len(gens.all)
-    # deltas[k + radius] holds the key increments of the generators at z^k.
-    deltas = np.zeros((2 * radius + 1, n_gens), dtype=np.int64)
-    deltas[:, -2:] = (1, -1)
-    k_mask = (1 << layout.k_bits) - 1
-    twist_reach = [0] * ctx.dim
     spheres = [np.array([layout.key(ctx.identity)], dtype=np.int64)]
     previous = (spheres[0], spheres[0][:0])  # sorted spheres r-1 and r-2
     total = 1
@@ -361,22 +256,8 @@ def word_ball(
                     [len(s) for s in spheres],
                 ),
             )
-        # Packing certificate: sphere r lies within the frontier's reach plus
-        # the largest twisted generator at the frontier's exponents.
-        twists = {k: [ctx.twist(k, y) for y in h_vecs] for k in {r - 1, 1 - r}}
-        for row in twists.values():
-            twist_reach = [
-                max(m, *(abs(t[i]) for t in row)) for i, m in enumerate(twist_reach)
-            ]
-        reach = [a + b for a, b in zip(layout.reach(frontier), twist_reach)]
-        if max(reach) > layout.x_limit:
-            raise ValidationError(
-                f"ball of radius {r} does not fit the int64 key layout: "
-                f"coordinates may reach {max(reach)} > {layout.x_limit}"
-            )
-        for k, row in twists.items():
-            deltas[k + radius, :-2] = [layout.delta(t) for t in row]
-        sphere, fresh = _next_sphere(frontier, deltas[frontier & k_mask], previous)
+        steps = table.steps(frontier, f"ball of radius {r}")
+        fresh, sphere = next_layer(frontier, steps, previous, ordered=True)
         spheres.append(sphere)
         previous = (fresh, previous[0])
         total += len(sphere)

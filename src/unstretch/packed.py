@@ -1,0 +1,297 @@
+"""Group elements packed into int64 keys, and the breadth-first step on them.
+
+An element x * z^k becomes one nonnegative int64 (``KeyLayout``), so a
+generator step is one integer addition and a finite set of elements is a
+sorted array of distinct keys. ``StepTable`` holds the key increments of the
+generators at each exponent, and ``next_layer`` is the one breadth-first step
+that every enumeration shares: the word ball (``oracle.word_ball``), right
+neighborhoods U_N(S) (``spread``, behind ``words.neighborhood``), the set
+iteration and its lattice control (``dynamics``). Each step is preceded by a
+packing certificate that raises ValidationError instead of wrapping.
+"""
+
+from __future__ import annotations
+
+from itertools import chain
+
+import numpy as np
+
+from .errors import BudgetError, ValidationError
+from .group import GeneratingSet, GroupContext, GroupElement
+
+# Packed element keys use this many bits of an int64, so keys are nonnegative.
+KEY_BITS = 63
+# Element columns clamp coordinates to this magnitude; anything this large
+# already lies outside every key layout.
+_CLAMP = 1 << 62
+
+
+class KeyLayout:
+    """Fixed bit fields that pack an element (x, k) into one int64 key.
+
+    The low ``k_bits`` bits hold k + radius, and above them each coordinate
+    x_i gets ``x_bits`` bits holding x_i + 2^(x_bits - 1); the fields fill at
+    most KEY_BITS bits, so every key is a nonnegative int64. While all fields
+    stay in range, packing is additive: key(x + y, k + m) = key(x, k) + delta
+    with delta = sum y_i 2^shift_i + m, so a generator step is one addition.
+    An element fits when |k| <= radius and every |x_i| <= x_limit.
+    """
+
+    def __init__(self, dim: int, radius: int):
+        self.dim = dim
+        self.radius = radius
+        self.k_bits = max(1, (2 * radius).bit_length())
+        self.x_bits = (KEY_BITS - self.k_bits) // dim
+        if self.x_bits < 2:
+            raise ValidationError(
+                f"radius {radius} leaves no room for {dim} coordinates in an int64 key"
+            )
+        self.x_offset = 1 << (self.x_bits - 1)
+        self.x_limit = self.x_offset - 1
+        self.shifts = tuple(self.k_bits + i * self.x_bits for i in range(dim))
+
+    def delta(self, y) -> int:
+        """The key increment of the lattice translation by y."""
+        return sum(v << s for v, s in zip(y, self.shifts))
+
+    def key(self, g: GroupElement):
+        """The key of one element, or None if it does not fit."""
+        x, k = g
+        if len(x) != self.dim or not -self.radius <= k <= self.radius:
+            return None
+        key = k + self.radius
+        for v, shift in zip(x, self.shifts):
+            if not -self.x_limit <= v <= self.x_limit:
+                return None
+            key += (v + self.x_offset) << shift
+        return key
+
+    def pack(self, xs: np.ndarray, ks: np.ndarray):
+        """Keys of the rows that fit, and the mask of those rows."""
+        lim, rad = self.x_limit, self.radius
+        fits = ((xs >= -lim) & (xs <= lim)).all(axis=1) & (ks >= -rad) & (ks <= rad)
+        keys = ks[fits] + self.radius
+        for i, shift in enumerate(self.shifts):
+            keys += (xs[fits, i] + self.x_offset) << shift
+        return keys, fits
+
+    def pack_set(self, xs: np.ndarray, ks: np.ndarray, what: str) -> np.ndarray:
+        """Sorted distinct keys of the rows, all of which must fit."""
+        keys, fits = self.pack(xs, ks)
+        if not fits.all():
+            i = int(np.flatnonzero(~fits)[0])
+            raise ValidationError(
+                f"{what} does not fit the int64 key layout: element "
+                f"{GroupElement(tuple(xs[i].tolist()), int(ks[i]))} exceeds "
+                f"|x_i| <= {self.x_limit}, |k| <= {self.radius}"
+            )
+        return distinct(keys)
+
+    def unpack(self, keys: np.ndarray):
+        """Coordinates (n, dim) and exponents (n,) of packed keys."""
+        mask = (1 << self.x_bits) - 1
+        xs = np.empty((len(keys), self.dim), dtype=np.int64)
+        for i, shift in enumerate(self.shifts):
+            xs[:, i] = ((keys >> shift) & mask) - self.x_offset
+        ks = (keys & ((1 << self.k_bits) - 1)) - self.radius
+        return xs, ks
+
+    def reach(self, keys: np.ndarray) -> list:
+        """max |x_i| over the keys, per coordinate."""
+        xs, _ = self.unpack(keys)
+        return [int(v) for v in np.abs(xs).max(axis=0, initial=0)]
+
+    def elements(self, keys: np.ndarray) -> list:
+        """The GroupElements of packed keys, in key order."""
+        xs, ks = self.unpack(keys)
+        return list(map(GroupElement, map(tuple, xs.tolist()), ks.tolist()))
+
+
+def element_columns(elements, dim: int):
+    """Coordinates (n, dim) and exponents (n,) of a list of elements as int64.
+
+    Entries beyond int64 lie outside every key layout; they are clamped to
+    2^62, which keeps them outside it.
+    """
+    for g in elements:
+        if len(g.x) != dim:
+            raise ValidationError(f"element {g} has dimension {len(g.x)}, expected {dim}")
+    flat = lambda: chain.from_iterable((*g.x, g.k) for g in elements)
+    size = len(elements) * (dim + 1)
+    try:
+        arr = np.fromiter(flat(), dtype=np.int64, count=size)
+    except OverflowError:
+        clamped = (min(max(v, -_CLAMP), _CLAMP) for v in flat())
+        arr = np.fromiter(clamped, dtype=np.int64, count=size)
+    arr = arr.reshape(len(elements), dim + 1)
+    return arr[:, :dim], arr[:, dim]
+
+
+def certify(what: str, kind: str, reach: int, limit: int):
+    """Packing certificate: ValidationError naming ``what`` unless the bound
+    ``reach`` on a field of the next keys stays within its ``limit``."""
+    if reach > limit:
+        raise ValidationError(
+            f"{what} does not fit the int64 key layout: "
+            f"{kind} may reach {reach} > {limit}"
+        )
+
+
+class StepTable:
+    """Key increments of a generating set at every exponent of a layout.
+
+    ``vectors(k)`` gives the lattice parts of the generators at z^k and
+    ``dks`` their z-exponent parts. Row k + radius of ``deltas`` holds their
+    key increments; rows are filled when an exponent is first met, together
+    with the per-coordinate largest |lattice part|, which the packing
+    certificate adds to a frontier's reach.
+    """
+
+    def __init__(self, layout: KeyLayout, vectors, dks):
+        self.layout = layout
+        self.vectors = vectors
+        self.dks = tuple(dks)
+        self.deltas = np.zeros((2 * layout.radius + 1, len(self.dks)), dtype=np.int64)
+        self._reach = [None] * (2 * layout.radius + 1)
+
+    @classmethod
+    def lattice(cls, layout: KeyLayout) -> "StepTable":
+        """The steps +-e_i of the plain lattice, on a layout with radius 0."""
+        units = [tuple(s * int(j == i) for j in range(layout.dim))
+                 for i in range(layout.dim) for s in (1, -1)]
+        return cls(layout, lambda k: units, [0] * len(units))
+
+    def _row_reach(self, row: int) -> list:
+        reach = self._reach[row]
+        if reach is None:
+            vecs = self.vectors(row - self.layout.radius)
+            reach = [max(abs(v[i]) for v in vecs) for i in range(self.layout.dim)]
+            if max(reach) <= self.layout.x_limit:  # else certificates refuse the row
+                self.deltas[row] = [
+                    self.layout.delta(v) + dk for v, dk in zip(vecs, self.dks)
+                ]
+            self._reach[row] = reach
+        return reach
+
+    def steps(self, frontier: np.ndarray, what: str) -> np.ndarray:
+        """Each frontier key's generator increments, (n, generators).
+
+        Packing certificate: the next layer lies within the frontier's reach
+        plus the largest generator at the frontier's exponents, and within
+        its exponent range plus the largest z step; ValidationError naming
+        ``what`` if either could leave the layout.
+        """
+        layout = self.layout
+        rows = frontier & ((1 << layout.k_bits) - 1)  # k + radius
+        present = np.flatnonzero(np.bincount(rows, minlength=len(self.deltas)))
+        twist = [0] * layout.dim
+        for row in present.tolist():
+            twist = list(map(max, twist, self._row_reach(row)))
+        reach = map(sum, zip(layout.reach(frontier), twist))
+        certify(what, "coordinates", max(reach), layout.x_limit)
+        if len(present):
+            k_reach = max(layout.radius - int(present[0]), int(present[-1]) - layout.radius)
+            certify(what, "exponents", k_reach + max(map(abs, self.dks)), layout.radius)
+        return self.deltas[rows]
+
+
+def group_steps(ctx: GroupContext, gens: GeneratingSet, radius: int) -> StepTable:
+    """The step table of ``gens`` on the key layout of the given radius.
+
+    Tables live in the context's cache, so repeated small enumerations at one
+    radius do not rebuild them.
+    """
+    table = ctx.step_tables.get((gens, radius))
+    if table is None:
+        h_vecs = [g.x for g in gens.h_generators]
+        zero = (0,) * ctx.dim
+        table = StepTable(
+            KeyLayout(ctx.dim, radius),
+            lambda k: [ctx.twist(k, y) for y in h_vecs] + [zero, zero],
+            [0] * len(h_vecs) + [1, -1],
+        )
+        ctx.step_tables[(gens, radius)] = table
+    return table
+
+
+def pack_elements(ctx: GroupContext, gens: GeneratingSet, elements: list, rounds: int,
+                  what: str):
+    """The step table of a layout holding the elements and ``rounds`` more
+    generator steps, and the sorted distinct keys of the elements."""
+    xs, ks = element_columns(elements, ctx.dim)
+    table = group_steps(ctx, gens, int(np.abs(ks).max(initial=0)) + rounds)
+    return table, table.layout.pack_set(xs, ks, what)
+
+
+def find(sorted_keys: np.ndarray, keys: np.ndarray):
+    """Positions of keys in a sorted array, and the mask of keys present."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=np.intp), np.zeros(len(keys), dtype=bool)
+    pos = np.minimum(sorted_keys.searchsorted(keys), len(sorted_keys) - 1)
+    return pos, sorted_keys[pos] == keys
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values. (np.unique of int64 hashes before it sorts,
+    which is many times slower than one sort.)"""
+    ordered = np.sort(values)
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+
+
+def _first_occurrences(values: np.ndarray):
+    """Sorted distinct values and the index where each first occurs: the
+    result of np.unique(values, return_index=True), from an unstable sort."""
+    order = values.argsort()
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    return ordered[starts], np.minimum.reduceat(order, starts)
+
+
+def _unseen(fresh: np.ndarray, previous) -> np.ndarray:
+    """Mask of the keys in ``fresh`` that none of the sorted arrays holds."""
+    keep = np.ones(len(fresh), dtype=bool)
+    for seen in previous:
+        keep &= ~find(seen, fresh)[1]
+    return keep
+
+
+def next_layer(frontier: np.ndarray, steps: np.ndarray, previous, ordered=False):
+    """The breadth-first layer after ``frontier``, as sorted distinct keys.
+
+    ``steps`` holds each frontier key's generator increments, and candidates
+    in the sorted layers ``previous`` (the frontier and the layer before it)
+    are dropped: the generators are symmetric, so nothing earlier is adjacent
+    to the frontier. With ``ordered`` the layer also comes in breadth-first
+    order, each key at its first occurrence in (frontier element, generator)
+    order, which is the order a dictionary-driven search inserts them in.
+    """
+    cand = (frontier[:, None] + steps).ravel()
+    if not ordered:
+        fresh = distinct(cand)
+        return fresh[_unseen(fresh, previous)]
+    fresh, first = _first_occurrences(cand)
+    keep = _unseen(fresh, previous)
+    return fresh[keep], cand[np.sort(first[keep])]
+
+
+def spread(keys: np.ndarray, rounds: int, table: StepTable, budget: int, what: str):
+    """The right neighborhood S * B_rounds of the sorted distinct keys S.
+
+    Distance to a set is 1-Lipschitz, so layer j + 1 (the elements at
+    distance j + 1 from S) is the set of neighbours of layer j outside layers
+    j and j - 1: each round is one ``next_layer`` step from all of S at once.
+    Returns sorted distinct keys; BudgetError once the union exceeds
+    ``budget`` elements.
+    """
+    layers = [keys]
+    previous = (keys, keys[:0])
+    total = len(keys)
+    for _ in range(rounds):
+        frontier = previous[0]
+        fresh = next_layer(frontier, table.steps(frontier, what), previous)
+        total += len(fresh)
+        if total > budget:
+            raise BudgetError(f"{what} exceeds budget of {budget} elements")
+        layers.append(fresh)
+        previous = (fresh, frontier)
+    return np.sort(np.concatenate(layers))

@@ -5,8 +5,10 @@ The generating set (``group.GeneratingSet``) is the 2d norm-one lattice
 vectors plus z and z^-1, so the word metric is symmetric. Exact word lengths
 come from the ball oracle of ``oracle.py``, which answers up to its radius and
 certifies "longer than the radius" for everything else; its names are
-importable from here too. Finite subsets of the group are plain Python sets of
-GroupElement, which enforces normal-form uniqueness.
+importable from here too. Finite subsets of the group are handled as sorted
+arrays of distinct int64 keys (``packed.py``), which enforces normal-form
+uniqueness; the public functions here also take and return sets of
+GroupElement.
 
 Box sets B(ell, h) hold the elements with ||x|| <= lam^ell and |k| <= h for an
 exact rational lam; membership is decided by integer cross-multiplication, so
@@ -23,9 +25,13 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import matrices
-from .errors import BudgetError, CertificationError, ValidationError
+from .errors import CertificationError, ValidationError
 from .group import GeneratingSet, GroupContext, GroupElement, ToralMatrix
 from .oracle import DEFAULT_ELEMENT_BUDGET, WordLengthOracle, word_ball  # noqa: F401
+from .packed import pack_elements, spread
+
+_INT64_MAX = (1 << 63) - 1
+
 
 def neighborhood(
     ctx: GroupContext,
@@ -34,29 +40,16 @@ def neighborhood(
     n: int,
     budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> set:
-    """The right N-neighborhood S * B_N, by N rounds of generator products.
+    """The right N-neighborhood S * B_N, as a set of elements.
 
-    Satisfies U_{N+1}(S) = U_1(U_N(S)); only the most recent layer needs
-    expanding because earlier layers were already saturated.
+    A set-in, set-out adapter over ``packed.spread``: the elements are packed
+    on a key layout that holds N more generator steps, grown by N
+    breadth-first rounds from all of them at once, and unpacked.
     """
     if n < 0:
         raise ValidationError("neighborhood rounds must be nonnegative")
-    out = set(elements)
-    frontier = list(out)
-    for _ in range(n):
-        new = []
-        for g in frontier:
-            for s in gens.all:
-                cand = ctx.multiply(g, s)
-                if cand not in out:
-                    out.add(cand)
-                    new.append(cand)
-        if len(out) > budget:
-            raise BudgetError(
-                f"neighborhood exceeds budget of {budget} elements"
-            )
-        frontier = new
-    return out
+    table, keys = pack_elements(ctx, gens, list(elements), n, "neighborhood")
+    return set(table.layout.elements(spread(keys, n, table, budget, "neighborhood")))
 
 
 class Diameter(NamedTuple):
@@ -78,32 +71,47 @@ def set_diameter(oracle: WordLengthOracle, elements) -> Diameter:
     S = list(elements)
     if not S:
         raise ValidationError("diameter of an empty set")
-    if len(S) == 1:
+    ks = [g.k for g in S]
+    return _diameter(oracle, oracle.lengths(S), max(ks) - min(ks), S.__getitem__)
+
+
+def column_diameter(oracle: WordLengthOracle, xs: np.ndarray, ks: np.ndarray) -> Diameter:
+    """``set_diameter`` of the elements with int64 coordinates xs (n, dim) and
+    exponents ks (n,); GroupElements are built only for the pairs compared."""
+    if not len(ks):
+        raise ValidationError("diameter of an empty set")
+    return _diameter(
+        oracle, oracle.column_lengths(xs, ks), int(ks.max() - ks.min()),
+        lambda i: GroupElement(tuple(xs[i].tolist()), int(ks[i])),
+    )
+
+
+def _diameter(oracle, lengths: np.ndarray, k_spread: int, element) -> Diameter:
+    """The pairwise phase of ``set_diameter``, given each element's oracle
+    length (-1 beyond the radius), the exponent spread, and ``element(i)``."""
+    if len(lengths) == 1:
         return Diameter(0, True)
     ctx = oracle.ctx
     radius = oracle.radius
-    inf = math.inf
-    lengths = oracle.lengths(S)
-    caps = [inf if v < 0 else v for v in lengths.tolist()]
-
-    ks = [g.k for g in S]
-    best = max(ks) - min(ks)
+    best = k_spread
     known = lengths[lengths >= 0]
     if known.size:
         best = max(best, int(known.max() - known.min()))
     if best > radius:
         return Diameter(radius + 1, False)
 
-    order = sorted(range(len(S)), key=lambda i: caps[i], reverse=True)
+    caps = np.where(lengths < 0, math.inf, lengths)
+    order = np.argsort(-caps, kind="stable").tolist()
+    caps = caps.tolist()
     for a, i in enumerate(order):
         if a + 1 < len(order) and caps[i] + caps[order[a + 1]] <= best:
             break
-        gi_inv = ctx.inverse(S[i])
+        gi_inv = ctx.inverse(element(i))
         for b in range(a + 1, len(order)):
             j = order[b]
             if caps[i] + caps[j] <= best:
                 break
-            d = oracle.word_length(ctx.multiply(gi_inv, S[j]))
+            d = oracle.word_length(ctx.multiply(gi_inv, element(j)))
             if d is None:
                 return Diameter(radius + 1, False)
             if d > best:
@@ -138,6 +146,24 @@ class BoxSet:
             return False
         norm_sq = sum(v * v for v in g.x)
         return norm_sq * self._den2l <= self._num2l
+
+    def contains_columns(self, xs: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """Membership mask of the elements with int64 coordinates xs (n, dim)
+        and exponents ks (n,).
+
+        The squared norm is an integer, so norm_sq * q^(2 ell) <= p^(2 ell)
+        holds exactly when norm_sq <= p^(2 ell) // q^(2 ell). Coordinates
+        must be small enough that the squared norm cannot overflow int64,
+        which every key layout guarantees.
+        """
+        dim = xs.shape[1]
+        limit = math.isqrt(_INT64_MAX // dim)
+        if len(xs) and (int(xs.max()) > limit or int(xs.min()) < -limit):
+            raise ValidationError(
+                f"coordinates beyond {limit} overflow the int64 box test"
+            )
+        bound = min(self._num2l // self._den2l, _INT64_MAX)
+        return (np.abs(ks) <= self.h) & ((xs * xs).sum(axis=1) <= bound)
 
     def norm_bound(self) -> Fraction:
         return self.lam ** self.ell

@@ -149,6 +149,35 @@ def test_abelian_control_run(tmp_path):
     assert rows[2] == "1,5,1,10,,"
 
 
+def test_abelian_control_negative_k_max_exits_2(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "ctl", {
+        "experiment": "abelian-control", "matrix": CAT, "k_max": -1,
+        "output_dir": str(out),
+    })
+    assert run_cli(cfg) == 2
+    assert not (out / "growth.csv").exists()
+
+
+@pytest.mark.parametrize("name, data, step", [
+    ("dyn", {
+        "experiment": "set-dynamics", "matrix": CAT,
+        "automorphism": {"b": CAT, "v": [0, 0], "e": 1},
+        "a0": [[[2**28, 0], 0]], "k_max": 2, "bfs_radius": 4,
+    }, "iteration step 1"),
+    ("ctl", {
+        "experiment": "abelian-control", "matrix": CAT,
+        "control_a0": [[2**29, 0]], "k_max": 2,
+    }, "control step 1"),
+])
+def test_seed_leaving_the_key_layout_exits_2(tmp_path, capsys, name, data, step):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, name, {**data, "output_dir": str(out)})
+    assert run_cli(cfg) == 2
+    assert step in capsys.readouterr().err
+    assert not (out / "growth.csv").exists()
+
+
 def test_qi_compare_run(tmp_path):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, "qi", {
