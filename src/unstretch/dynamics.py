@@ -28,16 +28,16 @@ import numpy as np
 
 from . import matrices
 from .autos import GroupAutomorphism, apply_automorphism, require_valid
-from .errors import CertificationError, ValidationError
+from .errors import BudgetError, CertificationError, ValidationError
 from .group import GroupContext, GroupElement, ToralMatrix
 from .packed import (
     KeyLayout,
     StepTable,
     certify,
     element_columns,
-    group_steps,
     pack_elements,
     spread,
+    translate_steps,
 )
 from .words import (
     DEFAULT_ELEMENT_BUDGET,
@@ -45,8 +45,8 @@ from .words import (
     GeneratingSet,
     InclusionReport,
     WordLengthOracle,
+    check_inclusion,
     column_diameter,
-    sample_box,
 )
 
 # Verdict selection: the better straight-line fit must win by this much R^2.
@@ -98,7 +98,7 @@ def envelope_offset(h0: int, n_rounds: int, k: int) -> int:
 
 
 def _map_keys(layout: KeyLayout, keys: np.ndarray, rows, shift, e: int, what: str):
-    """Sorted keys of the image {(M x + shift(k), e k)} of a set of keys.
+    """Keys of the images (M x + shift(k), e k) of the keys, in their order.
 
     ``rows`` is the integer matrix M and ``shift(k)`` a lattice vector per
     exponent, asked once for each exponent present. Packing certificate: a
@@ -121,9 +121,7 @@ def _map_keys(layout: KeyLayout, keys: np.ndarray, rows, shift, e: int, what: st
     for k, c in shifts.items():
         table[k + radius] = c
     mapped = xs @ np.array(rows, dtype=np.int64).T + table[ks + radius]
-    image, _ = layout.pack(mapped, e * ks)
-    image.sort()
-    return image
+    return layout.pack_rows(mapped, e * ks, what)
 
 
 def _automorphism_shift(ctx: GroupContext, phi: GroupAutomorphism):
@@ -153,7 +151,7 @@ def iterate_once(
     image = _map_keys(
         layout, keys, phi.B, _automorphism_shift(ctx, phi), phi.e, "iteration"
     )
-    return set(layout.elements(spread(image, n_rounds, table, budget, "iteration")))
+    return set(layout.elements(spread(np.sort(image), n_rounds, table, budget, "iteration")))
 
 
 class CurvePoint(NamedTuple):
@@ -181,6 +179,17 @@ class GrowthCurve:
     verdict: GrowthVerdict | None = None
 
 
+def _next_iterate(image, rounds: int, table: StepTable, budget: int, what: str, points):
+    """``spread`` of the image keys of one iteration step. A BudgetError
+    carries the curve points computed so far as ``partial``."""
+    image.sort()
+    try:
+        return spread(image, rounds, table, budget, what)
+    except BudgetError as exc:
+        exc.partial = GrowthCurve(points)
+        raise
+
+
 def run_iteration(
     ctx: GroupContext,
     gens: GeneratingSet,
@@ -195,7 +204,7 @@ def run_iteration(
     iterate is checked exactly; the first violation aborts the run.
     """
     n = config.n_rounds
-    table = group_steps(ctx, gens, config.h0 + n * config.k_max)
+    table = translate_steps(ctx, gens.all, config.h0 + n * config.k_max)
     layout = table.layout
     shift = _automorphism_shift(ctx, config.phi)
     keys = layout.pack_set(
@@ -218,7 +227,7 @@ def run_iteration(
         if k < config.k_max:
             what = f"iteration step {k + 1}"
             image = _map_keys(layout, keys, config.phi.B, shift, config.phi.e, what)
-            keys = spread(image, n, table, budget, what)
+            keys = _next_iterate(image, n, table, budget, what, points)
     return GrowthCurve(points)
 
 
@@ -316,7 +325,7 @@ def abelian_control(
         if k < k_max:
             what = f"control step {k + 1}"
             image = _map_keys(layout, keys, A.entries, lambda _: (0,) * dim, 1, what)
-            keys = spread(image, n_rounds, table, budget, what)
+            keys = _next_iterate(image, n_rounds, table, budget, what, points)
     return GrowthCurve(points)
 
 
@@ -334,12 +343,10 @@ def check_box_inclusion_phi(
     if ell < 2 or h < 2:
         raise ValidationError("automorphism inclusion check requires ell, h >= 2")
     require_valid(ctx.matrix, phi)
-    box = BoxSet(lam, ell, h)
-    target = BoxSet(lam, ell + h, h + 1)
-    report = InclusionReport("phi", box, target)
-    for g in sample_box(rng, box, ctx.dim, samples):
-        moved = apply_automorphism(ctx, phi, g)
-        report.checked += 1
-        if not target.contains(moved):
-            report.violations.append((g, None, moved))
-    return report
+    layout = KeyLayout(ctx.dim, h)
+    shift = _automorphism_shift(ctx, phi)
+    return check_inclusion(
+        BoxSet(lam, ell, h), BoxSet(lam, ell + h, h + 1), layout,
+        lambda keys, what: _map_keys(layout, keys, phi.B, shift, phi.e, what)[:, None],
+        samples, rng, "phi inclusion check",
+    )

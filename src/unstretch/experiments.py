@@ -51,6 +51,7 @@ class Prepared:
     phi: GroupAutomorphism
     ctx: GroupContext | None = None
     gens: GeneratingSet | None = None
+    iteration: dynamics.IterationConfig | None = None
 
 
 _NEEDS_CONTEXT = {
@@ -87,23 +88,17 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
         prep.gens = GeneratingSet.standard(matrix.dim)
         require_valid(matrix, phi)
     if cfg.experiment == "set-dynamics":
-        # Cross-checks the starting set against its declared box up front.
-        lam = choose_lambda(matrix, phi)
-        dynamics.IterationConfig.make(
-            prep.ctx, phi, cfg.neighborhood_n, _starting_set(cfg, prep),
-            cfg.k_max, lam, cfg.ell0, cfg.h0,
+        # Validated once, cross-checking the starting set against its box.
+        a0 = [_parse_element(raw, matrix.dim) for raw in cfg.a0] or [prep.ctx.identity]
+        prep.iteration = dynamics.IterationConfig.make(
+            prep.ctx, phi, cfg.neighborhood_n, a0,
+            cfg.k_max, choose_lambda(matrix, phi), cfg.ell0, cfg.h0,
         )
     if cfg.experiment == "word-length" and not cfg.elements:
         raise ValidationError("word-length experiment needs a nonempty 'elements' list")
     if cfg.experiment in ("lyapunov", "birkhoff"):
         _toy_map(cfg, matrix)  # raises on bad kind/direction combinations
     return prep
-
-
-def _starting_set(cfg: ExperimentConfig, prep: Prepared) -> set:
-    if not cfg.a0:
-        return {prep.ctx.identity}
-    return {_parse_element(raw, prep.matrix.dim) for raw in cfg.a0}
 
 
 def _toy_map(cfg: ExperimentConfig, matrix: ToralMatrix):
@@ -216,26 +211,23 @@ def run_box_lemmas(prep: Prepared, rng, outdir: Path) -> dict:
     cfg = prep.cfg
     lam = choose_lambda(prep.matrix, prep.phi)
     rows = []
-    total_violations = 0
     for ell in cfg.box_ell_values:
         for h in cfg.box_h_values:
             rep = words.check_box_inclusion_u1(
                 prep.ctx, prep.gens, lam, ell, h, cfg.box_samples, rng
             )
             rows.append(["u1", ell, h, "", rep.checked, len(rep.violations)])
-            total_violations += len(rep.violations)
             for n in cfg.box_n_values:
                 rep = words.check_box_inclusion_un(
                     prep.ctx, prep.gens, lam, ell, h, n, cfg.box_samples, rng
                 )
                 rows.append(["un", ell, h, n, rep.checked, len(rep.violations)])
-                total_violations += len(rep.violations)
             if ell >= 2 and h >= 2:
                 rep = dynamics.check_box_inclusion_phi(
                     prep.ctx, prep.phi, lam, ell, h, cfg.box_samples, rng
                 )
                 rows.append(["phi", ell, h, "", rep.checked, len(rep.violations)])
-                total_violations += len(rep.violations)
+    total_violations = sum(row[-1] for row in rows)
     _write_csv(
         outdir / "box_checks.csv",
         ["check", "ell", "h", "n", "checked", "violations"],
@@ -274,19 +266,19 @@ def _write_growth_csv(path: Path, curve: dynamics.GrowthCurve):
 
 def run_set_dynamics(prep: Prepared, rng, outdir: Path) -> dict:
     cfg = prep.cfg
-    lam = choose_lambda(prep.matrix, prep.phi)
-    iteration = dynamics.IterationConfig.make(
-        prep.ctx, prep.phi, cfg.neighborhood_n, _starting_set(cfg, prep),
-        cfg.k_max, lam, cfg.ell0, cfg.h0,
-    )
     oracle = word_ball(prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements)
-    curve = dynamics.run_iteration(
-        prep.ctx, prep.gens, iteration, oracle, budget=cfg.budget_elements
-    )
+    try:
+        curve = dynamics.run_iteration(
+            prep.ctx, prep.gens, prep.iteration, oracle, budget=cfg.budget_elements
+        )
+    except BudgetError as exc:
+        # The steps completed before the budget tripped are exact.
+        _write_growth_csv(outdir / "growth.csv", exc.partial)
+        raise
     curve.verdict = dynamics.classify_growth(curve)
     _write_growth_csv(outdir / "growth.csv", curve)
     return {
-        "lambda": str(lam),
+        "lambda": str(prep.iteration.lam),
         "envelope": "certified",
         "growth": _verdict_dict(curve.verdict),
     }
@@ -298,9 +290,13 @@ def run_abelian_control(prep: Prepared, rng, outdir: Path) -> dict:
         seeds = [[0] * prep.matrix.dim, [1] + [0] * (prep.matrix.dim - 1)]
     else:
         seeds = cfg.control_a0
-    curve = dynamics.abelian_control(
-        prep.matrix, cfg.neighborhood_n, seeds, cfg.k_max, budget=cfg.budget_elements
-    )
+    try:
+        curve = dynamics.abelian_control(
+            prep.matrix, cfg.neighborhood_n, seeds, cfg.k_max, budget=cfg.budget_elements
+        )
+    except BudgetError as exc:
+        _write_growth_csv(outdir / "growth.csv", exc.partial)
+        raise
     curve.verdict = dynamics.classify_growth(curve)
     _write_growth_csv(outdir / "growth.csv", curve)
     return {"growth": _verdict_dict(curve.verdict)}

@@ -163,8 +163,8 @@ class GroupContext:
         self.dim = matrix.dim
         self._powers: dict = {0: matrices.identity(matrix.dim)}
         self._twists: dict = {}
-        # Packed generator steps by (generating set, key-layout radius), filled
-        # by packed.group_steps.
+        # Packed right-multiplication steps by (elements, key-layout radius),
+        # filled by packed.translate_steps.
         self.step_tables: dict = {}
         self.identity = identity_element(matrix.dim)
         self.z = z_element(matrix.dim)

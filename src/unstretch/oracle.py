@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BudgetError, ValidationError
 from .group import GeneratingSet, GroupContext, GroupElement, ToralMatrix
-from .packed import KeyLayout, element_columns, find, group_steps, next_layer
+from .packed import KeyLayout, element_columns, find, next_layer, translate_steps
 
 # Element-count cap for ball/neighborhood construction. Growth is exponential,
 # so this bounds memory, not accuracy; results below the cap are exact.
@@ -236,7 +236,7 @@ def word_ball(
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
     _check_radius(radius)
-    table = group_steps(ctx, gens, radius)
+    table = translate_steps(ctx, gens.all, radius)
     layout = table.layout
     n_gens = len(gens.all)
     spheres = [np.array([layout.key(ctx.identity)], dtype=np.int64)]
@@ -256,8 +256,8 @@ def word_ball(
                     [len(s) for s in spheres],
                 ),
             )
-        steps = table.steps(frontier, f"ball of radius {r}")
-        fresh, sphere = next_layer(frontier, steps, previous, ordered=True)
+        translates = table.translates(frontier, f"ball of radius {r}")
+        fresh, sphere = next_layer(translates, previous, ordered=True)
         spheres.append(sphere)
         previous = (fresh, previous[0])
         total += len(sphere)

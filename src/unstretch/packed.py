@@ -2,12 +2,13 @@
 
 An element x * z^k becomes one nonnegative int64 (``KeyLayout``), so a
 generator step is one integer addition and a finite set of elements is a
-sorted array of distinct keys. ``StepTable`` holds the key increments of the
-generators at each exponent, and ``next_layer`` is the one breadth-first step
-that every enumeration shares: the word ball (``oracle.word_ball``), right
-neighborhoods U_N(S) (``spread``, behind ``words.neighborhood``), the set
-iteration and its lattice control (``dynamics``). Each step is preceded by a
-packing certificate that raises ValidationError instead of wrapping.
+sorted array of distinct keys. ``StepTable`` holds the key increments of
+the generators (or of a ball, for the box checks) at each exponent, and
+``next_layer`` is the one breadth-first step that every enumeration shares:
+the word ball (``oracle.word_ball``), right neighborhoods U_N(S) (``spread``,
+behind ``words.neighborhood``), the set iteration and its lattice control
+(``dynamics``). Each step is preceded by a packing certificate that raises
+ValidationError instead of wrapping.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ class KeyLayout:
             keys += (xs[fits, i] + self.x_offset) << shift
         return keys, fits
 
-    def pack_set(self, xs: np.ndarray, ks: np.ndarray, what: str) -> np.ndarray:
-        """Sorted distinct keys of the rows, all of which must fit."""
+    def pack_rows(self, xs: np.ndarray, ks: np.ndarray, what: str) -> np.ndarray:
+        """Keys of the rows in row order, all of which must fit."""
         keys, fits = self.pack(xs, ks)
         if not fits.all():
             i = int(np.flatnonzero(~fits)[0])
@@ -85,7 +86,11 @@ class KeyLayout:
                 f"{GroupElement(tuple(xs[i].tolist()), int(ks[i]))} exceeds "
                 f"|x_i| <= {self.x_limit}, |k| <= {self.radius}"
             )
-        return distinct(keys)
+        return keys
+
+    def pack_set(self, xs: np.ndarray, ks: np.ndarray, what: str) -> np.ndarray:
+        """Sorted distinct keys of the rows, all of which must fit."""
+        return distinct(self.pack_rows(xs, ks, what))
 
     def unpack(self, keys: np.ndarray):
         """Coordinates (n, dim) and exponents (n,) of packed keys."""
@@ -138,9 +143,9 @@ def certify(what: str, kind: str, reach: int, limit: int):
 
 
 class StepTable:
-    """Key increments of a generating set at every exponent of a layout.
+    """Key increments of right multiplication by a few elements, per exponent.
 
-    ``vectors(k)`` gives the lattice parts of the generators at z^k and
+    ``vectors(k)`` gives the lattice parts of the elements twisted to z^k and
     ``dks`` their z-exponent parts. Row k + radius of ``deltas`` holds their
     key increments; rows are filled when an exponent is first met, together
     with the per-coordinate largest |lattice part|, which the packing
@@ -173,44 +178,43 @@ class StepTable:
             self._reach[row] = reach
         return reach
 
-    def steps(self, frontier: np.ndarray, what: str) -> np.ndarray:
-        """Each frontier key's generator increments, (n, generators).
+    def translates(self, keys: np.ndarray, what: str) -> np.ndarray:
+        """Each key's right translates by the table's elements, (n, elements).
 
-        Packing certificate: the next layer lies within the frontier's reach
-        plus the largest generator at the frontier's exponents, and within
-        its exponent range plus the largest z step; ValidationError naming
+        Packing certificate: the translates lie within the keys' reach plus
+        the largest twisted element at the keys' exponents, and within their
+        exponent range plus the largest z step; ValidationError naming
         ``what`` if either could leave the layout.
         """
         layout = self.layout
-        rows = frontier & ((1 << layout.k_bits) - 1)  # k + radius
+        rows = keys & ((1 << layout.k_bits) - 1)  # k + radius
         present = np.flatnonzero(np.bincount(rows, minlength=len(self.deltas)))
         twist = [0] * layout.dim
         for row in present.tolist():
             twist = list(map(max, twist, self._row_reach(row)))
-        reach = map(sum, zip(layout.reach(frontier), twist))
+        reach = map(sum, zip(layout.reach(keys), twist))
         certify(what, "coordinates", max(reach), layout.x_limit)
         if len(present):
             k_reach = max(layout.radius - int(present[0]), int(present[-1]) - layout.radius)
             certify(what, "exponents", k_reach + max(map(abs, self.dks)), layout.radius)
-        return self.deltas[rows]
+        return keys[:, None] + self.deltas[rows]
 
 
-def group_steps(ctx: GroupContext, gens: GeneratingSet, radius: int) -> StepTable:
-    """The step table of ``gens`` on the key layout of the given radius.
+def translate_steps(ctx: GroupContext, elements: tuple, radius: int) -> StepTable:
+    """The step table of right multiplication by ``elements`` (the generators,
+    for a breadth-first step) on the key layout of the given radius.
 
     Tables live in the context's cache, so repeated small enumerations at one
     radius do not rebuild them.
     """
-    table = ctx.step_tables.get((gens, radius))
+    table = ctx.step_tables.get((elements, radius))
     if table is None:
-        h_vecs = [g.x for g in gens.h_generators]
-        zero = (0,) * ctx.dim
         table = StepTable(
             KeyLayout(ctx.dim, radius),
-            lambda k: [ctx.twist(k, y) for y in h_vecs] + [zero, zero],
-            [0] * len(h_vecs) + [1, -1],
+            lambda k: [ctx.twist(k, b.x) for b in elements],
+            [b.k for b in elements],
         )
-        ctx.step_tables[(gens, radius)] = table
+        ctx.step_tables[(elements, radius)] = table
     return table
 
 
@@ -219,7 +223,7 @@ def pack_elements(ctx: GroupContext, gens: GeneratingSet, elements: list, rounds
     """The step table of a layout holding the elements and ``rounds`` more
     generator steps, and the sorted distinct keys of the elements."""
     xs, ks = element_columns(elements, ctx.dim)
-    table = group_steps(ctx, gens, int(np.abs(ks).max(initial=0)) + rounds)
+    table = translate_steps(ctx, gens.all, int(np.abs(ks).max(initial=0)) + rounds)
     return table, table.layout.pack_set(xs, ks, what)
 
 
@@ -255,17 +259,17 @@ def _unseen(fresh: np.ndarray, previous) -> np.ndarray:
     return keep
 
 
-def next_layer(frontier: np.ndarray, steps: np.ndarray, previous, ordered=False):
-    """The breadth-first layer after ``frontier``, as sorted distinct keys.
+def next_layer(translates: np.ndarray, previous, ordered=False):
+    """The breadth-first layer after a frontier, as sorted distinct keys.
 
-    ``steps`` holds each frontier key's generator increments, and candidates
-    in the sorted layers ``previous`` (the frontier and the layer before it)
-    are dropped: the generators are symmetric, so nothing earlier is adjacent
-    to the frontier. With ``ordered`` the layer also comes in breadth-first
+    ``translates`` holds the frontier's generator translates, and those in
+    the sorted layers ``previous`` (the frontier and the layer before it) are
+    dropped: the generators are symmetric, so nothing earlier is adjacent to
+    the frontier. With ``ordered`` the layer also comes in breadth-first
     order, each key at its first occurrence in (frontier element, generator)
     order, which is the order a dictionary-driven search inserts them in.
     """
-    cand = (frontier[:, None] + steps).ravel()
+    cand = translates.ravel()
     if not ordered:
         fresh = distinct(cand)
         return fresh[_unseen(fresh, previous)]
@@ -288,7 +292,7 @@ def spread(keys: np.ndarray, rounds: int, table: StepTable, budget: int, what: s
     total = len(keys)
     for _ in range(rounds):
         frontier = previous[0]
-        fresh = next_layer(frontier, table.steps(frontier, what), previous)
+        fresh = next_layer(table.translates(frontier, what), previous)
         total += len(fresh)
         if total > budget:
             raise BudgetError(f"{what} exceeds budget of {budget} elements")

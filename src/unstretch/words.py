@@ -18,7 +18,6 @@ boundary cases carry no float ambiguity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -28,7 +27,7 @@ from . import matrices
 from .errors import CertificationError, ValidationError
 from .group import GeneratingSet, GroupContext, GroupElement, ToralMatrix
 from .oracle import DEFAULT_ELEMENT_BUDGET, WordLengthOracle, word_ball  # noqa: F401
-from .packed import pack_elements, spread
+from .packed import KeyLayout, element_columns, pack_elements, spread, translate_steps
 
 _INT64_MAX = (1 << 63) - 1
 
@@ -175,26 +174,22 @@ def choose_lambda(A: ToralMatrix, phi, i_max: int = 50) -> Fraction:
     The binding quantities are max(2, ||A||, ||A^-1||, ||B||, ||B^-1||,
     ||v|| + ||A v|| - 1, and ||A^i v||^(1/i) over 2 < i <= i_max). The choice
     is checked against the strict forms of all the conditions, and a failed
-    check raises CertificationError.
+    check raises CertificationError; ||A^i v|| < lam^i is checked exactly, as
+    |A^i v|^2 q^(2i) < p^(2i) for lam = p/q.
     """
-    a_arr = A.as_array()
     b_arr = np.array(phi.B, dtype=float)
     b_inv = np.array(matrices.inverse_unimodular(phi.B), dtype=float)
-    v = tuple(phi.v)
     needs = [2.0, A.op_norm, A.op_norm_inv,
              float(np.linalg.norm(b_arr, 2)), float(np.linalg.norm(b_inv, 2))]
-    v_norm = math.sqrt(sum(c * c for c in v))
+    v_norm = math.sqrt(sum(c * c for c in phi.v))
+    norms_sq = []  # |A^i v|^2 for i = 1..i_max, exact
     if v_norm > 0:
-        av = matrices.matvec(A.entries, v)
-        av_norm = math.sqrt(sum(c * c for c in av))
-        needs.append(v_norm + av_norm - 1.0)
-        w = v
-        for i in range(1, i_max + 1):
+        w = tuple(phi.v)
+        for _ in range(i_max):
             w = matrices.matvec(A.entries, w)
-            if i > 2:
-                wn = math.sqrt(sum(c * c for c in w))
-                if wn > 0:
-                    needs.append(wn ** (1.0 / i))
+            norms_sq.append(sum(c * c for c in w))
+        needs.append(v_norm + math.sqrt(norms_sq[0]) - 1.0)
+        needs.extend(math.sqrt(n) ** (1.0 / i) for i, n in enumerate(norms_sq[2:], 3))
     top = max(needs)
     lam = Fraction(math.floor(top * 100) + 1, 100)
     while float(lam) <= top:
@@ -213,15 +208,10 @@ def choose_lambda(A: ToralMatrix, phi, i_max: int = 50) -> Fraction:
         "||B||, ||B^-1|| < lam",
     )
     if v_norm > 0:
-        require(v_norm + av_norm < 1.0 + lam_f, "||v|| + ||A v|| < 1 + lam")
-        w = v
-        for i in range(1, i_max + 1):
-            w = matrices.matvec(A.entries, w)
-            if i > 2:
-                require(
-                    math.sqrt(sum(c * c for c in w)) < lam_f ** i,
-                    f"||A^{i} v|| < lam^{i}",
-                )
+        require(v_norm + math.sqrt(norms_sq[0]) < 1.0 + lam_f, "||v|| + ||A v|| < 1 + lam")
+        p, q = lam.numerator, lam.denominator
+        for i, n in enumerate(norms_sq[2:], 3):
+            require(n * q ** (2 * i) < p ** (2 * i), f"||A^{i} v|| < lam^{i}")
     return lam
 
 
@@ -242,15 +232,17 @@ def sample_box(
     if count <= 0:
         raise ValidationError("sample count must be positive")
     radius_int = math.isqrt(box._num2l // box._den2l)
-    n_boundary = int(count * boundary_fraction)
-    n_interior = count - n_boundary
     out = []
-    while len(out) < n_interior:
-        x = tuple(int(v) for v in rng.integers(-radius_int, radius_int + 1, size=dim))
-        k = int(rng.integers(-box.h, box.h + 1))
-        g = GroupElement(x, k)
-        if box.contains(g):
-            out.append(g)
+
+    def interior(until: int):
+        while len(out) < until:
+            x = tuple(int(v) for v in rng.integers(-radius_int, radius_int + 1, size=dim))
+            k = int(rng.integers(-box.h, box.h + 1))
+            g = GroupElement(x, k)
+            if box.contains(g):
+                out.append(g)
+
+    interior(count - int(count * boundary_fraction))
     target = float(box.norm_bound())
     attempts = 0
     while len(out) < count and attempts < 50 * count:
@@ -260,8 +252,7 @@ def sample_box(
         if nu == 0:
             continue
         p = u / nu * target
-        best = None
-        best_norm = -1
+        inside = []
         for corner in range(1 << dim):
             cand = tuple(
                 int(math.floor(p[i])) + ((corner >> i) & 1) for i in range(dim)
@@ -269,34 +260,41 @@ def sample_box(
             k = int(rng.integers(-box.h, box.h + 1))
             g = GroupElement(cand, k)
             if box.contains(g):
-                nsq = sum(v * v for v in cand)
-                if nsq > best_norm:
-                    best, best_norm = g, nsq
-        if best is not None:
-            out.append(best)
-    while len(out) < count:
-        # boundary sampling starved (degenerate box); top up from the interior
-        x = tuple(int(v) for v in rng.integers(-radius_int, radius_int + 1, size=dim))
-        k = int(rng.integers(-box.h, box.h + 1))
-        g = GroupElement(x, k)
-        if box.contains(g):
-            out.append(g)
+                inside.append(g)
+        if inside:  # the first corner of largest norm
+            out.append(max(inside, key=lambda g: sum(v * v for v in g.x)))
+    interior(count)  # boundary sampling starved (degenerate box): top up
     return out
 
 
-@dataclass
-class InclusionReport:
-    """Outcome of an exact sampled inclusion check between two boxes."""
+class InclusionReport(NamedTuple):
+    """Outcome of a sampled inclusion check: the number of images tested and
+    the (sample, image) pairs whose image left the target box."""
 
-    name: str
-    source: BoxSet
-    target: BoxSet
-    checked: int = 0
-    violations: list = field(default_factory=list)
+    checked: int
+    violations: list
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+def check_inclusion(source: BoxSet, target: BoxSet, layout: KeyLayout, images, samples: int,
+                    rng: np.random.Generator, what: str) -> InclusionReport:
+    """Sampled exact check that a map takes the box ``source`` into ``target``.
+
+    The samples (``sample_box``) are packed on ``layout`` in draw order, and
+    ``images(keys, what)`` gives each sample's images as one row of keys on
+    the same layout; every image is tested with the exact column test. A
+    sample that does not fit the layout raises ValidationError naming
+    ``what``, so none is dropped.
+    """
+    points = sample_box(rng, source, layout.dim, samples)
+    keys = layout.pack_rows(*element_columns(points, layout.dim), what)
+    moved = images(keys, what)
+    outside = ~target.contains_columns(*layout.unpack(moved.ravel())).reshape(moved.shape)
+    owners = map(points.__getitem__, np.nonzero(outside)[0].tolist())
+    return InclusionReport(moved.size, list(zip(owners, layout.elements(moved[outside]))))
 
 
 def check_box_inclusion_u1(
@@ -311,16 +309,11 @@ def check_box_inclusion_u1(
     """Sampled exact check that one generator step stays in B(ell+h, h+1)."""
     if ell < 1 or h < 1:
         raise ValidationError("inclusion check requires ell, h >= 1")
-    box = BoxSet(lam, ell, h)
-    target = BoxSet(lam, ell + h, h + 1)
-    report = InclusionReport("u1", box, target)
-    for g in sample_box(rng, box, ctx.dim, samples):
-        for s in gens.all:
-            moved = ctx.multiply(g, s)
-            report.checked += 1
-            if not target.contains(moved):
-                report.violations.append((g, s, moved))
-    return report
+    table = translate_steps(ctx, gens.all, h + 1)
+    return check_inclusion(
+        BoxSet(lam, ell, h), BoxSet(lam, ell + h, h + 1), table.layout,
+        table.translates, samples, rng, "u1 inclusion check",
+    )
 
 
 def check_box_inclusion_un(
@@ -333,18 +326,17 @@ def check_box_inclusion_un(
     samples: int,
     rng: np.random.Generator,
 ) -> InclusionReport:
-    """Sampled exact check that N generator rounds stay in the N-step box."""
+    """Sampled exact check that N generator rounds stay in the N-step box.
+
+    The N-neighborhood of a sample g is g * B_N, so its elements are the
+    translates of g by one ball B_N, |B_N| per sample.
+    """
     if ell < 1 or h < 1:
         raise ValidationError("inclusion check requires ell, h >= 1")
     if n < 0:
         raise ValidationError("N must be nonnegative")
-    box = BoxSet(lam, ell, h)
-    target = BoxSet(lam, ell + n * (h + n), h + n)
-    report = InclusionReport(f"u{n}", box, target)
-    for g in sample_box(rng, box, ctx.dim, samples):
-        reached = neighborhood(ctx, gens, [g], n)
-        for moved in reached:
-            report.checked += 1
-            if not target.contains(moved):
-                report.violations.append((g, None, moved))
-    return report
+    table = translate_steps(ctx, tuple(word_ball(ctx, gens, n).elements()), h + n)
+    return check_inclusion(
+        BoxSet(lam, ell, h), BoxSet(lam, ell + n * (h + n), h + n), table.layout,
+        table.translates, samples, rng, f"u{n} inclusion check",
+    )

@@ -297,6 +297,28 @@ def test_budget_exhaustion_writes_partial_census(tmp_path):
     assert lines == (full / "census.csv").read_text().splitlines()
 
 
+@pytest.mark.parametrize("data", [{
+    "experiment": "abelian-control", "matrix": CAT, "k_max": 6,
+    "budget_elements": 200,
+}, {
+    "experiment": "set-dynamics", "matrix": CAT,
+    "automorphism": {"b": CAT, "v": [0, 0], "e": 1},
+    "a0": [[[0, 0], 0], [[0, 0], 1], [[1, 0], 0]], "k_max": 5, "bfs_radius": 2,
+    "budget_elements": 100,
+}], ids=["abelian-control", "set-dynamics"])
+def test_budget_exhaustion_writes_partial_growth(tmp_path, data):
+    out = tmp_path / "out"
+    assert run_cli(write_cfg(tmp_path, "budget", {**data, "output_dir": str(out)})) == 3
+    assert read_summary(out)["partial"] is True
+    rows = (out / "growth.csv").read_text().splitlines()
+    full = tmp_path / "full"
+    unbounded = {k: v for k, v in data.items() if k != "budget_elements"}
+    assert run_cli(write_cfg(tmp_path, "full", {**unbounded, "output_dir": str(full)})) == 0
+    expected = (full / "growth.csv").read_text().splitlines()
+    assert 3 <= len(rows) < len(expected)
+    assert rows == expected[:len(rows)]
+
+
 @pytest.mark.parametrize("key, value", [
     ("bfs_radius", "7"),
     ("bfs_radius", 7.5),

@@ -20,7 +20,15 @@ from unstretch import (
     word_ball,
     z_element,
 )
-from unstretch.words import check_box_inclusion_u1, check_box_inclusion_un, sample_box
+from unstretch.autos import apply_automorphism
+from unstretch.dynamics import check_box_inclusion_phi
+from unstretch.packed import translate_steps
+from unstretch.words import (
+    check_box_inclusion_u1,
+    check_box_inclusion_un,
+    check_inclusion,
+    sample_box,
+)
 
 
 def test_ball_radius_zero(ctx, gens):
@@ -216,6 +224,86 @@ def test_inclusion_preconditions(ctx, gens, cat_matrix):
     rng = np.random.default_rng(9)
     with pytest.raises(ValidationError):
         check_box_inclusion_u1(ctx, gens, lam, 0, 1, 10, rng)
+
+
+def reference_inclusion(source, target, samples, rng, images):
+    """The per-sample loop the inclusion checker replaced: every image of
+    every sample tested with the scalar ``BoxSet.contains``."""
+    checked, violations = 0, []
+    for g in sample_box(rng, source, 2, samples):
+        for moved in images(g):
+            checked += 1
+            if not target.contains(moved):
+                violations.append((g, moved))
+    return checked, violations
+
+
+def test_inclusion_checks_match_the_per_sample_loops(ctx, gens, cat_matrix):
+    phi = GroupAutomorphism.from_parts([[2, 1], [1, 1]], [1, 0], 1)
+    lam = choose_lambda(cat_matrix, phi)
+    ell, h, samples = 3, 2, 120
+    source = BoxSet(lam, ell, h)
+    cases = [(
+        lambda rng: check_box_inclusion_u1(ctx, gens, lam, ell, h, samples, rng),
+        BoxSet(lam, ell + h, h + 1),
+        lambda g: [ctx.multiply(g, s) for s in gens.all],
+    ), (
+        lambda rng: check_box_inclusion_phi(ctx, phi, lam, ell, h, samples, rng),
+        BoxSet(lam, ell + h, h + 1),
+        lambda g: [apply_automorphism(ctx, phi, g)],
+    )]
+    for n in range(4):
+        cases.append((
+            lambda rng, n=n: check_box_inclusion_un(ctx, gens, lam, ell, h, n, samples, rng),
+            BoxSet(lam, ell + n * (h + n), h + n),
+            lambda g, n=n: neighborhood(ctx, gens, [g], n),
+        ))
+    for seed, (check, target, images) in enumerate(cases):
+        rep = check(np.random.default_rng(seed))
+        checked, violations = reference_inclusion(
+            source, target, samples, np.random.default_rng(seed), images
+        )
+        assert rep.checked == checked >= samples
+        assert sorted(rep.violations) == sorted(violations)
+
+
+@pytest.mark.parametrize("n", [None, 1, 2])
+def test_inclusion_check_reports_every_violation(ctx, gens, cat_matrix, n):
+    # Into its own box, a step leaves through |k| = h or the norm boundary.
+    lam = choose_lambda(cat_matrix, GroupAutomorphism.identity(2))
+    box = BoxSet(lam, 3, 2)
+    if n is None:
+        elements, images = gens.all, lambda g: [ctx.multiply(g, s) for s in gens.all]
+    else:
+        elements = tuple(word_ball(ctx, gens, n).elements())
+        images = lambda g: neighborhood(ctx, gens, [g], n)  # noqa: E731
+    table = translate_steps(ctx, tuple(elements), box.h + (n or 1))
+    rep = check_inclusion(
+        box, box, table.layout, table.translates, 200, np.random.default_rng(3), "test"
+    )
+    checked, violations = reference_inclusion(
+        box, box, 200, np.random.default_rng(3), images
+    )
+    assert not rep.ok and len(rep.violations) > 0
+    assert rep.checked == checked
+    key = sorted if n else list
+    assert key(rep.violations) == key(violations)
+    assert all(not box.contains(moved) and box.contains(g) for g, moved in rep.violations)
+
+
+@pytest.mark.parametrize("check", ["u1", "un", "phi"])
+def test_inclusion_sample_outside_the_key_layout_raises(ctx, gens, cat_matrix, check):
+    # lam^25 is about 3e10, beyond the 2^29 coordinate field of these layouts.
+    phi = GroupAutomorphism.identity(2)
+    lam = choose_lambda(cat_matrix, phi)
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValidationError, match="does not fit the int64 key layout: element"):
+        if check == "u1":
+            check_box_inclusion_u1(ctx, gens, lam, 25, 2, 20, rng)
+        elif check == "un":
+            check_box_inclusion_un(ctx, gens, lam, 25, 2, 2, 20, rng)
+        else:
+            check_box_inclusion_phi(ctx, phi, lam, 25, 2, 20, rng)
 
 
 def test_oracle_save_load_roundtrip(tmp_path, ctx, gens):
