@@ -4,13 +4,15 @@
     unstretch list
 
 Exit codes: 0 success, 2 validation failure (the violated precondition is
-named, no output files are written), 3 budget exhaustion (partial outputs are
-flagged partial=true in the summary), 4 internal certification failure.
+named, no output files are written, and the directories the run created are
+removed), 3 budget exhaustion (partial outputs are flagged partial=true in
+the summary), 4 internal certification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -46,6 +48,7 @@ def run_command(args) -> int:
         return 4
 
     outdir = Path(cfg.output_dir)
+    created = [d for d in (outdir, *outdir.parents) if not d.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
     summary = {
@@ -60,6 +63,9 @@ def run_command(args) -> int:
         summary["verdicts"] = REGISTRY[cfg.experiment].runner(prep, rng, outdir)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        for d in created:  # deepest first; rmdir refuses a directory written into
+            with contextlib.suppress(OSError):
+                d.rmdir()
         return 2
     except BudgetError as exc:
         summary["partial"] = True
@@ -94,7 +100,7 @@ def main(argv=None) -> int:
     runp.add_argument(
         "--output-dir", default=None, help="override the output directory"
     )
-    sub.add_parser("list", help="list experiments, required fields, emitted files")
+    sub.add_parser("list", help="list experiments, their config keys, emitted files")
     args = parser.parse_args(argv)
     if args.command == "list":
         sys.stdout.write(list_experiments())

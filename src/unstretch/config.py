@@ -1,11 +1,16 @@
 """Experiment configuration: a single JSON document per run.
 
 The schema is flat key/value with nested arrays for the matrix, the
-automorphism triple, and element lists. Every field has a default except the
-experiment name and the matrix, so small configs stay small; unknown keys are
-rejected with the nearest known key named, and every value must have the type
-of its field, which catches typos before any computation starts.
-Round-tripping is exact: parse(serialize(c)) == c.
+automorphism triple, and element lists. `ExperimentConfig` is the one table of
+types and defaults; which keys an experiment reads is declared once, on its
+`experiments.REGISTRY` entry. A run accepts the five common keys (`experiment`,
+`matrix`, `notes`, `seed`, `output_dir`) plus the keys of its experiment, and
+every key but the experiment name and the matrix has a default, so small
+configs stay small. Unknown keys are rejected with the nearest known key
+named, keys the chosen experiment does not read are rejected, and every value
+must have the type of its field, which catches typos before any computation
+starts. `to_dict` and `serialize` echo only the keys the experiment reads, and
+round-tripping is exact: parse(serialize(c)) == c.
 """
 
 from __future__ import annotations
@@ -18,19 +23,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ValidationError
+from .experiments import REGISTRY
 from .words import DEFAULT_ELEMENT_BUDGET
 
-EXPERIMENT_NAMES = (
-    "abelian-control",
-    "ball-census",
-    "birkhoff",
-    "box-lemmas",
-    "centralizer",
-    "lyapunov",
-    "qi-compare",
-    "set-dynamics",
-    "word-length",
-)
+EXPERIMENT_NAMES = tuple(sorted(REGISTRY))
+COMMON_KEYS = ("experiment", "matrix", "notes", "seed", "output_dir")
 
 
 @dataclass
@@ -82,8 +79,13 @@ class ExperimentConfig:
     # lattice control
     control_a0: list | None = None
 
+    def read_keys(self) -> tuple:
+        """The keys this run reads: the common five plus its experiment's."""
+        return COMMON_KEYS + tuple(REGISTRY[self.experiment].keys)
+
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        read = self.read_keys()
+        return {k: v for k, v in dataclasses.asdict(self).items() if k in read}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -102,16 +104,17 @@ class ExperimentConfig:
         for key, value in data.items():
             _check_type(key, value, hints[key])
         cfg = cls(**data)
-        cfg.check_experiment_name()
-        return cfg
-
-    def check_experiment_name(self):
-        if self.experiment not in EXPERIMENT_NAMES:
-            hint = difflib.get_close_matches(self.experiment, EXPERIMENT_NAMES, n=1)
+        if cfg.experiment not in REGISTRY:
+            hint = difflib.get_close_matches(cfg.experiment, EXPERIMENT_NAMES, n=1)
             extra = f"; nearest match is {hint[0]!r}" if hint else ""
-            raise ValidationError(
-                f"unknown experiment {self.experiment!r}{extra}"
-            )
+            raise ValidationError(f"unknown experiment {cfg.experiment!r}{extra}")
+        read = cfg.read_keys()
+        for key in data:
+            if key not in read:
+                raise ValidationError(
+                    f"config key {key!r} is not read by experiment {cfg.experiment!r}"
+                )
+        return cfg
 
     def serialize(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

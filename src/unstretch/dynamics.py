@@ -319,8 +319,8 @@ def abelian_control(
     ], dtype=np.int64)
     points = []
     for k in range(k_max + 1):
-        projections = layout.unpack(keys)[0] @ signs.T
-        diam = int((projections.max(axis=0) - projections.min(axis=0)).max())
+        # Unnamed, so the projections are freed before the next spread runs.
+        diam = int(np.ptp(layout.unpack(keys)[0] @ signs.T, axis=0).max())
         points.append(CurvePoint(k, diam, True, len(keys), None, None))
         if k < k_max:
             what = f"control step {k + 1}"

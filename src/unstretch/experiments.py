@@ -1,6 +1,8 @@
 """The named experiments behind the CLI.
 
-Every experiment validates all of its cross-field preconditions before doing
+`REGISTRY` declares each experiment once: its runner, the config keys it
+reads, the files it emits, and whether it needs a group context. Every
+experiment validates all of its cross-field preconditions before doing
 any work, writes CSV data files plus a single JSON summary into the output
 directory, and is deterministic for a fixed config and seed (CSV outputs are
 byte identical across runs; the summary additionally records wall time).
@@ -10,18 +12,20 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import dynamics, lyapunov, suspension, words
 from .autos import GroupAutomorphism, enumerate_commuting_matrices, require_valid
-from .config import ExperimentConfig
 from .errors import BudgetError, ValidationError
 from .group import GroupContext, GroupElement, ToralMatrix
 from .words import GeneratingSet, WordLengthOracle, choose_lambda, word_ball
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 
 def _parse_element(raw, dim: int) -> GroupElement:
@@ -54,18 +58,8 @@ class Prepared:
     iteration: dynamics.IterationConfig | None = None
 
 
-_NEEDS_CONTEXT = {
-    "ball-census",
-    "word-length",
-    "box-lemmas",
-    "set-dynamics",
-    "qi-compare",
-}
-
-
 def prepare(cfg: ExperimentConfig) -> Prepared:
     """Validate every precondition the chosen experiment relies on."""
-    cfg.check_experiment_name()
     matrix = ToralMatrix(cfg.matrix)
     if cfg.automorphism is None:
         phi = GroupAutomorphism.identity(matrix.dim)
@@ -78,12 +72,8 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
             spec["b"], spec.get("v", [0] * matrix.dim), spec.get("e", 1)
         )
     prep = Prepared(cfg, matrix, phi)
-    if cfg.experiment in _NEEDS_CONTEXT or cfg.experiment == "abelian-control":
-        if not matrix.is_hyperbolic:
-            raise ValidationError(
-                f"matrix is not hyperbolic: {matrix.hyperbolicity.reason}"
-            )
-    if cfg.experiment in _NEEDS_CONTEXT:
+    info = REGISTRY[cfg.experiment]
+    if info.context:
         prep.ctx = GroupContext(matrix)
         prep.gens = GeneratingSet.standard(matrix.dim)
         require_valid(matrix, phi)
@@ -96,8 +86,12 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
         )
     if cfg.experiment == "word-length" and not cfg.elements:
         raise ValidationError("word-length experiment needs a nonempty 'elements' list")
-    if cfg.experiment in ("lyapunov", "birkhoff"):
+    if "map_kind" in info.keys:
         _toy_map(cfg, matrix)  # raises on bad kind/direction combinations
+    if cfg.orbit_starts < 1:
+        raise ValidationError(
+            f"config key 'orbit_starts' must be at least 1, not {cfg.orbit_starts}"
+        )
     return prep
 
 
@@ -241,17 +235,6 @@ def run_box_lemmas(prep: Prepared, rng, outdir: Path) -> dict:
     }
 
 
-def _verdict_dict(verdict: dynamics.GrowthVerdict) -> dict:
-    return {
-        "kind": verdict.kind,
-        "degree_estimate": verdict.degree_estimate,
-        "rate_estimate": verdict.rate_estimate,
-        "r2_polynomial": verdict.r2_polynomial,
-        "r2_exponential": verdict.r2_exponential,
-        "reason": verdict.reason,
-    }
-
-
 def _write_growth_csv(path: Path, curve: dynamics.GrowthCurve):
     _write_csv(
         path,
@@ -280,7 +263,7 @@ def run_set_dynamics(prep: Prepared, rng, outdir: Path) -> dict:
     return {
         "lambda": str(prep.iteration.lam),
         "envelope": "certified",
-        "growth": _verdict_dict(curve.verdict),
+        "growth": asdict(curve.verdict),
     }
 
 
@@ -299,7 +282,7 @@ def run_abelian_control(prep: Prepared, rng, outdir: Path) -> dict:
         raise
     curve.verdict = dynamics.classify_growth(curve)
     _write_growth_csv(outdir / "growth.csv", curve)
-    return {"growth": _verdict_dict(curve.verdict)}
+    return {"growth": asdict(curve.verdict)}
 
 
 def run_qi_compare(prep: Prepared, rng, outdir: Path) -> dict:
@@ -353,7 +336,7 @@ def run_centralizer(prep: Prepared, rng, outdir: Path) -> dict:
 def run_lyapunov(prep: Prepared, rng, outdir: Path) -> dict:
     cfg = prep.cfg
     toy, fld = _toy_map(cfg, prep.matrix)
-    starts = rng.random((max(1, cfg.orbit_starts), toy.dim))
+    starts = rng.random((cfg.orbit_starts, toy.dim))
     values = []
     trace_rows = []
     for i in range(starts.shape[0]):
@@ -392,72 +375,77 @@ def run_birkhoff(prep: Prepared, rng, outdir: Path) -> dict:
     rep = lyapunov.birkhoff_consistency(
         toy, fld, cfg.birkhoff_starts, cfg.birkhoff_steps, rng
     )
-    return {
-        "orbit_mean": rep.orbit_mean,
-        "orbit_se": rep.orbit_se,
-        "space_value": rep.space_value,
-        "space_se": rep.space_se,
-        "discrepancy": rep.discrepancy,
-        "combined_se": rep.combined_se,
-        "x_count": rep.x_count,
-        "n": rep.n,
-    }
+    return asdict(rep)
 
 
 @dataclass(frozen=True)
 class ExperimentInfo:
+    """One experiment: its runner, the config keys it reads beyond the common
+    five, the files it emits, and whether `prepare` builds a group context."""
+
     runner: Callable
-    required: str
+    keys: tuple[str, ...]
     emits: str
+    context: bool = False
 
 
 REGISTRY = {
     "abelian-control": ExperimentInfo(
-        run_abelian_control, "matrix, k_max, neighborhood_n[, control_a0]",
+        run_abelian_control,
+        ("neighborhood_n", "control_a0", "k_max", "budget_elements"),
         "growth.csv, summary.json",
     ),
     "ball-census": ExperimentInfo(
-        run_ball_census, "matrix, bfs_radius", "census.csv, summary.json"
+        run_ball_census, ("bfs_radius", "budget_elements"),
+        "census.csv, summary.json", context=True,
     ),
     "birkhoff": ExperimentInfo(
         run_birkhoff,
-        "matrix, map_kind, direction, birkhoff_starts, birkhoff_steps",
+        ("map_kind", "direction", "shear_coefficients", "birkhoff_starts",
+         "birkhoff_steps"),
         "summary.json",
     ),
     "box-lemmas": ExperimentInfo(
         run_box_lemmas,
-        "matrix[, automorphism], box_ell_values, box_h_values, box_n_values, box_samples",
-        "box_checks.csv, summary.json",
+        ("automorphism", "box_ell_values", "box_h_values", "box_n_values",
+         "box_samples"),
+        "box_checks.csv, summary.json", context=True,
     ),
     "centralizer": ExperimentInfo(
-        run_centralizer, "matrix, centralizer_bound, centralizer_e",
+        run_centralizer, ("centralizer_bound", "centralizer_e"),
         "centralizer.csv, summary.json",
     ),
     "lyapunov": ExperimentInfo(
         run_lyapunov,
-        "matrix, map_kind, direction, orbit_steps[, shear_coefficients]",
+        ("map_kind", "direction", "shear_coefficients", "orbit_steps",
+         "orbit_starts", "dump_orbit"),
         "summary.json[, orbits.csv]",
     ),
     "qi-compare": ExperimentInfo(
-        run_qi_compare, "matrix, qi_radii", "qi_r<R>.csv per radius, summary.json"
+        run_qi_compare, ("qi_radii", "bfs_radius", "budget_elements"),
+        "qi_r<R>.csv per radius, summary.json", context=True,
     ),
     "set-dynamics": ExperimentInfo(
         run_set_dynamics,
-        "matrix, automorphism, neighborhood_n, a0, k_max, bfs_radius",
-        "growth.csv, summary.json",
+        ("automorphism", "neighborhood_n", "a0", "ell0", "h0", "k_max",
+         "bfs_radius", "budget_elements"),
+        "growth.csv, summary.json", context=True,
     ),
     "word-length": ExperimentInfo(
-        run_word_length, "matrix, bfs_radius, elements",
-        "word_lengths.csv, summary.json",
+        run_word_length, ("bfs_radius", "budget_elements", "elements"),
+        "word_lengths.csv, summary.json", context=True,
     ),
 }
 
 
 def list_experiments() -> str:
-    """Stable text table of experiments, required fields, emitted files."""
+    """Stable text table of experiments, their config keys, emitted files."""
     name_w = max(len(n) for n in REGISTRY) + 2
-    lines = [f"{'experiment':<{name_w}}required config fields -> emitted files"]
+    lines = [
+        f"{'experiment':<{name_w}}config keys beyond experiment, matrix, notes,"
+        " seed, output_dir -> emitted files"
+    ]
     for name in sorted(REGISTRY):
         info = REGISTRY[name]
-        lines.append(f"{name:<{name_w}}{info.required} -> {info.emits}")
+        lines.append(f"{name:<{name_w}}{', '.join(info.keys)} -> {info.emits}")
     return "\n".join(lines) + "\n"

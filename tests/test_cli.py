@@ -1,12 +1,13 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from unstretch.cli import main
-from unstretch.config import EXPERIMENT_NAMES
+from unstretch.config import COMMON_KEYS, EXPERIMENT_NAMES, ExperimentConfig, load_config
 from unstretch.errors import CertificationError
-from unstretch.experiments import REGISTRY, ExperimentInfo, list_experiments
+from unstretch.experiments import REGISTRY, ExperimentInfo, list_experiments, prepare
 
 CAT = [[2, 1], [1, 1]]
 
@@ -354,3 +355,83 @@ def test_certification_failure_in_prepare_exits_4(tmp_path, monkeypatch):
         "bfs_radius": 2, "output_dir": str(out),
     })
     assert run_cli(cfg) == 4
+
+
+@pytest.mark.parametrize("data", [
+    {"experiment": "qi-compare", "qi_radii": []},
+    {"experiment": "box-lemmas", "box_ell_values": [0]},
+    {"experiment": "box-lemmas", "box_samples": 0},
+    {"experiment": "lyapunov", "orbit_steps": 0},
+    {"experiment": "centralizer", "centralizer_e": 2},
+    {"experiment": "word-length", "elements": [[[1], 0]]},
+    {"experiment": "abelian-control", "k_max": -1},
+    {"experiment": "lyapunov", "orbit_starts": 0},
+    {"experiment": "lyapunov", "orbit_starts": -3},
+], ids=lambda d: next(f"{k}={v}" for k, v in d.items() if k != "experiment"))
+def test_validation_failure_leaves_no_output_directory(tmp_path, capsys, data):
+    out = tmp_path / "runs" / "out"
+    cfg = write_cfg(tmp_path, "bad", {**data, "matrix": CAT, "output_dir": str(out)})
+    assert run_cli(cfg) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_validation_failure_keeps_an_existing_output_directory(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = write_cfg(tmp_path, "bad", {
+        "experiment": "qi-compare", "matrix": CAT, "qi_radii": [],
+        "output_dir": str(out),
+    })
+    assert run_cli(cfg) == 2
+    assert out.is_dir()
+
+
+def test_key_read_only_by_another_experiment_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "census", {
+        "experiment": "ball-census", "matrix": CAT, "birkhoff_steps": 5,
+        "output_dir": str(out),
+    })
+    assert run_cli(cfg) == 2
+    err = capsys.readouterr().err
+    assert repr("birkhoff_steps") in err and repr("ball-census") in err
+    assert not out.exists()
+
+
+def test_summary_echoes_only_the_keys_the_experiment_reads(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "census", {
+        "experiment": "ball-census", "matrix": CAT, "bfs_radius": 2,
+        "output_dir": str(out),
+    })
+    assert run_cli(cfg) == 0
+    assert set(read_summary(out)["config"]) == {
+        "experiment", "matrix", "notes", "seed", "output_dir",
+        "bfs_radius", "budget_elements",
+    }
+
+
+def test_every_config_field_is_read_by_some_experiment():
+    declared = {key for info in REGISTRY.values() for key in info.keys}
+    extra = {f.name for f in fields(ExperimentConfig)} - set(COMMON_KEYS)
+    assert extra == declared
+    assert sum(len(COMMON_KEYS) + len(info.keys) for info in REGISTRY.values()) == 83
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(__file__).parent.parent.glob("configs/*.json")),
+    ids=lambda p: p.stem,
+)
+def test_shipped_configs_load_and_prepare(path):
+    prep = prepare(load_config(path))
+    assert (prep.ctx is not None) == REGISTRY[prep.cfg.experiment].context
+
+
+def test_list_shows_each_experiments_keys():
+    lines = list_experiments().splitlines()
+    assert "required" not in lines[0]
+    for name, info in REGISTRY.items():
+        (row,) = [line for line in lines if line.split()[0] == name]
+        for key in info.keys:
+            assert key in row
