@@ -337,24 +337,17 @@ def run_lyapunov(prep: Prepared, rng, outdir: Path) -> dict:
     cfg = prep.cfg
     toy, fld = _toy_map(cfg, prep.matrix)
     starts = rng.random((cfg.orbit_starts, toy.dim))
-    values = []
-    trace_rows = []
-    for i in range(starts.shape[0]):
-        x0 = tuple(starts[i])
-        value = lyapunov.finite_time_exponent(toy, fld, x0, cfg.orbit_steps)
-        values.append(value)
-        if cfg.dump_orbit:
-            x = x0
-            for step in range(min(cfg.orbit_steps, 1000)):
-                trace_rows.append([i, step] + [_fmt(c) for c in x])
-                x = toy.step(x)
-    arr = np.array(values)
+    arr = lyapunov.finite_time_exponents(toy, fld, starts, cfg.orbit_steps)
     half_width = (
         float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
     )
     if cfg.dump_orbit:
         header = ["start", "step"] + [f"x{i}" for i in range(toy.dim)]
-        _write_csv(outdir / "orbits.csv", header, trace_rows)
+        orbits = lyapunov.orbits(toy, starts, min(cfg.orbit_steps, 1000))
+        _write_csv(outdir / "orbits.csv", header, (
+            [i, step] + [_fmt(c) for c in point]
+            for i, orbit in enumerate(orbits) for step, point in enumerate(orbit)
+        ))
     return {
         "records": [
             {

@@ -166,6 +166,9 @@ class GroupContext:
         # Packed right-multiplication steps by (elements, key-layout radius),
         # filled by packed.translate_steps.
         self.step_tables: dict = {}
+        # Word balls B_N as element tuples by (generating set, N), filled by
+        # words.check_box_inclusion_un.
+        self.balls: dict = {}
         self.identity = identity_element(matrix.dim)
         self.z = z_element(matrix.dim)
 

@@ -9,15 +9,23 @@ closed-form trigonometric shear with unit Jacobian determinant. Conjugation
 keeps the invariant line fields in closed form, which is what makes the
 time-average versus space-average comparison well posed.
 
-Orbits and cocycles run on plain float tuples; products are renormalized at
-every step so exponents accumulate as log sums and never overflow.
+Orbits and cocycles run on lanes: each map has one array step that advances
+m points and pushes a tangent vector at each, so all orbit starts move in
+lockstep. Point coordinates take the float operations of the one-point
+formula in its order (explicit products summed left to right, ``% 1.0`` as
+Python computes it, ``np.sin``/``np.cos``), so each orbit has the bits of
+the one-point formula, whichever lanes run beside it. The cocycle applies
+the Jacobian factor by factor, which matches the one-point product of the
+factors to 1e-12 relative rather than bit for bit. Directions are
+renormalized at every step (Benettin et al.), so exponents accumulate as log
+sums and never overflow. Lanes and samples go in blocks of ``BLOCK`` rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,46 +33,78 @@ from .errors import ValidationError
 from .group import ToralMatrix
 
 TOL_DIRECTION = 1e-9
+# Rows (orbit lanes or Monte Carlo samples) per array step: bounds the
+# temporaries, whatever the number of starts or samples.
+BLOCK = 1024
+# Steps whose expansion factors are held, then logged, summed and checked for
+# a collapse in one pass: a per-step reduction would cost more than the step.
+STEPS = 64
 
 
-def _matvec_f(rows, v):
-    return tuple(sum(r[i] * v[i] for i in range(len(v))) for r in rows)
+def _row_terms(matrix: ToralMatrix):
+    """Each row of the matrix as its nonzero (entry, column) pairs, in floats.
+    A GL(d, Z) matrix has no zero row."""
+    return [[(float(a), j) for j, a in enumerate(r) if a] for r in matrix.entries]
 
 
-def _matmul_f(a, b):
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ar[i] * bc[i] for i in range(len(ar))) for bc in cols) for ar in a
-    )
+def _matvec(rows, coords, mod=False):
+    """A x for x given as coordinate rows, each row reduced ``% 1.0`` if
+    ``mod``: a_0 x_0 + a_1 x_1 + ... summed left to right, with zero entries
+    skipped and entries 1 taking no product. Both are exact, up to the sign
+    of a zero sum, which ``% 1.0`` removes."""
+    out = []
+    for terms in rows:
+        acc = None
+        for a, j in terms:
+            term = coords[j] if a == 1.0 else a * coords[j]
+            acc = term if acc is None else acc + term
+        out.append(acc % 1.0 if mod else acc)
+    return out
 
 
-def _norm(v):
-    return math.sqrt(sum(c * c for c in v))
+def _lengths(coords, out=None):
+    """Euclidean lengths of the vectors given as coordinate rows."""
+    out = np.hypot(coords[0], coords[1] if len(coords) > 1 else 0.0, out=out)
+    for c in coords[2:]:
+        np.hypot(out, c, out=out)
+    return out
+
+
+def _unit(vectors: np.ndarray, message: str) -> np.ndarray:
+    """The rows of an (m, d) array scaled to unit length; raises
+    ``ValidationError(message)`` if any is shorter than ``TOL_DIRECTION``."""
+    coords = vectors.T
+    lengths = _lengths(coords)
+    if (lengths < TOL_DIRECTION).any():
+        raise ValidationError(message)
+    return (coords / lengths).T
 
 
 @dataclass(frozen=True)
 class ToyMap:
-    """A torus map with closed-form differential.
+    """A torus map with closed-form differential, acting on lanes.
 
-    ``step`` advances a point (tuple of floats in [0,1)), ``differential``
-    returns the Jacobian at a point as a tuple of row tuples.
+    ``advance(points, dirs)`` takes m points of [0,1)^d and a tangent vector
+    at each, both as coordinate rows (d arrays of length m: the transpose of
+    an (m, d) array), and returns the image points and the vectors pushed
+    forward by the differential (None when ``dirs`` is None), as lists of
+    coordinate rows.
     """
 
     kind: str
     dim: int
-    step: Callable
-    differential: Callable
+    advance: Callable
     volume_preserving: bool = True
 
 
 def linear_toral(matrix: ToralMatrix) -> ToyMap:
     """x -> A x mod 1 with constant differential A."""
-    rows = tuple(tuple(float(v) for v in r) for r in matrix.entries)
+    rows = _row_terms(matrix)
 
-    def step(x):
-        return tuple(c % 1.0 for c in _matvec_f(rows, x))
+    def advance(points, dirs=None):
+        return _matvec(rows, points, mod=True), None if dirs is None else _matvec(rows, dirs)
 
-    return ToyMap("linear_toral", matrix.dim, step, lambda x: rows)
+    return ToyMap("linear_toral", matrix.dim, advance)
 
 
 def suspension_time_one(matrix: ToralMatrix) -> ToyMap:
@@ -75,38 +115,34 @@ def suspension_time_one(matrix: ToralMatrix) -> ToyMap:
     carried isometrically.
     """
     d = matrix.dim
-    rows = tuple(
-        tuple(float(matrix.entries[r][c]) if r < d and c < d else float(r == c)
-              for c in range(d + 1))
-        for r in range(d + 1)
-    )
+    rows = _row_terms(matrix)
 
-    def step(p):
-        x = _matvec_f(tuple(r[:d] for r in rows[:d]), p[:d])
-        return tuple(c % 1.0 for c in x) + (p[d],)
+    def advance(points, dirs=None):
+        images = _matvec(rows, points, mod=True) + [points[d]]
+        return images, None if dirs is None else _matvec(rows, dirs) + [dirs[d]]
 
-    return ToyMap("suspension_time_one", d + 1, step, lambda p: rows)
+    return ToyMap("suspension_time_one", d + 1, advance)
 
 
-def _shear_funcs(coefficients: Sequence[float]):
-    """The shear profile s(y) and its derivative, as closed forms.
+def _shear_profile(coefficients: Sequence[float]):
+    """The shear profile s(y) and its derivative s'(y), both at once.
 
     s(y) = sum_j c_j sin(2 pi (j+1) y) / (2 pi (j+1)), so the maximum slope
     is bounded by sum |c_j| and the shear h(x) = x + s(x_last) e_0 has unit
-    Jacobian determinant exactly.
+    Jacobian determinant exactly. Each sine and cosine is evaluated once per
+    argument; with no coefficients both are 0.0.
     """
-    cs = [float(c) for c in coefficients]
+    terms = [(float(c), 2.0 * math.pi * (j + 1)) for j, c in enumerate(coefficients)]
 
-    def s(y):
-        return sum(
-            c * math.sin(2.0 * math.pi * (j + 1) * y) / (2.0 * math.pi * (j + 1))
-            for j, c in enumerate(cs)
-        )
+    def profile(y):
+        s = ds = None
+        for c, k in terms:
+            arg = k * y
+            term, slope = c * np.sin(arg) / k, c * np.cos(arg)
+            s, ds = (term, slope) if s is None else (s + term, ds + slope)
+        return (0.0, 0.0) if s is None else (s, ds)
 
-    def ds(y):
-        return sum(c * math.cos(2.0 * math.pi * (j + 1) * y) for j, c in enumerate(cs))
-
-    return s, ds
+    return profile
 
 
 def shear_conjugated(matrix: ToralMatrix, coefficients: Sequence[float]) -> ToyMap:
@@ -115,56 +151,50 @@ def shear_conjugated(matrix: ToralMatrix, coefficients: Sequence[float]) -> ToyM
     h displaces the first coordinate by a trigonometric function of the last
     one, so dets stay exactly 1 and the map is a genuine volume-preserving
     perturbation of the linear model with all derivatives in closed form.
+    One step evaluates the profile at the point p and at w = A h^-1(p) mod 1;
+    the image h(w) mod 1 and the differential D h(w) A D h^-1(p) share them.
     """
     d = matrix.dim
     if d < 2:
         raise ValidationError("shear conjugation needs dimension >= 2")
-    rows = tuple(tuple(float(v) for v in r) for r in matrix.entries)
-    s, ds = _shear_funcs(coefficients)
+    rows = _row_terms(matrix)
+    profile = _shear_profile(coefficients)
 
-    def h(p):
-        return (p[0] + s(p[d - 1]),) + tuple(p[1:])
+    def advance(points, dirs=None):
+        s_p, ds_p = profile(points[d - 1])
+        # h^-1 only moves the first coordinate, by -s of the last one.
+        w = _matvec(rows, [points[0] - s_p, *points[1:]], mod=True)
+        s_w, ds_w = profile(w[d - 1])
+        pushed = None
+        if dirs is not None:
+            pushed = _matvec(rows, [dirs[0] - ds_p * dirs[d - 1], *dirs[1:]])
+            pushed[0] = pushed[0] + ds_w * pushed[d - 1]
+        w[0] = w[0] + s_w
+        return [c % 1.0 for c in w], pushed
 
-    def h_inv(p):
-        return (p[0] - s(p[d - 1]),) + tuple(p[1:])
-
-    def shear_jac(y_last, sign):
-        rows_j = []
-        for r in range(d):
-            row = [float(r == c) for c in range(d)]
-            if r == 0:
-                row[d - 1] += sign * ds(y_last)
-            rows_j.append(tuple(row))
-        return tuple(rows_j)
-
-    def step(p):
-        y = h_inv(p)
-        w = _matvec_f(rows, y)
-        w = tuple(c % 1.0 for c in w)
-        return tuple(c % 1.0 for c in h(w))
-
-    def differential(p):
-        y = h_inv(p)
-        w = tuple(c % 1.0 for c in _matvec_f(rows, y))
-        left = shear_jac(w[d - 1], +1.0)
-        right = shear_jac(p[d - 1], -1.0)
-        return _matmul_f(_matmul_f(left, rows), right)
-
-    return ToyMap("shear_conjugated", d, step, differential)
+    return ToyMap("shear_conjugated", d, advance)
 
 
 @dataclass(frozen=True)
 class DirectionField:
-    """A unit tangent direction at every point (the line field evaluator)."""
+    """A unit tangent direction at every point (the line field evaluator).
+
+    ``evaluator`` maps an (m, d) array of points to their vectors: an (m, d)
+    array, or one vector for a constant field.
+    """
 
     evaluator: Callable
 
+    def at(self, points: np.ndarray) -> np.ndarray:
+        """Unit vectors at the rows of ``points``, as an (m, d) array."""
+        vectors = np.broadcast_to(
+            np.asarray(self.evaluator(points), dtype=float), points.shape
+        )
+        return _unit(vectors, "direction field returned a degenerate vector")
+
     def __call__(self, point):
-        v = self.evaluator(point)
-        n = _norm(v)
-        if n < TOL_DIRECTION:
-            raise ValidationError("direction field returned a degenerate vector")
-        return tuple(c / n for c in v)
+        """The unit vector at one point, as a tuple."""
+        return tuple(self.at(np.array([point], dtype=float))[0].tolist())
 
     @classmethod
     def constant(cls, vector) -> "DirectionField":
@@ -197,15 +227,77 @@ def shear_conjugated_eigen(
     linear model's eigendirection under the conjugacy."""
     base = eigen_direction(matrix, which)
     d = matrix.dim
-    _, ds = _shear_funcs(coefficients)
+    profile = _shear_profile(coefficients)
     v0 = base((0.0,) * d)
 
-    def evaluator(p):
+    def evaluator(points):
         # D h at h^-1(p); the last coordinate is untouched by the shear.
-        slope = ds(p[d - 1])
-        return (v0[0] + slope * v0[d - 1],) + tuple(v0[1:])
+        slope = profile(points[:, d - 1])[1]
+        vectors = np.tile(v0, (len(points), 1))
+        vectors[:, 0] = v0[0] + slope * v0[d - 1]
+        return vectors
 
     return DirectionField(evaluator)
+
+
+def finite_time_exponents(
+    toy_map: ToyMap,
+    field: DirectionField,
+    starts,
+    n: int,
+    directions=None,
+    return_state: bool = False,
+):
+    """Finite-time exponents of the orbits of all rows of ``starts`` at once.
+
+    Lane i is the orbit of ``starts[i]``: its direction is seeded from the
+    field there (or from the row ``directions[i]``, scaled to unit length)
+    and pushed forward by the differential at every step, and its exponent
+    is (1/n) times the sum of the log expansion factors, renormalized at
+    every step. The lanes advance in lockstep, in blocks of ``BLOCK``; each
+    lane's points and exponent are those of the lane run alone. With
+    ``return_state`` the final points and unit directions come too.
+    """
+    if n < 1:
+        raise ValidationError("orbit length n must be >= 1")
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 2 or starts.shape[1] != toy_map.dim:
+        raise ValidationError(f"orbit starts must be rows of length {toy_map.dim}")
+    values = np.empty(len(starts))
+    points = np.empty(starts.shape)
+    units = np.empty(starts.shape)
+    # A collapse is checked on every lane and step, and reported after each
+    # run of STEPS steps; until then the lanes run on without warnings.
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(starts), BLOCK):
+            block = starts[lo:lo + BLOCK]
+            if directions is None:
+                u = field.at(block).T
+            else:
+                seeds = np.asarray(directions, dtype=float)[lo:lo + BLOCK]
+                u = _unit(seeds.reshape(block.shape), "initial direction is degenerate").T
+            x = block.T
+            total = np.zeros(len(block))
+            expansions = np.empty((min(n, STEPS), len(block)))
+            for done in range(0, n, STEPS):
+                held = expansions[:min(STEPS, n - done)]
+                for factor in held:
+                    x, pushed = toy_map.advance(x, u)
+                    _lengths(pushed, out=factor)
+                    u = [c / factor for c in pushed]
+                if (held < TOL_DIRECTION).any():
+                    raise ValidationError("cocycle collapsed to a degenerate direction")
+                # one running sum per lane in step order; a plain sum's order
+                # would depend on the number of lanes
+                logs = np.log(held)
+                logs[0] += total
+                total = np.add.accumulate(logs)[-1]
+            values[lo:lo + BLOCK] = total / n
+            points[lo:lo + BLOCK] = np.transpose(x)
+            units[lo:lo + BLOCK] = np.transpose(u)
+    if return_state:
+        return values, points, units
+    return values
 
 
 def finite_time_exponent(
@@ -218,28 +310,31 @@ def finite_time_exponent(
 ):
     """(1/n) sum of log expansion factors along the orbit, renormalized.
 
-    The direction is seeded from the field at the start (or the explicit
-    ``initial_direction``) and pushed forward by the differential at every
-    step, which is the cocycle chain rule in log form.
+    The one-orbit case of ``finite_time_exponents``: the direction is seeded
+    from the field at the start (or from ``initial_direction``, scaled to
+    unit length) and pushed forward by the differential at every step, which
+    is the cocycle chain rule in log form.
     """
-    if n < 1:
-        raise ValidationError("orbit length n must be >= 1")
-    x = tuple(float(c) for c in x0)
-    u = field(x) if initial_direction is None else tuple(initial_direction)
-    total = 0.0
-    for _ in range(n):
-        jac = toy_map.differential(x)
-        w = _matvec_f(jac, u)
-        norm_w = _norm(w)
-        if norm_w < TOL_DIRECTION:
-            raise ValidationError("cocycle collapsed to a degenerate direction")
-        total += math.log(norm_w)
-        u = tuple(c / norm_w for c in w)
-        x = toy_map.step(x)
-    value = total / n
+    directions = None if initial_direction is None else [initial_direction]
+    values, points, units = finite_time_exponents(
+        toy_map, field, [x0], n, directions, return_state=True
+    )
+    value = float(values[0])
     if return_state:
-        return value, x, u
+        return value, tuple(points[0].tolist()), tuple(units[0].tolist())
     return value
+
+
+def orbits(toy_map: ToyMap, starts: np.ndarray, steps: int) -> Iterator[np.ndarray]:
+    """The first ``steps`` points of each start's orbit, start by start, as
+    (steps, d) arrays; the lanes advance in blocks of ``BLOCK``."""
+    for lo in range(0, len(starts), BLOCK):
+        x = starts[lo:lo + BLOCK].T
+        path = np.empty((steps,) + x.shape)
+        for t in range(steps):
+            path[t] = x
+            x = toy_map.advance(x)[0]
+        yield from path.transpose(2, 0, 1)
 
 
 class CenterEstimate(NamedTuple):
@@ -257,16 +352,16 @@ def center_integral(
     """Monte Carlo volume average of log ||Dg(x)| restricted to the field||.
 
     The half width is the standard error of the sample mean; it is exactly
-    zero when the integrand is constant.
+    zero when the integrand is constant. Samples go in blocks of ``BLOCK``.
     """
     if n_samples < 1000:
         raise ValidationError("center integral needs at least 1000 samples")
     values = np.empty(n_samples)
     pts = rng.random((n_samples, toy_map.dim))
-    for i in range(n_samples):
-        x = tuple(pts[i])
-        u = field(x)
-        values[i] = math.log(_norm(_matvec_f(toy_map.differential(x), u)))
+    for lo in range(0, n_samples, BLOCK):
+        x = pts[lo:lo + BLOCK]
+        pushed = toy_map.advance(x.T, field.at(x).T)[1]
+        values[lo:lo + BLOCK] = np.log(_lengths(pushed))
     half_width = float(values.std(ddof=1) / math.sqrt(n_samples))
     return CenterEstimate(float(values.mean()), half_width, n_samples)
 
@@ -300,9 +395,7 @@ def birkhoff_consistency(
     if x_count < 2:
         raise ValidationError("need at least two orbit starts")
     starts = rng.random((x_count, toy_map.dim))
-    exps = np.array(
-        [finite_time_exponent(toy_map, field, tuple(starts[i]), n) for i in range(x_count)]
-    )
+    exps = finite_time_exponents(toy_map, field, starts, n)
     orbit_mean = float(exps.mean())
     orbit_se = float(exps.std(ddof=1) / math.sqrt(x_count))
     space = center_integral(toy_map, field, max(1000, n), rng)
@@ -312,15 +405,3 @@ def birkhoff_consistency(
         orbit_mean, orbit_se, space.value, space.half_width, disc, combined,
         x_count, n,
     )
-
-
-def volume_residuals(
-    toy_map: ToyMap, n_points: int, rng: np.random.Generator
-) -> float:
-    """Max |det of the differential - 1| over random points."""
-    worst = 0.0
-    pts = rng.random((n_points, toy_map.dim))
-    for i in range(n_points):
-        det = float(np.linalg.det(np.array(toy_map.differential(tuple(pts[i])))))
-        worst = max(worst, abs(det - 1.0))
-    return worst

@@ -335,7 +335,10 @@ def check_box_inclusion_un(
         raise ValidationError("inclusion check requires ell, h >= 1")
     if n < 0:
         raise ValidationError("N must be nonnegative")
-    table = translate_steps(ctx, tuple(word_ball(ctx, gens, n).elements()), h + n)
+    ball = ctx.balls.get((gens, n))
+    if ball is None:
+        ball = ctx.balls[(gens, n)] = tuple(word_ball(ctx, gens, n).elements())
+    table = translate_steps(ctx, ball, h + n)
     return check_inclusion(
         BoxSet(lam, ell, h), BoxSet(lam, ell + n * (h + n), h + n), table.layout,
         table.translates, samples, rng, f"u{n} inclusion check",

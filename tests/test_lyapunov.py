@@ -1,24 +1,176 @@
+import csv
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from unstretch import ToralMatrix, ValidationError
+from unstretch import ToralMatrix, ValidationError, lyapunov
+from unstretch.cli import main as cli_main
 from unstretch.lyapunov import (
     DirectionField,
     birkhoff_consistency,
     center_integral,
     eigen_direction,
     finite_time_exponent,
+    finite_time_exponents,
     linear_toral,
+    orbits,
     shear_conjugated,
     shear_conjugated_eigen,
     suspension_time_one,
-    volume_residuals,
 )
+
+from conftest import CAT, D3_REAL
 
 LOG_LAM = math.log((3 + math.sqrt(5)) / 2)
 SHEAR = [0.05]
+
+
+# The scalar reference: the tuple-and-closure maps and per-point loops that
+# the array kernel replaced. Each lane of the kernel must reproduce their
+# orbit points bit for bit, and their exponents to 1e-12 relative (the kernel
+# pushes a direction as L (A (R u)) where the reference forms (L A R) u, and
+# np.log may differ from math.log in the last bit).
+
+
+def _matvec_f(rows, v):
+    return tuple(sum(r[i] * v[i] for i in range(len(v))) for r in rows)
+
+
+def _matmul_f(a, b):
+    cols = tuple(zip(*b))
+    return tuple(
+        tuple(sum(ar[i] * bc[i] for i in range(len(ar))) for bc in cols) for ar in a
+    )
+
+
+def _norm(v):
+    return math.sqrt(sum(c * c for c in v))
+
+
+def _shear_funcs(coefficients):
+    cs = [float(c) for c in coefficients]
+
+    def s(y):
+        return sum(
+            c * math.sin(2.0 * math.pi * (j + 1) * y) / (2.0 * math.pi * (j + 1))
+            for j, c in enumerate(cs)
+        )
+
+    def ds(y):
+        return sum(c * math.cos(2.0 * math.pi * (j + 1) * y) for j, c in enumerate(cs))
+
+    return s, ds
+
+
+def reference_map(kind, entries, coefficients=()):
+    """(step, differential) of the scalar tuple map of one kind."""
+    d = len(entries)
+    rows = tuple(tuple(float(v) for v in r) for r in entries)
+    if kind == "linear_toral":
+        return (lambda x: tuple(c % 1.0 for c in _matvec_f(rows, x))), (lambda x: rows)
+    if kind == "suspension_time_one":
+        big = tuple(
+            tuple(rows[r][c] if r < d and c < d else float(r == c) for c in range(d + 1))
+            for r in range(d + 1)
+        )
+
+        def step(p):
+            return tuple(c % 1.0 for c in _matvec_f(rows, p[:d])) + (p[d],)
+
+        return step, (lambda p: big)
+    s, ds = _shear_funcs(coefficients)
+
+    def h_inv(p):
+        return (p[0] - s(p[d - 1]),) + tuple(p[1:])
+
+    def shear_jac(y_last, sign):
+        rows_j = []
+        for r in range(d):
+            row = [float(r == c) for c in range(d)]
+            if r == 0:
+                row[d - 1] += sign * ds(y_last)
+            rows_j.append(tuple(row))
+        return tuple(rows_j)
+
+    def step(p):
+        w = tuple(c % 1.0 for c in _matvec_f(rows, h_inv(p)))
+        return tuple(c % 1.0 for c in (w[0] + s(w[d - 1]),) + tuple(w[1:]))
+
+    def differential(p):
+        w = tuple(c % 1.0 for c in _matvec_f(rows, h_inv(p)))
+        left = shear_jac(w[d - 1], +1.0)
+        right = shear_jac(p[d - 1], -1.0)
+        return _matmul_f(_matmul_f(left, rows), right)
+
+    return step, differential
+
+
+def reference_exponent(step, differential, field, x0, n):
+    """The per-step scalar loop; returns the exponent and the final point."""
+    x = tuple(float(c) for c in x0)
+    u = field(x)
+    total = 0.0
+    for _ in range(n):
+        w = _matvec_f(differential(x), u)
+        norm_w = _norm(w)
+        total += math.log(norm_w)
+        u = tuple(c / norm_w for c in w)
+        x = step(x)
+    return total / n, x
+
+
+def reference_center_values(differential, field, pts):
+    return np.array([
+        math.log(_norm(_matvec_f(differential(tuple(p)), field(tuple(p))))) for p in pts
+    ])
+
+
+def volume_residuals(toy_map, n_points, rng):
+    """Max |det of the differential - 1| over random points; column j of each
+    Jacobian is the push of the unit vector e_j."""
+    pts = rng.random((n_points, toy_map.dim)).T
+    columns = [
+        toy_map.advance(pts, np.broadcast_to(e[:, None], pts.shape))[1]
+        for e in np.eye(toy_map.dim)
+    ]
+    # columns[j][i] is row i of the pushed e_j: entry (i, j) of each Jacobian
+    dets = np.linalg.det(np.transpose(columns, (2, 1, 0)))
+    return float(np.abs(dets - 1.0).max())
+
+
+# Rows with three nonzero entries, so the order of a row's sum shows in its
+# bits; eigenvalues -1.802, 1.247, -0.445.
+D3_DENSE = ((-1, -1, 2), (0, 0, -1), (1, 0, 0))
+CASES = [
+    ("linear_toral", CAT, ()),
+    ("linear_toral", D3_REAL, ()),
+    ("linear_toral", D3_DENSE, ()),
+    ("suspension_time_one", CAT, ()),
+    ("suspension_time_one", D3_REAL, ()),
+    ("shear_conjugated", CAT, (0.05,)),
+    ("shear_conjugated", CAT, (0.05, -0.03)),
+    ("shear_conjugated", D3_REAL, (0.04, 0.02)),
+    ("shear_conjugated", D3_DENSE, (0.03,)),
+]
+
+
+def case_map(kind, entries, coefficients):
+    """The array map and its unstable field for one case."""
+    matrix = ToralMatrix(entries)
+    if kind == "linear_toral":
+        return linear_toral(matrix), eigen_direction(matrix, "unstable")
+    if kind == "suspension_time_one":
+        base = eigen_direction(matrix, "unstable")((0.0,) * matrix.dim)
+        return suspension_time_one(matrix), DirectionField.constant(base + (0.0,))
+    return (shear_conjugated(matrix, coefficients),
+            shear_conjugated_eigen(matrix, coefficients, "unstable"))
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
 def test_unstable_exponent_is_constant(cat_matrix):
@@ -120,14 +272,13 @@ def test_shear_field_is_invariant(cat_matrix):
     toy = shear_conjugated(cat_matrix, SHEAR)
     fld = shear_conjugated_eigen(cat_matrix, SHEAR, "unstable")
     rng = np.random.default_rng(54)
-    for _ in range(50):
-        x = tuple(rng.random(2))
-        u = np.array(fld(x))
-        pushed = np.array(toy.differential(x)) @ u
-        pushed = pushed / np.linalg.norm(pushed)
-        target = np.array(fld(toy.step(x)))
-        assert min(np.linalg.norm(pushed - target),
-                   np.linalg.norm(pushed + target)) < 1e-10
+    xs = rng.random((50, 2))
+    images, pushed = toy.advance(xs.T, fld.at(xs).T)
+    targets = fld.at(np.transpose(images))
+    for p, target in zip(np.transpose(pushed), targets):
+        p = p / np.linalg.norm(p)
+        assert min(np.linalg.norm(p - target),
+                   np.linalg.norm(p + target)) < 1e-10
 
 
 def test_volume_preservation_all_kinds(cat_matrix):
@@ -169,6 +320,134 @@ def test_birkhoff_consistency_sheared(cat_matrix):
 def test_birkhoff_requires_volume_preserving(cat_matrix):
     rng = np.random.default_rng(58)
     toy = linear_toral(cat_matrix)
-    broken = type(toy)(toy.kind, toy.dim, toy.step, toy.differential, False)
+    broken = dataclasses.replace(toy, volume_preserving=False)
     with pytest.raises(ValidationError):
         birkhoff_consistency(broken, eigen_direction(cat_matrix, "unstable"), 5, 100, rng)
+
+
+@pytest.mark.parametrize("kind,entries,coefficients", CASES)
+def test_orbit_points_bit_equal_to_scalar_path(kind, entries, coefficients):
+    toy, fld = case_map(kind, entries, coefficients)
+    step, _ = reference_map(kind, entries, coefficients)
+    starts = np.random.default_rng(60).random((3, toy.dim))
+    replayed = list(orbits(toy, starts, 1000))
+    _, final, _ = finite_time_exponents(toy, fld, starts, 1000, return_state=True)
+    for start, path, end in zip(starts, replayed, final):
+        x = tuple(start)
+        scalar = []
+        for _ in range(1000):
+            scalar.append(x)
+            x = step(x)
+        assert np.array_equal(bits(path), bits(scalar))
+        assert np.array_equal(bits(end), bits(x))
+
+
+@pytest.mark.parametrize("kind,entries,coefficients", CASES)
+def test_exponents_match_scalar_path(kind, entries, coefficients):
+    toy, fld = case_map(kind, entries, coefficients)
+    step, differential = reference_map(kind, entries, coefficients)
+    starts = np.random.default_rng(61).random((3, toy.dim))
+    values = finite_time_exponents(toy, fld, starts, 1000)
+    for start, value in zip(starts, values):
+        expected, _ = reference_exponent(step, differential, fld, start, 1000)
+        assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("kind,entries,coefficients", CASES)
+def test_lockstep_lanes_equal_single_runs(kind, entries, coefficients, monkeypatch):
+    toy, fld = case_map(kind, entries, coefficients)
+    starts = np.random.default_rng(62).random((7, toy.dim))
+    values, points, units = finite_time_exponents(toy, fld, starts, 300, return_state=True)
+    for i, start in enumerate(starts):
+        value, x, u = finite_time_exponent(toy, fld, tuple(start), 300, return_state=True)
+        assert value == values[i]
+        assert np.array_equal(bits(x), bits(points[i]))
+        assert np.array_equal(bits(u), bits(units[i]))
+    monkeypatch.setattr(lyapunov, "BLOCK", 3)
+    blocked = finite_time_exponents(toy, fld, starts, 300, return_state=True)
+    for whole, split in zip((values, points, units), blocked):
+        assert np.array_equal(bits(whole), bits(split))
+
+
+@pytest.mark.parametrize("kind,entries,coefficients", CASES)
+def test_center_integral_matches_scalar_path(kind, entries, coefficients, monkeypatch):
+    toy, fld = case_map(kind, entries, coefficients)
+    _, differential = reference_map(kind, entries, coefficients)
+    est = center_integral(toy, fld, 2500, np.random.default_rng(63))
+    pts = np.random.default_rng(63).random((2500, toy.dim))
+    values = reference_center_values(differential, fld, pts)
+    assert abs(est.value - values.mean()) <= 1e-12 * abs(values.mean())
+    # a constant integrand has a half width of rounding noise on both paths
+    expected_hw = values.std(ddof=1) / math.sqrt(2500)
+    assert abs(est.half_width - expected_hw) <= 1e-12 * (expected_hw + abs(values.mean()))
+    monkeypatch.setattr(lyapunov, "BLOCK", 7)
+    assert center_integral(toy, fld, 2500, np.random.default_rng(63)) == est
+
+
+def test_one_degenerate_lane_is_rejected(cat_matrix):
+    toy = linear_toral(cat_matrix)
+    unit = eigen_direction(cat_matrix, "unstable")((0.0, 0.0))
+    # zero exactly on the last start's half of the square
+    fld = DirectionField(lambda p: np.where(p[:, :1] < 0.5, 1.0, 0.0) * unit)
+    starts = np.array([[0.1, 0.2], [0.3, 0.9], [0.7, 0.4]])
+    finite_time_exponents(toy, fld, starts[:2], 5)
+    with pytest.raises(ValidationError, match="degenerate vector"):
+        finite_time_exponents(toy, fld, starts, 5)
+    with pytest.raises(ValidationError, match="degenerate vector"):
+        center_integral(toy, fld, 1000, np.random.default_rng(64))
+
+
+def test_one_collapsed_lane_is_rejected(cat_matrix):
+    toy = linear_toral(cat_matrix)
+
+    def collapsing(points, dirs=None):
+        images, pushed = toy.advance(points, dirs)
+        keep = np.arange(len(points[0])) < len(points[0]) - 1
+        return images, [np.where(keep, c, 0.0) for c in pushed]
+
+    broken = dataclasses.replace(toy, advance=collapsing)
+    fld = eigen_direction(cat_matrix, "unstable")
+    starts = np.random.default_rng(65).random((4, 2))
+    with pytest.raises(ValidationError, match="cocycle collapsed"):
+        finite_time_exponents(broken, fld, starts, 3)
+
+
+def test_initial_direction_is_normalised(cat_matrix):
+    toy = shear_conjugated(cat_matrix, SHEAR)
+    fld = shear_conjugated_eigen(cat_matrix, SHEAR, "unstable")
+    unit = finite_time_exponent(toy, fld, (0.3, 0.6), 50, initial_direction=(1.0, 0.0))
+    double = finite_time_exponent(toy, fld, (0.3, 0.6), 50, initial_direction=(2.0, 0.0))
+    assert double == unit
+    with pytest.raises(ValidationError, match="initial direction"):
+        finite_time_exponent(toy, fld, (0.3, 0.6), 50, initial_direction=(0.0, 0.0))
+
+
+def test_starts_must_match_the_map_dimension(cat_matrix):
+    toy = linear_toral(cat_matrix)
+    fld = eigen_direction(cat_matrix, "unstable")
+    with pytest.raises(ValidationError):
+        finite_time_exponents(toy, fld, np.zeros((2, 3)), 5)
+
+
+def test_shear_dump_orbit_equals_scalar_replay(tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "lyap.json"
+    cfg.write_text(json.dumps({
+        "experiment": "lyapunov", "matrix": CAT, "map_kind": "shear_conjugated",
+        "shear_coefficients": [0.05, -0.03], "direction": "unstable",
+        "orbit_steps": 400, "orbit_starts": 3, "dump_orbit": True,
+        "seed": 11, "output_dir": str(out),
+    }))
+    assert cli_main(["run", "--config", str(cfg)]) == 0
+    step, _ = reference_map("shear_conjugated", CAT, (0.05, -0.03))
+    starts = np.random.default_rng(11).random((3, 2))
+    expected = tmp_path / "expected.csv"
+    with expected.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["start", "step", "x0", "x1"])
+        for i, start in enumerate(starts):
+            x = tuple(start)
+            for t in range(400):
+                writer.writerow([i, t] + [repr(float(c)) for c in x])
+                x = step(x)
+    assert (out / "orbits.csv").read_bytes() == expected.read_bytes()

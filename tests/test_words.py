@@ -9,6 +9,7 @@ from unstretch import (
     BudgetError,
     CertificationError,
     GroupAutomorphism,
+    GroupContext,
     GroupElement,
     ToralMatrix,
     ValidationError,
@@ -217,6 +218,24 @@ def test_un_inclusion_small(ctx, gens, cat_matrix):
     assert rep.ok
     rep0 = check_box_inclusion_un(ctx, gens, lam, 2, 2, 0, 50, rng)
     assert rep0.ok  # N = 0 is the trivial inclusion
+
+
+def test_un_ball_is_built_once_per_context(gens, cat_matrix, monkeypatch):
+    from unstretch import words
+
+    lam = choose_lambda(cat_matrix, GroupAutomorphism.identity(2))
+    fresh = check_box_inclusion_un(
+        GroupContext(cat_matrix), gens, lam, 2, 2, 2, 40, np.random.default_rng(5)
+    )
+    radii = []
+    build = words.word_ball
+    monkeypatch.setattr(words, "word_ball", lambda c, g, r: radii.append(r) or build(c, g, r))
+    ctx = GroupContext(cat_matrix)
+    for n in (2, 2, 1, 2):
+        rep = check_box_inclusion_un(ctx, gens, lam, 2, 2, n, 40, np.random.default_rng(5))
+        if n == 2:
+            assert rep == fresh
+    assert radii == [2, 1]
 
 
 def test_inclusion_preconditions(ctx, gens, cat_matrix):
