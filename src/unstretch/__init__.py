@@ -32,11 +32,8 @@ from .group import (
     z_element,
 )
 from .suspension import (
-    CoverPoint,
     HyperbolicSplitting,
     compute_splitting,
-    embed,
-    log_distance_bound,
     log_distance_bounds,
     qi_comparison,
 )

@@ -138,29 +138,56 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _write_qi_csv(path: Path, rep: suspension.QiReport):
-    """The rows (length, bound, ratio) byte for byte as csv.writer writes
-    them: ints and float reprs, comma separated and CRLF terminated.
+# Rows of qi_r<R>.csv assembled per write.
+QI_BLOCK = 1 << 16
 
-    A row is a function of its length and the bits of its bound, and balls
-    repeat those pairs, so each distinct pair is formatted once.
+
+def _text_table(values: np.ndarray):
+    """The repr of each distinct float, formatted once, as a zero-padded
+    bytes table, and each value's row in it.
+
+    Values are told apart by their bits, so -0.0 and 0.0 keep their own
+    text; one sort finds them (np.unique hashes int64, see packed.distinct).
     """
-    lengths = rep.lengths.astype(np.int64)
-    _, bound_code = np.unique(rep.bounds.view(np.int64), return_inverse=True)
-    pairs = bound_code * (int(lengths.max()) + 1) + lengths
-    distinct, inverse = np.unique(pairs, return_inverse=True)
-    pick = np.empty(len(distinct), dtype=np.intp)
-    pick[inverse] = np.arange(len(pairs))
-    text = list(map(
-        "{},{!r},{!r}\r\n".format,
-        lengths[pick].tolist(),
-        rep.bounds[pick].tolist(),
-        rep.ratios[pick].tolist(),
-    ))
-    with path.open("w", newline="") as fh:
-        fh.write("word_length,bound,ratio\r\n")
-        for rows in np.array_split(inverse, max(1, len(inverse) >> 16)):
-            fh.write("".join(map(text.__getitem__, rows.tolist())))
+    bits = values.view(np.int64)
+    order = bits.argsort()
+    ordered = bits[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    codes = np.empty(len(values), dtype=np.intp)
+    codes[order] = np.cumsum(first) - 1
+    table = np.array(list(map(repr, values[order[first]].tolist())), dtype="S")
+    return table, codes
+
+
+def _write_qi_csvs(outdir: Path, rep: suspension.QiReport, sizes: dict):
+    """``qi_r<R>.csv`` for each radius R in ``sizes``: the first sizes[R]
+    rows (length, bound, ratio) of ``rep``, byte for byte as csv.writer
+    writes them: ints and float reprs, comma separated and CRLF terminated.
+
+    Each row is gathered from the text tables of its three columns into a
+    fixed-width, NUL-padded byte row; a block of rows drops its padding at
+    once.
+    """
+    lengths = rep.lengths.astype(np.intp)
+    columns = [
+        (np.arange(int(lengths.max()) + 1).astype("S"), lengths),
+        _text_table(rep.bounds),
+        _text_table(rep.ratios),
+    ]
+    sep = np.full((QI_BLOCK, 1), ord(","), dtype=np.uint8)
+    eol = np.tile(np.frombuffer(b"\r\n", dtype=np.uint8), (QI_BLOCK, 1))
+    for r, n in sizes.items():
+        with (outdir / f"qi_r{r}.csv").open("wb") as fh:
+            fh.write(b"word_length,bound,ratio\r\n")
+            for lo in range(0, n, QI_BLOCK):
+                m = min(n - lo, QI_BLOCK)
+                pieces = []
+                for table, codes in columns:
+                    text = table[codes[lo : lo + m]]
+                    pieces += [text.view(np.uint8).reshape(m, -1), sep[:m]]
+                pieces[-1] = eol[:m]
+                block = np.hstack(pieces)
+                fh.write(block[block != 0].tobytes())
 
 
 # ---------------------------------------------------------------- runners
@@ -287,19 +314,30 @@ def run_abelian_control(prep: Prepared, rng, outdir: Path) -> dict:
 
 def run_qi_compare(prep: Prepared, rng, outdir: Path) -> dict:
     cfg = prep.cfg
-    radii = sorted(int(r) for r in cfg.qi_radii)
+    radii = sorted({int(r) for r in cfg.qi_radii})
     if not radii:
         raise ValidationError("qi-compare needs at least one radius")
+    if radii[0] < suspension.QI_MIN_RADIUS:
+        raise ValidationError(
+            f"qi-compare radii must be at least {suspension.QI_MIN_RADIUS}, "
+            f"not {[r for r in radii if r < suspension.QI_MIN_RADIUS]}"
+        )
     split = suspension.compute_splitting(prep.matrix)
-    top = max(max(radii), cfg.bfs_radius)
-    oracle = word_ball(prep.ctx, prep.gens, top, budget=cfg.budget_elements)
-    per_radius = {}
-    reports = []
-    for r in radii:
-        rep = suspension.qi_comparison(oracle.restricted(r), split)
-        reports.append(rep)
-        _write_qi_csv(outdir / f"qi_r{r}.csv", rep)
-        per_radius[str(r)] = {
+    oracle = word_ball(
+        prep.ctx, prep.gens, max(radii[-1], cfg.bfs_radius), budget=cfg.budget_elements
+    )
+    # Each radius's ball is a breadth-first prefix of the largest one, and a
+    # row's bound does not depend on the rows around it, so the bounds are
+    # computed once and each radius reads the first ball_size(r) rows.
+    top = suspension.qi_comparison(oracle.restricted(radii[-1]), split)
+    sizes = {r: oracle.ball_size(r) for r in radii}
+    reports = [
+        suspension.qi_report(r, top.lengths[: sizes[r]], top.bounds[: sizes[r]])
+        for r in radii[:-1]
+    ] + [top]
+    _write_qi_csvs(outdir, top, sizes)
+    per_radius = {
+        str(rep.radius): {
             "q_hat": rep.q_hat,
             "fitted_slope": rep.fitted_slope,
             "intercept": rep.intercept,
@@ -307,6 +345,8 @@ def run_qi_compare(prep: Prepared, rng, outdir: Path) -> dict:
             "coverage_ok": rep.coverage_ok,
             "entries": rep.n_entries,
         }
+        for rep in reports
+    }
     stability = None
     if len(reports) >= 2:
         first, last = reports[0], reports[-1]

@@ -18,30 +18,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .group import GroupElement, ToralMatrix
+from .group import ToralMatrix
 from .words import WordLengthOracle
 
 TOL_LIN = 1e-9
 SIGMA_MARGIN = 1e-6
 # Rows per matrix product in the bound; even, so no block is a lone row.
 GEMM_ROWS = 1 << 16
-
-
-class CoverPoint(NamedTuple):
-    """A point (x, s) of the universal cover R^d x R."""
-
-    x: tuple
-    s: float
-
-
-def embed(g: GroupElement) -> CoverPoint:
-    """The standard embedding of the group into the cover: x * z^k -> (x, k)."""
-    return CoverPoint(tuple(float(v) for v in g.x), float(g.k))
+# The smallest ball whose regression the comparison trusts.
+QI_MIN_RADIUS = 6
 
 
 @dataclass(frozen=True)
@@ -158,11 +147,6 @@ def log_distance_bounds(split: HyperbolicSplitting, xs, ss) -> np.ndarray:
     )
 
 
-def log_distance_bound(split: HyperbolicSplitting, point: CoverPoint) -> float:
-    """The bound of ``log_distance_bounds`` for one point."""
-    return float(log_distance_bounds(split, [point.x], [point.s])[0])
-
-
 @dataclass
 class QiReport:
     """Word length versus cover-distance bound over a full enumerated ball."""
@@ -183,27 +167,33 @@ class QiReport:
 
 
 def qi_comparison(oracle: WordLengthOracle, split: HyperbolicSplitting) -> QiReport:
-    """Compare exact word lengths with the logarithmic cover bound.
-
-    Regresses length against bound over every oracle entry, and reports the
-    empirical constant q_hat = max(fitted slope, max length/bound ratio),
-    which by construction satisfies length <= q_hat * bound + q_hat on all
-    entries; the report records that coverage explicitly.
-    """
-    if oracle.radius < 6:
-        raise ValidationError("qi comparison needs an oracle of radius >= 6")
-    n = len(oracle)
+    """Compare exact word lengths with the logarithmic cover bound over
+    every oracle entry (see ``qi_report``)."""
+    if oracle.radius < QI_MIN_RADIUS:
+        raise ValidationError(
+            f"qi comparison needs an oracle of radius >= {QI_MIN_RADIUS}"
+        )
     xs, ks, lengths = oracle.columns()
-    bounds = log_distance_bounds(split, xs, ks)
-    lengths = lengths.astype(float)
+    return qi_report(
+        oracle.radius, lengths.astype(float), log_distance_bounds(split, xs, ks)
+    )
+
+
+def qi_report(radius: int, lengths: np.ndarray, bounds: np.ndarray) -> QiReport:
+    """The comparison over the rows (length, bound) of a ball of ``radius``.
+
+    Regresses length against bound, and reports the empirical constant
+    q_hat = max(fitted slope, max length/bound ratio), which by construction
+    satisfies length <= q_hat * bound + q_hat on all entries; the report
+    records that coverage explicitly.
+    """
     slope, intercept = np.polyfit(bounds, lengths, 1)
-    ratios = lengths / bounds
-    max_ratio = float(ratios.max())
+    max_ratio = float((lengths / bounds).max())
     q_hat = max(float(slope), max_ratio)
     coverage = bool((lengths <= q_hat * bounds + q_hat).all())
     return QiReport(
-        radius=oracle.radius,
-        n_entries=n,
+        radius=radius,
+        n_entries=len(lengths),
         q_hat=q_hat,
         fitted_slope=float(slope),
         intercept=float(intercept),

@@ -1,9 +1,21 @@
+import csv
+import io
 import json
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from unstretch import (
+    GeneratingSet,
+    GroupContext,
+    ToralMatrix,
+    compute_splitting,
+    qi_comparison,
+    word_ball,
+)
+from unstretch import experiments
 from unstretch.cli import main
 from unstretch.config import COMMON_KEYS, EXPERIMENT_NAMES, ExperimentConfig, load_config
 from unstretch.errors import CertificationError
@@ -191,6 +203,78 @@ def test_qi_compare_run(tmp_path):
     assert per["6"]["coverage_ok"] and per["7"]["coverage_ok"]
     assert summary["verdicts"]["q_hat_relative_change"] is not None
     assert (out / "qi_r6.csv").exists() and (out / "qi_r7.csv").exists()
+
+
+@pytest.mark.parametrize("block", [experiments.QI_BLOCK, 999])
+def test_qi_csvs_match_csv_writer_over_each_radius(tmp_path, monkeypatch, block):
+    # The top ball (radius 9) lies above the largest radius, and 8 repeats;
+    # 999-row blocks put block boundaries inside both files.
+    monkeypatch.setattr(experiments, "QI_BLOCK", block)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "qi", {
+        "experiment": "qi-compare", "matrix": CAT, "qi_radii": [8, 6, 8],
+        "bfs_radius": 9, "output_dir": str(out),
+    })
+    assert run_cli(cfg) == 0
+    per = read_summary(out)["verdicts"]["per_radius"]
+    assert sorted(per) == ["6", "8"]
+    matrix = ToralMatrix(CAT)
+    oracle = word_ball(GroupContext(matrix), GeneratingSet.standard(2), 9)
+    split = compute_splitting(matrix)
+    for r in (6, 8):
+        rep = qi_comparison(oracle.restricted(r), split)
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["word_length", "bound", "ratio"])
+        writer.writerows(zip(
+            rep.lengths.astype(int).tolist(), rep.bounds.tolist(), rep.ratios.tolist()
+        ))
+        assert (out / f"qi_r{r}.csv").read_bytes() == buf.getvalue().encode()
+        assert per[str(r)] == {
+            "q_hat": rep.q_hat,
+            "fitted_slope": rep.fitted_slope,
+            "intercept": rep.intercept,
+            "max_ratio": rep.max_ratio,
+            "coverage_ok": rep.coverage_ok,
+            "entries": rep.n_entries,
+        }
+
+
+def test_qi_repeated_radius_is_one_radius(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "qi", {
+        "experiment": "qi-compare", "matrix": CAT, "qi_radii": [6, 6],
+        "output_dir": str(out),
+    })
+    assert run_cli(cfg) == 0
+    verdicts = read_summary(out)["verdicts"]
+    assert list(verdicts["per_radius"]) == ["6"]
+    assert verdicts["q_hat_relative_change"] is None
+
+
+def test_qi_radius_below_six_exits_2_before_building_a_ball(
+    tmp_path, capsys, monkeypatch
+):
+    built = []
+    monkeypatch.setattr(experiments, "word_ball", lambda *a, **k: built.append(a))
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "qi", {
+        "experiment": "qi-compare", "matrix": CAT, "qi_radii": [4, 16],
+        "output_dir": str(out),
+    })
+    assert run_cli(cfg) == 2
+    assert "[4]" in capsys.readouterr().err
+    assert not out.exists()
+    assert built == []
+
+
+def test_text_table_is_repr_of_each_float():
+    values = np.array(
+        [0.0, -0.0, 1e-05, 1e16, 5e-324, 123456789.123, 1e16, -0.0, 0.0, 1e-05]
+    )
+    table, codes = experiments._text_table(values)
+    assert len(table) == 6
+    assert [table[c].decode() for c in codes] == [repr(v) for v in values.tolist()]
 
 
 def test_centralizer_run(tmp_path):

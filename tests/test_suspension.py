@@ -1,16 +1,16 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from unstretch import (
-    CoverPoint,
+    GroupElement,
+    HyperbolicSplitting,
     ToralMatrix,
     ValidationError,
     compute_splitting,
-    embed,
     lattice_element,
-    log_distance_bound,
     log_distance_bounds,
     qi_comparison,
 )
@@ -18,6 +18,23 @@ from unstretch import (
 from conftest import D3_COMPLEX, D3_REAL, D4_BLOCK
 
 LOG_LAM = math.log((3 + math.sqrt(5)) / 2)
+
+
+class CoverPoint(NamedTuple):
+    """A point (x, s) of the universal cover R^d x R."""
+
+    x: tuple
+    s: float
+
+
+def embed(g: GroupElement) -> CoverPoint:
+    """The standard embedding of the group into the cover: x * z^k -> (x, k)."""
+    return CoverPoint(tuple(float(v) for v in g.x), float(g.k))
+
+
+def log_distance_bound(split: HyperbolicSplitting, point: CoverPoint) -> float:
+    """The bound of ``log_distance_bounds`` for one point."""
+    return float(log_distance_bounds(split, [point.x], [point.s])[0])
 
 
 def test_splitting_cat(cat_matrix):
