@@ -8,7 +8,6 @@ from .autos import (
     GroupAutomorphism,
     apply_automorphism,
     enumerate_commuting_matrices,
-    inverse_automorphism,
     validate_automorphism,
 )
 from .dynamics import (

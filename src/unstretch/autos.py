@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import matrices
 from .errors import BudgetError, ValidationError
@@ -33,7 +33,7 @@ class GroupAutomorphism:
         vec = matrices.freeze_vector(v)
         if len(vec) != dim:
             raise ValidationError("translation part has wrong dimension")
-        e = int(e)
+        e = matrices._as_int(e)
         if e not in (1, -1):
             raise ValidationError("cyclic exponent e must be +1 or -1")
         return cls(B, vec, e)
@@ -83,62 +83,6 @@ def apply_automorphism(
     head = GroupElement(matrices.matvec(phi.B, g.x), 0)
     tail = ctx.power(GroupElement(phi.v, phi.e), g.k)
     return ctx.multiply(head, tail)
-
-
-def inverse_automorphism(ctx: GroupContext, phi: GroupAutomorphism) -> GroupAutomorphism:
-    """The inverse triple, solved from phi(v' * z^e) = z and validated.
-
-    The lattice part inverts exactly; the translation part is v' = -B^-1 v
-    when e = +1 and v' = B^-1 A v when e = -1 (same e in either case).
-    """
-    b_inv = matrices.inverse_unimodular(phi.B)
-    if phi.e == 1:
-        v_prime = tuple(-c for c in matrices.matvec(b_inv, phi.v))
-    else:
-        av = matrices.matvec(ctx.matrix.entries, phi.v)
-        v_prime = matrices.matvec(b_inv, av)
-    inv = GroupAutomorphism(b_inv, v_prime, phi.e)
-    require_valid(ctx.matrix, inv)
-    if apply_automorphism(ctx, phi, apply_automorphism(ctx, inv, ctx.z)) != ctx.z:
-        raise ValidationError("automorphism inversion failed self-check on z")
-    return inv
-
-
-@dataclass
-class CharacteristicReport:
-    """Evidence that the lattice subgroup is preserved by an automorphism."""
-
-    checked: int
-    violations: list
-    det_a_minus_i: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_characteristic_subgroup(
-    ctx: GroupContext,
-    phi: GroupAutomorphism,
-    samples: Sequence[GroupElement],
-) -> CharacteristicReport:
-    """Verify phi maps k = 0 elements to k = 0 elements, bijectively via B."""
-    b_inv = matrices.inverse_unimodular(phi.B)
-    violations = []
-    checked = 0
-    for g in samples:
-        flat = GroupElement(g.x, 0)
-        image = apply_automorphism(ctx, phi, flat)
-        checked += 1
-        if image.k != 0:
-            violations.append((flat, image, "left the lattice subgroup"))
-            continue
-        if matrices.matvec(b_inv, image.x) != flat.x:
-            violations.append((flat, image, "B^-1 does not undo the image"))
-    det_ami = matrices.det(
-        matrices.mat_sub(ctx.matrix.entries, matrices.identity(ctx.dim))
-    )
-    return CharacteristicReport(checked, violations, det_ami)
 
 
 def _commutation_solution_basis(A: ToralMatrix, e: int):

@@ -9,8 +9,8 @@ every key but the experiment name and the matrix has a default, so small
 configs stay small. Unknown keys are rejected with the nearest known key
 named, keys the chosen experiment does not read are rejected, and every value
 must have the type of its field, which catches typos before any computation
-starts. `to_dict` and `serialize` echo only the keys the experiment reads, and
-round-tripping is exact: parse(serialize(c)) == c.
+starts. `to_dict` echoes only the keys the experiment reads, and
+round-tripping is exact: from_dict(to_dict(c)) == c.
 """
 
 from __future__ import annotations
@@ -116,9 +116,6 @@ class ExperimentConfig:
                 )
         return cfg
 
-    def serialize(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
 
 def _check_type(key: str, value, annotation):
     """Reject a value whose JSON type does not match the field annotation;
@@ -142,7 +139,3 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config file {p} is not valid JSON: {exc}") from None
     return ExperimentConfig.from_dict(data)
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(json.loads(text))

@@ -26,10 +26,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import matrices
 from .autos import GroupAutomorphism, apply_automorphism, require_valid
 from .errors import BudgetError, CertificationError, ValidationError
-from .group import GroupContext, GroupElement, ToralMatrix
+from .group import GroupContext, GroupElement, ToralMatrix, lattice_element
 from .packed import (
     KeyLayout,
     StepTable,
@@ -298,7 +297,7 @@ def abelian_control(
         raise ValidationError(
             f"control requires a hyperbolic matrix: {A.hyperbolicity.reason}"
         )
-    seeds = [GroupElement(matrices.freeze_vector(v), 0) for v in a0]
+    seeds = [lattice_element(v) for v in a0]
     if not seeds:
         raise ValidationError("starting set must be nonempty")
     if n_rounds < 1:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from . import dynamics, lyapunov, suspension, words
+from . import dynamics, lyapunov, matrices, suspension, words
 from .autos import GroupAutomorphism, enumerate_commuting_matrices, require_valid
 from .errors import BudgetError, ValidationError
 from .group import GroupContext, GroupElement, ToralMatrix
@@ -31,11 +31,11 @@ if TYPE_CHECKING:
 def _parse_element(raw, dim: int) -> GroupElement:
     try:
         vec, k = raw
-        x = tuple(int(v) for v in vec)
-        k = int(k)
-    except (TypeError, ValueError):
+        x = matrices.freeze_vector(vec)
+        k = matrices._as_int(k)
+    except (TypeError, ValueError, ValidationError):
         raise ValidationError(
-            f"element {raw!r} is not of the form [[x1, ..., xd], k]"
+            f"element {raw!r} is not of the form [[x1, ..., xd], k] with integer entries"
         ) from None
     if len(x) != dim:
         raise ValidationError(f"element {raw!r} has dimension {len(x)}, expected {dim}")
@@ -88,6 +88,15 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
         raise ValidationError("word-length experiment needs a nonempty 'elements' list")
     if "map_kind" in info.keys:
         _toy_map(cfg, matrix)  # raises on bad kind/direction combinations
+    if cfg.direction == "stable":
+        limit = lyapunov.stable_step_limit(matrix)
+        for key in ("orbit_steps", "birkhoff_steps"):
+            steps = getattr(cfg, key)
+            if key in info.keys and steps > limit:
+                raise ValidationError(
+                    f"config key {key!r} is {steps}, above {limit}, the most "
+                    "steps a stable-direction run keeps within float accuracy"
+                )
     if cfg.orbit_starts < 1:
         raise ValidationError(
             f"config key 'orbit_starts' must be at least 1, not {cfg.orbit_starts}"

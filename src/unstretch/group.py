@@ -94,11 +94,6 @@ class ToralMatrix:
         return np.linalg.eigvals(self.as_array())
 
     @cached_property
-    def eigen(self) -> list:
-        """(modulus, is_stable) per eigenvalue; is_stable means modulus < 1."""
-        return [(float(abs(ev)), bool(abs(ev) < 1.0)) for ev in self.eigenvalues]
-
-    @cached_property
     def op_norm(self) -> float:
         return float(np.linalg.norm(self.as_array(), 2))
 
@@ -115,30 +110,20 @@ class ToralMatrix:
         return self.hyperbolicity.hyperbolic
 
 
-def check_hyperbolic(matrix) -> HyperbolicityReport:
+def check_hyperbolic(matrix: ToralMatrix) -> HyperbolicityReport:
     """Certify that no eigenvalue sits on the unit circle.
 
-    Accepts a ToralMatrix or raw rows. The verdict combines the numeric
-    eigenvalue moduli (tolerance TOL_EIG) with two exact integer safety nets:
-    det(A - I) != 0 and det(A + I) != 0 rule out eigenvalues +-1 exactly.
-    Non-square input is an error, not a verdict.
+    The verdict combines the numeric eigenvalue moduli (tolerance TOL_EIG)
+    with two exact integer safety nets: det(A - I) != 0 and det(A + I) != 0
+    rule out eigenvalues +-1 exactly.
     """
-    if isinstance(matrix, ToralMatrix):
-        entries = matrix.entries
-    else:
-        entries = matrices.freeze_matrix(matrix)
-        matrices.require_square(entries)
-    d = matrices.det(entries)
-    if d not in (1, -1):
-        return HyperbolicityReport(False, f"determinant is {d}, not +-1")
-    moduli = np.abs(np.linalg.eigvals(np.array(entries, dtype=float)))
-    for m in moduli:
+    entries = matrix.entries
+    for m in np.abs(matrix.eigenvalues):
         if abs(m - 1.0) <= TOL_EIG:
             return HyperbolicityReport(
                 False, f"eigenvalue modulus {m!r} is within {TOL_EIG} of 1"
             )
-    n = len(entries)
-    ident = matrices.identity(n)
+    ident = matrices.identity(matrix.dim)
     if matrices.det(matrices.mat_sub(entries, ident)) == 0:
         return HyperbolicityReport(False, "det(A - I) = 0, eigenvalue 1 present")
     if matrices.det(matrices.mat_add(entries, ident)) == 0:
@@ -228,9 +213,6 @@ class GroupContext:
         for _ in range(abs(n)):
             out = self.multiply(out, base)
         return out
-
-    def conjugate(self, g: GroupElement, by: GroupElement) -> GroupElement:
-        return self.multiply(self.multiply(by, g), self.inverse(by))
 
 
 @dataclass(frozen=True)

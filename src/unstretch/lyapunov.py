@@ -33,6 +33,8 @@ from .errors import ValidationError
 from .group import ToralMatrix
 
 TOL_DIRECTION = 1e-9
+# Off-line drift a stable-direction run may reach (``stable_step_limit``).
+STABLE_ERROR = 1e-6
 # Rows (orbit lanes or Monte Carlo samples) per array step: bounds the
 # temporaries, whatever the number of starts or samples.
 BLOCK = 1024
@@ -218,6 +220,20 @@ def eigen_direction(matrix: ToralMatrix, which: str = "unstable") -> DirectionFi
     if lead < 0:
         v = -v
     return DirectionField.constant(tuple(v))
+
+
+def stable_step_limit(matrix: ToralMatrix) -> float:
+    """The most steps a stable-direction run takes before rounding sets its
+    estimate. Pushing forward along the stable line is float-repelling: a
+    step's 2^-52 relative rounding leaves a component off the line that grows
+    by max|lambda| / min|lambda| per step against the line, so the limit is
+    the largest n with 2^-52 (max|lambda| / min|lambda|)^n <= STABLE_ERROR,
+    and infinite when all moduli are equal."""
+    moduli = np.abs(matrix.eigenvalues)
+    growth = math.log(moduli.max() / moduli.min())
+    if growth <= 0:
+        return math.inf
+    return math.floor(math.log(STABLE_ERROR / 2.0**-52) / growth)
 
 
 def shear_conjugated_eigen(

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ValidationError
 
 IntMatrix = tuple  # tuple of row tuples, all entries int
@@ -37,16 +39,10 @@ def freeze_vector(values: Sequence[int]) -> IntVector:
 
 
 def _as_int(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, (int,)):
-        # numpy integers slip through isinstance(int) on some platforms; accept
-        # anything that converts losslessly.
-        try:
-            iv = int(v)
-        except (TypeError, ValueError):
-            raise ValidationError(f"matrix entry {v!r} is not an integer") from None
-        if iv != v:
-            raise ValidationError(f"matrix entry {v!r} is not an integer")
-        return iv
+    """An int or numpy integer as an int. Anything else, a bool or a float
+    included, is rejected rather than truncated."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValidationError(f"entry {v!r} is not an integer")
     return int(v)
 
 

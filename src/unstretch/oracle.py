@@ -11,32 +11,22 @@ what the layout holds instead of wrapping.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .group import GeneratingSet, GroupContext, GroupElement, ToralMatrix
-from .packed import KeyLayout, element_columns, find, next_layer, translate_steps
+from .group import GeneratingSet, GroupContext, GroupElement
+from .packed import element_columns, find, next_layer, translate_steps
 
 # Element-count cap for ball/neighborhood construction. Growth is exponential,
 # so this bounds memory, not accuracy; results below the cap are exact.
 DEFAULT_ELEMENT_BUDGET = 50_000_000
 
-ORACLE_FORMAT_VERSION = 1
-
 # Oracle lengths are stored as uint8.
 MAX_ORACLE_RADIUS = 255
-# Rows per block when oracle keys are decoded into Python objects or text.
+# Rows per block when oracle keys are decoded into Python objects.
 _CHUNK = 1 << 16
-
-
-def _check_radius(radius: int):
-    if radius > MAX_ORACLE_RADIUS:
-        raise ValidationError(
-            f"radius {radius} exceeds {MAX_ORACLE_RADIUS}, the largest uint8 length"
-        )
 
 
 class WordLengthOracle:
@@ -101,9 +91,6 @@ class WordLengthOracle:
         out[fits] = found
         return out
 
-    def __contains__(self, g):
-        return self.word_length(g) is not None
-
     def __len__(self):
         return len(self.keys)
 
@@ -118,18 +105,13 @@ class WordLengthOracle:
         xs, ks = self.layout.unpack(self.keys)
         return xs, ks, self._length_column()
 
-    def _blocks(self):
-        """Coordinates, exponents and lengths of successive blocks of keys."""
+    def items(self) -> Iterator[tuple]:
+        """(element, length) pairs in breadth-first order."""
         lengths = self._length_column()
         for lo in range(0, len(self), _CHUNK):
             xs, ks = self.layout.unpack(self.keys[lo : lo + _CHUNK])
-            yield xs, ks, lengths[lo : lo + _CHUNK]
-
-    def items(self) -> Iterator[tuple]:
-        """(element, length) pairs in breadth-first order."""
-        for xs, ks, lengths in self._blocks():
             elements = map(GroupElement, map(tuple, xs.tolist()), ks.tolist())
-            yield from zip(elements, lengths.tolist())
+            yield from zip(elements, lengths[lo : lo + _CHUNK].tolist())
 
     def elements(self) -> Iterator[GroupElement]:
         return (g for g, _ in self.items())
@@ -159,61 +141,6 @@ class WordLengthOracle:
             index=(self._sorted_keys, self._sorted_lengths),
         )
 
-    def save(self, path):
-        """Versioned text snapshot: header line, then one element per line
-        ("x_1 ... x_d k length") in breadth-first order."""
-        p = Path(path)
-        line = " ".join(["{}"] * (self.ctx.dim + 2)) + "\n"
-        with p.open("w") as fh:
-            fh.write(
-                f"unstretch-oracle v{ORACLE_FORMAT_VERSION} "
-                f"dim={self.ctx.dim} radius={self.radius}\n"
-            )
-            fh.write(
-                "matrix " + " ".join(
-                    str(v) for row in self.ctx.matrix.entries for v in row
-                ) + "\n"
-            )
-            for xs, ks, lengths in self._blocks():
-                cols = (*xs.T.tolist(), ks.tolist(), lengths.tolist())
-                fh.write("".join(map(line.format, *cols)))
-
-    @classmethod
-    def load(cls, path) -> "WordLengthOracle":
-        p = Path(path)
-        with p.open() as fh:
-            header = fh.readline().split()
-            if len(header) < 4 or header[0] != "unstretch-oracle":
-                raise ValidationError(f"{p} is not an oracle snapshot")
-            if header[1] != f"v{ORACLE_FORMAT_VERSION}":
-                raise ValidationError(f"unsupported oracle format {header[1]}")
-            dim = int(header[2].split("=")[1])
-            radius = int(header[3].split("=")[1])
-            mline = fh.readline().split()
-            vals = list(map(int, mline[1:]))
-            rows = [vals[i * dim : (i + 1) * dim] for i in range(dim)]
-            ctx = GroupContext(ToralMatrix(rows))
-            body = fh.read().split()
-        try:
-            data = np.array([int(v) for v in body], dtype=np.int64)
-        except OverflowError:
-            raise ValidationError(f"{p} holds an entry beyond int64") from None
-        if data.size % (dim + 2):
-            raise ValidationError(f"{p} has a truncated element line")
-        data = data.reshape(-1, dim + 2)
-        lengths = data[:, dim + 1]
-        if len(lengths) and (
-            lengths[0] < 0 or lengths[-1] > radius or (np.diff(lengths) < 0).any()
-        ):
-            raise ValidationError(f"{p} is not in breadth-first order within radius {radius}")
-        _check_radius(radius)
-        layout = KeyLayout(dim, radius)
-        keys, fits = layout.pack(data[:, :dim], data[:, dim])
-        if not fits.all():
-            raise ValidationError(f"{p} holds an element outside the int64 key layout")
-        sphere = np.bincount(lengths, minlength=radius + 1).tolist()
-        return cls(ctx, GeneratingSet.standard(dim), radius, layout, keys, sphere)
-
 
 def word_ball(
     ctx: GroupContext,
@@ -235,7 +162,10 @@ def word_ball(
     """
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
-    _check_radius(radius)
+    if radius > MAX_ORACLE_RADIUS:
+        raise ValidationError(
+            f"radius {radius} exceeds {MAX_ORACLE_RADIUS}, the largest uint8 length"
+        )
     table = translate_steps(ctx, gens.all, radius)
     layout = table.layout
     n_gens = len(gens.all)

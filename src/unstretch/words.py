@@ -30,6 +30,10 @@ from .oracle import DEFAULT_ELEMENT_BUDGET, WordLengthOracle, word_ball  # noqa:
 from .packed import KeyLayout, element_columns, pack_elements, spread, translate_steps
 
 _INT64_MAX = (1 << 63) - 1
+# choose_lambda bounds ||A^i v||^(1/i) for 2 < i <= I_MAX.
+I_MAX = 50
+# Share of sample_box's draws placed near the norm boundary.
+BOUNDARY_FRACTION = 0.3
 
 
 def neighborhood(
@@ -168,11 +172,11 @@ class BoxSet:
         return self.lam ** self.ell
 
 
-def choose_lambda(A: ToralMatrix, phi, i_max: int = 50) -> Fraction:
+def choose_lambda(A: ToralMatrix, phi) -> Fraction:
     """Smallest hundredth strictly above every scale the box lemmas need.
 
     The binding quantities are max(2, ||A||, ||A^-1||, ||B||, ||B^-1||,
-    ||v|| + ||A v|| - 1, and ||A^i v||^(1/i) over 2 < i <= i_max). The choice
+    ||v|| + ||A v|| - 1, and ||A^i v||^(1/i) over 2 < i <= I_MAX). The choice
     is checked against the strict forms of all the conditions, and a failed
     check raises CertificationError; ||A^i v|| < lam^i is checked exactly, as
     |A^i v|^2 q^(2i) < p^(2i) for lam = p/q.
@@ -182,10 +186,10 @@ def choose_lambda(A: ToralMatrix, phi, i_max: int = 50) -> Fraction:
     needs = [2.0, A.op_norm, A.op_norm_inv,
              float(np.linalg.norm(b_arr, 2)), float(np.linalg.norm(b_inv, 2))]
     v_norm = math.sqrt(sum(c * c for c in phi.v))
-    norms_sq = []  # |A^i v|^2 for i = 1..i_max, exact
+    norms_sq = []  # |A^i v|^2 for i = 1..I_MAX, exact
     if v_norm > 0:
         w = tuple(phi.v)
-        for _ in range(i_max):
+        for _ in range(I_MAX):
             w = matrices.matvec(A.entries, w)
             norms_sq.append(sum(c * c for c in w))
         needs.append(v_norm + math.sqrt(norms_sq[0]) - 1.0)
@@ -220,7 +224,6 @@ def sample_box(
     box: BoxSet,
     dim: int,
     count: int,
-    boundary_fraction: float = 0.3,
 ) -> list:
     """Sample elements of a box: random interior plus near-boundary points.
 
@@ -242,7 +245,7 @@ def sample_box(
             if box.contains(g):
                 out.append(g)
 
-    interior(count - int(count * boundary_fraction))
+    interior(count - int(count * BOUNDARY_FRACTION))
     target = float(box.norm_bound())
     attempts = 0
     while len(out) < count and attempts < 50 * count:

@@ -89,12 +89,13 @@ def test_word_length_requires_elements(tmp_path):
 
 def test_malformed_matrix_exits_2_without_outputs(tmp_path):
     out = tmp_path / "nope"
-    cfg = write_cfg(tmp_path, "bad", {
-        "experiment": "ball-census", "matrix": [[2, 1, 0], [1, 1]],
-        "output_dir": str(out),
-    })
-    assert run_cli(cfg) == 2
-    assert not out.exists()
+    for matrix in ([[2, 1, 0], [1, 1]], [[2, True], [1, 1]]):
+        cfg = write_cfg(tmp_path, "bad", {
+            "experiment": "ball-census", "matrix": matrix,
+            "output_dir": str(out),
+        })
+        assert run_cli(cfg) == 2
+        assert not out.exists()
 
 
 def test_non_hyperbolic_matrix_exits_2(tmp_path):
@@ -451,6 +452,14 @@ def test_certification_failure_in_prepare_exits_4(tmp_path, monkeypatch):
     {"experiment": "abelian-control", "k_max": -1},
     {"experiment": "lyapunov", "orbit_starts": 0},
     {"experiment": "lyapunov", "orbit_starts": -3},
+    {"experiment": "word-length", "elements": [[[0.5, 1.9], 0]]},
+    {"experiment": "word-length", "elements": [[[True, 0], 0]]},
+    {"experiment": "set-dynamics", "a0": [[[0.7, 0], 0]]},
+    {"experiment": "box-lemmas", "automorphism": {"b": CAT, "v": [0, 0], "e": 1.5}},
+    {"experiment": "abelian-control", "control_a0": [[True, 0], [1, 0]]},
+    # Past the float horizon of a stable-direction run: 11 steps on the cat map.
+    {"experiment": "lyapunov", "orbit_steps": 12, "direction": "stable"},
+    {"experiment": "birkhoff", "birkhoff_steps": 12, "direction": "stable"},
 ], ids=lambda d: next(f"{k}={v}" for k, v in d.items() if k != "experiment"))
 def test_validation_failure_leaves_no_output_directory(tmp_path, capsys, data):
     out = tmp_path / "runs" / "out"

@@ -1,7 +1,13 @@
+import json
+
 import pytest
 
-from unstretch.config import ExperimentConfig, load_config, parse_config
+from unstretch.config import ExperimentConfig, load_config
 from unstretch.errors import ValidationError
+
+
+def round_trip(cfg):
+    return ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
 
 
 def minimal(experiment="ball-census", **extra):
@@ -12,7 +18,7 @@ def minimal(experiment="ball-census", **extra):
 
 def test_round_trip_minimal():
     cfg = ExperimentConfig.from_dict(minimal())
-    again = parse_config(cfg.serialize())
+    again = round_trip(cfg)
     assert again == cfg
 
 
@@ -28,7 +34,7 @@ def test_round_trip_full():
             notes="annotated",
         )
     )
-    assert parse_config(cfg.serialize()) == cfg
+    assert round_trip(cfg) == cfg
 
 
 def test_unknown_key_is_named():
@@ -64,5 +70,5 @@ def test_load_config_bad_json(tmp_path):
 def test_load_config_round_trip_file(tmp_path):
     cfg = ExperimentConfig.from_dict(minimal(seed=3, bfs_radius=2))
     p = tmp_path / "cfg.json"
-    p.write_text(cfg.serialize())
+    p.write_text(json.dumps(cfg.to_dict()))
     assert load_config(p) == cfg

@@ -62,14 +62,14 @@ def test_normal_form_uniqueness():
 
 
 def test_check_hyperbolic_verdicts():
-    assert check_hyperbolic(CAT).hyperbolic
-    rot = check_hyperbolic([[0, 1], [-1, 0]])
+    assert check_hyperbolic(ToralMatrix(CAT)).hyperbolic
+    rot = check_hyperbolic(ToralMatrix([[0, 1], [-1, 0]]))
     assert not rot.hyperbolic
-    parabolic = check_hyperbolic([[1, 1], [0, 1]])
+    parabolic = check_hyperbolic(ToralMatrix([[1, 1], [0, 1]]))
     assert not parabolic.hyperbolic
-    assert check_hyperbolic(D3_REAL).hyperbolic
+    assert check_hyperbolic(ToralMatrix(D3_REAL)).hyperbolic
     with pytest.raises(ValidationError):
-        check_hyperbolic([[1, 0, 0], [0, 1, 0]])
+        check_hyperbolic(ToralMatrix([[1, 0, 0], [0, 1, 0]]))
 
 
 def test_non_unimodular_matrix_rejected():
@@ -78,11 +78,11 @@ def test_non_unimodular_matrix_rejected():
 
 
 def test_eigen_data(cat_matrix):
-    mods = sorted(m for m, _ in cat_matrix.eigen)
+    mods = sorted(abs(ev) for ev in cat_matrix.eigenvalues)
     lam = (3 + np.sqrt(5)) / 2
     assert abs(mods[1] - lam) < 1e-12
     assert abs(mods[0] - 1 / lam) < 1e-12
-    stable_flags = sorted(s for _, s in cat_matrix.eigen)
+    stable_flags = sorted(bool(abs(ev) < 1.0) for ev in cat_matrix.eigenvalues)
     assert stable_flags == [False, True]
     assert abs(cat_matrix.op_norm - lam) < 1e-12  # symmetric matrix
 

@@ -19,6 +19,7 @@ from unstretch.lyapunov import (
     orbits,
     shear_conjugated,
     shear_conjugated_eigen,
+    stable_step_limit,
     suspension_time_one,
 )
 
@@ -188,6 +189,13 @@ def test_stable_exponent_short_run(cat_matrix):
     fld = eigen_direction(cat_matrix, "stable")
     val = finite_time_exponent(toy, fld, (0.2, 0.7), 10)
     assert abs(val + LOG_LAM) < 1e-6
+
+
+def test_stable_step_limit(cat_matrix):
+    # 2^-52 * 6.854^11 = 3.5e-7 <= 1e-6 < 2^-52 * 6.854^12 = 2.4e-6; equal moduli
+    # give the off-line drift no growth, hence no limit.
+    assert stable_step_limit(cat_matrix) == 11
+    assert stable_step_limit(ToralMatrix([[1, 1], [0, 1]])) == math.inf
 
 
 def test_time_reversal_identity(cat_matrix):

@@ -17,7 +17,6 @@ from unstretch import (
     GroupElement,
     ToralMatrix,
     ValidationError,
-    WordLengthOracle,
     word_ball,
 )
 
@@ -50,17 +49,6 @@ def reference_ball(ctx, gens, radius) -> dict:
     return table
 
 
-def reference_save(ctx, radius, table, path):
-    """The snapshot format, written line by line from the reference table."""
-    with open(path, "w") as fh:
-        fh.write(f"unstretch-oracle v1 dim={ctx.dim} radius={radius}\n")
-        fh.write(
-            "matrix " + " ".join(str(v) for row in ctx.matrix.entries for v in row) + "\n"
-        )
-        for g, n in table.items():
-            fh.write(" ".join(map(str, g.x)) + f" {g.k} {n}\n")
-
-
 @pytest.mark.parametrize("rows, radius", [(CAT, 10), (D3_REAL, 5)])
 def test_packed_ball_matches_dict_search(rows, radius):
     ctx = GroupContext(ToralMatrix(rows))
@@ -71,19 +59,6 @@ def test_packed_ball_matches_dict_search(rows, radius):
     sizes = np.bincount(list(reference.values())).tolist()
     assert oracle.sphere_sizes == sizes
     assert len(oracle) == len(reference)
-
-
-def test_snapshot_is_byte_identical_and_round_trips(tmp_path, ctx, gens):
-    oracle = word_ball(ctx, gens, 10)
-    ours, theirs = tmp_path / "packed.txt", tmp_path / "reference.txt"
-    oracle.save(ours)
-    reference_save(ctx, 10, reference_ball(ctx, gens, 10), theirs)
-    assert ours.read_bytes() == theirs.read_bytes()
-    loaded = WordLengthOracle.load(ours)
-    assert loaded.radius == 10
-    assert loaded.sphere_sizes == oracle.sphere_sizes
-    assert list(loaded.items()) == list(oracle.items())
-    assert np.array_equal(loaded.keys, oracle.keys)
 
 
 @pytest.mark.parametrize("block", [1 << 16, 97])

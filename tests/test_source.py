@@ -6,6 +6,11 @@ from pathlib import Path
 import unstretch
 
 PACKAGE = Path(unstretch.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
 
 
 def test_library_has_no_assert_statements():
@@ -13,7 +18,49 @@ def test_library_has_no_assert_statements():
     # one silently disappears; checks must raise package errors instead.
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in the package: {found}"
+
+
+def _public_definitions(tree):
+    """Public top-level functions and classes, and public methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name
+
+
+def _references(tree, strings=False):
+    """Names a module uses: as names, attributes, import aliases and, if
+    ``strings``, string constants."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+            if node.asname:
+                yield node.asname
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # A public function, class or method that only the tests call is API
+    # kept for its own sake. The benchmark patches names by string, so its
+    # string constants count as callers too.
+    modules = sorted(PACKAGE.glob("*.py"))
+    defined = {name for p in modules for name in _public_definitions(_parse(p))}
+    used = {
+        name for p in modules if p.name != "__init__.py" for name in _references(_parse(p))
+    }
+    for p in PERFBENCH.glob("*.py"):
+        used.update(_references(_parse(p), strings=True))
+    unused = sorted(defined - used)
+    assert not unused, f"public names with no caller outside the tests: {unused}"

@@ -60,7 +60,7 @@ def test_splitting_complex_pair():
     # one real expanding direction, a complex contracting pair
     assert split.unstable_basis.shape == (3, 1)
     assert split.stable_basis.shape == (3, 2)
-    mods = sorted(mod for mod, _ in m.eigen)
+    mods = sorted(abs(ev) for ev in m.eigenvalues)
     # the complex pair is the slow rate: sigma = |log 0.8689| - margin
     assert abs(split.sigma - (-math.log(mods[0]) - 1e-6)) < 1e-9
     res = split.residuals(m)

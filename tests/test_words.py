@@ -325,16 +325,6 @@ def test_inclusion_sample_outside_the_key_layout_raises(ctx, gens, cat_matrix, c
             check_box_inclusion_phi(ctx, phi, lam, 25, 2, 20, rng)
 
 
-def test_oracle_save_load_roundtrip(tmp_path, ctx, gens):
-    oracle = word_ball(ctx, gens, 3)
-    path = tmp_path / "oracle.txt"
-    oracle.save(path)
-    loaded = WordLengthOracle.load(path)
-    assert loaded.radius == 3
-    assert dict(loaded.items()) == dict(oracle.items())
-    assert loaded.sphere_sizes == oracle.sphere_sizes
-
-
 def test_oracle_restriction(oracle6):
     small = oracle6.restricted(2)
     assert small.radius == 2
