@@ -19,6 +19,9 @@ from . import matrices
 from .errors import BudgetError, ValidationError
 from .group import GroupContext, GroupElement, ToralMatrix
 
+# Most entry combinations a centralizer scan visits.
+CENTRALIZER_BUDGET = 10_000_000
+
 
 @dataclass(frozen=True)
 class GroupAutomorphism:
@@ -146,7 +149,6 @@ def enumerate_commuting_matrices(
     A: ToralMatrix,
     e: int,
     bound: int = 8,
-    budget: int = 10_000_000,
 ) -> list:
     """All B in GL(d, Z) with entries in [-bound, bound] and A^e B = B A.
 
@@ -162,9 +164,9 @@ def enumerate_commuting_matrices(
     d = A.dim
     free, express = _commutation_solution_basis(A, e)
     combos = (2 * bound + 1) ** len(free)
-    if combos > budget:
+    if combos > CENTRALIZER_BUDGET:
         raise BudgetError(
-            f"centralizer scan needs {combos} combinations, budget is {budget}"
+            f"centralizer scan needs {combos} combinations, budget is {CENTRALIZER_BUDGET}"
         )
     results = []
     nvars = d * d

@@ -136,7 +136,6 @@ def iterate_once(
     phi: GroupAutomorphism,
     n_rounds: int,
     current: Iterable[GroupElement],
-    budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> set:
     """One step of the iteration: U_N applied to the automorphism image.
 
@@ -150,7 +149,8 @@ def iterate_once(
     image = _map_keys(
         layout, keys, phi.B, _automorphism_shift(ctx, phi), phi.e, "iteration"
     )
-    return set(layout.elements(spread(np.sort(image), n_rounds, table, budget, "iteration")))
+    keys = spread(np.sort(image), n_rounds, table, DEFAULT_ELEMENT_BUDGET, "iteration")
+    return set(layout.elements(keys))
 
 
 class CurvePoint(NamedTuple):

@@ -56,11 +56,17 @@ class Prepared:
     ctx: GroupContext | None = None
     gens: GeneratingSet | None = None
     iteration: dynamics.IterationConfig | None = None
+    elements: list[GroupElement] | None = None
+    toy: lyapunov.ToyMap | None = None
+    field: lyapunov.DirectionField | None = None
 
 
 def prepare(cfg: ExperimentConfig) -> Prepared:
     """Validate every precondition the chosen experiment relies on."""
-    matrix = ToralMatrix(cfg.matrix)
+    try:
+        matrix = ToralMatrix(cfg.matrix)
+    except ValidationError as exc:
+        raise ValidationError(f"config key 'matrix': {exc}") from None
     if cfg.automorphism is None:
         phi = GroupAutomorphism.identity(matrix.dim)
     else:
@@ -68,9 +74,12 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
         extra = set(spec) - {"b", "v", "e"}
         if extra:
             raise ValidationError(f"automorphism has unknown keys {sorted(extra)}")
-        phi = GroupAutomorphism.from_parts(
-            spec["b"], spec.get("v", [0] * matrix.dim), spec.get("e", 1)
-        )
+        try:
+            phi = GroupAutomorphism.from_parts(
+                spec["b"], spec.get("v", [0] * matrix.dim), spec.get("e", 1)
+            )
+        except ValidationError as exc:
+            raise ValidationError(f"config key 'automorphism': {exc}") from None
     prep = Prepared(cfg, matrix, phi)
     info = REGISTRY[cfg.experiment]
     if info.context:
@@ -84,10 +93,14 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
             prep.ctx, phi, cfg.neighborhood_n, a0,
             cfg.k_max, choose_lambda(matrix, phi), cfg.ell0, cfg.h0,
         )
-    if cfg.experiment == "word-length" and not cfg.elements:
-        raise ValidationError("word-length experiment needs a nonempty 'elements' list")
+    if cfg.experiment == "word-length":
+        if not cfg.elements:
+            raise ValidationError("word-length experiment needs a nonempty 'elements' list")
+        prep.elements = [_parse_element(raw, matrix.dim) for raw in cfg.elements]
     if "map_kind" in info.keys:
-        _toy_map(cfg, matrix)  # raises on bad kind/direction combinations
+        prep.toy, prep.field = lyapunov.toy_system(
+            matrix, cfg.map_kind, cfg.direction, cfg.shear_coefficients
+        )
     if cfg.direction == "stable":
         limit = lyapunov.stable_step_limit(matrix)
         for key in ("orbit_steps", "birkhoff_steps"):
@@ -102,37 +115,6 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
             f"config key 'orbit_starts' must be at least 1, not {cfg.orbit_starts}"
         )
     return prep
-
-
-def _toy_map(cfg: ExperimentConfig, matrix: ToralMatrix):
-    kind = cfg.map_kind
-    if kind == "linear_toral":
-        toy = lyapunov.linear_toral(matrix)
-    elif kind == "suspension_time_one":
-        toy = lyapunov.suspension_time_one(matrix)
-    elif kind == "shear_conjugated":
-        toy = lyapunov.shear_conjugated(matrix, cfg.shear_coefficients)
-    else:
-        raise ValidationError(f"unknown map kind {kind!r}")
-    direction = cfg.direction
-    if direction == "flow":
-        if kind != "suspension_time_one":
-            raise ValidationError("flow direction requires the suspension map")
-        fld = lyapunov.DirectionField.flow_direction(toy.dim)
-    elif direction in ("unstable", "stable"):
-        if kind == "shear_conjugated":
-            fld = lyapunov.shear_conjugated_eigen(
-                matrix, cfg.shear_coefficients, direction
-            )
-        elif kind == "suspension_time_one":
-            base = lyapunov.eigen_direction(matrix, direction)
-            vec = base((0.0,) * matrix.dim) + (0.0,)
-            fld = lyapunov.DirectionField.constant(vec)
-        else:
-            fld = lyapunov.eigen_direction(matrix, direction)
-    else:
-        raise ValidationError(f"unknown direction {direction!r}")
-    return toy, fld
 
 
 def _write_csv(path: Path, header, rows):
@@ -224,8 +206,7 @@ def run_word_length(prep: Prepared, rng, outdir: Path) -> dict:
     cfg = prep.cfg
     oracle = word_ball(prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements)
     rows = []
-    for raw in cfg.elements:
-        g = _parse_element(raw, prep.matrix.dim)
+    for g in prep.elements:
         n = oracle.word_length(g)
         status = "exact" if n is not None else "gt_radius"
         value = n if n is not None else oracle.radius
@@ -384,9 +365,9 @@ def run_centralizer(prep: Prepared, rng, outdir: Path) -> dict:
 
 def run_lyapunov(prep: Prepared, rng, outdir: Path) -> dict:
     cfg = prep.cfg
-    toy, fld = _toy_map(cfg, prep.matrix)
+    toy = prep.toy
     starts = rng.random((cfg.orbit_starts, toy.dim))
-    arr = lyapunov.finite_time_exponents(toy, fld, starts, cfg.orbit_steps)
+    arr = lyapunov.finite_time_exponents(toy, prep.field, starts, cfg.orbit_steps)
     half_width = (
         float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
     )
@@ -413,9 +394,8 @@ def run_lyapunov(prep: Prepared, rng, outdir: Path) -> dict:
 
 def run_birkhoff(prep: Prepared, rng, outdir: Path) -> dict:
     cfg = prep.cfg
-    toy, fld = _toy_map(cfg, prep.matrix)
     rep = lyapunov.birkhoff_consistency(
-        toy, fld, cfg.birkhoff_starts, cfg.birkhoff_steps, rng
+        prep.toy, prep.field, cfg.birkhoff_starts, cfg.birkhoff_steps, rng
     )
     return asdict(rep)
 

@@ -46,8 +46,8 @@ def lattice_element(x: Sequence[int]) -> GroupElement:
     return GroupElement(matrices.freeze_vector(x), 0)
 
 
-def z_element(dim: int, k: int = 1) -> GroupElement:
-    return GroupElement((0,) * dim, int(k))
+def z_element(dim: int) -> GroupElement:
+    return GroupElement((0,) * dim, 1)
 
 
 class HyperbolicityReport(NamedTuple):
@@ -139,8 +139,6 @@ class GroupContext:
     """
 
     def __init__(self, matrix: ToralMatrix):
-        if not isinstance(matrix, ToralMatrix):
-            matrix = ToralMatrix(matrix)
         rep = matrix.hyperbolicity
         if not rep.hyperbolic:
             raise ValidationError(f"defining matrix is not hyperbolic: {rep.reason}")

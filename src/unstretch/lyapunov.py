@@ -7,7 +7,8 @@ the torus, the time-one map of their suspension (flow coordinate last), and
 shear conjugates h o A o h^-1 of a linear automorphism, where h is a
 closed-form trigonometric shear with unit Jacobian determinant. Conjugation
 keeps the invariant line fields in closed form, which is what makes the
-time-average versus space-average comparison well posed.
+time-average versus space-average comparison well posed. ``toy_system`` is
+the one table that pairs a map kind with a direction and its line field.
 
 Orbits and cocycles run on lanes: each map has one array step that advances
 m points and pushes a tangent vector at each, so all orbit starts move in
@@ -72,16 +73,6 @@ def _lengths(coords, out=None):
     return out
 
 
-def _unit(vectors: np.ndarray, message: str) -> np.ndarray:
-    """The rows of an (m, d) array scaled to unit length; raises
-    ``ValidationError(message)`` if any is shorter than ``TOL_DIRECTION``."""
-    coords = vectors.T
-    lengths = _lengths(coords)
-    if (lengths < TOL_DIRECTION).any():
-        raise ValidationError(message)
-    return (coords / lengths).T
-
-
 @dataclass(frozen=True)
 class ToyMap:
     """A torus map with closed-form differential, acting on lanes.
@@ -93,10 +84,8 @@ class ToyMap:
     coordinate rows.
     """
 
-    kind: str
     dim: int
     advance: Callable
-    volume_preserving: bool = True
 
 
 def linear_toral(matrix: ToralMatrix) -> ToyMap:
@@ -106,7 +95,7 @@ def linear_toral(matrix: ToralMatrix) -> ToyMap:
     def advance(points, dirs=None):
         return _matvec(rows, points, mod=True), None if dirs is None else _matvec(rows, dirs)
 
-    return ToyMap("linear_toral", matrix.dim, advance)
+    return ToyMap(matrix.dim, advance)
 
 
 def suspension_time_one(matrix: ToralMatrix) -> ToyMap:
@@ -123,7 +112,7 @@ def suspension_time_one(matrix: ToralMatrix) -> ToyMap:
         images = _matvec(rows, points, mod=True) + [points[d]]
         return images, None if dirs is None else _matvec(rows, dirs) + [dirs[d]]
 
-    return ToyMap("suspension_time_one", d + 1, advance)
+    return ToyMap(d + 1, advance)
 
 
 def _shear_profile(coefficients: Sequence[float]):
@@ -174,7 +163,7 @@ def shear_conjugated(matrix: ToralMatrix, coefficients: Sequence[float]) -> ToyM
         w[0] = w[0] + s_w
         return [c % 1.0 for c in w], pushed
 
-    return ToyMap("shear_conjugated", d, advance)
+    return ToyMap(d, advance)
 
 
 @dataclass(frozen=True)
@@ -188,15 +177,15 @@ class DirectionField:
     evaluator: Callable
 
     def at(self, points: np.ndarray) -> np.ndarray:
-        """Unit vectors at the rows of ``points``, as an (m, d) array."""
-        vectors = np.broadcast_to(
+        """Unit vectors at the rows of ``points``, as an (m, d) array; raises
+        ValidationError if any is shorter than ``TOL_DIRECTION``."""
+        coords = np.broadcast_to(
             np.asarray(self.evaluator(points), dtype=float), points.shape
-        )
-        return _unit(vectors, "direction field returned a degenerate vector")
-
-    def __call__(self, point):
-        """The unit vector at one point, as a tuple."""
-        return tuple(self.at(np.array([point], dtype=float))[0].tolist())
+        ).T
+        lengths = _lengths(coords)
+        if (lengths < TOL_DIRECTION).any():
+            raise ValidationError("direction field returned a degenerate vector")
+        return (coords / lengths).T
 
     @classmethod
     def constant(cls, vector) -> "DirectionField":
@@ -222,6 +211,12 @@ def eigen_direction(matrix: ToralMatrix, which: str = "unstable") -> DirectionFi
     return DirectionField.constant(tuple(v))
 
 
+def _unit_eigenvector(matrix: ToralMatrix, which: str) -> np.ndarray:
+    """The vector of the constant ``eigen_direction`` field, as the field
+    gives it at every point: scaled to unit length."""
+    return eigen_direction(matrix, which).at(np.zeros((1, matrix.dim)))[0]
+
+
 def stable_step_limit(matrix: ToralMatrix) -> float:
     """The most steps a stable-direction run takes before rounding sets its
     estimate. Pushing forward along the stable line is float-repelling: a
@@ -241,10 +236,9 @@ def shear_conjugated_eigen(
 ) -> DirectionField:
     """The invariant line field of a shear conjugate: the pushforward of the
     linear model's eigendirection under the conjugacy."""
-    base = eigen_direction(matrix, which)
     d = matrix.dim
     profile = _shear_profile(coefficients)
-    v0 = base((0.0,) * d)
+    v0 = _unit_eigenvector(matrix, which)
 
     def evaluator(points):
         # D h at h^-1(p); the last coordinate is untouched by the shear.
@@ -256,23 +250,41 @@ def shear_conjugated_eigen(
     return DirectionField(evaluator)
 
 
-def finite_time_exponents(
-    toy_map: ToyMap,
-    field: DirectionField,
-    starts,
-    n: int,
-    directions=None,
-    return_state: bool = False,
-):
+def toy_system(
+    matrix: ToralMatrix, kind: str, direction: str, coefficients: Sequence[float]
+) -> tuple[ToyMap, DirectionField]:
+    """The toy map of one kind and its invariant line field along one
+    direction (an eigendirection, its shear pushforward, or the suspension
+    flow). ``coefficients`` are the shear profile's, read by that kind only."""
+    if kind == "linear_toral":
+        toy = linear_toral(matrix)
+    elif kind == "suspension_time_one":
+        toy = suspension_time_one(matrix)
+    elif kind == "shear_conjugated":
+        toy = shear_conjugated(matrix, coefficients)
+    else:
+        raise ValidationError(f"unknown map kind {kind!r}")
+    if direction == "flow":
+        if kind != "suspension_time_one":
+            raise ValidationError("flow direction requires the suspension map")
+        return toy, DirectionField.flow_direction(toy.dim)
+    if direction not in ("unstable", "stable"):
+        raise ValidationError(f"unknown direction {direction!r}")
+    if kind == "shear_conjugated":
+        return toy, shear_conjugated_eigen(matrix, coefficients, direction)
+    if kind == "suspension_time_one":  # the base eigenvector, no flow component
+        return toy, DirectionField.constant((*_unit_eigenvector(matrix, direction), 0.0))
+    return toy, eigen_direction(matrix, direction)
+
+
+def finite_time_exponents(toy_map: ToyMap, field: DirectionField, starts, n: int):
     """Finite-time exponents of the orbits of all rows of ``starts`` at once.
 
     Lane i is the orbit of ``starts[i]``: its direction is seeded from the
-    field there (or from the row ``directions[i]``, scaled to unit length)
-    and pushed forward by the differential at every step, and its exponent
-    is (1/n) times the sum of the log expansion factors, renormalized at
-    every step. The lanes advance in lockstep, in blocks of ``BLOCK``; each
-    lane's points and exponent are those of the lane run alone. With
-    ``return_state`` the final points and unit directions come too.
+    field there and pushed forward by the differential at every step, and its
+    exponent is (1/n) times the sum of the log expansion factors,
+    renormalized at every step. The lanes advance in lockstep, in blocks of
+    ``BLOCK``; each lane's exponent is that of the lane run alone.
     """
     if n < 1:
         raise ValidationError("orbit length n must be >= 1")
@@ -280,18 +292,12 @@ def finite_time_exponents(
     if starts.ndim != 2 or starts.shape[1] != toy_map.dim:
         raise ValidationError(f"orbit starts must be rows of length {toy_map.dim}")
     values = np.empty(len(starts))
-    points = np.empty(starts.shape)
-    units = np.empty(starts.shape)
     # A collapse is checked on every lane and step, and reported after each
     # run of STEPS steps; until then the lanes run on without warnings.
     with np.errstate(all="ignore"):
         for lo in range(0, len(starts), BLOCK):
             block = starts[lo:lo + BLOCK]
-            if directions is None:
-                u = field.at(block).T
-            else:
-                seeds = np.asarray(directions, dtype=float)[lo:lo + BLOCK]
-                u = _unit(seeds.reshape(block.shape), "initial direction is degenerate").T
+            u = field.at(block).T
             x = block.T
             total = np.zeros(len(block))
             expansions = np.empty((min(n, STEPS), len(block)))
@@ -309,36 +315,17 @@ def finite_time_exponents(
                 logs[0] += total
                 total = np.add.accumulate(logs)[-1]
             values[lo:lo + BLOCK] = total / n
-            points[lo:lo + BLOCK] = np.transpose(x)
-            units[lo:lo + BLOCK] = np.transpose(u)
-    if return_state:
-        return values, points, units
     return values
 
 
-def finite_time_exponent(
-    toy_map: ToyMap,
-    field: DirectionField,
-    x0,
-    n: int,
-    initial_direction=None,
-    return_state: bool = False,
-):
+def finite_time_exponent(toy_map: ToyMap, field: DirectionField, x0, n: int) -> float:
     """(1/n) sum of log expansion factors along the orbit, renormalized.
 
     The one-orbit case of ``finite_time_exponents``: the direction is seeded
-    from the field at the start (or from ``initial_direction``, scaled to
-    unit length) and pushed forward by the differential at every step, which
-    is the cocycle chain rule in log form.
+    from the field at the start and pushed forward by the differential at
+    every step, which is the cocycle chain rule in log form.
     """
-    directions = None if initial_direction is None else [initial_direction]
-    values, points, units = finite_time_exponents(
-        toy_map, field, [x0], n, directions, return_state=True
-    )
-    value = float(values[0])
-    if return_state:
-        return value, tuple(points[0].tolist()), tuple(units[0].tolist())
-    return value
+    return float(finite_time_exponents(toy_map, field, [x0], n)[0])
 
 
 def orbits(toy_map: ToyMap, starts: np.ndarray, steps: int) -> Iterator[np.ndarray]:
@@ -403,11 +390,9 @@ def birkhoff_consistency(
 ) -> BirkhoffReport:
     """Multi-start orbit averages of the exponent against the space average.
 
-    Requires a volume-preserving map so the two averages estimate the same
+    Every toy map preserves volume, so the two averages estimate the same
     number; reports the discrepancy together with both standard errors.
     """
-    if not toy_map.volume_preserving:
-        raise ValidationError("consistency check requires a volume-preserving map")
     if x_count < 2:
         raise ValidationError("need at least two orbit starts")
     starts = rng.random((x_count, toy_map.dim))

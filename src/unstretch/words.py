@@ -41,7 +41,6 @@ def neighborhood(
     gens: GeneratingSet,
     elements: Iterable[GroupElement],
     n: int,
-    budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> set:
     """The right N-neighborhood S * B_N, as a set of elements.
 
@@ -52,7 +51,8 @@ def neighborhood(
     if n < 0:
         raise ValidationError("neighborhood rounds must be nonnegative")
     table, keys = pack_elements(ctx, gens, list(elements), n, "neighborhood")
-    return set(table.layout.elements(spread(keys, n, table, budget, "neighborhood")))
+    keys = spread(keys, n, table, DEFAULT_ELEMENT_BUDGET, "neighborhood")
+    return set(table.layout.elements(keys))
 
 
 class Diameter(NamedTuple):

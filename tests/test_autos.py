@@ -14,9 +14,8 @@ from unstretch import (
     enumerate_commuting_matrices,
     lattice_element,
     validate_automorphism,
-    z_element,
 )
-from unstretch import matrices
+from unstretch import autos, matrices
 from unstretch.autos import require_valid
 
 from conftest import CAT
@@ -131,7 +130,7 @@ def test_apply_identity(ctx):
 
 def test_apply_closed_form_example(ctx):
     # v + A v = (1,0) + (2,1) = (3,1) on z^2
-    out = apply_automorphism(ctx, phi_translation(), z_element(2, 2))
+    out = apply_automorphism(ctx, phi_translation(), GroupElement((0, 0), 2))
     assert out == GroupElement((3, 1), 2)
 
 
@@ -279,9 +278,10 @@ def test_enumerate_commuting_flip_side(cat_matrix, ctx):
         assert M.matmul(M.matmul(B, a), binv) == a_inv
 
 
-def test_enumerate_commuting_budget(cat_matrix):
+def test_enumerate_commuting_budget(cat_matrix, monkeypatch):
+    monkeypatch.setattr(autos, "CENTRALIZER_BUDGET", 10)
     with pytest.raises(BudgetError):
-        enumerate_commuting_matrices(cat_matrix, 1, 8, budget=10)
+        enumerate_commuting_matrices(cat_matrix, 1, 8)
 
 
 def test_enumerate_commuting_d3(ctx3):

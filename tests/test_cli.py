@@ -18,7 +18,7 @@ from unstretch import (
 from unstretch import experiments
 from unstretch.cli import main
 from unstretch.config import COMMON_KEYS, EXPERIMENT_NAMES, ExperimentConfig, load_config
-from unstretch.errors import CertificationError
+from unstretch.errors import CertificationError, ValidationError
 from unstretch.experiments import REGISTRY, ExperimentInfo, list_experiments, prepare
 
 CAT = [[2, 1], [1, 1]]
@@ -87,14 +87,24 @@ def test_word_length_requires_elements(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-def test_malformed_matrix_exits_2_without_outputs(tmp_path):
+def test_word_length_elements_are_parsed_before_the_ball_is_built():
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "word-length", "matrix": CAT, "bfs_radius": 14,
+        "elements": [[[1, 1], 0], [[1], 0]],
+    })
+    with pytest.raises(ValidationError, match="has dimension 1"):
+        prepare(cfg)
+
+
+def test_malformed_matrix_exits_2_without_outputs(tmp_path, capsys):
     out = tmp_path / "nope"
-    for matrix in ([[2, 1, 0], [1, 1]], [[2, True], [1, 1]]):
+    for matrix in ([[2, 1, 0], [1, 1]], [[2, True], [1, 1]], [[2, 1.5], [1, 1]]):
         cfg = write_cfg(tmp_path, "bad", {
             "experiment": "ball-census", "matrix": matrix,
             "output_dir": str(out),
         })
         assert run_cli(cfg) == 2
+        assert "config key 'matrix': " in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -465,7 +475,10 @@ def test_validation_failure_leaves_no_output_directory(tmp_path, capsys, data):
     out = tmp_path / "runs" / "out"
     cfg = write_cfg(tmp_path, "bad", {**data, "matrix": CAT, "output_dir": str(out)})
     assert run_cli(cfg) == 2
-    assert "validation error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    if "automorphism" in data:
+        assert "config key 'automorphism': " in err
     assert not (tmp_path / "runs").exists()
 
 

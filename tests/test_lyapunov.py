@@ -21,6 +21,7 @@ from unstretch.lyapunov import (
     shear_conjugated_eigen,
     stable_step_limit,
     suspension_time_one,
+    toy_system,
 )
 
 from conftest import CAT, D3_REAL
@@ -110,9 +111,10 @@ def reference_map(kind, entries, coefficients=()):
 
 
 def reference_exponent(step, differential, field, x0, n):
-    """The per-step scalar loop; returns the exponent and the final point."""
+    """The per-step scalar loop; returns the exponent, the final point and
+    the final unit direction."""
     x = tuple(float(c) for c in x0)
-    u = field(x)
+    u = tuple(field.at(np.array([x]))[0].tolist())
     total = 0.0
     for _ in range(n):
         w = _matvec_f(differential(x), u)
@@ -120,12 +122,13 @@ def reference_exponent(step, differential, field, x0, n):
         total += math.log(norm_w)
         u = tuple(c / norm_w for c in w)
         x = step(x)
-    return total / n, x
+    return total / n, x, u
 
 
 def reference_center_values(differential, field, pts):
     return np.array([
-        math.log(_norm(_matvec_f(differential(tuple(p)), field(tuple(p))))) for p in pts
+        math.log(_norm(_matvec_f(differential(tuple(p)), tuple(u))))
+        for p, u in zip(pts, field.at(pts))
     ])
 
 
@@ -160,14 +163,7 @@ CASES = [
 
 def case_map(kind, entries, coefficients):
     """The array map and its unstable field for one case."""
-    matrix = ToralMatrix(entries)
-    if kind == "linear_toral":
-        return linear_toral(matrix), eigen_direction(matrix, "unstable")
-    if kind == "suspension_time_one":
-        base = eigen_direction(matrix, "unstable")((0.0,) * matrix.dim)
-        return suspension_time_one(matrix), DirectionField.constant(base + (0.0,))
-    return (shear_conjugated(matrix, coefficients),
-            shear_conjugated_eigen(matrix, coefficients, "unstable"))
+    return toy_system(ToralMatrix(entries), kind, "unstable", coefficients)
 
 
 def bits(a):
@@ -207,10 +203,10 @@ def test_time_reversal_identity(cat_matrix):
     inv = linear_toral(ToralMatrix(cat_matrix.inverse_entries))
     fld = eigen_direction(cat_matrix, "unstable")
     n = 12
-    fwd, x_end, u_end = finite_time_exponent(
-        toy, fld, (0.3, 0.4), n, return_state=True
-    )
-    back = finite_time_exponent(inv, fld, x_end, n, initial_direction=u_end)
+    step, differential = reference_map("linear_toral", CAT)
+    _, x_end, u_end = reference_exponent(step, differential, fld, (0.3, 0.4), n)
+    fwd = finite_time_exponent(toy, fld, (0.3, 0.4), n)
+    back = finite_time_exponent(inv, DirectionField.constant(u_end), x_end, n)
     assert abs(fwd + back) < 1e-6
 
 
@@ -222,10 +218,7 @@ def test_flow_direction_is_neutral(cat_matrix):
 
 
 def test_suspension_unstable_matches_base(cat_matrix):
-    toy = suspension_time_one(cat_matrix)
-    base = eigen_direction(cat_matrix, "unstable")
-    vec = base((0.0, 0.0)) + (0.0,)
-    fld = DirectionField.constant(vec)
+    toy, fld = toy_system(cat_matrix, "suspension_time_one", "unstable", ())
     assert abs(finite_time_exponent(toy, fld, (0.2, 0.5, 0.8), 200) - LOG_LAM) < 1e-9
 
 
@@ -234,9 +227,11 @@ def test_cocycle_additivity(cat_matrix):
     fld = shear_conjugated_eigen(cat_matrix, SHEAR, "unstable")
     x0 = (0.37, 0.58)
     n, m = 40, 25
+    step, differential = reference_map("shear_conjugated", CAT, SHEAR)
+    _, x_mid, u_mid = reference_exponent(step, differential, fld, x0, n)
     total = finite_time_exponent(toy, fld, x0, n + m)
-    first, x_mid, u_mid = finite_time_exponent(toy, fld, x0, n, return_state=True)
-    second = finite_time_exponent(toy, fld, x_mid, m, initial_direction=u_mid)
+    first = finite_time_exponent(toy, fld, x0, n)
+    second = finite_time_exponent(toy, DirectionField.constant(u_mid), x_mid, m)
     assert abs((n + m) * total - (n * first + m * second)) < 1e-10
 
 
@@ -325,29 +320,18 @@ def test_birkhoff_consistency_sheared(cat_matrix):
     assert rep.discrepancy <= 3.0 * rep.combined_se + 1e-12
 
 
-def test_birkhoff_requires_volume_preserving(cat_matrix):
-    rng = np.random.default_rng(58)
-    toy = linear_toral(cat_matrix)
-    broken = dataclasses.replace(toy, volume_preserving=False)
-    with pytest.raises(ValidationError):
-        birkhoff_consistency(broken, eigen_direction(cat_matrix, "unstable"), 5, 100, rng)
-
-
 @pytest.mark.parametrize("kind,entries,coefficients", CASES)
 def test_orbit_points_bit_equal_to_scalar_path(kind, entries, coefficients):
     toy, fld = case_map(kind, entries, coefficients)
     step, _ = reference_map(kind, entries, coefficients)
     starts = np.random.default_rng(60).random((3, toy.dim))
-    replayed = list(orbits(toy, starts, 1000))
-    _, final, _ = finite_time_exponents(toy, fld, starts, 1000, return_state=True)
-    for start, path, end in zip(starts, replayed, final):
+    for start, path in zip(starts, orbits(toy, starts, 1001)):
         x = tuple(start)
         scalar = []
-        for _ in range(1000):
+        for _ in range(1001):
             scalar.append(x)
             x = step(x)
         assert np.array_equal(bits(path), bits(scalar))
-        assert np.array_equal(bits(end), bits(x))
 
 
 @pytest.mark.parametrize("kind,entries,coefficients", CASES)
@@ -357,7 +341,7 @@ def test_exponents_match_scalar_path(kind, entries, coefficients):
     starts = np.random.default_rng(61).random((3, toy.dim))
     values = finite_time_exponents(toy, fld, starts, 1000)
     for start, value in zip(starts, values):
-        expected, _ = reference_exponent(step, differential, fld, start, 1000)
+        expected, _, _ = reference_exponent(step, differential, fld, start, 1000)
         assert abs(value - expected) <= 1e-12 * abs(expected)
 
 
@@ -365,16 +349,16 @@ def test_exponents_match_scalar_path(kind, entries, coefficients):
 def test_lockstep_lanes_equal_single_runs(kind, entries, coefficients, monkeypatch):
     toy, fld = case_map(kind, entries, coefficients)
     starts = np.random.default_rng(62).random((7, toy.dim))
-    values, points, units = finite_time_exponents(toy, fld, starts, 300, return_state=True)
+    values = finite_time_exponents(toy, fld, starts, 300)
+    ends = [path[-1] for path in orbits(toy, starts, 301)]
     for i, start in enumerate(starts):
-        value, x, u = finite_time_exponent(toy, fld, tuple(start), 300, return_state=True)
-        assert value == values[i]
-        assert np.array_equal(bits(x), bits(points[i]))
-        assert np.array_equal(bits(u), bits(units[i]))
+        assert finite_time_exponent(toy, fld, tuple(start), 300) == values[i]
+        (alone,) = orbits(toy, starts[i:i + 1], 301)
+        assert np.array_equal(bits(alone[-1]), bits(ends[i]))
     monkeypatch.setattr(lyapunov, "BLOCK", 3)
-    blocked = finite_time_exponents(toy, fld, starts, 300, return_state=True)
-    for whole, split in zip((values, points, units), blocked):
-        assert np.array_equal(bits(whole), bits(split))
+    assert np.array_equal(bits(finite_time_exponents(toy, fld, starts, 300)), bits(values))
+    blocked = [path[-1] for path in orbits(toy, starts, 301)]
+    assert np.array_equal(bits(blocked), bits(ends))
 
 
 @pytest.mark.parametrize("kind,entries,coefficients", CASES)
@@ -394,7 +378,7 @@ def test_center_integral_matches_scalar_path(kind, entries, coefficients, monkey
 
 def test_one_degenerate_lane_is_rejected(cat_matrix):
     toy = linear_toral(cat_matrix)
-    unit = eigen_direction(cat_matrix, "unstable")((0.0, 0.0))
+    unit = eigen_direction(cat_matrix, "unstable").at(np.zeros((1, 2)))[0]
     # zero exactly on the last start's half of the square
     fld = DirectionField(lambda p: np.where(p[:, :1] < 0.5, 1.0, 0.0) * unit)
     starts = np.array([[0.1, 0.2], [0.3, 0.9], [0.7, 0.4]])
@@ -422,12 +406,9 @@ def test_one_collapsed_lane_is_rejected(cat_matrix):
 
 def test_initial_direction_is_normalised(cat_matrix):
     toy = shear_conjugated(cat_matrix, SHEAR)
-    fld = shear_conjugated_eigen(cat_matrix, SHEAR, "unstable")
-    unit = finite_time_exponent(toy, fld, (0.3, 0.6), 50, initial_direction=(1.0, 0.0))
-    double = finite_time_exponent(toy, fld, (0.3, 0.6), 50, initial_direction=(2.0, 0.0))
+    unit = finite_time_exponent(toy, DirectionField.constant((1.0, 0.0)), (0.3, 0.6), 50)
+    double = finite_time_exponent(toy, DirectionField.constant((2.0, 0.0)), (0.3, 0.6), 50)
     assert double == unit
-    with pytest.raises(ValidationError, match="initial direction"):
-        finite_time_exponent(toy, fld, (0.3, 0.6), 50, initial_direction=(0.0, 0.0))
 
 
 def test_starts_must_match_the_map_dimension(cat_matrix):

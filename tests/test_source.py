@@ -64,3 +64,56 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         used.update(_references(_parse(p), strings=True))
     unused = sorted(defined - used)
     assert not unused, f"public names with no caller outside the tests: {unused}"
+
+
+def _defaulted_parameters(tree):
+    """(function, parameter, position) for every parameter with a default of
+    every function and method but ``__init__``; the position counts from
+    the first argument a call writes (not ``self``/``cls``) and is None for
+    keyword-only parameters."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef) or node.name == "__init__":
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield node.name, arg.arg, i - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def _passed_arguments(tree):
+    """(callee name, position or keyword) for every argument a call writes."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            name = func.id
+        elif isinstance(func, ast.Attribute):
+            name = func.attr
+        else:
+            continue
+        positional = [a for a in node.args if not isinstance(a, ast.Starred)]
+        yield from ((name, i) for i in range(len(positional)))
+        yield from ((name, k.arg) for k in node.keywords if k.arg)
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    # A default that no caller overrides is an option kept for its own sake:
+    # either a test-only knob or a value that belongs in the body.
+    modules = sorted(PACKAGE.glob("*.py"))
+    passed = {
+        arg for p in modules + sorted(PERFBENCH.glob("*.py"))
+        for arg in _passed_arguments(_parse(p))
+    }
+    unused = sorted(
+        f"{func}.{name}"
+        for p in modules
+        for func, name, position in _defaulted_parameters(_parse(p))
+        if (func, name) not in passed and (func, position) not in passed
+    )
+    assert not unused, f"defaulted parameters no caller outside the tests passes: {unused}"

@@ -19,11 +19,10 @@ from unstretch import (
     neighborhood,
     set_diameter,
     word_ball,
-    z_element,
 )
 from unstretch.autos import apply_automorphism
 from unstretch.dynamics import check_box_inclusion_phi
-from unstretch.packed import translate_steps
+from unstretch.packed import pack_elements, spread, translate_steps
 from unstretch.words import (
     check_box_inclusion_u1,
     check_box_inclusion_un,
@@ -108,7 +107,7 @@ def test_set_diameter_examples(ctx, oracle6):
 
 
 def test_set_diameter_lower_bound_beyond_radius(ctx, oracle6):
-    pair = [z_element(2, -5), z_element(2, 5)]
+    pair = [GroupElement((0, 0), -5), GroupElement((0, 0), 5)]
     d = set_diameter(oracle6, pair)
     assert d == (7, False)
 
@@ -128,8 +127,9 @@ def test_neighborhood_matches_ball(ctx, gens, oracle6):
 
 
 def test_neighborhood_budget(ctx, gens):
+    table, keys = pack_elements(ctx, gens, [ctx.identity], 5, "neighborhood")
     with pytest.raises(BudgetError):
-        neighborhood(ctx, gens, {ctx.identity}, 5, budget=30)
+        spread(keys, 5, table, 30, "neighborhood")
 
 
 def test_box_membership_examples():
