@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -26,7 +27,11 @@ from .errors import BudgetError, CertificationError, ValidationError
 from .experiments import REGISTRY, list_experiments, prepare
 
 
-def _write_summary(outdir: Path, payload: dict):
+def _write_summary(outdir: Path, payload: dict, started: float):
+    """summary.json, with the run's wall time and the process's peak RSS
+    (ru_maxrss, in MB) beside the verdicts."""
+    payload["wall_time_s"] = time.perf_counter() - started
+    payload["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     (outdir / "summary.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
@@ -72,18 +77,15 @@ def run_command(args) -> int:
         summary["error"] = str(exc)
         if exc.completed_radius is not None:
             summary["completed_radius"] = exc.completed_radius
-        summary["wall_time_s"] = time.perf_counter() - started
-        _write_summary(outdir, summary)
+        _write_summary(outdir, summary, started)
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
     except CertificationError as exc:
         summary["error"] = str(exc)
-        summary["wall_time_s"] = time.perf_counter() - started
-        _write_summary(outdir, summary)
+        _write_summary(outdir, summary, started)
         print(f"certification failure: {exc}", file=sys.stderr)
         return 4
-    summary["wall_time_s"] = time.perf_counter() - started
-    _write_summary(outdir, summary)
+    _write_summary(outdir, summary, started)
     print(f"{cfg.experiment}: ok ({outdir})")
     return 0
 

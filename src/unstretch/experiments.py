@@ -5,7 +5,8 @@ reads, the files it emits, and whether it needs a group context. Every
 experiment validates all of its cross-field preconditions before doing
 any work, writes CSV data files plus a single JSON summary into the output
 directory, and is deterministic for a fixed config and seed (CSV outputs are
-byte identical across runs; the summary additionally records wall time).
+byte identical across runs; the summary additionally records wall time
+and peak RSS).
 """
 
 from __future__ import annotations
@@ -73,7 +74,11 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
         spec = cfg.automorphism
         extra = set(spec) - {"b", "v", "e"}
         if extra:
-            raise ValidationError(f"automorphism has unknown keys {sorted(extra)}")
+            raise ValidationError(
+                f"config key 'automorphism': unknown keys {sorted(extra)}"
+            )
+        if "b" not in spec:
+            raise ValidationError("config key 'automorphism': missing its matrix 'b'")
         try:
             phi = GroupAutomorphism.from_parts(
                 spec["b"], spec.get("v", [0] * matrix.dim), spec.get("e", 1)
@@ -129,24 +134,38 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-# Rows of qi_r<R>.csv assembled per write.
+# Rows of qi_r<R>.csv assembled per write, and distinct floats formatted per
+# batch of Python strings.
 QI_BLOCK = 1 << 16
 
 
 def _text_table(values: np.ndarray):
     """The repr of each distinct float, formatted once, as a zero-padded
-    bytes table, and each value's row in it.
+    bytes table, and each value's uint32 row in it.
 
     Values are told apart by their bits, so -0.0 and 0.0 keep their own
     text; one sort finds them (np.unique hashes int64, see packed.distinct).
+    The sort's temporaries are freed before formatting, and repr runs on
+    QI_BLOCK distinct values at a time, so one batch of Python strings is
+    alive at once.
     """
     bits = values.view(np.int64)
     order = bits.argsort()
     ordered = bits[order]
-    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    codes = np.empty(len(values), dtype=np.intp)
-    codes[order] = np.cumsum(first) - 1
-    table = np.array(list(map(repr, values[order[first]].tolist())), dtype="S")
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    del ordered
+    rows = np.cumsum(first, dtype=np.uint32)
+    rows -= 1
+    codes = np.empty(len(values), dtype=np.uint32)
+    codes[order] = rows
+    distinct = values[order[first]]
+    del order, first, rows
+    table = np.concatenate([
+        np.array(list(map(repr, distinct[lo : lo + QI_BLOCK].tolist())), dtype="S")
+        for lo in range(0, len(distinct), QI_BLOCK)
+    ])
     return table, codes
 
 
@@ -159,7 +178,7 @@ def _write_qi_csvs(outdir: Path, rep: suspension.QiReport, sizes: dict):
     fixed-width, NUL-padded byte row; a block of rows drops its padding at
     once.
     """
-    lengths = rep.lengths.astype(np.intp)
+    lengths = rep.lengths.astype(np.uint8)
     columns = [
         (np.arange(int(lengths.max()) + 1).astype("S"), lengths),
         _text_table(rep.bounds),
@@ -178,7 +197,7 @@ def _write_qi_csvs(outdir: Path, rep: suspension.QiReport, sizes: dict):
                     pieces += [text.view(np.uint8).reshape(m, -1), sep[:m]]
                 pieces[-1] = eol[:m]
                 block = np.hstack(pieces)
-                fh.write(block[block != 0].tobytes())
+                fh.write(block[block != 0])
 
 
 # ---------------------------------------------------------------- runners

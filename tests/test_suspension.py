@@ -4,6 +4,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from unstretch import suspension
 from unstretch import (
     GroupElement,
     HyperbolicSplitting,
@@ -165,3 +166,19 @@ def test_scalar_and_array_bounds_agree_exactly(cat_matrix, oracle6):
     assert bounds.tolist() == scalar
     # a batch's rows do not depend on the batch around them
     assert log_distance_bounds(split, xs[:7], ks[:7]).tolist() == scalar[:7]
+
+
+def test_blockwise_bounds_are_bit_identical(cat_matrix, oracle8, monkeypatch):
+    split = compute_splitting(cat_matrix)
+    xs, ks, lengths = oracle8.columns()
+    whole = log_distance_bounds(split, xs, ks)
+    # 64-row blocks put block edges inside the ball, whose size is odd.
+    monkeypatch.setattr(suspension, "GEMM_ROWS", 64)
+    assert len(oracle8) % 2 == 1 and len(oracle8) > 100 * 64
+    top = qi_comparison(oracle8, split)
+    assert np.array_equal(top.bounds.view(np.int64), whole.view(np.int64))
+    assert np.array_equal(top.lengths, lengths.astype(float))
+    for r in (6, 7):
+        n = oracle8.ball_size(r)
+        rep = qi_comparison(oracle8.restricted(r), split)
+        assert np.array_equal(rep.bounds.view(np.int64), top.bounds[:n].view(np.int64))
