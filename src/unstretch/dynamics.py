@@ -30,6 +30,7 @@ from .autos import GroupAutomorphism, apply_automorphism, require_valid
 from .errors import BudgetError, CertificationError, ValidationError
 from .group import GroupContext, GroupElement, ToralMatrix, lattice_element
 from .packed import (
+    BLOCK_KEYS,
     KeyLayout,
     StepTable,
     certify,
@@ -318,14 +319,26 @@ def abelian_control(
     ], dtype=np.int64)
     points = []
     for k in range(k_max + 1):
-        # Unnamed, so the projections are freed before the next spread runs.
-        diam = int(np.ptp(layout.unpack(keys)[0] @ signs.T, axis=0).max())
+        diam = _l1_diameter(layout, keys, signs)
         points.append(CurvePoint(k, diam, True, len(keys), None, None))
         if k < k_max:
             what = f"control step {k + 1}"
             image = _map_keys(layout, keys, A.entries, lambda _: (0,) * dim, 1, what)
             keys = _next_iterate(image, n_rounds, table, budget, what, points)
     return GrowthCurve(points)
+
+
+def _l1_diameter(layout: KeyLayout, keys: np.ndarray, signs: np.ndarray) -> int:
+    """The l1 diameter of nonempty lattice keys: the largest spread of their
+    projections on the sign vectors, taken over BLOCK_KEYS keys at a time."""
+    ends = np.array([
+        (proj.min(axis=0), proj.max(axis=0))
+        for proj in (
+            layout.unpack(keys[lo : lo + BLOCK_KEYS])[0] @ signs.T
+            for lo in range(0, len(keys), BLOCK_KEYS)
+        )
+    ])
+    return int((ends[:, 1].max(axis=0) - ends[:, 0].min(axis=0)).max())
 
 
 def check_box_inclusion_phi(

@@ -103,6 +103,20 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def norm_below(m: IntMatrix, lam: Fraction) -> bool:
+    """Whether the operator 2-norm of m is strictly below lam = p/q > 0.
+
+    ||m|| < p/q exactly when p^2 I - q^2 m^T m is positive definite, and by
+    Sylvester's criterion that holds exactly when each of its leading
+    principal minors is positive; the minors are integer determinants.
+    """
+    p, q = lam.numerator, lam.denominator
+    gram = matmul(tuple(zip(*m)), m)
+    n = len(gram)
+    form = [[p * p * (r == c) - q * q * gram[r][c] for c in range(n)] for r in range(n)]
+    return all(det(tuple(row[:k] for row in form[:k])) > 0 for k in range(1, n + 1))
+
+
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """Exact inverse of an integer matrix with determinant +-1.
 

@@ -99,12 +99,6 @@ class WordLengthOracle:
         """Bytes held by the key arrays and the sorted lookup copy."""
         return self.keys.nbytes + self._sorted_keys.nbytes + self._sorted_lengths.nbytes
 
-    def columns(self):
-        """Coordinates (n, dim), exponents and lengths as int64 arrays, in
-        breadth-first order."""
-        xs, ks = self.layout.unpack(self.keys)
-        return xs, ks, self._length_column()
-
     def items(self) -> Iterator[tuple]:
         """(element, length) pairs in breadth-first order."""
         lengths = self._length_column()

@@ -25,6 +25,9 @@ KEY_BITS = 63
 # Element columns clamp coordinates to this magnitude; anything this large
 # already lies outside every key layout.
 _CLAMP = 1 << 62
+# ``spread`` translates its frontier this many keys at a time, so only one
+# block of translates and its sorted copy are alive at once.
+BLOCK_KEYS = 1 << 16
 
 
 class KeyLayout:
@@ -284,18 +287,26 @@ def spread(keys: np.ndarray, rounds: int, table: StepTable, budget: int, what: s
     Distance to a set is 1-Lipschitz, so layer j + 1 (the elements at
     distance j + 1 from S) is the set of neighbours of layer j outside layers
     j and j - 1: each round is one ``next_layer`` step from all of S at once.
-    Returns sorted distinct keys; BudgetError once the union exceeds
-    ``budget`` elements.
+    The step runs on BLOCK_KEYS frontier keys at a time (each block with its
+    own packing certificate), and the blocks' layers are merged. Returns
+    sorted distinct keys; BudgetError once the union exceeds ``budget``
+    elements.
     """
     layers = [keys]
     previous = (keys, keys[:0])
     total = len(keys)
     for _ in range(rounds):
         frontier = previous[0]
-        fresh = next_layer(table.translates(frontier, what), previous)
+        fresh = [
+            next_layer(table.translates(frontier[lo : lo + BLOCK_KEYS], what), previous)
+            for lo in range(0, max(len(frontier), 1), BLOCK_KEYS)
+        ]
+        fresh = fresh[0] if len(fresh) == 1 else distinct(np.concatenate(fresh))
         total += len(fresh)
         if total > budget:
             raise BudgetError(f"{what} exceeds budget of {budget} elements")
         layers.append(fresh)
         previous = (fresh, frontier)
-    return np.sort(np.concatenate(layers))
+    union = np.concatenate(layers)
+    union.sort()
+    return union

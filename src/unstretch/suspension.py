@@ -173,8 +173,8 @@ def qi_comparison(oracle: WordLengthOracle, split: HyperbolicSplitting) -> QiRep
     The keys are unpacked GEMM_ROWS at a time, so only one block of
     coordinates is alive at once. The blocks are the ones
     ``_projected_norms`` would cut from the whole table, so the bounds are
-    bit-identical to one ``log_distance_bounds`` call over
-    ``oracle.columns()``.
+    bit-identical to one ``log_distance_bounds`` call over the coordinates
+    and exponents of all the oracle's keys.
     """
     if oracle.radius < QI_MIN_RADIUS:
         raise ValidationError(

@@ -140,6 +140,9 @@ class BoxSet:
         self.h = int(h)
         self._num2l = lam.numerator ** (2 * self.ell)
         self._den2l = lam.denominator ** (2 * self.ell)
+        # The squared norm is an integer, so it is at most p^(2 ell) / q^(2 ell)
+        # exactly when it is at most this floor.
+        self._norm_sq_max = self._num2l // self._den2l
 
     def __repr__(self):
         return f"BoxSet(lam={self.lam}, ell={self.ell}, h={self.h})"
@@ -154,10 +157,9 @@ class BoxSet:
         """Membership mask of the elements with int64 coordinates xs (n, dim)
         and exponents ks (n,).
 
-        The squared norm is an integer, so norm_sq * q^(2 ell) <= p^(2 ell)
-        holds exactly when norm_sq <= p^(2 ell) // q^(2 ell). Coordinates
-        must be small enough that the squared norm cannot overflow int64,
-        which every key layout guarantees.
+        The test is norm_sq <= p^(2 ell) // q^(2 ell), exact as in
+        ``contains``. Coordinates must be small enough that the squared norm
+        cannot overflow int64, which every key layout guarantees.
         """
         dim = xs.shape[1]
         limit = math.isqrt(_INT64_MAX // dim)
@@ -165,7 +167,7 @@ class BoxSet:
             raise ValidationError(
                 f"coordinates beyond {limit} overflow the int64 box test"
             )
-        bound = min(self._num2l // self._den2l, _INT64_MAX)
+        bound = min(self._norm_sq_max, _INT64_MAX)
         return (np.abs(ks) <= self.h) & ((xs * xs).sum(axis=1) <= bound)
 
     def norm_bound(self) -> Fraction:
@@ -176,43 +178,43 @@ def choose_lambda(A: ToralMatrix, phi) -> Fraction:
     """Smallest hundredth strictly above every scale the box lemmas need.
 
     The binding quantities are max(2, ||A||, ||A^-1||, ||B||, ||B^-1||,
-    ||v|| + ||A v|| - 1, and ||A^i v||^(1/i) over 2 < i <= I_MAX). The choice
-    is checked against the strict forms of all the conditions, and a failed
-    check raises CertificationError; ||A^i v|| < lam^i is checked exactly, as
-    |A^i v|^2 q^(2i) < p^(2i) for lam = p/q.
+    ||v|| + ||A v|| - 1, and ||A^i v||^(1/i) over 2 < i <= I_MAX), estimated
+    in floats. The choice lam = p/q is then certified against the strict
+    form of every condition in exact arithmetic, and a failed check raises
+    CertificationError: each operator norm by ``matrices.norm_below``,
+    sqrt(a) + sqrt(b) < c as c^2 - a - b > 0 and 4ab < (c^2 - a - b)^2, and
+    ||A^i v|| < lam^i as |A^i v|^2 q^(2i) < p^(2i).
     """
-    b_arr = np.array(phi.B, dtype=float)
-    b_inv = np.array(matrices.inverse_unimodular(phi.B), dtype=float)
+    b_inv = matrices.inverse_unimodular(phi.B)
     needs = [2.0, A.op_norm, A.op_norm_inv,
-             float(np.linalg.norm(b_arr, 2)), float(np.linalg.norm(b_inv, 2))]
-    v_norm = math.sqrt(sum(c * c for c in phi.v))
+             float(np.linalg.norm(np.array(phi.B, dtype=float), 2)),
+             float(np.linalg.norm(np.array(b_inv, dtype=float), 2))]
+    v_sq = sum(c * c for c in phi.v)
     norms_sq = []  # |A^i v|^2 for i = 1..I_MAX, exact
-    if v_norm > 0:
+    if v_sq:
         w = tuple(phi.v)
         for _ in range(I_MAX):
             w = matrices.matvec(A.entries, w)
             norms_sq.append(sum(c * c for c in w))
-        needs.append(v_norm + math.sqrt(norms_sq[0]) - 1.0)
+        needs.append(math.sqrt(v_sq) + math.sqrt(norms_sq[0]) - 1.0)
         needs.extend(math.sqrt(n) ** (1.0 / i) for i, n in enumerate(norms_sq[2:], 3))
     top = max(needs)
     lam = Fraction(math.floor(top * 100) + 1, 100)
     while float(lam) <= top:
         lam += Fraction(1, 100)
 
-    lam_f = float(lam)
-
     def require(ok, condition):
         if not ok:
             raise CertificationError(f"box scale lam = {lam} fails {condition}")
 
-    require(lam_f > 2.0, "lam > 2")
-    require(A.op_norm < lam_f and A.op_norm_inv < lam_f, "||A||, ||A^-1|| < lam")
-    require(
-        np.linalg.norm(b_arr, 2) < lam_f and np.linalg.norm(b_inv, 2) < lam_f,
-        "||B||, ||B^-1|| < lam",
-    )
-    if v_norm > 0:
-        require(v_norm + math.sqrt(norms_sq[0]) < 1.0 + lam_f, "||v|| + ||A v|| < 1 + lam")
+    require(lam > 2, "lam > 2")
+    for name, m in (("A", A.entries), ("A^-1", A.inverse_entries),
+                    ("B", phi.B), ("B^-1", b_inv)):
+        require(matrices.norm_below(m, lam), f"||{name}|| < lam")
+    if v_sq:
+        slack = (1 + lam) ** 2 - v_sq - norms_sq[0]
+        require(slack > 0 and 4 * v_sq * norms_sq[0] < slack * slack,
+                "||v|| + ||A v|| < 1 + lam")
         p, q = lam.numerator, lam.denominator
         for i, n in enumerate(norms_sq[2:], 3):
             require(n * q ** (2 * i) < p ** (2 * i), f"||A^{i} v|| < lam^{i}")
@@ -229,45 +231,56 @@ def sample_box(
 
     Interior points come from rejection sampling in the bounding cube;
     boundary points are lattice roundings of random directions scaled to the
-    norm radius, which are the binding cases for the inclusion lemmas.
-    Membership of every returned element is verified exactly.
+    norm radius, which are the binding cases for the inclusion lemmas: of the
+    2^dim lattice corners around such a point, the first in the box of
+    largest norm. Up to 50 * count boundary attempts fill the
+    BOUNDARY_FRACTION share; if they starve (a degenerate box), interior
+    points top the sample up. Every exponent is uniform in [-h, h].
+
+    Draws are made in array batches. Membership of every returned element
+    is decided exactly, as sum(x_i^2) <= p^(2 ell) // q^(2 ell) in int64, so
+    the box's coordinates must fit that test (``check_inclusion`` refuses a
+    box beyond its key layout before drawing).
     """
     if count <= 0:
         raise ValidationError("sample count must be positive")
-    radius_int = math.isqrt(box._num2l // box._den2l)
-    out = []
+    bound = box._norm_sq_max
+    radius = math.isqrt(bound)
+    h = box.h
+    xs_parts, ks_parts = [], []
 
-    def interior(until: int):
-        while len(out) < until:
-            x = tuple(int(v) for v in rng.integers(-radius_int, radius_int + 1, size=dim))
-            k = int(rng.integers(-box.h, box.h + 1))
-            g = GroupElement(x, k)
-            if box.contains(g):
-                out.append(g)
+    def keep(xs: np.ndarray):
+        xs_parts.append(xs)
+        ks_parts.append(rng.integers(-h, h + 1, size=len(xs)))
+        return len(xs)
+
+    def interior(need: int):
+        while need > 0:
+            xs = rng.integers(-radius, radius + 1, size=(2 * need + 8, dim))
+            need -= keep(xs[(xs * xs).sum(axis=1) <= bound][:need])
 
     interior(count - int(count * BOUNDARY_FRACTION))
     target = float(box.norm_bound())
+    corners = (np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1
+    need = count - sum(map(len, xs_parts))
     attempts = 0
-    while len(out) < count and attempts < 50 * count:
-        attempts += 1
-        u = rng.normal(size=dim)
-        nu = np.linalg.norm(u)
-        if nu == 0:
-            continue
-        p = u / nu * target
-        inside = []
-        for corner in range(1 << dim):
-            cand = tuple(
-                int(math.floor(p[i])) + ((corner >> i) & 1) for i in range(dim)
-            )
-            k = int(rng.integers(-box.h, box.h + 1))
-            g = GroupElement(cand, k)
-            if box.contains(g):
-                inside.append(g)
-        if inside:  # the first corner of largest norm
-            out.append(max(inside, key=lambda g: sum(v * v for v in g.x)))
-    interior(count)  # boundary sampling starved (degenerate box): top up
-    return out
+    while need > 0 and attempts < 50 * count:
+        # Nearly every attempt hits (the corner rounded toward 0 is no longer
+        # than the point), so a batch a little over ``need`` fills the share.
+        m = min(need + 8, 50 * count - attempts)
+        attempts += m
+        u = rng.normal(size=(m, dim))
+        nu = np.linalg.norm(u, axis=1)
+        u, nu = u[nu > 0], nu[nu > 0]
+        cand = np.floor(u / nu[:, None] * target).astype(np.int64)[:, None] + corners
+        norms = (cand * cand).sum(axis=2)
+        inside = norms <= bound
+        hits = np.flatnonzero(inside.any(axis=1))[:need]
+        best = np.where(inside[hits], norms[hits], -1).argmax(axis=1)
+        need -= keep(cand[hits, best])
+    interior(count - sum(map(len, xs_parts)))
+    xs, ks = np.concatenate(xs_parts), np.concatenate(ks_parts)
+    return list(map(GroupElement, map(tuple, xs.tolist()), ks.tolist()))
 
 
 class InclusionReport(NamedTuple):
@@ -277,10 +290,6 @@ class InclusionReport(NamedTuple):
     checked: int
     violations: list
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def check_inclusion(source: BoxSet, target: BoxSet, layout: KeyLayout, images, samples: int,
                     rng: np.random.Generator, what: str) -> InclusionReport:
@@ -289,9 +298,16 @@ def check_inclusion(source: BoxSet, target: BoxSet, layout: KeyLayout, images, s
     The samples (``sample_box``) are packed on ``layout`` in draw order, and
     ``images(keys, what)`` gives each sample's images as one row of keys on
     the same layout; every image is tested with the exact column test. A
-    sample that does not fit the layout raises ValidationError naming
-    ``what``, so none is dropped.
+    source box that does not fit the layout raises ValidationError naming
+    ``what`` before any sample is drawn, so none is dropped.
     """
+    reach = math.isqrt(source._norm_sq_max)
+    if reach > layout.x_limit or source.h > layout.radius:
+        raise ValidationError(
+            f"{what} does not fit the int64 key layout: {source} reaches "
+            f"|x_i| = {reach}, |k| = {source.h}, beyond |x_i| <= {layout.x_limit}, "
+            f"|k| <= {layout.radius}"
+        )
     points = sample_box(rng, source, layout.dim, samples)
     keys = layout.pack_rows(*element_columns(points, layout.dim), what)
     moved = images(keys, what)

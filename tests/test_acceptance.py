@@ -123,12 +123,12 @@ def test_criterion_3_box_lemmas(ctx, gens, cat_matrix):
         for ell in range(2, 7):
             for h in range(2, 7):
                 rep = check_box_inclusion_u1(ctx, gens, lam, ell, h, 1000, rng)
-                assert rep.ok, f"u1 violation at ell={ell} h={h}: {rep.violations[:1]}"
+                assert not rep.violations, f"u1 violation at ell={ell} h={h}: {rep.violations[:1]}"
                 for n in (1, 2, 3):
                     rep = check_box_inclusion_un(ctx, gens, lam, ell, h, n, 1000, rng)
-                    assert rep.ok, f"un violation at ell={ell} h={h} n={n}"
+                    assert not rep.violations, f"un violation at ell={ell} h={h} n={n}"
                 rep = check_box_inclusion_phi(ctx, phi, lam, ell, h, 1000, rng)
-                assert rep.ok, f"phi violation at ell={ell} h={h}"
+                assert not rep.violations, f"phi violation at ell={ell} h={h}"
 
     _report(3, "box-lemmas", body)
 

@@ -206,7 +206,7 @@ def test_characteristic_subgroup_report(ctx):
         for _ in range(200)
     ]
     rep = check_characteristic_subgroup(ctx, phi_translation(), samples)
-    assert rep.ok and rep.checked == 200
+    assert not rep.violations and rep.checked == 200
     assert rep.det_a_minus_i == -1  # (2-1)(1-1) - 1
 
 

@@ -497,6 +497,8 @@ def test_certification_failure_in_prepare_exits_4(tmp_path, monkeypatch):
     {"experiment": "qi-compare", "qi_radii": []},
     {"experiment": "box-lemmas", "box_ell_values": [0]},
     {"experiment": "box-lemmas", "box_samples": 0},
+    # lam^48 is about 1e20: the box's coordinates overflow int64.
+    {"experiment": "box-lemmas", "box_ell_values": [48]},
     {"experiment": "lyapunov", "orbit_steps": 0},
     {"experiment": "centralizer", "centralizer_e": 2},
     {"experiment": "word-length", "elements": [[[1], 0]]},
@@ -522,6 +524,8 @@ def test_validation_failure_leaves_no_output_directory(tmp_path, capsys, data):
     if "automorphism" in data:
         assert "config key 'automorphism': " in err
         assert "b" in data["automorphism"] or "'b'" in err
+    if data.get("box_ell_values") == [48]:
+        assert "u1 inclusion check does not fit the int64 key layout" in err
     assert not (tmp_path / "runs").exists()
 
 

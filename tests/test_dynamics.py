@@ -205,6 +205,6 @@ def test_phi_box_inclusion(ctx, cat_matrix):
     phi = GroupAutomorphism.from_parts(CAT, [1, 0], 1)
     lam = choose_lambda(cat_matrix, phi)
     rep = check_box_inclusion_phi(ctx, phi, lam, 2, 2, 500, rng)
-    assert rep.ok and rep.checked == 500
+    assert not rep.violations and rep.checked == 500
     with pytest.raises(ValidationError):
         check_box_inclusion_phi(ctx, phi, lam, 1, 2, 10, rng)

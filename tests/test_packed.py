@@ -30,7 +30,7 @@ from unstretch import (
     set_diameter,
     word_ball,
 )
-from unstretch import matrices
+from unstretch import dynamics, matrices, packed
 
 
 def reference_neighborhood(ctx, gens, elements, n):
@@ -152,6 +152,22 @@ def test_control_matches_tuple_loop_variants(rows, n, a0, k_max):
     curve = abelian_control(ToralMatrix(rows), n, a0, k_max)
     got = [(p.set_size, p.diameter) for p in curve.points]
     assert got == reference_control(rows, n, a0, k_max)
+
+
+def test_blocked_spread_and_control_diameter_match_the_references(cat_matrix, monkeypatch):
+    # Blocks of 7 keys put block edges inside every frontier and iterate, so
+    # the blocks' layers must merge across shared neighbours.
+    monkeypatch.setattr(packed, "BLOCK_KEYS", 7)
+    monkeypatch.setattr(dynamics, "BLOCK_KEYS", 7)
+    for rows in (CAT, D3_REAL):
+        ctx = GroupContext(ToralMatrix(rows))
+        gens = GeneratingSet.standard(ctx.dim)
+        s = random_set(np.random.default_rng(ctx.dim), ctx.dim, 40, 6, 2)
+        assert neighborhood(ctx, gens, s, 3) == reference_neighborhood(ctx, gens, s, 3)
+        a0 = [[0] * ctx.dim, [1] + [0] * (ctx.dim - 1)]
+        curve = abelian_control(ToralMatrix(rows), 1, a0, 6)
+        got = [(p.set_size, p.diameter) for p in curve.points]
+        assert got == reference_control(rows, 1, a0, 6)
 
 
 def test_control_rejects_negative_k_max(cat_matrix):

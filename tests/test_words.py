@@ -20,10 +20,12 @@ from unstretch import (
     set_diameter,
     word_ball,
 )
+from unstretch import matrices
 from unstretch.autos import apply_automorphism
 from unstretch.dynamics import check_box_inclusion_phi
 from unstretch.packed import pack_elements, spread, translate_steps
 from unstretch.words import (
+    BOUNDARY_FRACTION,
     check_box_inclusion_u1,
     check_box_inclusion_un,
     check_inclusion,
@@ -197,27 +199,88 @@ def test_sample_box_members_only(ctx):
     rng = np.random.default_rng(42)
     box = BoxSet(Fraction(131, 50), 3, 2)
     pts = sample_box(rng, box, 2, 300)
-    assert len(pts) >= 250
+    assert len(pts) == 300
     assert all(box.contains(g) for g in pts)
     # boundary sampling should reach at least 60% of the norm radius
     top = max(sum(v * v for v in g.x) for g in pts)
     assert top > float(box.norm_bound()) ** 2 * 0.36
 
 
+@pytest.mark.parametrize("lam, ell, h, dim, count", [
+    (Fraction(131, 50), 5, 4, 2, 1000),
+    (Fraction(5, 2), 0, 0, 2, 7),  # the box {|x| <= 1, k = 0}
+    (Fraction(201, 100), 4, 1, 3, 101),
+])
+def test_sample_box_draws_exact_counts_of_members(lam, ell, h, dim, count):
+    box = BoxSet(lam, ell, h)
+    pts = sample_box(np.random.default_rng(count), box, dim, count)
+    assert len(pts) == count
+    assert all(len(g.x) == dim and box.contains(g) for g in pts)
+    assert all(type(v) is int for g in pts for v in (*g.x, g.k))
+    # The boundary share comes last and sits at the norm radius: every
+    # point rounded from a direction at radius r has norm above r - sqrt(dim).
+    r = float(box.norm_bound())
+    boundary = pts[count - int(count * BOUNDARY_FRACTION):]
+    assert all(math.dist(g.x, (0,) * dim) > r - math.sqrt(dim) for g in boundary)
+    assert max(sum(v * v for v in g.x) for g in pts) >= 0.36 * r * r
+
+
+def test_sample_box_boundary_points_are_largest_corners():
+    # Each boundary point is the in-box lattice corner of largest norm
+    # around a point at radius r, so it sits on average about 0.3 below r;
+    # the in-box corner of smallest norm would sit about 0.6 below it.
+    box = BoxSet(Fraction(131, 50), 5, 4)
+    r = float(box.norm_bound())
+    pts = sample_box(np.random.default_rng(3), box, 2, 1000)
+    boundary = pts[1000 - int(1000 * BOUNDARY_FRACTION):]
+    assert np.mean([r - math.hypot(*g.x) for g in boundary]) < 0.45
+
+
+def test_sample_box_same_seed_same_samples():
+    box = BoxSet(Fraction(131, 50), 4, 3)
+    first = sample_box(np.random.default_rng(9), box, 2, 500)
+    assert first == sample_box(np.random.default_rng(9), box, 2, 500)
+    assert first != sample_box(np.random.default_rng(10), box, 2, 500)
+    assert {g.k for g in first} == set(range(-3, 4))
+
+
+def test_sample_box_tops_up_a_starved_boundary():
+    class NoDirections:
+        """A generator whose normal draws are all zero, so that no boundary
+        attempt gives a direction."""
+
+        def __init__(self):
+            self.rng = np.random.default_rng(4)
+            self.attempts = 0
+
+        def integers(self, *args, **kwargs):
+            return self.rng.integers(*args, **kwargs)
+
+        def normal(self, size):
+            self.attempts += size[0]
+            return np.zeros(size)
+
+    rng = NoDirections()
+    box = BoxSet(Fraction(131, 50), 3, 2)
+    pts = sample_box(rng, box, 2, 40)
+    assert rng.attempts == 50 * 40
+    assert len(pts) == 40 and all(box.contains(g) for g in pts)
+
+
 def test_u1_inclusion_small(ctx, gens, cat_matrix):
     rng = np.random.default_rng(7)
     lam = choose_lambda(cat_matrix, GroupAutomorphism.identity(2))
     rep = check_box_inclusion_u1(ctx, gens, lam, 1, 1, 1000, rng)
-    assert rep.ok and rep.checked >= 6000
+    assert not rep.violations and rep.checked >= 6000
 
 
 def test_un_inclusion_small(ctx, gens, cat_matrix):
     rng = np.random.default_rng(8)
     lam = choose_lambda(cat_matrix, GroupAutomorphism.identity(2))
     rep = check_box_inclusion_un(ctx, gens, lam, 2, 2, 2, 400, rng)
-    assert rep.ok
+    assert not rep.violations
     rep0 = check_box_inclusion_un(ctx, gens, lam, 2, 2, 0, 50, rng)
-    assert rep0.ok  # N = 0 is the trivial inclusion
+    assert not rep0.violations  # N = 0 is the trivial inclusion
 
 
 def test_un_ball_is_built_once_per_context(gens, cat_matrix, monkeypatch):
@@ -303,7 +366,7 @@ def test_inclusion_check_reports_every_violation(ctx, gens, cat_matrix, n):
     checked, violations = reference_inclusion(
         box, box, 200, np.random.default_rng(3), images
     )
-    assert not rep.ok and len(rep.violations) > 0
+    assert len(rep.violations) > 0
     assert rep.checked == checked
     key = sorted if n else list
     assert key(rep.violations) == key(violations)
@@ -312,17 +375,20 @@ def test_inclusion_check_reports_every_violation(ctx, gens, cat_matrix, n):
 
 @pytest.mark.parametrize("check", ["u1", "un", "phi"])
 def test_inclusion_sample_outside_the_key_layout_raises(ctx, gens, cat_matrix, check):
-    # lam^25 is about 3e10, beyond the 2^29 coordinate field of these layouts.
+    # lam^25 is about 3e10, beyond the 2^29 coordinate field of these layouts;
+    # the source box is refused before any sample is drawn.
     phi = GroupAutomorphism.identity(2)
     lam = choose_lambda(cat_matrix, phi)
     rng = np.random.default_rng(5)
-    with pytest.raises(ValidationError, match="does not fit the int64 key layout: element"):
+    state = rng.bit_generator.state
+    with pytest.raises(ValidationError, match="does not fit the int64 key layout: BoxSet"):
         if check == "u1":
             check_box_inclusion_u1(ctx, gens, lam, 25, 2, 20, rng)
         elif check == "un":
             check_box_inclusion_un(ctx, gens, lam, 25, 2, 2, 20, rng)
         else:
             check_box_inclusion_phi(ctx, phi, lam, 25, 2, 20, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_oracle_restriction(oracle6):
@@ -334,17 +400,26 @@ def test_oracle_restriction(oracle6):
         oracle6.restricted(10)
 
 
+def test_norm_below_is_exact():
+    # ||diag(2, 1)|| is 2 exactly; the cat map's is (3 + sqrt 5) / 2 = 2.6180339...
+    assert not matrices.norm_below(((2, 0), (0, 1)), Fraction(2))
+    assert matrices.norm_below(((2, 0), (0, 1)), Fraction(2) + Fraction(1, 10**40))
+    assert matrices.norm_below(((2, 1), (1, 1)), Fraction(2618034, 10**6))
+    assert not matrices.norm_below(((2, 1), (1, 1)), Fraction(2618033, 10**6))
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        m = tuple(map(tuple, rng.integers(-5, 6, size=(3, 3)).tolist()))
+        norm = Fraction(float(np.linalg.norm(np.array(m, dtype=float), 2)))
+        assert matrices.norm_below(m, norm * (1 + Fraction(1, 10**9)))
+        assert not matrices.norm_below(m, norm * (1 - Fraction(1, 10**9)))
+
+
 def test_choose_lambda_failed_check_raises_certification_error():
-    class DriftingNorm(ToralMatrix):
-        """A matrix whose reported norm grows between choice and check."""
+    class LowNorm(ToralMatrix):
+        """A matrix whose float norm estimates are below its exact norms
+        (about 2.618), so lam is chosen at 2.51 and the exact check fails."""
 
-        reads = 0
+        op_norm = op_norm_inv = 2.5
 
-        @property
-        def op_norm(self):
-            self.reads += 1
-            return 2.5 * self.reads
-
-    drifting = DriftingNorm([[2, 1], [1, 1]])
-    with pytest.raises(CertificationError, match="lam"):
-        choose_lambda(drifting, GroupAutomorphism.identity(2))
+    with pytest.raises(CertificationError, match=r"lam = 251/100 fails \|\|A\|\| < lam"):
+        choose_lambda(LowNorm([[2, 1], [1, 1]]), GroupAutomorphism.identity(2))
