@@ -51,16 +51,16 @@ class ExperimentConfig:
     budget_elements: int = DEFAULT_ELEMENT_BUDGET
 
     # box lemma checks
-    box_ell_values: list = field(default_factory=lambda: [2, 3, 4, 5, 6])
-    box_h_values: list = field(default_factory=lambda: [2, 3, 4, 5, 6])
-    box_n_values: list = field(default_factory=lambda: [1, 2, 3])
+    box_ell_values: list[int] = field(default_factory=lambda: [2, 3, 4, 5, 6])
+    box_h_values: list[int] = field(default_factory=lambda: [2, 3, 4, 5, 6])
+    box_n_values: list[int] = field(default_factory=lambda: [1, 2, 3])
     box_samples: int = 1000
 
     # word-length queries
     elements: list = field(default_factory=list)
 
     # quasi-isometry comparison
-    qi_radii: list = field(default_factory=lambda: [10, 12])
+    qi_radii: list[int] = field(default_factory=lambda: [10, 12])
 
     # centralizer scan
     centralizer_bound: int = 8
@@ -69,7 +69,7 @@ class ExperimentConfig:
     # lyapunov / birkhoff
     map_kind: str = "linear_toral"  # linear_toral | suspension_time_one | shear_conjugated
     direction: str = "unstable"  # unstable | stable | flow
-    shear_coefficients: list = field(default_factory=list)
+    shear_coefficients: list[float] = field(default_factory=list)
     orbit_steps: int = 1000
     orbit_starts: int = 1
     birkhoff_starts: int = 100
@@ -118,8 +118,17 @@ class ExperimentConfig:
 
 
 def _check_type(key: str, value, annotation):
-    """Reject a value whose JSON type does not match the field annotation;
-    a bool is not accepted as an int."""
+    """Reject a value whose JSON type does not match the field annotation,
+    or a list item that does not match its item type; a bool is not accepted
+    as an int or a float, and an int is accepted as a float."""
+    if typing.get_origin(annotation) is list:
+        _check_type(key, value, list)
+        (item,) = typing.get_args(annotation)
+        bad = [v for v in value if isinstance(v, bool) or not isinstance(v, (int, item))]
+        if bad:
+            raise ValidationError(f"config key {key!r} must be a list of {item.__name__}, "
+                                  f"not one holding {type(bad[0]).__name__} {bad[0]!r}")
+        return
     allowed = typing.get_args(annotation) or (annotation,)
     if isinstance(value, bool) and bool not in allowed or not isinstance(value, allowed):
         names = " or ".join(

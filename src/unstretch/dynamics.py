@@ -22,15 +22,15 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import packed
 from .autos import GroupAutomorphism, apply_automorphism, require_valid
 from .errors import BudgetError, CertificationError, ValidationError
 from .group import GroupContext, GroupElement, ToralMatrix, lattice_element
 from .packed import (
-    BLOCK_KEYS,
     KeyLayout,
     StepTable,
     certify,
@@ -124,36 +124,6 @@ def _map_keys(layout: KeyLayout, keys: np.ndarray, rows, shift, e: int, what: st
     return layout.pack_rows(mapped, e * ks, what)
 
 
-def _automorphism_shift(ctx: GroupContext, phi: GroupAutomorphism):
-    """``shift`` for ``_map_keys``: phi(x z^k) = (B x) (v z^e)^k, so the shift
-    at k is c_k, the lattice part of (v z^e)^k, computed once per k."""
-    zero = (0,) * ctx.dim
-    return functools.cache(lambda k: apply_automorphism(ctx, phi, GroupElement(zero, k)).x)
-
-
-def iterate_once(
-    ctx: GroupContext,
-    gens: GeneratingSet,
-    phi: GroupAutomorphism,
-    n_rounds: int,
-    current: Iterable[GroupElement],
-) -> set:
-    """One step of the iteration: U_N applied to the automorphism image.
-
-    A set-in, set-out adapter over the packed kernel that ``run_iteration``
-    runs.
-    """
-    if n_rounds < 1:
-        raise ValidationError("neighborhood rounds N must be >= 1")
-    table, keys = pack_elements(ctx, gens, list(current), n_rounds, "iteration")
-    layout = table.layout
-    image = _map_keys(
-        layout, keys, phi.B, _automorphism_shift(ctx, phi), phi.e, "iteration"
-    )
-    keys = spread(np.sort(image), n_rounds, table, DEFAULT_ELEMENT_BUDGET, "iteration")
-    return set(layout.elements(keys))
-
-
 class CurvePoint(NamedTuple):
     k: int
     diameter: int
@@ -176,18 +146,57 @@ class GrowthVerdict:
 @dataclass
 class GrowthCurve:
     points: list
-    verdict: GrowthVerdict | None = None
 
 
-def _next_iterate(image, rounds: int, table: StepTable, budget: int, what: str, points):
-    """``spread`` of the image keys of one iteration step. A BudgetError
-    carries the curve points computed so far as ``partial``."""
-    image.sort()
-    try:
-        return spread(image, rounds, table, budget, what)
-    except BudgetError as exc:
-        exc.partial = GrowthCurve(points)
-        raise
+def _iterate(table: StepTable, keys: np.ndarray, image: Callable, rounds: int, k_max: int,
+             budget: int, name: str, point: Callable) -> GrowthCurve:
+    """The points ``point(k, keys)`` of iterates k = 0..k_max, from the sorted
+    distinct keys of iterate 0; iterate k + 1 is ``spread`` by ``rounds`` of
+    the image keys ``image(keys, what)`` of iterate k, ``what`` naming the
+    step. A BudgetError carries the points computed so far as ``partial``."""
+    points = []
+    for k in range(k_max + 1):
+        points.append(point(k, keys))
+        if k < k_max:
+            what = f"{name} step {k + 1}"
+            mapped = image(keys, what)
+            mapped.sort()
+            try:
+                keys = spread(mapped, rounds, table, budget, what)
+            except BudgetError as exc:
+                exc.partial = GrowthCurve(points)
+                raise
+    return GrowthCurve(points)
+
+
+def _automorphism_image(layout: KeyLayout, ctx: GroupContext, phi: GroupAutomorphism):
+    """``image`` for ``_iterate``: the keys of phi(S) on ``layout``, in the
+    order of the keys of S. phi(x z^k) = (B x) (v z^e)^k, so the shift of
+    ``_map_keys`` at k is c_k, the lattice part of (v z^e)^k, computed once
+    per k."""
+    zero = (0,) * ctx.dim
+    shift = functools.cache(lambda k: apply_automorphism(ctx, phi, GroupElement(zero, k)).x)
+    return lambda keys, what: _map_keys(layout, keys, phi.B, shift, phi.e, what)
+
+
+def iterate_once(
+    ctx: GroupContext,
+    gens: GeneratingSet,
+    phi: GroupAutomorphism,
+    n_rounds: int,
+    current: Iterable[GroupElement],
+) -> set:
+    """One step of the iteration: U_N applied to the automorphism image.
+
+    A set-in, set-out adapter over the loop that ``run_iteration`` runs.
+    """
+    if n_rounds < 1:
+        raise ValidationError("neighborhood rounds N must be >= 1")
+    table, keys = pack_elements(ctx, gens, list(current), n_rounds, "iteration")
+    image = _automorphism_image(table.layout, ctx, phi)
+    curve = _iterate(table, keys, image, n_rounds, 1, DEFAULT_ELEMENT_BUDGET, "iteration",
+                     lambda k, keys: keys)
+    return set(table.layout.elements(curve.points[-1]))
 
 
 def run_iteration(
@@ -206,12 +215,11 @@ def run_iteration(
     n = config.n_rounds
     table = translate_steps(ctx, gens.all, config.h0 + n * config.k_max)
     layout = table.layout
-    shift = _automorphism_shift(ctx, config.phi)
     keys = layout.pack_set(
         *element_columns(list(config.a0), ctx.dim), "starting set (step 0)"
     )
-    points = []
-    for k in range(config.k_max + 1):
+
+    def point(k: int, keys: np.ndarray) -> CurvePoint:
         xs, ks = layout.unpack(keys)
         ell = config.ell0 + envelope_offset(config.h0, n, k)
         h = config.h0 + n * k
@@ -223,12 +231,10 @@ def run_iteration(
                 f"envelope violated at step {k}: {g} escaped {box}"
             )
         diam = column_diameter(oracle, xs, ks)
-        points.append(CurvePoint(k, diam.value, diam.exact, len(keys), ell, h))
-        if k < config.k_max:
-            what = f"iteration step {k + 1}"
-            image = _map_keys(layout, keys, config.phi.B, shift, config.phi.e, what)
-            keys = _next_iterate(image, n, table, budget, what, points)
-    return GrowthCurve(points)
+        return CurvePoint(k, diam.value, diam.exact, len(keys), ell, h)
+
+    image = _automorphism_image(layout, ctx, config.phi)
+    return _iterate(table, keys, image, n, config.k_max, budget, "iteration", point)
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray):
@@ -317,25 +323,25 @@ def abelian_control(
         [1] + [1 if (mask >> i) & 1 else -1 for i in range(dim - 1)]
         for mask in range(1 << (dim - 1))
     ], dtype=np.int64)
-    points = []
-    for k in range(k_max + 1):
-        diam = _l1_diameter(layout, keys, signs)
-        points.append(CurvePoint(k, diam, True, len(keys), None, None))
-        if k < k_max:
-            what = f"control step {k + 1}"
-            image = _map_keys(layout, keys, A.entries, lambda _: (0,) * dim, 1, what)
-            keys = _next_iterate(image, n_rounds, table, budget, what, points)
-    return GrowthCurve(points)
+
+    def image(keys: np.ndarray, what: str) -> np.ndarray:
+        return _map_keys(layout, keys, A.entries, lambda _: (0,) * dim, 1, what)
+
+    def point(k: int, keys: np.ndarray) -> CurvePoint:
+        return CurvePoint(k, _l1_diameter(layout, keys, signs), True, len(keys), None, None)
+
+    return _iterate(table, keys, image, n_rounds, k_max, budget, "control", point)
 
 
 def _l1_diameter(layout: KeyLayout, keys: np.ndarray, signs: np.ndarray) -> int:
     """The l1 diameter of nonempty lattice keys: the largest spread of their
-    projections on the sign vectors, taken over BLOCK_KEYS keys at a time."""
+    projections on the sign vectors, taken over ``packed.BLOCK_KEYS`` keys at
+    a time."""
     ends = np.array([
         (proj.min(axis=0), proj.max(axis=0))
         for proj in (
-            layout.unpack(keys[lo : lo + BLOCK_KEYS])[0] @ signs.T
-            for lo in range(0, len(keys), BLOCK_KEYS)
+            layout.unpack(keys[lo : lo + packed.BLOCK_KEYS])[0] @ signs.T
+            for lo in range(0, len(keys), packed.BLOCK_KEYS)
         )
     ])
     return int((ends[:, 1].max(axis=0) - ends[:, 0].min(axis=0)).max())
@@ -356,9 +362,8 @@ def check_box_inclusion_phi(
         raise ValidationError("automorphism inclusion check requires ell, h >= 2")
     require_valid(ctx.matrix, phi)
     layout = KeyLayout(ctx.dim, h)
-    shift = _automorphism_shift(ctx, phi)
+    image = _automorphism_image(layout, ctx, phi)
     return check_inclusion(
         BoxSet(lam, ell, h), BoxSet(lam, ell + h, h + 1), layout,
-        lambda keys, what: _map_keys(layout, keys, phi.B, shift, phi.e, what)[:, None],
-        samples, rng, "phi inclusion check",
+        lambda keys, what: image(keys, what)[:, None], samples, rng, "phi inclusion check",
     )

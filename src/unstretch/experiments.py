@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from . import dynamics, lyapunov, matrices, suspension, words
+from . import dynamics, lyapunov, matrices, packed, suspension, words
 from .autos import GroupAutomorphism, enumerate_commuting_matrices, require_valid
 from .errors import BudgetError, ValidationError
 from .group import GroupContext, GroupElement, ToralMatrix
@@ -134,11 +134,6 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-# Rows of qi_r<R>.csv assembled per write, and distinct floats formatted per
-# batch of Python strings.
-QI_BLOCK = 1 << 16
-
-
 def _text_table(values: np.ndarray):
     """The repr of each distinct float, formatted once, as a zero-padded
     bytes table, and each value's uint32 row in it.
@@ -146,8 +141,8 @@ def _text_table(values: np.ndarray):
     Values are told apart by their bits, so -0.0 and 0.0 keep their own
     text; one sort finds them (np.unique hashes int64, see packed.distinct).
     The sort's temporaries are freed before formatting, and repr runs on
-    QI_BLOCK distinct values at a time, so one batch of Python strings is
-    alive at once.
+    ``packed.BLOCK_KEYS`` distinct values at a time, so one batch of Python
+    strings is alive at once.
     """
     bits = values.view(np.int64)
     order = bits.argsort()
@@ -163,8 +158,8 @@ def _text_table(values: np.ndarray):
     distinct = values[order[first]]
     del order, first, rows
     table = np.concatenate([
-        np.array(list(map(repr, distinct[lo : lo + QI_BLOCK].tolist())), dtype="S")
-        for lo in range(0, len(distinct), QI_BLOCK)
+        np.array(list(map(repr, distinct[lo : lo + packed.BLOCK_KEYS].tolist())), dtype="S")
+        for lo in range(0, len(distinct), packed.BLOCK_KEYS)
     ])
     return table, codes
 
@@ -175,8 +170,8 @@ def _write_qi_csvs(outdir: Path, rep: suspension.QiReport, sizes: dict):
     writes them: ints and float reprs, comma separated and CRLF terminated.
 
     Each row is gathered from the text tables of its three columns into a
-    fixed-width, NUL-padded byte row; a block of rows drops its padding at
-    once.
+    fixed-width, NUL-padded byte row; a block of ``packed.BLOCK_KEYS`` rows
+    drops its padding at once.
     """
     lengths = rep.lengths.astype(np.uint8)
     columns = [
@@ -184,20 +179,21 @@ def _write_qi_csvs(outdir: Path, rep: suspension.QiReport, sizes: dict):
         _text_table(rep.bounds),
         _text_table(rep.ratios),
     ]
-    sep = np.full((QI_BLOCK, 1), ord(","), dtype=np.uint8)
-    eol = np.tile(np.frombuffer(b"\r\n", dtype=np.uint8), (QI_BLOCK, 1))
+    block = packed.BLOCK_KEYS
+    sep = np.full((block, 1), ord(","), dtype=np.uint8)
+    eol = np.tile(np.frombuffer(b"\r\n", dtype=np.uint8), (block, 1))
     for r, n in sizes.items():
         with (outdir / f"qi_r{r}.csv").open("wb") as fh:
             fh.write(b"word_length,bound,ratio\r\n")
-            for lo in range(0, n, QI_BLOCK):
-                m = min(n - lo, QI_BLOCK)
+            for lo in range(0, n, block):
+                m = min(n - lo, block)
                 pieces = []
                 for table, codes in columns:
                     text = table[codes[lo : lo + m]]
                     pieces += [text.view(np.uint8).reshape(m, -1), sep[:m]]
                 pieces[-1] = eol[:m]
-                block = np.hstack(pieces)
-                fh.write(block[block != 0])
+                joined = np.hstack(pieces)
+                fh.write(joined[joined != 0])
 
 
 # ---------------------------------------------------------------- runners
@@ -283,23 +279,29 @@ def _write_growth_csv(path: Path, curve: dynamics.GrowthCurve):
     )
 
 
+def _growth(outdir: Path, iterate: Callable[[], dynamics.GrowthCurve]) -> dict:
+    """Write the curve of ``iterate()`` to growth.csv and return its growth
+    verdict. On a BudgetError the curve of the steps completed before the
+    budget tripped, which are exact, is written before the error goes on."""
+    try:
+        curve = iterate()
+    except BudgetError as exc:
+        _write_growth_csv(outdir / "growth.csv", exc.partial)
+        raise
+    _write_growth_csv(outdir / "growth.csv", curve)
+    return asdict(dynamics.classify_growth(curve))
+
+
 def run_set_dynamics(prep: Prepared, rng, outdir: Path) -> dict:
     cfg = prep.cfg
     oracle = word_ball(prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements)
-    try:
-        curve = dynamics.run_iteration(
-            prep.ctx, prep.gens, prep.iteration, oracle, budget=cfg.budget_elements
-        )
-    except BudgetError as exc:
-        # The steps completed before the budget tripped are exact.
-        _write_growth_csv(outdir / "growth.csv", exc.partial)
-        raise
-    curve.verdict = dynamics.classify_growth(curve)
-    _write_growth_csv(outdir / "growth.csv", curve)
+    growth = _growth(outdir, lambda: dynamics.run_iteration(
+        prep.ctx, prep.gens, prep.iteration, oracle, budget=cfg.budget_elements
+    ))
     return {
         "lambda": str(prep.iteration.lam),
         "envelope": "certified",
-        "growth": asdict(curve.verdict),
+        "growth": growth,
     }
 
 
@@ -309,21 +311,14 @@ def run_abelian_control(prep: Prepared, rng, outdir: Path) -> dict:
         seeds = [[0] * prep.matrix.dim, [1] + [0] * (prep.matrix.dim - 1)]
     else:
         seeds = cfg.control_a0
-    try:
-        curve = dynamics.abelian_control(
-            prep.matrix, cfg.neighborhood_n, seeds, cfg.k_max, budget=cfg.budget_elements
-        )
-    except BudgetError as exc:
-        _write_growth_csv(outdir / "growth.csv", exc.partial)
-        raise
-    curve.verdict = dynamics.classify_growth(curve)
-    _write_growth_csv(outdir / "growth.csv", curve)
-    return {"growth": asdict(curve.verdict)}
+    return {"growth": _growth(outdir, lambda: dynamics.abelian_control(
+        prep.matrix, cfg.neighborhood_n, seeds, cfg.k_max, budget=cfg.budget_elements
+    ))}
 
 
 def run_qi_compare(prep: Prepared, rng, outdir: Path) -> dict:
     cfg = prep.cfg
-    radii = sorted({int(r) for r in cfg.qi_radii})
+    radii = sorted(set(cfg.qi_radii))
     if not radii:
         raise ValidationError("qi-compare needs at least one radius")
     if radii[0] < suspension.QI_MIN_RADIUS:

@@ -15,9 +15,10 @@ from typing import Iterator
 
 import numpy as np
 
+from . import packed
 from .errors import BudgetError, ValidationError
 from .group import GeneratingSet, GroupContext, GroupElement
-from .packed import element_columns, find, next_layer, translate_steps
+from .packed import find, next_layer, translate_steps
 
 # Element-count cap for ball/neighborhood construction. Growth is exponential,
 # so this bounds memory, not accuracy; results below the cap are exact.
@@ -25,8 +26,6 @@ DEFAULT_ELEMENT_BUDGET = 50_000_000
 
 # Oracle lengths are stored as uint8.
 MAX_ORACLE_RADIUS = 255
-# Rows per block when oracle keys are decoded into Python objects.
-_CHUNK = 1 << 16
 
 
 class WordLengthOracle:
@@ -69,19 +68,9 @@ class WordLengthOracle:
                 return n
         return None
 
-    def lengths(self, elements) -> np.ndarray:
-        """Exact lengths of many elements as int64; -1 certifies > radius."""
-        elements = list(elements)
-        if len(elements) > _CHUNK:  # in blocks, so the temporaries stay small
-            return np.concatenate([
-                self.lengths(elements[lo : lo + _CHUNK])
-                for lo in range(0, len(elements), _CHUNK)
-            ])
-        return self.column_lengths(*element_columns(elements, self.ctx.dim))
-
     def column_lengths(self, xs: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        """``lengths`` of the elements with int64 coordinates xs (n, dim) and
-        exponents ks (n,)."""
+        """Exact lengths as int64 of the elements with int64 coordinates xs
+        (n, dim) and exponents ks (n,); -1 certifies > radius."""
         keys, fits = self.layout.pack(xs, ks)
         pos, hit = find(self._sorted_keys, keys)
         found = np.full(len(keys), -1, dtype=np.int64)
@@ -100,12 +89,14 @@ class WordLengthOracle:
         return self.keys.nbytes + self._sorted_keys.nbytes + self._sorted_lengths.nbytes
 
     def items(self) -> Iterator[tuple]:
-        """(element, length) pairs in breadth-first order."""
+        """(element, length) pairs in breadth-first order, decoded
+        ``packed.BLOCK_KEYS`` keys at a time."""
         lengths = self._length_column()
-        for lo in range(0, len(self), _CHUNK):
-            xs, ks = self.layout.unpack(self.keys[lo : lo + _CHUNK])
+        block = packed.BLOCK_KEYS
+        for lo in range(0, len(self), block):
+            xs, ks = self.layout.unpack(self.keys[lo : lo + block])
             elements = map(GroupElement, map(tuple, xs.tolist()), ks.tolist())
-            yield from zip(elements, lengths[lo : lo + _CHUNK].tolist())
+            yield from zip(elements, lengths[lo : lo + block].tolist())
 
     def elements(self) -> Iterator[GroupElement]:
         return (g for g, _ in self.items())

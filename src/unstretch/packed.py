@@ -22,11 +22,11 @@ from .group import GeneratingSet, GroupContext, GroupElement
 
 # Packed element keys use this many bits of an int64, so keys are nonnegative.
 KEY_BITS = 63
-# Element columns clamp coordinates to this magnitude; anything this large
-# already lies outside every key layout.
-_CLAMP = 1 << 62
-# ``spread`` translates its frontier this many keys at a time, so only one
-# block of translates and its sorted copy are alive at once.
+# Keys or rows per block wherever a whole set is processed in pieces
+# (``spread``'s frontier, decoding the oracle, qi-compare's bounds and CSV
+# rows), so only one block of temporaries is alive at once. Even, so a
+# matrix product over a block never has a lone row, which numpy would sum in
+# another order (see ``suspension._projected_norms``).
 BLOCK_KEYS = 1 << 16
 
 
@@ -116,21 +116,18 @@ class KeyLayout:
 
 
 def element_columns(elements, dim: int):
-    """Coordinates (n, dim) and exponents (n,) of a list of elements as int64.
-
-    Entries beyond int64 lie outside every key layout; they are clamped to
-    2^62, which keeps them outside it.
-    """
+    """Coordinates (n, dim) and exponents (n,) of a list of elements as int64;
+    ValidationError naming the first element with an entry beyond int64."""
     for g in elements:
         if len(g.x) != dim:
             raise ValidationError(f"element {g} has dimension {len(g.x)}, expected {dim}")
-    flat = lambda: chain.from_iterable((*g.x, g.k) for g in elements)
-    size = len(elements) * (dim + 1)
+    flat = chain.from_iterable((*g.x, g.k) for g in elements)
     try:
-        arr = np.fromiter(flat(), dtype=np.int64, count=size)
+        arr = np.fromiter(flat, dtype=np.int64, count=len(elements) * (dim + 1))
     except OverflowError:
-        clamped = (min(max(v, -_CLAMP), _CLAMP) for v in flat())
-        arr = np.fromiter(clamped, dtype=np.int64, count=size)
+        lo, hi = -(1 << 63), (1 << 63) - 1
+        g = next(g for g in elements if not all(lo <= v <= hi for v in (*g.x, g.k)))
+        raise ValidationError(f"element {g} has an entry beyond int64") from None
     arr = arr.reshape(len(elements), dim + 1)
     return arr[:, :dim], arr[:, dim]
 

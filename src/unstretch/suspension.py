@@ -21,14 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import packed
 from .errors import ValidationError
 from .group import ToralMatrix
 from .words import WordLengthOracle
 
 TOL_LIN = 1e-9
 SIGMA_MARGIN = 1e-6
-# Rows per matrix product in the bound; even, so no block is a lone row.
-GEMM_ROWS = 1 << 16
 # The smallest ball whose regression the comparison trusts.
 QI_MIN_RADIUS = 6
 
@@ -110,19 +109,21 @@ def compute_splitting(matrix: ToralMatrix) -> HyperbolicSplitting:
 
 
 def _projected_norms(xs: np.ndarray, proj: np.ndarray) -> np.ndarray:
-    """||proj x|| for each row x of xs, by gemm on blocks of rows.
+    """||proj x|| for each row x of xs, by gemm on blocks of
+    ``packed.BLOCK_KEYS`` rows.
 
     numpy multiplies a lone row by gemv, which sums in another order than
     gemm, so an odd row count is padded with a zero row: every block then
-    holds an even number of rows, and a row's norm does not depend on the
-    batch around it. The blocks also keep the operands in cache.
+    holds an even number of rows (the block size is even), and a row's norm
+    does not depend on the batch around it. The blocks also keep the
+    operands in cache.
     """
     n = len(xs)
     if n % 2:
         xs = np.concatenate([xs, np.zeros((1, xs.shape[1]))])
     return np.concatenate([
-        np.linalg.norm(xs[lo : lo + GEMM_ROWS] @ proj.T, axis=1)
-        for lo in range(0, max(len(xs), 1), GEMM_ROWS)
+        np.linalg.norm(xs[lo : lo + packed.BLOCK_KEYS] @ proj.T, axis=1)
+        for lo in range(0, max(len(xs), 1), packed.BLOCK_KEYS)
     ])[:n]
 
 
@@ -170,8 +171,8 @@ def qi_comparison(oracle: WordLengthOracle, split: HyperbolicSplitting) -> QiRep
     """Compare exact word lengths with the logarithmic cover bound over
     every oracle entry (see ``qi_report``).
 
-    The keys are unpacked GEMM_ROWS at a time, so only one block of
-    coordinates is alive at once. The blocks are the ones
+    The keys are unpacked ``packed.BLOCK_KEYS`` at a time, so only one block
+    of coordinates is alive at once. The blocks are the ones
     ``_projected_norms`` would cut from the whole table, so the bounds are
     bit-identical to one ``log_distance_bounds`` call over the coordinates
     and exponents of all the oracle's keys.
@@ -182,9 +183,10 @@ def qi_comparison(oracle: WordLengthOracle, split: HyperbolicSplitting) -> QiRep
         )
     keys = oracle.keys
     bounds = np.empty(len(keys))
-    for lo in range(0, len(keys), GEMM_ROWS):
-        xs, ks = oracle.layout.unpack(keys[lo : lo + GEMM_ROWS])
-        bounds[lo : lo + GEMM_ROWS] = log_distance_bounds(split, xs, ks)
+    block = packed.BLOCK_KEYS
+    for lo in range(0, len(keys), block):
+        xs, ks = oracle.layout.unpack(keys[lo : lo + block])
+        bounds[lo : lo + block] = log_distance_bounds(split, xs, ks)
     lengths = np.repeat(
         np.arange(len(oracle.sphere_sizes), dtype=float), oracle.sphere_sizes
     )

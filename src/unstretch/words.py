@@ -27,7 +27,8 @@ from . import matrices
 from .errors import CertificationError, ValidationError
 from .group import GeneratingSet, GroupContext, GroupElement, ToralMatrix
 from .oracle import DEFAULT_ELEMENT_BUDGET, WordLengthOracle, word_ball  # noqa: F401
-from .packed import KeyLayout, element_columns, pack_elements, spread, translate_steps
+from .packed import (KeyLayout, certify, element_columns, pack_elements, spread,
+                     translate_steps)
 
 _INT64_MAX = (1 << 63) - 1
 # choose_lambda bounds ||A^i v||^(1/i) for 2 < i <= I_MAX.
@@ -63,62 +64,58 @@ class Diameter(NamedTuple):
 
 
 def set_diameter(oracle: WordLengthOracle, elements) -> Diameter:
-    """Max over unordered pairs of |g^-1 h|, via left invariance.
+    """``column_diameter`` of a collection of elements."""
+    return column_diameter(oracle, *element_columns(list(elements), oracle.ctx.dim))
+
+
+def column_diameter(oracle: WordLengthOracle, xs: np.ndarray, ks: np.ndarray) -> Diameter:
+    """Max over unordered pairs of |g^-1 h| of the elements with int64
+    coordinates xs (n, dim) and exponents ks (n,), via left invariance.
 
     Pairs are pruned with the triangle bound d(g, h) <= |g| + |h| after
     seeding the running maximum with two cheap certified lower bounds (the
     z-exponent spread, since the projection to the cyclic factor is
-    1-Lipschitz, and the word-length spread). Any pairwise product outside
-    the oracle radius yields the certified lower bound (radius + 1).
+    1-Lipschitz, and the word-length spread). In decreasing order of length
+    bound, the partners h that can still beat the maximum for g = (x, k) are
+    a prefix of the rest; their quotients g^-1 h = (A^-k (x_h - x), k_h - k)
+    are one int64 array step, looked up with ``column_lengths``. A pair
+    there that a pair-by-pair loop would prune has |g| + |h| <= maximum <=
+    radius, so it is in the oracle. Any quotient outside the oracle radius
+    yields the certified lower bound (radius + 1). Each row of A^-k times
+    twice the set's reach bounds the quotients and the differences (every
+    column of A^-k has a nonzero entry); ValidationError naming the
+    diameter if that could overflow int64.
     """
-    S = list(elements)
-    if not S:
-        raise ValidationError("diameter of an empty set")
-    ks = [g.k for g in S]
-    return _diameter(oracle, oracle.lengths(S), max(ks) - min(ks), S.__getitem__)
-
-
-def column_diameter(oracle: WordLengthOracle, xs: np.ndarray, ks: np.ndarray) -> Diameter:
-    """``set_diameter`` of the elements with int64 coordinates xs (n, dim) and
-    exponents ks (n,); GroupElements are built only for the pairs compared."""
     if not len(ks):
         raise ValidationError("diameter of an empty set")
-    return _diameter(
-        oracle, oracle.column_lengths(xs, ks), int(ks.max() - ks.min()),
-        lambda i: GroupElement(tuple(xs[i].tolist()), int(ks[i])),
-    )
-
-
-def _diameter(oracle, lengths: np.ndarray, k_spread: int, element) -> Diameter:
-    """The pairwise phase of ``set_diameter``, given each element's oracle
-    length (-1 beyond the radius), the exponent spread, and ``element(i)``."""
-    if len(lengths) == 1:
-        return Diameter(0, True)
-    ctx = oracle.ctx
+    lengths = oracle.column_lengths(xs, ks)
     radius = oracle.radius
-    best = k_spread
+    best = int(ks.max()) - int(ks.min())
     known = lengths[lengths >= 0]
     if known.size:
         best = max(best, int(known.max() - known.min()))
     if best > radius:
         return Diameter(radius + 1, False)
-
-    caps = np.where(lengths < 0, math.inf, lengths)
-    order = np.argsort(-caps, kind="stable").tolist()
-    caps = caps.tolist()
-    for a, i in enumerate(order):
-        if a + 1 < len(order) and caps[i] + caps[order[a + 1]] <= best:
+    # A length beyond the radius is at least radius + 1 > best, which prunes
+    # as an infinite bound would.
+    caps = np.where(lengths < 0, radius + 1, lengths)
+    order = np.argsort(-caps, kind="stable")
+    caps, xs, ks = caps[order], xs[order], ks[order]
+    rising = -caps
+    reach = [max(2 * max(int(hi), -int(lo)), 1) for lo, hi in zip(xs.min(0), xs.max(0))]
+    for a in range(len(ks) - 1):
+        end = int(rising.searchsorted(caps[a] - best))  # caps[a] + caps[b] > best
+        if end <= a + 1:
             break
-        gi_inv = ctx.inverse(element(i))
-        for b in range(a + 1, len(order)):
-            j = order[b]
-            if caps[i] + caps[j] <= best:
-                break
-            d = oracle.word_length(ctx.multiply(gi_inv, element(j)))
-            if d is None:
-                return Diameter(radius + 1, False)
-            if d > best:
-                best = d
+        k = int(ks[a])
+        rows = oracle.ctx.matrix_power(-k)
+        bound = max(sum(abs(m) * r for m, r in zip(row, reach)) for row in rows)
+        certify("diameter", "quotient coordinates", bound, _INT64_MAX)
+        quotients = (xs[a + 1 : end] - xs[a]) @ np.array(rows, dtype=np.int64).T
+        found = oracle.column_lengths(quotients, ks[a + 1 : end] - k)
+        if found.min() < 0:
+            return Diameter(radius + 1, False)
+        best = max(best, int(found.max()))
     return Diameter(best, True)
 
 

@@ -16,7 +16,7 @@ from unstretch import (
     qi_comparison,
     word_ball,
 )
-from unstretch import experiments
+from unstretch import experiments, packed
 from unstretch.cli import main
 from unstretch.config import COMMON_KEYS, EXPERIMENT_NAMES, ExperimentConfig, load_config
 from unstretch.errors import CertificationError, ValidationError
@@ -213,6 +213,12 @@ def test_abelian_control_negative_k_max_exits_2(tmp_path):
         "experiment": "abelian-control", "matrix": CAT,
         "control_a0": [[2**29, 0]], "k_max": 2,
     }, "control step 1"),
+    # Beyond int64: the error names the element as given.
+    ("dyn", {
+        "experiment": "set-dynamics", "matrix": CAT,
+        "automorphism": {"b": CAT, "v": [0, 0], "e": 1},
+        "a0": [[[2**70, 0], 0]], "k_max": 2, "bfs_radius": 4,
+    }, str(2**70)),
 ])
 def test_seed_leaving_the_key_layout_exits_2(tmp_path, capsys, name, data, step):
     out = tmp_path / "out"
@@ -236,11 +242,11 @@ def test_qi_compare_run(tmp_path):
     assert (out / "qi_r6.csv").exists() and (out / "qi_r7.csv").exists()
 
 
-@pytest.mark.parametrize("block", [experiments.QI_BLOCK, 999])
+@pytest.mark.parametrize("block", [packed.BLOCK_KEYS, 1000])
 def test_qi_csvs_match_csv_writer_over_each_radius(tmp_path, monkeypatch, block):
     # The top ball (radius 9) lies above the largest radius, and 8 repeats;
-    # 999-row blocks put block boundaries inside both files.
-    monkeypatch.setattr(experiments, "QI_BLOCK", block)
+    # 1000-row blocks put block boundaries inside both files.
+    monkeypatch.setattr(packed, "BLOCK_KEYS", block)
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, "qi", {
         "experiment": "qi-compare", "matrix": CAT, "qi_radii": [8, 6, 8],
@@ -465,6 +471,15 @@ def test_budget_exhaustion_writes_partial_growth(tmp_path, data):
     ("automorphism", [[2, 1], [1, 1]]),
     ("dump_orbit", 1),
     ("notes", 3),
+    # list items are checked too
+    ("qi_radii", ["x"]),
+    ("qi_radii", [7.5, 8]),
+    ("box_ell_values", ["2"]),
+    ("box_ell_values", [2.5]),
+    ("box_n_values", [1.5]),
+    ("box_h_values", [True]),
+    ("shear_coefficients", ["a"]),
+    ("shear_coefficients", [True]),
 ])
 def test_mistyped_config_field_exits_2_naming_it(tmp_path, capsys, key, value):
     out = tmp_path / "out"
@@ -473,8 +488,20 @@ def test_mistyped_config_field_exits_2_naming_it(tmp_path, capsys, key, value):
         "output_dir": str(out),
     })
     assert run_cli(cfg) == 2
-    assert repr(key) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert repr(key) in err
+    # the type check, not the check that ball-census reads the key
+    assert f"config key {key!r} must be" in err
     assert not out.exists()
+
+
+def test_int_shear_coefficient_counts_as_a_float(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "shear", {
+        "experiment": "lyapunov", "matrix": CAT, "map_kind": "shear_conjugated",
+        "shear_coefficients": [0.05, 0], "output_dir": str(out),
+    })
+    assert run_cli(cfg) == 0
 
 
 def test_certification_failure_in_prepare_exits_4(tmp_path, monkeypatch):

@@ -6,11 +6,13 @@ the kernel beyond group arithmetic, so agreement in elements, lengths and
 order is a real cross-check.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from conftest import CAT, D3_REAL
-from unstretch import oracle as oracle_module
+from unstretch import packed
 from unstretch import (
     GeneratingSet,
     GroupContext,
@@ -63,12 +65,13 @@ def test_packed_ball_matches_dict_search(rows, radius):
 
 @pytest.mark.parametrize("block", [1 << 16, 97])
 def test_batched_lengths_match_single_lookups(ctx, oracle6, monkeypatch, block):
-    monkeypatch.setattr(oracle_module, "_CHUNK", block)
+    monkeypatch.setattr(packed, "BLOCK_KEYS", block)
     ball = list(oracle6.elements())
+    # Entries at the ends of int64 lie outside the layout.
     beyond = [
-        GroupElement((2**63 + 5, 0), 0),
-        GroupElement((0, -(2**64)), 1),
-        GroupElement((1, 1), 2**70),
+        GroupElement((2**63 - 1, 0), 0),
+        GroupElement((0, -(2**63)), 1),
+        GroupElement((1, 1), 2**63 - 1),
         GroupElement((0, 0), 7),
         GroupElement((982734, -2387), 3),
         GroupElement((1, 0), -7),
@@ -80,10 +83,21 @@ def test_batched_lengths_match_single_lookups(ctx, oracle6, monkeypatch, block):
     ]
     queries = ball + beyond + random
     single = [oracle6.word_length(g) for g in queries]
-    batched = oracle6.lengths(queries).tolist()
+    batched = oracle6.column_lengths(*packed.element_columns(queries, 2)).tolist()
     assert batched == [-1 if n is None else n for n in single]
     assert all(n is None for n in single[len(ball) : len(ball) + len(beyond)])
     assert single[: len(ball)] == [n for _, n in oracle6.items()]
+
+
+@pytest.mark.parametrize("g", [
+    GroupElement((2**63 + 5, 0), 0),
+    GroupElement((0, -(2**64)), 1),
+    GroupElement((1, 1), 2**70),
+])
+def test_element_columns_refuse_entries_beyond_int64(g):
+    # Named as given, not as a clamped stand-in.
+    with pytest.raises(ValidationError, match=re.escape(repr(g))):
+        packed.element_columns([GroupElement((0, 0), 0), g], 2)
 
 
 def test_restricted_view_hides_longer_elements(oracle6):
@@ -91,7 +105,7 @@ def test_restricted_view_hides_longer_elements(oracle6):
     far = next(g for g, n in oracle6.items() if n == 5)
     assert oracle6.word_length(far) == 5
     assert small.word_length(far) is None
-    assert small.lengths([far]).tolist() == [-1]
+    assert small.column_lengths(*packed.element_columns([far], 2)).tolist() == [-1]
     assert np.shares_memory(small.keys, oracle6.keys)
     assert list(small.items()) == [(g, n) for g, n in oracle6.items() if n <= 3]
 

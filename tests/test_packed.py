@@ -30,7 +30,7 @@ from unstretch import (
     set_diameter,
     word_ball,
 )
-from unstretch import dynamics, matrices, packed
+from unstretch import matrices, packed
 
 
 def reference_neighborhood(ctx, gens, elements, n):
@@ -158,7 +158,6 @@ def test_blocked_spread_and_control_diameter_match_the_references(cat_matrix, mo
     # Blocks of 7 keys put block edges inside every frontier and iterate, so
     # the blocks' layers must merge across shared neighbours.
     monkeypatch.setattr(packed, "BLOCK_KEYS", 7)
-    monkeypatch.setattr(dynamics, "BLOCK_KEYS", 7)
     for rows in (CAT, D3_REAL):
         ctx = GroupContext(ToralMatrix(rows))
         gens = GeneratingSet.standard(ctx.dim)

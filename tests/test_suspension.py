@@ -4,7 +4,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from unstretch import suspension
+from unstretch import packed
 from unstretch import (
     GroupElement,
     HyperbolicSplitting,
@@ -182,7 +182,7 @@ def test_blockwise_bounds_are_bit_identical(cat_matrix, oracle8, monkeypatch):
     xs, ks, lengths = oracle_columns(oracle8)
     whole = log_distance_bounds(split, xs, ks)
     # 64-row blocks put block edges inside the ball, whose size is odd.
-    monkeypatch.setattr(suspension, "GEMM_ROWS", 64)
+    monkeypatch.setattr(packed, "BLOCK_KEYS", 64)
     assert len(oracle8) % 2 == 1 and len(oracle8) > 100 * 64
     top = qi_comparison(oracle8, split)
     assert np.array_equal(top.bounds.view(np.int64), whole.view(np.int64))

@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import CAT, D3_REAL
 from unstretch import (
     BoxSet,
     BudgetError,
     CertificationError,
+    GeneratingSet,
     GroupAutomorphism,
     GroupContext,
     GroupElement,
@@ -22,15 +24,57 @@ from unstretch import (
 )
 from unstretch import matrices
 from unstretch.autos import apply_automorphism
-from unstretch.dynamics import check_box_inclusion_phi
-from unstretch.packed import pack_elements, spread, translate_steps
+from unstretch.dynamics import check_box_inclusion_phi, iterate_once
+from unstretch.packed import element_columns, pack_elements, spread, translate_steps
 from unstretch.words import (
     BOUNDARY_FRACTION,
     check_box_inclusion_u1,
     check_box_inclusion_un,
     check_inclusion,
+    column_diameter,
     sample_box,
 )
+
+
+def reference_diameter(ctx, oracle, elements):
+    """The scalar pairwise loop that ``column_diameter`` replaced: the same
+    two seeds and triangle pruning, with one group product and one oracle
+    lookup per pair, each pair pruned against the maximum at that moment."""
+    S = list(elements)
+    lengths = [oracle.word_length(g) for g in S]
+    if len(S) == 1:
+        return (0, True)
+    radius = oracle.radius
+    ks = [g.k for g in S]
+    best = max(ks) - min(ks)
+    known = [n for n in lengths if n is not None]
+    if known:
+        best = max(best, max(known) - min(known))
+    if best > radius:
+        return (radius + 1, False)
+    caps = [math.inf if n is None else n for n in lengths]
+    order = sorted(range(len(S)), key=lambda i: -caps[i])
+    for a, i in enumerate(order):
+        if a + 1 < len(order) and caps[i] + caps[order[a + 1]] <= best:
+            break
+        gi_inv = ctx.inverse(S[i])
+        for b in range(a + 1, len(order)):
+            j = order[b]
+            if caps[i] + caps[j] <= best:
+                break
+            d = oracle.word_length(ctx.multiply(gi_inv, S[j]))
+            if d is None:
+                return (radius + 1, False)
+            best = max(best, d)
+    return (best, True)
+
+
+def assert_diameter_matches_reference(ctx, oracle, elements):
+    elements = list(elements)
+    expected = reference_diameter(ctx, oracle, elements)
+    assert column_diameter(oracle, *element_columns(elements, ctx.dim)) == expected
+    assert set_diameter(oracle, elements) == expected
+    return expected
 
 
 def test_ball_radius_zero(ctx, gens):
@@ -112,6 +156,66 @@ def test_set_diameter_lower_bound_beyond_radius(ctx, oracle6):
     pair = [GroupElement((0, 0), -5), GroupElement((0, 0), 5)]
     d = set_diameter(oracle6, pair)
     assert d == (7, False)
+
+
+@pytest.mark.parametrize("b, v, e", [
+    (CAT, (0, 0), 1),
+    (CAT, (1, -2), 1),
+    (((0, 1), (-1, 0)), (1, -1), -1),
+])
+def test_column_diameter_matches_the_scalar_loop_on_iterates(ctx, gens, oracle8, b, v, e):
+    phi = GroupAutomorphism.from_parts(b, v, e)
+    current = {GroupElement((0, 0), 0), GroupElement((0, 0), 1), GroupElement((1, 0), 0)}
+    seen = []
+    for _ in range(5):
+        seen.append(assert_diameter_matches_reference(ctx, oracle8, current))
+        current = iterate_once(ctx, gens, phi, 1, current)
+    assert any(exact for _, exact in seen) and not all(exact for _, exact in seen)
+
+
+@pytest.mark.parametrize("rows, radius", [(CAT, 8), (D3_REAL, 6)])
+def test_column_diameter_matches_the_scalar_loop_across_the_radius(rows, radius):
+    # Sets c * U against the view of radius R = radius - 2, with |c| in
+    # R-3..R-1 and U in the ball of radius R/2 or R/2 + 1: their elements
+    # straddle R, and their pairwise distances (those of U) reach R or R + 2.
+    # D3_REAL's powers are not symmetric, so a transposed A^-k shows.
+    ctx = GroupContext(ToralMatrix(rows))
+    full = word_ball(ctx, GeneratingSet.standard(ctx.dim), radius)
+    view = radius - 2
+    oracle = full.restricted(view)
+    centers = [g for g, n in full.items() if view - 3 <= n < view]
+    balls = [[g for g, n in full.items() if n <= view // 2 + i] for i in (0, 1)]
+    rng = np.random.default_rng(5)
+    seen = set()
+    for trial in range(80):
+        c = centers[int(rng.integers(len(centers)))]
+        ball = balls[trial % 2]
+        size = int(rng.integers(1, 10))
+        picks = [ball[i] for i in rng.choice(len(ball), size=size, replace=False)]
+        elements = [ctx.multiply(c, u) for u in picks]
+        _, exact = assert_diameter_matches_reference(ctx, oracle, elements)
+        straddles = any(oracle.word_length(g) is None for g in elements)
+        seen.add((exact, straddles))
+    assert {(True, False), (True, True), (False, True)} <= seen
+
+
+def test_column_diameter_of_one_and_two_elements(ctx, oracle6):
+    far = GroupElement((982734, -2387), 3)
+    for elements in ([far], [ctx.z], [ctx.identity, far], [ctx.z, ctx.identity],
+                     [GroupElement((1, 1), 2), GroupElement((0, 2), 1)]):
+        assert_diameter_matches_reference(ctx, oracle6, elements)
+    assert set_diameter(oracle6, [far]) == (0, True)
+    assert set_diameter(oracle6, [ctx.identity, far]) == (7, False)
+
+
+def test_column_diameter_refuses_a_quotient_that_could_overflow(ctx, oracle6):
+    # A^-3 = ((5, -8), (-8, 13)), so quotients of coordinate differences up
+    # to 2 * 2^61 could overflow int64; at k = 0 the same pair is a certified
+    # miss.
+    pair = [GroupElement((2**61, 0), 3), GroupElement((0, 0), 3)]
+    with pytest.raises(ValidationError, match="diameter does not fit"):
+        set_diameter(oracle6, pair)
+    assert set_diameter(oracle6, [GroupElement((2**61, 0), 0), ctx.identity]) == (7, False)
 
 
 def test_neighborhood_basics(ctx, gens, oracle6):
