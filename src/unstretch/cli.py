@@ -28,10 +28,14 @@ from .experiments import REGISTRY, list_experiments, prepare
 
 
 def _write_summary(outdir: Path, payload: dict, started: float):
-    """summary.json, with the run's wall time and the process's peak RSS
-    (ru_maxrss, in MB) beside the verdicts."""
+    """summary.json, with the run's wall time and peak RSS (the larger
+    ru_maxrss, in MB, of the process and of its reaped children, such as
+    qi-compare's forked worker) beside the verdicts."""
     payload["wall_time_s"] = time.perf_counter() - started
-    payload["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    payload["peak_rss_mb"] = max(
+        resource.getrusage(who).ru_maxrss
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    ) / 1024
     (outdir / "summary.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )

@@ -17,9 +17,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
-from . import dynamics, lyapunov, matrices, packed, suspension, words
+from . import dynamics, lyapunov, matrices, qicsv, suspension, words
 from .autos import GroupAutomorphism, enumerate_commuting_matrices, require_valid
 from .errors import BudgetError, ValidationError
 from .group import GroupContext, GroupElement, ToralMatrix
@@ -132,68 +130,6 @@ def _write_csv(path: Path, header, rows):
 
 def _fmt(v: float) -> str:
     return repr(float(v))
-
-
-def _text_table(values: np.ndarray):
-    """The repr of each distinct float, formatted once, as a zero-padded
-    bytes table, and each value's uint32 row in it.
-
-    Values are told apart by their bits, so -0.0 and 0.0 keep their own
-    text; one sort finds them (np.unique hashes int64, see packed.distinct).
-    The sort's temporaries are freed before formatting, and repr runs on
-    ``packed.BLOCK_KEYS`` distinct values at a time, so one batch of Python
-    strings is alive at once.
-    """
-    bits = values.view(np.int64)
-    order = bits.argsort()
-    ordered = bits[order]
-    first = np.empty(len(values), dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    del ordered
-    rows = np.cumsum(first, dtype=np.uint32)
-    rows -= 1
-    codes = np.empty(len(values), dtype=np.uint32)
-    codes[order] = rows
-    distinct = values[order[first]]
-    del order, first, rows
-    table = np.concatenate([
-        np.array(list(map(repr, distinct[lo : lo + packed.BLOCK_KEYS].tolist())), dtype="S")
-        for lo in range(0, len(distinct), packed.BLOCK_KEYS)
-    ])
-    return table, codes
-
-
-def _write_qi_csvs(outdir: Path, rep: suspension.QiReport, sizes: dict):
-    """``qi_r<R>.csv`` for each radius R in ``sizes``: the first sizes[R]
-    rows (length, bound, ratio) of ``rep``, byte for byte as csv.writer
-    writes them: ints and float reprs, comma separated and CRLF terminated.
-
-    Each row is gathered from the text tables of its three columns into a
-    fixed-width, NUL-padded byte row; a block of ``packed.BLOCK_KEYS`` rows
-    drops its padding at once.
-    """
-    lengths = rep.lengths.astype(np.uint8)
-    columns = [
-        (np.arange(int(lengths.max()) + 1).astype("S"), lengths),
-        _text_table(rep.bounds),
-        _text_table(rep.ratios),
-    ]
-    block = packed.BLOCK_KEYS
-    sep = np.full((block, 1), ord(","), dtype=np.uint8)
-    eol = np.tile(np.frombuffer(b"\r\n", dtype=np.uint8), (block, 1))
-    for r, n in sizes.items():
-        with (outdir / f"qi_r{r}.csv").open("wb") as fh:
-            fh.write(b"word_length,bound,ratio\r\n")
-            for lo in range(0, n, block):
-                m = min(n - lo, block)
-                pieces = []
-                for table, codes in columns:
-                    text = table[codes[lo : lo + m]]
-                    pieces += [text.view(np.uint8).reshape(m, -1), sep[:m]]
-                pieces[-1] = eol[:m]
-                joined = np.hstack(pieces)
-                fh.write(joined[joined != 0])
 
 
 # ---------------------------------------------------------------- runners
@@ -339,7 +275,7 @@ def run_qi_compare(prep: Prepared, rng, outdir: Path) -> dict:
         suspension.qi_report(r, top.lengths[: sizes[r]], top.bounds[: sizes[r]])
         for r in radii[:-1]
     ] + [top]
-    _write_qi_csvs(outdir, top, sizes)
+    qicsv.write_qi_csvs(outdir, top, sizes)
     per_radius = {
         str(rep.radius): {
             "q_hat": rep.q_hat,

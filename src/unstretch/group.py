@@ -156,25 +156,23 @@ class GroupContext:
         self.z = z_element(matrix.dim)
 
     def matrix_power(self, j: int) -> matrices.IntMatrix:
-        """Exact A^j for any integer j, cached in both directions."""
-        powers = self._powers
-        got = powers.get(j)
-        if got is not None:
-            return got
-        if j > 0:
-            base = self.matrix.entries
-            have = max(k for k in powers if k >= 0 and k <= j)
-            step = 1
-        else:
-            base = self.matrix.inverse_entries
-            have = min(k for k in powers if k <= 0 and k >= j)
-            step = -1
-        acc = powers[have]
-        while have != j:
-            acc = matrices.matmul(acc, base)
-            have += step
-            powers[have] = acc
-        return acc
+        """Exact A^j for any integer j, by repeated squaring of A or A^-1.
+
+        Only the powers asked for are cached, not the squares on the way.
+        """
+        got = self._powers.get(j)
+        if got is None:
+            base = self.matrix.entries if j > 0 else self.matrix.inverse_entries
+            got = matrices.identity(self.dim)
+            n = abs(j)
+            while n:
+                if n & 1:
+                    got = matrices.matmul(got, base)
+                n >>= 1
+                if n:
+                    base = matrices.matmul(base, base)
+            self._powers[j] = got
+        return got
 
     def twist(self, k: int, y: tuple) -> tuple:
         """Cached A^k y for the handful of vectors hit in hot loops."""

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -16,7 +20,8 @@ from unstretch import (
     qi_comparison,
     word_ball,
 )
-from unstretch import experiments, packed
+import unstretch
+from unstretch import experiments, packed, qicsv
 from unstretch.cli import main
 from unstretch.config import COMMON_KEYS, EXPERIMENT_NAMES, ExperimentConfig, load_config
 from unstretch.errors import CertificationError, ValidationError
@@ -305,7 +310,7 @@ def test_qi_radius_below_six_exits_2_before_building_a_ball(
     assert built == []
 
 
-# Traced bytes per ball row that qi_comparison and _write_qi_csvs may hold at
+# Traced bytes per ball row that qi_comparison and write_qi_csvs may hold at
 # their peak, above what is held when they start. Measured at radius 14
 # (600,617 rows): 64.4 with blockwise bounds and batched repr, 105.0 with the
 # whole table unpacked and every distinct float formatted at once.
@@ -319,18 +324,121 @@ def test_qi_compare_memory_per_row(tmp_path, ctx, gens, cat_matrix):
     try:
         start = tracemalloc.get_traced_memory()[0]
         rep = qi_comparison(oracle, split)
-        experiments._write_qi_csvs(tmp_path, rep, {14: len(oracle)})
+        qicsv.write_qi_csvs(tmp_path, rep, {14: len(oracle)})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (peak - start) / len(oracle) < QI_PEAK_BYTES_PER_ROW
 
 
+def _worker_only(action):
+    """``qicsv.text_table`` that first runs ``action`` when it is
+    called in a process forked from this one, as the ratio worker is."""
+    parent = os.getpid()
+    text_table = qicsv.text_table
+
+    def patched(values):
+        if os.getpid() != parent:
+            action()
+        return text_table(values)
+
+    return patched
+
+
+def test_failing_worker_raises_and_leaves_no_child(
+    tmp_path, monkeypatch, capfd, oracle8, cat_matrix
+):
+    rep = qi_comparison(oracle8, compute_splitting(cat_matrix))
+
+    def fail():
+        raise MemoryError("planted worker failure")
+
+    monkeypatch.setattr(qicsv, "text_table", _worker_only(fail))
+    with pytest.raises(RuntimeError, match="text-table worker"):
+        qicsv.write_qi_csvs(tmp_path, rep, {8: rep.n_entries})
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert "planted worker failure" in capfd.readouterr().err
+    assert not (tmp_path / "qi_r8.csv").exists()
+
+
+def test_worker_exit_status_is_checked(tmp_path, monkeypatch, oracle8, cat_matrix):
+    # The worker sends its whole table, then exits with status 3.
+    rep = qi_comparison(oracle8, compute_splitting(cat_matrix))
+    leave = os._exit
+    monkeypatch.setattr(os, "_exit", lambda status: leave(3))
+    with pytest.raises(RuntimeError, match="exited with status 3"):
+        qicsv.write_qi_csvs(tmp_path, rep, {8: rep.n_entries})
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_parent_failure_kills_and_reaps_the_worker(
+    tmp_path, monkeypatch, oracle8, cat_matrix
+):
+    rep = qi_comparison(oracle8, compute_splitting(cat_matrix))
+    # The worker would sleep for a minute; the parent fails on its own table.
+    worker_sleeps = _worker_only(lambda: time.sleep(60))
+
+    def text_table(values):
+        worker_sleeps(values)
+        raise KeyError("planted parent failure")
+
+    monkeypatch.setattr(qicsv, "text_table", text_table)
+    started = time.monotonic()
+    with pytest.raises(KeyError, match="planted parent failure"):
+        qicsv.write_qi_csvs(tmp_path, rep, {8: rep.n_entries})
+    assert time.monotonic() - started < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# A qi-compare run whose worker touches 64 MB more than the parent holds; it
+# prints its own and its reaped children's ru_maxrss in MB.
+PEAKS = """
+import os, resource, sys
+import numpy as np
+from unstretch import cli, qicsv
+
+parent = os.getpid()
+text_table = qicsv.text_table
+
+def heavy_worker(values):
+    if os.getpid() != parent:
+        np.ones(64 << 20, dtype=np.uint8)
+    return text_table(values)
+
+qicsv.text_table = heavy_worker
+assert cli.main(["run", "--config", sys.argv[1]]) == 0
+print(*(resource.getrusage(who).ru_maxrss / 1024
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
+"""
+
+
+def test_qi_compare_summary_peak_includes_the_worker(tmp_path):
+    # Only RUSAGE_CHILDREN sees the run's peak. A process exec'd straight from
+    # this one would start with this one's peak as its own ru_maxrss, so
+    # the script runs as a child of a shell, which forks it.
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "qi", {
+        "experiment": "qi-compare", "matrix": CAT, "qi_radii": [6, 8],
+        "output_dir": str(out),
+    })
+    env = {**os.environ, "PYTHONPATH": str(Path(unstretch.__file__).parents[1])}
+    done = subprocess.run(
+        ["/bin/sh", "-c", '"$0" -c "$1" "$2"; exit $?', sys.executable, PEAKS, str(cfg)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    own, children = map(float, done.stdout.split()[-2:])
+    assert children > own + 32
+    assert read_summary(out)["peak_rss_mb"] >= children
+
+
 def test_text_table_is_repr_of_each_float():
     values = np.array(
         [0.0, -0.0, 1e-05, 1e16, 5e-324, 123456789.123, 1e16, -0.0, 0.0, 1e-05]
     )
-    table, codes = experiments._text_table(values)
+    table, codes = qicsv.text_table(values)
     assert len(table) == 6
     assert [table[c].decode() for c in codes] == [repr(v) for v in values.tolist()]
 

@@ -10,6 +10,7 @@ from unstretch import (
     identity_element,
     lattice_element,
 )
+from unstretch import matrices
 
 from conftest import CAT, D3_REAL
 
@@ -91,6 +92,21 @@ def test_matrix_power_examples(ctx):
     assert ctx.matrix_power(0) == ((1, 0), (0, 1))
     assert ctx.matrix_power(2) == ((5, 3), (3, 2))
     assert ctx.matrix_power(-1) == ((1, -1), (-1, 2))
+
+
+@pytest.mark.parametrize("entries", [CAT, D3_REAL])
+def test_matrix_power_by_squaring_matches_incremental_products(entries):
+    ctx = GroupContext(ToralMatrix(entries))
+    asked = {0}
+    for sign, base in ((1, ctx.matrix.entries), (-1, ctx.matrix.inverse_entries)):
+        acc = matrices.identity(ctx.dim)
+        for n in range(1, 8001):
+            acc = matrices.matmul(acc, base)
+            if n <= 40 or n == 8000:
+                assert ctx.matrix_power(sign * n) == acc
+                asked.add(sign * n)
+    # The squares on the way to +-8000 are not cached.
+    assert set(ctx._powers) == asked
 
 
 def test_power_cache_inverse_pairs(ctx):
