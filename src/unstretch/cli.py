@@ -27,14 +27,28 @@ from .errors import BudgetError, CertificationError, ValidationError
 from .experiments import REGISTRY, list_experiments, prepare
 
 
+def _own_peak_kb() -> int:
+    """The process's own peak RSS in kB: VmHWM from /proc/self/status, which
+    execve resets, or ru_maxrss where that file is absent. Linux carries
+    ru_maxrss across execve, so it can be the peak of whatever launched
+    the run."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 def _write_summary(outdir: Path, payload: dict, started: float):
-    """summary.json, with the run's wall time and peak RSS (the larger
-    ru_maxrss, in MB, of the process and of its reaped children, such as
-    qi-compare's forked worker) beside the verdicts."""
+    """summary.json, with the run's wall time and peak RSS (the larger, in
+    MB, of the process's own peak and the ru_maxrss of its reaped children,
+    such as qi-compare's forked worker) beside the verdicts."""
     payload["wall_time_s"] = time.perf_counter() - started
     payload["peak_rss_mb"] = max(
-        resource.getrusage(who).ru_maxrss
-        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+        _own_peak_kb(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     ) / 1024
     (outdir / "summary.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -262,14 +262,20 @@ def run_qi_compare(prep: Prepared, rng, outdir: Path) -> dict:
             f"qi-compare radii must be at least {suspension.QI_MIN_RADIUS}, "
             f"not {[r for r in radii if r < suspension.QI_MIN_RADIUS]}"
         )
+    # The ball goes to the largest radius only, so a bfs_radius above it
+    # asks for rows that no radius reads. The default (8) is let through: a
+    # config that leaves bfs_radius out may ask only for smaller radii.
+    if cfg.bfs_radius > max(radii[-1], type(cfg).bfs_radius):
+        raise ValidationError(
+            f"qi-compare builds its ball to its largest radius {radii[-1]}, "
+            f"so bfs_radius {cfg.bfs_radius} may not exceed it"
+        )
     split = suspension.compute_splitting(prep.matrix)
-    oracle = word_ball(
-        prep.ctx, prep.gens, max(radii[-1], cfg.bfs_radius), budget=cfg.budget_elements
-    )
+    oracle = word_ball(prep.ctx, prep.gens, radii[-1], budget=cfg.budget_elements)
     # Each radius's ball is a breadth-first prefix of the largest one, and a
     # row's bound does not depend on the rows around it, so the bounds are
     # computed once and each radius reads the first ball_size(r) rows.
-    top = suspension.qi_comparison(oracle.restricted(radii[-1]), split)
+    top = suspension.qi_comparison(oracle, split)
     sizes = {r: oracle.ball_size(r) for r in radii}
     reports = [
         suspension.qi_report(r, top.lengths[: sizes[r]], top.bounds[: sizes[r]])

@@ -71,7 +71,6 @@ class ToralMatrix:
             raise ValidationError(f"determinant is {d}, matrix is not in GL(d, Z)")
         self.entries = entries
         self.dim = dim
-        self.det = d
 
     def __repr__(self):
         return f"ToralMatrix({[list(r) for r in self.entries]})"
@@ -92,14 +91,6 @@ class ToralMatrix:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.as_array())
-
-    @cached_property
-    def op_norm(self) -> float:
-        return float(np.linalg.norm(self.as_array(), 2))
-
-    @cached_property
-    def op_norm_inv(self) -> float:
-        return float(np.linalg.norm(np.array(self.inverse_entries, dtype=float), 2))
 
     @cached_property
     def hyperbolicity(self) -> HyperbolicityReport:

@@ -1,8 +1,8 @@
 """Exact arithmetic on small integer matrices.
 
 Matrices are nested tuples of Python ints (row major), so every operation is
-arbitrary precision. Determinants use the fraction-free Bareiss scheme and
-inverses go through exact rational elimination; nothing here ever rounds.
+arbitrary precision. Determinants use the fraction-free Bareiss scheme, and
+inverses are adjugates of Bareiss cofactors; nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -118,35 +118,21 @@ def norm_below(m: IntMatrix, lam: Fraction) -> bool:
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of an integer matrix with determinant +-1.
-
-    Runs rational Gauss-Jordan elimination and verifies that every entry of
-    the result is integral, which certifies |det| = 1 as a side effect.
-    """
+    """Exact inverse of an integer matrix with determinant +-1: det(m) times
+    its adjugate, whose cofactors are Bareiss determinants of the minors."""
     n = require_square(m)
-    aug = [
-        [Fraction(m[r][c]) for c in range(n)]
-        + [Fraction(int(r == c)) for c in range(n)]
+    d = det(m)
+    if d == 0:
+        raise ValidationError("matrix is singular, cannot invert")
+    if d not in (1, -1):
+        raise ValidationError("matrix inverse is not integral (|det| != 1)")
+    if n == 1:
+        return ((d,),)
+    return tuple(
+        tuple(
+            d * (-1) ** (r + c)
+            * det(tuple(row[:r] + row[r + 1:] for i, row in enumerate(m) if i != c))
+            for c in range(n)
+        )
         for r in range(n)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValidationError("matrix is singular, cannot invert")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = []
-    for r in range(n):
-        row = []
-        for c in range(n, 2 * n):
-            v = aug[r][c]
-            if v.denominator != 1:
-                raise ValidationError("matrix inverse is not integral (|det| != 1)")
-            row.append(int(v))
-        inv.append(tuple(row))
-    return tuple(inv)
+    )

@@ -24,14 +24,14 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import matrices
-from .errors import CertificationError, ValidationError
+from .errors import ValidationError
 from .group import GeneratingSet, GroupContext, GroupElement, ToralMatrix
 from .oracle import DEFAULT_ELEMENT_BUDGET, WordLengthOracle, word_ball  # noqa: F401
 from .packed import (KeyLayout, certify, element_columns, pack_elements, spread,
                      translate_steps)
 
 _INT64_MAX = (1 << 63) - 1
-# choose_lambda bounds ||A^i v||^(1/i) for 2 < i <= I_MAX.
+# choose_lambda bounds ||A^i v|| by lam^i for 2 < i <= I_MAX.
 I_MAX = 50
 # Share of sample_box's draws placed near the norm boundary.
 BOUNDARY_FRACTION = 0.3
@@ -122,7 +122,7 @@ def column_diameter(oracle: WordLengthOracle, xs: np.ndarray, ks: np.ndarray) ->
 class BoxSet:
     """Elements with ||x|| <= lam^ell and |k| <= h, membership exact.
 
-    The norm test is sum(x_i^2) * q^(2 ell) <= p^(2 ell) with lam = p/q in
+    The norm test is sum(x_i^2) <= p^(2 ell) // q^(2 ell) with lam = p/q in
     lowest terms, so it is a pure integer comparison.
     """
 
@@ -135,11 +135,9 @@ class BoxSet:
         self.lam = lam
         self.ell = int(ell)
         self.h = int(h)
-        self._num2l = lam.numerator ** (2 * self.ell)
-        self._den2l = lam.denominator ** (2 * self.ell)
         # The squared norm is an integer, so it is at most p^(2 ell) / q^(2 ell)
         # exactly when it is at most this floor.
-        self._norm_sq_max = self._num2l // self._den2l
+        self._norm_sq_max = lam.numerator ** (2 * self.ell) // lam.denominator ** (2 * self.ell)
 
     def __repr__(self):
         return f"BoxSet(lam={self.lam}, ell={self.ell}, h={self.h})"
@@ -147,8 +145,7 @@ class BoxSet:
     def contains(self, g: GroupElement) -> bool:
         if abs(g.k) > self.h:
             return False
-        norm_sq = sum(v * v for v in g.x)
-        return norm_sq * self._den2l <= self._num2l
+        return sum(v * v for v in g.x) <= self._norm_sq_max
 
     def contains_columns(self, xs: np.ndarray, ks: np.ndarray) -> np.ndarray:
         """Membership mask of the elements with int64 coordinates xs (n, dim)
@@ -172,20 +169,20 @@ class BoxSet:
 
 
 def choose_lambda(A: ToralMatrix, phi) -> Fraction:
-    """Smallest hundredth strictly above every scale the box lemmas need.
+    """The least hundredth lam > 2 that meets, exactly, every strict
+    condition the box lemmas need:
 
-    The binding quantities are max(2, ||A||, ||A^-1||, ||B||, ||B^-1||,
-    ||v|| + ||A v|| - 1, and ||A^i v||^(1/i) over 2 < i <= I_MAX), estimated
-    in floats. The choice lam = p/q is then certified against the strict
-    form of every condition in exact arithmetic, and a failed check raises
-    CertificationError: each operator norm by ``matrices.norm_below``,
-    sqrt(a) + sqrt(b) < c as c^2 - a - b > 0 and 4ab < (c^2 - a - b)^2, and
-    ||A^i v|| < lam^i as |A^i v|^2 q^(2i) < p^(2i).
+    - ||M|| < lam for M = A, A^-1, B and B^-1 (``matrices.norm_below``);
+    - ||v|| + ||A v|| < 1 + lam, on rationals: sqrt(a) + sqrt(b) < c holds
+      exactly when c^2 - a - b > 0 and 4ab < (c^2 - a - b)^2;
+    - ||A^i v|| < lam^i for 2 < i <= I_MAX, as |A^i v|^2 q^(2i) < p^(2i)
+      with lam = p/q.
+
+    Each condition, once it holds, holds for every larger lam. So the search
+    doubles the hundredths from 201 until all of them hold, then bisects
+    down to the least that passes; that lam is certified by construction.
     """
-    b_inv = matrices.inverse_unimodular(phi.B)
-    needs = [2.0, A.op_norm, A.op_norm_inv,
-             float(np.linalg.norm(np.array(phi.B, dtype=float), 2)),
-             float(np.linalg.norm(np.array(b_inv, dtype=float), 2))]
+    operators = (A.entries, A.inverse_entries, phi.B, matrices.inverse_unimodular(phi.B))
     v_sq = sum(c * c for c in phi.v)
     norms_sq = []  # |A^i v|^2 for i = 1..I_MAX, exact
     if v_sq:
@@ -193,29 +190,25 @@ def choose_lambda(A: ToralMatrix, phi) -> Fraction:
         for _ in range(I_MAX):
             w = matrices.matvec(A.entries, w)
             norms_sq.append(sum(c * c for c in w))
-        needs.append(math.sqrt(v_sq) + math.sqrt(norms_sq[0]) - 1.0)
-        needs.extend(math.sqrt(n) ** (1.0 / i) for i, n in enumerate(norms_sq[2:], 3))
-    top = max(needs)
-    lam = Fraction(math.floor(top * 100) + 1, 100)
-    while float(lam) <= top:
-        lam += Fraction(1, 100)
 
-    def require(ok, condition):
-        if not ok:
-            raise CertificationError(f"box scale lam = {lam} fails {condition}")
-
-    require(lam > 2, "lam > 2")
-    for name, m in (("A", A.entries), ("A^-1", A.inverse_entries),
-                    ("B", phi.B), ("B^-1", b_inv)):
-        require(matrices.norm_below(m, lam), f"||{name}|| < lam")
-    if v_sq:
+    def holds(hundredths: int) -> bool:
+        lam = Fraction(hundredths, 100)
+        if not all(matrices.norm_below(m, lam) for m in operators):
+            return False
+        if not v_sq:
+            return True
         slack = (1 + lam) ** 2 - v_sq - norms_sq[0]
-        require(slack > 0 and 4 * v_sq * norms_sq[0] < slack * slack,
-                "||v|| + ||A v|| < 1 + lam")
         p, q = lam.numerator, lam.denominator
-        for i, n in enumerate(norms_sq[2:], 3):
-            require(n * q ** (2 * i) < p ** (2 * i), f"||A^{i} v|| < lam^{i}")
-    return lam
+        return (slack > 0 and 4 * v_sq * norms_sq[0] < slack * slack
+                and all(n * q ** (2 * i) < p ** (2 * i) for i, n in enumerate(norms_sq[2:], 3)))
+
+    fails, passes = 200, 201  # lam = 2 is excluded
+    while not holds(passes):
+        fails, passes = passes, 2 * passes
+    while passes - fails > 1:
+        mid = (fails + passes) // 2
+        fails, passes = (fails, mid) if holds(mid) else (mid, passes)
+    return Fraction(passes, 100)
 
 
 def sample_box(

@@ -251,7 +251,7 @@ def test_box_diameter_linear_in_parameters(ctx, big_oracle):
     lam = Fraction(131, 50)
 
     def box_elements(box):
-        r = math.isqrt(box._num2l // box._den2l)
+        r = math.isqrt(box._norm_sq_max)
         out = []
         for x1 in range(-r, r + 1):
             for x2 in range(-r, r + 1):

@@ -249,19 +249,18 @@ def test_qi_compare_run(tmp_path):
 
 @pytest.mark.parametrize("block", [packed.BLOCK_KEYS, 1000])
 def test_qi_csvs_match_csv_writer_over_each_radius(tmp_path, monkeypatch, block):
-    # The top ball (radius 9) lies above the largest radius, and 8 repeats;
-    # 1000-row blocks put block boundaries inside both files.
+    # 8 repeats, and 1000-row blocks put block boundaries inside both files.
     monkeypatch.setattr(packed, "BLOCK_KEYS", block)
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, "qi", {
         "experiment": "qi-compare", "matrix": CAT, "qi_radii": [8, 6, 8],
-        "bfs_radius": 9, "output_dir": str(out),
+        "bfs_radius": 8, "output_dir": str(out),
     })
     assert run_cli(cfg) == 0
     per = read_summary(out)["verdicts"]["per_radius"]
     assert sorted(per) == ["6", "8"]
     matrix = ToralMatrix(CAT)
-    oracle = word_ball(GroupContext(matrix), GeneratingSet.standard(2), 9)
+    oracle = word_ball(GroupContext(matrix), GeneratingSet.standard(2), 8)
     split = compute_splitting(matrix)
     for r in (6, 8):
         rep = qi_comparison(oracle.restricted(r), split)
@@ -306,6 +305,23 @@ def test_qi_radius_below_six_exits_2_before_building_a_ball(
     })
     assert run_cli(cfg) == 2
     assert "[4]" in capsys.readouterr().err
+    assert not out.exists()
+    assert built == []
+
+
+def test_qi_bfs_radius_above_the_largest_radius_exits_2_before_building_a_ball(
+    tmp_path, capsys, monkeypatch
+):
+    built = []
+    monkeypatch.setattr(experiments, "word_ball", lambda *a, **k: built.append(a))
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "qi", {
+        "experiment": "qi-compare", "matrix": CAT, "qi_radii": [6, 8],
+        "bfs_radius": 14, "output_dir": str(out),
+    })
+    assert run_cli(cfg) == 2
+    err = capsys.readouterr().err
+    assert "largest radius 8" in err and "bfs_radius 14" in err
     assert not out.exists()
     assert built == []
 
@@ -432,6 +448,28 @@ def test_qi_compare_summary_peak_includes_the_worker(tmp_path):
     own, children = map(float, done.stdout.split()[-2:])
     assert children > own + 32
     assert read_summary(out)["peak_rss_mb"] >= children
+
+
+# A launcher that touches 256 MB, then execs the CLI in its own process.
+LAUNCHER = """
+import os, sys
+held = b"x" * (256 << 20)
+os.execv(sys.executable, [sys.executable, "-m", "unstretch.cli", "run", "--config", sys.argv[1]])
+"""
+
+
+def test_summary_peak_is_not_the_launchers(tmp_path):
+    # Linux carries ru_maxrss across execve, so the run must report its own
+    # peak (VmHWM), not the 256 MB its launcher held before the exec.
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "wl", {
+        "experiment": "word-length", "matrix": CAT, "bfs_radius": 4,
+        "elements": [[[1, 0], 0]], "output_dir": str(out),
+    })
+    env = {**os.environ, "PYTHONPATH": str(Path(unstretch.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", LAUNCHER, str(cfg)], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+    assert read_summary(out)["peak_rss_mb"] < 128
 
 
 def test_text_table_is_repr_of_each_float():

@@ -8,7 +8,6 @@ from conftest import CAT, D3_REAL
 from unstretch import (
     BoxSet,
     BudgetError,
-    CertificationError,
     GeneratingSet,
     GroupAutomorphism,
     GroupContext,
@@ -23,11 +22,12 @@ from unstretch import (
     word_ball,
 )
 from unstretch import matrices
-from unstretch.autos import apply_automorphism
+from unstretch.autos import apply_automorphism, enumerate_commuting_matrices
 from unstretch.dynamics import check_box_inclusion_phi, iterate_once
 from unstretch.packed import element_columns, pack_elements, spread, translate_steps
 from unstretch.words import (
     BOUNDARY_FRACTION,
+    I_MAX,
     check_box_inclusion_u1,
     check_box_inclusion_un,
     check_inclusion,
@@ -299,6 +299,83 @@ def test_choose_lambda_clamps_at_two():
     assert choose_lambda(m, GroupAutomorphism.identity(2)) == Fraction(201, 100)
 
 
+def reference_choose_lambda(A, phi):
+    """The float-then-certify path that ``choose_lambda``'s exact search
+    replaced: the smallest hundredth strictly above the float estimates of
+    every scale the box lemmas need, then each strict condition certified
+    exactly (a float underestimate fails here)."""
+    b_inv = matrices.inverse_unimodular(phi.B)
+    needs = [2.0] + [float(np.linalg.norm(np.array(m, dtype=float), 2))
+                     for m in (A.entries, A.inverse_entries, phi.B, b_inv)]
+    v_sq = sum(c * c for c in phi.v)
+    norms_sq = []
+    if v_sq:
+        w = tuple(phi.v)
+        for _ in range(I_MAX):
+            w = matrices.matvec(A.entries, w)
+            norms_sq.append(sum(c * c for c in w))
+        needs.append(math.sqrt(v_sq) + math.sqrt(norms_sq[0]) - 1.0)
+        needs.extend(math.sqrt(n) ** (1.0 / i) for i, n in enumerate(norms_sq[2:], 3))
+    top = max(needs)
+    lam = Fraction(math.floor(top * 100) + 1, 100)
+    while float(lam) <= top:
+        lam += Fraction(1, 100)
+    assert all(scale_conditions(A, phi, lam)), f"lam = {lam} fails a condition"
+    return lam
+
+
+def scale_conditions(A, phi, lam):
+    """Each strict condition ``choose_lambda`` needs of lam, tested exactly."""
+    p, q = lam.numerator, lam.denominator
+    out = [lam > 2] + [
+        matrices.norm_below(m, lam)
+        for m in (A.entries, A.inverse_entries, phi.B, matrices.inverse_unimodular(phi.B))
+    ]
+    v_sq = sum(c * c for c in phi.v)
+    if v_sq:
+        w = matrices.matvec(A.entries, phi.v)
+        a_v_sq = sum(c * c for c in w)
+        slack = (1 + lam) ** 2 - v_sq - a_v_sq
+        out.append(slack > 0 and 4 * v_sq * a_v_sq < slack * slack)
+        for i in range(2, I_MAX + 1):
+            w = matrices.matvec(A.entries, w)
+            if i > 2:
+                out.append(sum(c * c for c in w) * q ** (2 * i) < p ** (2 * i))
+    return out
+
+
+def scale_cases():
+    """Automorphisms of the cat map (both signs of e) and of D3_REAL (e = 1)
+    from the centralizer scan, each with several translations v."""
+    cases = []
+    for rows, es, vs in (
+        (CAT, (1, -1), ((0, 0), (1, 0), (0, 1), (2, -1), (3, 5))),
+        (D3_REAL, (1,), ((0, 0, 0), (1, 0, 0), (0, 1, -1), (2, 1, 3))),
+    ):
+        A = ToralMatrix(rows)
+        for e in es:
+            for b in enumerate_commuting_matrices(A, e, 3):
+                cases.extend((A, GroupAutomorphism.from_parts(b, v, e)) for v in vs)
+    return cases
+
+
+def test_choose_lambda_equals_the_float_then_certify_path():
+    cases = scale_cases()
+    assert len(cases) == 28 * 5 + 18 * 4
+    for A, phi in cases:
+        assert choose_lambda(A, phi) == reference_choose_lambda(A, phi), (A, phi)
+
+
+def test_choose_lambda_is_the_least_hundredth_meeting_every_condition():
+    golden = ToralMatrix([[1, 1], [1, 0]])
+    for A, phi in scale_cases() + [(golden, GroupAutomorphism.identity(2))]:
+        lam = choose_lambda(A, phi)
+        assert (lam * 100).denominator == 1
+        assert all(scale_conditions(A, phi, lam)), (A, phi)
+        if lam != Fraction(201, 100):
+            assert not all(scale_conditions(A, phi, lam - Fraction(1, 100))), (A, phi)
+
+
 def test_sample_box_members_only(ctx):
     rng = np.random.default_rng(42)
     box = BoxSet(Fraction(131, 50), 3, 2)
@@ -518,12 +595,3 @@ def test_norm_below_is_exact():
         assert not matrices.norm_below(m, norm * (1 - Fraction(1, 10**9)))
 
 
-def test_choose_lambda_failed_check_raises_certification_error():
-    class LowNorm(ToralMatrix):
-        """A matrix whose float norm estimates are below its exact norms
-        (about 2.618), so lam is chosen at 2.51 and the exact check fails."""
-
-        op_norm = op_norm_inv = 2.5
-
-    with pytest.raises(CertificationError, match=r"lam = 251/100 fails \|\|A\|\| < lam"):
-        choose_lambda(LowNorm([[2, 1], [1, 1]]), GroupAutomorphism.identity(2))
