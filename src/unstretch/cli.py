@@ -66,9 +66,6 @@ def run_command(args) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except CertificationError as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return 4
 
     outdir = Path(cfg.output_dir)
     created = [d for d in (outdir, *outdir.parents) if not d.exists()]

@@ -271,12 +271,15 @@ def run_qi_compare(prep: Prepared, rng, outdir: Path) -> dict:
             f"so bfs_radius {cfg.bfs_radius} may not exceed it"
         )
     split = suspension.compute_splitting(prep.matrix)
-    oracle = word_ball(prep.ctx, prep.gens, radii[-1], budget=cfg.budget_elements)
     # Each radius's ball is a breadth-first prefix of the largest one, and a
     # row's bound does not depend on the rows around it, so the bounds are
-    # computed once and each radius reads the first ball_size(r) rows.
-    top = suspension.qi_comparison(oracle, split)
-    sizes = {r: oracle.ball_size(r) for r in radii}
+    # computed once and each radius reads the first ball_size(r) rows, the
+    # rows of length at most r. No name here holds the ball, so it is freed
+    # once its bounds exist, before the fit.
+    top = suspension.qi_comparison(
+        word_ball(prep.ctx, prep.gens, radii[-1], budget=cfg.budget_elements), split
+    )
+    sizes = {r: int(top.lengths.searchsorted(r, side="right")) for r in radii}
     reports = [
         suspension.qi_report(r, top.lengths[: sizes[r]], top.bounds[: sizes[r]])
         for r in radii[:-1]

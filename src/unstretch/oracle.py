@@ -2,11 +2,13 @@
 
 Elements x * z^k are packed into int64 keys (``packed.KeyLayout``), so that a
 generator step is one integer addition. ``word_ball`` enumerates the ball one
-sphere at a time with the shared breadth-first step of ``packed.py``, and
-``WordLengthOracle`` stores it as three arrays: the keys in breadth-first
-order, a sorted copy, and the uint8 lengths of that copy. A packing
-certificate checked before every sphere makes the ball refuse to grow past
-what the layout holds instead of wrapping.
+sphere at a time with the ordered breadth-first step of ``packed.py``
+(``next_sphere``, which streams each sphere by blocks of exponents), and
+``WordLengthOracle`` stores it as the keys in breadth-first order with the
+sphere sizes. Only lookups need a sorted copy of the keys with their uint8
+lengths, so it is built on the first lookup. A packing certificate checked
+before every sphere makes the ball refuse to grow past what the layout holds
+instead of wrapping.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from . import packed
 from .errors import BudgetError, ValidationError
 from .group import GeneratingSet, GroupContext, GroupElement
-from .packed import find, next_layer, translate_steps
+from .packed import exponent_major, find, next_sphere, translate_steps
 
 # Element-count cap for ball/neighborhood construction. Growth is exponential,
 # so this bounds memory, not accuracy; results below the cap are exact.
@@ -34,23 +36,31 @@ class WordLengthOracle:
     ``keys`` lists the ball in breadth-first order, sphere after sphere, so
     the word length of ``keys[i]`` is the sphere holding index i; lengths are
     implicit in ``sphere_sizes``. Lookups binary-search a sorted copy of the
-    keys that carries uint8 lengths; absence certifies length > radius.
-    ``restricted`` oracles are prefix views that share the sorted copy and
-    ignore its entries beyond their radius. Queries after construction are
-    read-only and safe to share across workers.
+    keys that carries uint8 lengths, built by the first ``word_length`` or
+    ``column_lengths`` call, so that a run which never looks anything up
+    never pays for it; absence certifies length > radius. ``restricted``
+    oracles are prefix views that share the full oracle's sorted copy
+    (whichever of them builds it) and ignore its entries beyond their radius.
     """
 
-    def __init__(self, ctx, gens, radius, layout, keys, sphere_sizes, index=None):
+    def __init__(self, ctx, gens, radius, layout, keys, sphere_sizes, full=None):
         self.ctx = ctx
         self.gens = gens
         self.radius = radius
         self.layout = layout
         self.keys = keys
         self.sphere_sizes = list(sphere_sizes)
-        if index is None:
-            order = keys.argsort()
-            index = (keys[order], self._length_column(np.uint8)[order])
-        self._sorted_keys, self._sorted_lengths = index
+        self._full = full  # the oracle a restricted view is cut from
+        self._index = None
+
+    def _lookup_index(self):
+        """(sorted keys, their uint8 lengths), of the full oracle."""
+        if self._full is not None:
+            return self._full._lookup_index()
+        if self._index is None:
+            order = self.keys.argsort()
+            self._index = (self.keys[order], self._length_column(np.uint8)[order])
+        return self._index
 
     def _length_column(self, dtype=np.int64) -> np.ndarray:
         return np.repeat(np.arange(len(self.sphere_sizes), dtype=dtype), self.sphere_sizes)
@@ -60,10 +70,10 @@ class WordLengthOracle:
         key = self.layout.key(g)
         if key is None:
             return None
-        keys = self._sorted_keys
+        keys, lengths = self._lookup_index()
         i = int(keys.searchsorted(key))
         if i < len(keys) and keys[i] == key:
-            n = int(self._sorted_lengths[i])
+            n = int(lengths[i])
             if n <= self.radius:
                 return n
         return None
@@ -71,10 +81,11 @@ class WordLengthOracle:
     def column_lengths(self, xs: np.ndarray, ks: np.ndarray) -> np.ndarray:
         """Exact lengths as int64 of the elements with int64 coordinates xs
         (n, dim) and exponents ks (n,); -1 certifies > radius."""
+        sorted_keys, lengths = self._lookup_index()
         keys, fits = self.layout.pack(xs, ks)
-        pos, hit = find(self._sorted_keys, keys)
+        pos, hit = find(sorted_keys, keys)
         found = np.full(len(keys), -1, dtype=np.int64)
-        found[hit] = self._sorted_lengths[pos[hit]]
+        found[hit] = lengths[pos[hit]]
         found[found > self.radius] = -1
         out = np.full(len(ks), -1, dtype=np.int64)
         out[fits] = found
@@ -85,8 +96,10 @@ class WordLengthOracle:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the key arrays and the sorted lookup copy."""
-        return self.keys.nbytes + self._sorted_keys.nbytes + self._sorted_lengths.nbytes
+        """Bytes held by the keys and, once the first lookup has built it,
+        the sorted lookup copy (of the full oracle, for a restricted view)."""
+        index = (self._full or self)._index
+        return self.keys.nbytes + sum(a.nbytes for a in index or ())
 
     def items(self) -> Iterator[tuple]:
         """(element, length) pairs in breadth-first order, decoded
@@ -115,7 +128,7 @@ class WordLengthOracle:
 
     def restricted(self, radius: int) -> "WordLengthOracle":
         """The oracle for a smaller radius: a prefix view of the keys that
-        shares the sorted lookup copy."""
+        shares the full oracle's sorted lookup copy."""
         if radius > self.radius:
             raise ValidationError(
                 f"cannot restrict radius {self.radius} oracle to {radius}"
@@ -123,7 +136,7 @@ class WordLengthOracle:
         return WordLengthOracle(
             self.ctx, self.gens, radius, self.layout,
             self.keys[: self.ball_size(radius)], self.sphere_sizes[: radius + 1],
-            index=(self._sorted_keys, self._sorted_lengths),
+            full=self._full or self,
         )
 
 
@@ -135,11 +148,13 @@ def word_ball(
 ) -> WordLengthOracle:
     """Enumerate the ball of the given radius by breadth-first search.
 
-    Sphere r comes from sphere r-1 in one array step: the keys of every
-    (element, generator) product, less those in spheres r-1 and r-2 (the
-    generators are symmetric, so no earlier element is adjacent to sphere
-    r-1), keeping first occurrences in (element, generator) order, which is
-    the order a dictionary-driven search would insert them in.
+    Sphere r comes from sphere r-1 in one ``packed.next_sphere`` step: the
+    keys of every (element, generator) product, less those in spheres r-1
+    and r-2 (the generators are symmetric, so no earlier element is adjacent
+    to sphere r-1), keeping first occurrences in (element, generator) order,
+    which is the order a dictionary-driven search would insert them in. The
+    step streams the candidates by blocks of exponents, so only one block of
+    them is alive at once.
 
     Raises BudgetError (reporting the largest completed radius) if the table
     would exceed ``budget`` elements, and ValidationError naming the radius
@@ -155,7 +170,8 @@ def word_ball(
     layout = table.layout
     n_gens = len(gens.all)
     spheres = [np.array([layout.key(ctx.identity)], dtype=np.int64)]
-    previous = (spheres[0], spheres[0][:0])  # sorted spheres r-1 and r-2
+    # Spheres r-1 and r-2 as sorted exponent_major images.
+    previous = (exponent_major(layout, spheres[0]), spheres[0][:0])
     total = 1
     for r in range(1, radius + 1):
         frontier = spheres[-1]
@@ -171,11 +187,10 @@ def word_ball(
                     [len(s) for s in spheres],
                 ),
             )
-        translates = table.translates(frontier, f"ball of radius {r}")
-        fresh, sphere = next_layer(translates, previous, ordered=True)
+        sphere, previous = next_sphere(table, frontier, previous, f"ball of radius {r}")
         spheres.append(sphere)
-        previous = (fresh, previous[0])
         total += len(sphere)
+    del previous
     return WordLengthOracle(
         ctx, gens, radius, layout, np.concatenate(spheres), [len(s) for s in spheres]
     )

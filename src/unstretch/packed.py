@@ -3,12 +3,15 @@
 An element x * z^k becomes one nonnegative int64 (``KeyLayout``), so a
 generator step is one integer addition and a finite set of elements is a
 sorted array of distinct keys. ``StepTable`` holds the key increments of
-the generators (or of a ball, for the box checks) at each exponent, and
-``next_layer`` is the one breadth-first step that every enumeration shares:
-the word ball (``oracle.word_ball``), right neighborhoods U_N(S) (``spread``,
-behind ``words.neighborhood``), the set iteration and its lattice control
-(``dynamics``). Each step is preceded by a packing certificate that raises
-ValidationError instead of wrapping.
+the generators (or of a ball, for the box checks) at each exponent.
+``next_layer`` is the breadth-first step of right neighborhoods U_N(S)
+(``spread``, behind ``words.neighborhood``), the set iteration and its
+lattice control (``dynamics``). The word ball (``oracle.word_ball``) also
+needs each sphere in breadth-first order: ``next_sphere`` is the ordered
+step, which streams the candidates by blocks of exponents and reads the
+order off one mask over the (element, generator) pairs. Each step is
+preceded by a packing certificate that raises ValidationError instead of
+wrapping.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from .group import GeneratingSet, GroupContext, GroupElement
 # Packed element keys use this many bits of an int64, so keys are nonnegative.
 KEY_BITS = 63
 # Keys or rows per block wherever a whole set is processed in pieces
-# (``spread``'s frontier, decoding the oracle, qi-compare's bounds and CSV
+# (``spread``'s frontier, ``next_sphere``'s candidates, decoding keys for
+# the packing certificate and the oracle, qi-compare's bounds and CSV
 # rows), so only one block of temporaries is alive at once. Even, so a
-# matrix product over a block never has a lone row, which numpy would sum in
-# another order (see ``suspension._projected_norms``).
+# matrix product over a block never has a lone row, which numpy would sum
+# in another order (see ``suspension._projected_norms``).
 BLOCK_KEYS = 1 << 16
 
 
@@ -105,9 +109,13 @@ class KeyLayout:
         return xs, ks
 
     def reach(self, keys: np.ndarray) -> list:
-        """max |x_i| over the keys, per coordinate."""
-        xs, _ = self.unpack(keys)
-        return [int(v) for v in np.abs(xs).max(axis=0, initial=0)]
+        """max |x_i| over the keys, per coordinate, decoded ``BLOCK_KEYS``
+        keys at a time."""
+        reach = np.zeros(self.dim, dtype=np.int64)
+        for lo in range(0, len(keys), BLOCK_KEYS):
+            xs, _ = self.unpack(keys[lo : lo + BLOCK_KEYS])
+            np.maximum(reach, np.abs(xs).max(axis=0), out=reach)
+        return reach.tolist()
 
     def elements(self, keys: np.ndarray) -> list:
         """The GroupElements of packed keys, in key order."""
@@ -178,16 +186,15 @@ class StepTable:
             self._reach[row] = reach
         return reach
 
-    def translates(self, keys: np.ndarray, what: str) -> np.ndarray:
-        """Each key's right translates by the table's elements, (n, elements).
-
-        Packing certificate: the translates lie within the keys' reach plus
-        the largest twisted element at the keys' exponents, and within their
-        exponent range plus the largest z step; ValidationError naming
-        ``what`` if either could leave the layout.
+    def certified_rows(self, keys: np.ndarray, what: str) -> np.ndarray:
+        """The exponent rows (k + radius) of the keys, once the packing
+        certificate has passed: the keys' translates lie within the keys'
+        reach plus the largest twisted element at the keys' exponents, and
+        within their exponent range plus the largest z step; ValidationError
+        naming ``what`` if either could leave the layout.
         """
         layout = self.layout
-        rows = keys & ((1 << layout.k_bits) - 1)  # k + radius
+        rows = keys & ((1 << layout.k_bits) - 1)
         present = np.flatnonzero(np.bincount(rows, minlength=len(self.deltas)))
         twist = [0] * layout.dim
         for row in present.tolist():
@@ -197,7 +204,12 @@ class StepTable:
         if len(present):
             k_reach = max(layout.radius - int(present[0]), int(present[-1]) - layout.radius)
             certify(what, "exponents", k_reach + max(map(abs, self.dks)), layout.radius)
-        return keys[:, None] + self.deltas[rows]
+        return rows
+
+    def translates(self, keys: np.ndarray, what: str) -> np.ndarray:
+        """Each key's right translates by the table's elements, (n, elements),
+        after the packing certificate of ``certified_rows``."""
+        return keys[:, None] + self.deltas[self.certified_rows(keys, what)]
 
 
 def translate_steps(ctx: GroupContext, elements: tuple, radius: int) -> StepTable:
@@ -242,13 +254,18 @@ def distinct(values: np.ndarray) -> np.ndarray:
     return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
 
 
-def _first_occurrences(values: np.ndarray):
-    """Sorted distinct values and the index where each first occurs: the
-    result of np.unique(values, return_index=True), from an unstable sort."""
-    order = values.argsort()
-    ordered = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    return ordered[starts], np.minimum.reduceat(order, starts)
+def exponent_major(layout: KeyLayout, keys: np.ndarray) -> np.ndarray:
+    """The keys with their exponent field moved above the coordinate fields.
+
+    A bijection onto nonnegative int64 whose order sorts by exponent first,
+    so the sorted images of a block of exponents all precede those of any
+    higher block.
+    """
+    images = keys >> layout.k_bits
+    rows = keys & ((1 << layout.k_bits) - 1)
+    rows <<= KEY_BITS - layout.k_bits
+    images |= rows
+    return images
 
 
 def _unseen(fresh: np.ndarray, previous) -> np.ndarray:
@@ -259,23 +276,126 @@ def _unseen(fresh: np.ndarray, previous) -> np.ndarray:
     return keep
 
 
-def next_layer(translates: np.ndarray, previous, ordered=False):
+def next_layer(translates: np.ndarray, previous) -> np.ndarray:
     """The breadth-first layer after a frontier, as sorted distinct keys.
 
     ``translates`` holds the frontier's generator translates, and those in
     the sorted layers ``previous`` (the frontier and the layer before it) are
     dropped: the generators are symmetric, so nothing earlier is adjacent to
-    the frontier. With ``ordered`` the layer also comes in breadth-first
-    order, each key at its first occurrence in (frontier element, generator)
-    order, which is the order a dictionary-driven search inserts them in.
+    the frontier.
     """
-    cand = translates.ravel()
-    if not ordered:
-        fresh = distinct(cand)
-        return fresh[_unseen(fresh, previous)]
-    fresh, first = _first_occurrences(cand)
-    keep = _unseen(fresh, previous)
-    return fresh[keep], cand[np.sort(first[keep])]
+    fresh = distinct(translates.ravel())
+    return fresh[_unseen(fresh, previous)]
+
+
+def next_sphere(table: StepTable, frontier: np.ndarray, previous, what: str):
+    """The breadth-first sphere after ``frontier``, in breadth-first order.
+
+    Each key comes at its first occurrence in (frontier element, generator)
+    order, which is the order a dictionary-driven search inserts them in;
+    ``previous`` holds the ``exponent_major`` images of the frontier and
+    the sphere before it, sorted, and their keys are dropped (the generators
+    are symmetric, so nothing earlier is adjacent to the frontier). Returns
+    the sphere and the next step's ``previous``.
+
+    The packing certificate runs on the whole frontier first. A candidate's
+    exponent is its source's plus its generator's z part, so the candidates
+    split by exponent into blocks that share no key: the frontier is grouped
+    by exponent once, and each block of about BLOCK_KEYS candidates takes
+    its sources for each generator as one slice of the grouped frontier.
+    Within a block, candidates are deduplicated keeping the least flat index
+    (frontier position * generators + generator); the kept indices are
+    marked in one mask over all (element, generator) pairs, whose set bits,
+    read in order, give the breadth-first order without a sort.
+    """
+    layout = table.layout
+    rows = table.certified_rows(frontier, what)
+    n_rows, n_gens = table.deltas.shape
+    counts = np.bincount(rows, minlength=n_rows)
+    # A stable sort of small unsigned rows is a radix sort.
+    by_row = rows.astype(np.min_scalar_type(n_rows)).argsort(kind="stable")
+    del rows
+    grouped = exponent_major(layout, frontier[by_row])
+    by_row *= n_gens  # flat index of each grouped element's first generator
+    starts = np.concatenate(([0], np.cumsum(counts))).tolist()
+    # Key increments are additive field by field, so they carry over to
+    # exponent_major images with the exponent step moved up.
+    dks = np.array(table.dks, dtype=np.int64)
+    shift = KEY_BITS - layout.k_bits
+    steps = ((table.deltas - dks) >> layout.k_bits) + (dks << shift)
+    firsts = np.zeros(len(frontier) * n_gens, dtype=bool)
+    ranked = []
+    for lo, hi in _exponent_blocks(counts, table.dks):
+        pieces = []  # (generator, source rows, their slice of the grouped frontier)
+        for g, dk in enumerate(table.dks):
+            r0, r1 = (min(max(row - dk, 0), n_rows) for row in (lo, hi))
+            if starts[r0] < starts[r1]:
+                pieces.append((g, r0, r1, starts[r0], starts[r1]))
+        cand = np.empty(sum(b - a for *_, a, b in pieces), dtype=np.int64)
+        if not len(cand):
+            continue
+        flat = np.empty_like(cand)
+        at = 0
+        for g, r0, r1, a, b in pieces:
+            if r1 - r0 == 1:
+                step = steps[r0, g]
+            else:
+                step = np.repeat(steps[r0:r1, g], counts[r0:r1])
+            np.add(grouped[a:b], step, out=cand[at : at + b - a])
+            np.add(by_row[a:b], g, out=flat[at : at + b - a])
+            at += b - a
+        # Distinct candidates, each with its least flat index, from an
+        # unstable sort; each array is freed as soon as it is permuted.
+        order = cand.argsort()
+        cand = cand[order]
+        flat = flat[order]
+        del order
+        heads = np.flatnonzero(np.concatenate(([True], cand[1:] != cand[:-1])))
+        fresh, first = cand[heads], np.minimum.reduceat(flat, heads)
+        del cand, flat, heads
+        span = (lo << shift, hi << shift)  # the block's exponent_major images
+        keep = _unseen(fresh, [seen[slice(*seen.searchsorted(span))] for seen in previous])
+        ranked.append(fresh[keep])
+        firsts[first[keep]] = True
+    del by_row, grouped
+    ranked = np.concatenate(ranked)
+    return _read_in_order(table, frontier, firsts, len(ranked)), (ranked, previous[0])
+
+
+def _exponent_blocks(counts: np.ndarray, dks) -> list:
+    """(lo, hi) ranges of exponent rows that cut the candidates of a frontier
+    with ``counts`` elements per row into blocks of about BLOCK_KEYS, each
+    cut at the first row that brings it to BLOCK_KEYS."""
+    n_rows = len(counts)
+    per_row = np.zeros(n_rows, dtype=np.int64)  # candidates by exponent row
+    for dk in dks:  # row t gets one candidate per source in row t - dk
+        lo, hi = max(dk, 0), n_rows + min(dk, 0)
+        if lo < hi:
+            per_row[lo:hi] += counts[lo - dk : hi - dk]
+    cuts, size = [0], 0
+    for row, count in enumerate(per_row.tolist(), 1):
+        size += count
+        if size >= BLOCK_KEYS or row == n_rows:
+            cuts.append(row)
+            size = 0
+    return list(zip(cuts, cuts[1:]))
+
+
+def _read_in_order(table: StepTable, frontier: np.ndarray, firsts: np.ndarray, size: int):
+    """The ``size`` keys whose flat indices (frontier position * generators
+    + generator) the mask ``firsts`` sets, in flat index order, translated
+    afresh ``BLOCK_KEYS`` mask entries at a time."""
+    n_gens = table.deltas.shape[1]
+    rows = (1 << table.layout.k_bits) - 1
+    out = np.empty(size, dtype=np.int64)
+    at = 0
+    for lo in range(0, len(firsts), BLOCK_KEYS):
+        pos, g = np.divmod(np.flatnonzero(firsts[lo : lo + BLOCK_KEYS]) + lo, n_gens)
+        keys = frontier[pos]
+        keys += table.deltas[keys & rows, g]
+        out[at : at + len(keys)] = keys
+        at += len(keys)
+    return out
 
 
 def spread(keys: np.ndarray, rounds: int, table: StepTable, budget: int, what: str):

@@ -133,7 +133,7 @@ def write_qi_csvs(outdir: Path, rep: suspension.QiReport, sizes: dict):
     file is a byte prefix of it, cut where the byte lengths of its rows add
     up to its last row.
     """
-    lengths = rep.lengths.astype(np.uint8)
+    lengths = rep.lengths
     columns = [
         (np.arange(int(lengths.max()) + 1).astype("S"), lengths),
         *_bound_and_ratio_tables(rep),

@@ -150,7 +150,8 @@ def log_distance_bounds(split: HyperbolicSplitting, xs, ss) -> np.ndarray:
 
 @dataclass
 class QiReport:
-    """Word length versus cover-distance bound over a full enumerated ball."""
+    """Word length versus cover-distance bound over a full enumerated ball:
+    ``lengths`` (uint8) and ``bounds`` (float64) in breadth-first order."""
 
     radius: int
     n_entries: int
@@ -175,22 +176,27 @@ def qi_comparison(oracle: WordLengthOracle, split: HyperbolicSplitting) -> QiRep
     of coordinates is alive at once. The blocks are the ones
     ``_projected_norms`` would cut from the whole table, so the bounds are
     bit-identical to one ``log_distance_bounds`` call over the coordinates
-    and exponents of all the oracle's keys.
+    and exponents of all the oracle's keys. Lengths are uint8 (radii stop
+    at 255). Nothing here holds the oracle once its bounds exist, so a
+    caller that passes ``word_ball(...)`` straight in has the ball freed
+    before the fit (on CPython 3.11 and later, where a call hands its
+    arguments to the callee; 3.10 keeps them on the caller's stack).
     """
     if oracle.radius < QI_MIN_RADIUS:
         raise ValidationError(
             f"qi comparison needs an oracle of radius >= {QI_MIN_RADIUS}"
         )
+    radius, layout, sizes = oracle.radius, oracle.layout, oracle.sphere_sizes
     keys = oracle.keys
+    del oracle
     bounds = np.empty(len(keys))
     block = packed.BLOCK_KEYS
     for lo in range(0, len(keys), block):
-        xs, ks = oracle.layout.unpack(keys[lo : lo + block])
+        xs, ks = layout.unpack(keys[lo : lo + block])
         bounds[lo : lo + block] = log_distance_bounds(split, xs, ks)
-    lengths = np.repeat(
-        np.arange(len(oracle.sphere_sizes), dtype=float), oracle.sphere_sizes
-    )
-    return qi_report(oracle.radius, lengths, bounds)
+    del keys
+    lengths = np.repeat(np.arange(len(sizes), dtype=np.uint8), sizes)
+    return qi_report(radius, lengths, bounds)
 
 
 def qi_report(radius: int, lengths: np.ndarray, bounds: np.ndarray) -> QiReport:
@@ -204,7 +210,10 @@ def qi_report(radius: int, lengths: np.ndarray, bounds: np.ndarray) -> QiReport:
     ``np.polyfit`` runs on the full arrays, so the fitted slope, intercept
     and q_hat do not depend on any blocking. It is the comparison's memory
     floor: its Vandermonde matrix, scaled copies and LAPACK workspace hold
-    about 48 bytes per row (29 MB at radius 14).
+    about 48 bytes per row (29 MB at radius 14), against 9 bytes per row for
+    the bounds and uint8 lengths, and ``qi_comparison`` has let the ball go
+    by then. polyfit and the ratios read uint8 lengths as the float64
+    values they equal, so the results are those of float64 lengths.
     """
     slope, intercept = np.polyfit(bounds, lengths, 1)
     max_ratio = float((lengths / bounds).max())

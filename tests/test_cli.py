@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -347,6 +348,38 @@ def test_qi_compare_memory_per_row(tmp_path, ctx, gens, cat_matrix):
     assert (peak - start) / len(oracle) < QI_PEAK_BYTES_PER_ROW
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="3.10 keeps call arguments on the caller's stack")
+def test_qi_compare_frees_the_ball_before_the_fit(tmp_path, monkeypatch):
+    # Untraced, no frame holds the ball or its keys once the bounds exist,
+    # so every polyfit runs with them freed.
+    balls = []
+    build = experiments.word_ball
+
+    def recorded(*args, **kwargs):
+        oracle = build(*args, **kwargs)
+        balls.extend([weakref.ref(oracle), weakref.ref(oracle.keys)])
+        return oracle
+
+    fits = []
+    polyfit = np.polyfit
+
+    def fit(*args, **kwargs):
+        fits.append([ref() is None for ref in balls])
+        return polyfit(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "word_ball", recorded)
+    monkeypatch.setattr(np, "polyfit", fit)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "qi", {
+        "experiment": "qi-compare", "matrix": CAT, "qi_radii": [6, 8],
+        "bfs_radius": 8, "output_dir": str(out),
+    })
+    assert run_cli(cfg) == 0
+    assert fits == [[True, True]] * 2
+    assert read_summary(out)["verdicts"]["per_radius"]["8"]["entries"] == 7277
+
+
 def _worker_only(action):
     """``qicsv.text_table`` that first runs ``action`` when it is
     called in a process forked from this one, as the ratio worker is."""
@@ -648,22 +681,6 @@ def test_int_shear_coefficient_counts_as_a_float(tmp_path):
         "shear_coefficients": [0.05, 0], "output_dir": str(out),
     })
     assert run_cli(cfg) == 0
-
-
-def test_certification_failure_in_prepare_exits_4(tmp_path, monkeypatch):
-    from unstretch import experiments
-
-    def refuse(matrix, phi):
-        raise CertificationError("planted scale failure")
-
-    monkeypatch.setattr(experiments, "choose_lambda", refuse)
-    out = tmp_path / "out"
-    cfg = write_cfg(tmp_path, "dyn", {
-        "experiment": "set-dynamics", "matrix": CAT,
-        "automorphism": {"b": CAT, "v": [0, 0], "e": 1}, "k_max": 1,
-        "bfs_radius": 2, "output_dir": str(out),
-    })
-    assert run_cli(cfg) == 4
 
 
 @pytest.mark.parametrize("data", [

@@ -7,20 +7,30 @@ order is a real cross-check.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import CAT, D3_REAL
-from unstretch import packed
+from unstretch import packed, words
 from unstretch import (
     GeneratingSet,
+    GroupAutomorphism,
     GroupContext,
     GroupElement,
     ToralMatrix,
     ValidationError,
+    choose_lambda,
+    compute_splitting,
+    qi_comparison,
     word_ball,
 )
+from unstretch.words import check_box_inclusion_un
+
+# Twisted generators A^k e_i have entries near 10^(6k): at z^2 they no
+# longer fit the coordinate fields of a radius-5 key layout.
+WIDE = ((1000001, 1000000), (1, 1))
 
 
 def _expand_frontier(ctx, gens, frontier, table, length):
@@ -110,10 +120,21 @@ def test_restricted_view_hides_longer_elements(oracle6):
     assert list(small.items()) == [(g, n) for g, n in oracle6.items() if n <= 3]
 
 
+@pytest.mark.parametrize("rows, radius", [(CAT, 10), (D3_REAL, 6), (WIDE, 2)])
+def test_ball_streamed_in_small_blocks_matches_dict_search(rows, radius, monkeypatch):
+    # Blocks of 5 candidates cut every sphere at each exponent, so each
+    # block is one exponent and the order is read off many mask chunks.
+    monkeypatch.setattr(packed, "BLOCK_KEYS", 5)
+    ctx = GroupContext(ToralMatrix(rows))
+    gens = GeneratingSet.standard(ctx.dim)
+    oracle = word_ball(ctx, gens, radius)
+    reference = reference_ball(ctx, gens, radius)
+    assert list(oracle.items()) == list(reference.items())
+    assert oracle.sphere_sizes == np.bincount(list(reference.values())).tolist()
+
+
 def test_packing_certificate_refuses_instead_of_wrapping():
-    # Twisted generators A^k e_i have entries near 10^(6k): at z^2 they no
-    # longer fit the coordinate fields of a radius-5 key layout.
-    ctx = GroupContext(ToralMatrix([[1000001, 1000000], [1, 1]]))
+    ctx = GroupContext(ToralMatrix(WIDE))
     gens = GeneratingSet.standard(2)
     small = word_ball(ctx, gens, 2)
     assert list(small.items()) == list(reference_ball(ctx, gens, 2).items())
@@ -121,10 +142,85 @@ def test_packing_certificate_refuses_instead_of_wrapping():
         word_ball(ctx, gens, 5)
 
 
+@pytest.mark.parametrize("block", [1 << 16, 5])
+def test_certificate_checks_the_whole_frontier_before_any_block(block, monkeypatch):
+    # The reach is that of the whole radius-2 sphere, whatever the blocks.
+    monkeypatch.setattr(packed, "BLOCK_KEYS", block)
+    with pytest.raises(ValidationError) as refused:
+        word_ball(GroupContext(ToralMatrix(WIDE)), GeneratingSet.standard(2), 5)
+    assert str(refused.value) == (
+        "ball of radius 3 does not fit the int64 key layout: "
+        "coordinates may reach 1000004000002 > 268435455"
+    )
+
+
 def test_oracle_arrays_stay_small(ctx, gens):
     oracle = word_ball(ctx, gens, 12)
     assert len(oracle) == 142241
+    assert oracle.word_length(GroupElement((0, 0), 0)) == 0  # builds the lookup copy
     assert oracle.nbytes / len(oracle) <= 24
+
+
+# Traced peak bytes per element while word_ball builds the radius-14 cat-map
+# ball (600,617 elements): 63.3 with whole-sphere candidate arrays and the
+# sorted lookup copy built with the ball, 24.8 with candidates streamed by
+# exponent block and the copy left to the first lookup.
+BALL_PEAK_BYTES_PER_ELEMENT = 32
+
+
+def test_word_ball_memory_per_element(ctx, gens):
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        oracle = word_ball(ctx, gens, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / len(oracle) < BALL_PEAK_BYTES_PER_ELEMENT
+
+
+def test_lookup_copy_is_built_once_by_the_first_lookup(ctx, gens):
+    oracle = word_ball(ctx, gens, 8)
+    small = oracle.restricted(5)
+    assert oracle._index is None and small._index is None
+    assert oracle.nbytes == oracle.keys.nbytes and small.nbytes == small.keys.nbytes
+    reference = dict(oracle.items())
+    rng = np.random.default_rng(4)
+    queries = list(reference) + [
+        GroupElement((int(a), int(b)), int(k))
+        for a, b, k in rng.integers(-30, 31, size=(300, 3))
+    ]
+    # The view's first lookup builds the full oracle's copy, which both share.
+    assert [small.word_length(g) for g in queries] == [
+        n if n is not None and n <= 5 else None for n in map(reference.get, queries)
+    ]
+    index = oracle._index
+    assert small._index is None and small._lookup_index() is index
+    order = oracle.keys.argsort()
+    eager = (oracle.keys[order], np.repeat(np.arange(9), oracle.sphere_sizes)[order])
+    assert all(np.array_equal(a, b) for a, b in zip(index, eager))
+    lengths = oracle.column_lengths(*packed.element_columns(queries, 2)).tolist()
+    assert lengths == [reference.get(g, -1) for g in queries]
+    assert [oracle.word_length(g) for g in queries] == list(map(reference.get, queries))
+    assert oracle._index is index
+    assert oracle.nbytes == oracle.keys.nbytes + 9 * len(oracle)
+    assert small.nbytes == small.keys.nbytes + 9 * len(oracle)
+
+
+def test_runs_without_lookups_build_no_lookup_copy(gens, cat_matrix, monkeypatch):
+    built = []
+    real = words.word_ball
+    monkeypatch.setattr(words, "word_ball", lambda *a: built.append(real(*a)) or built[-1])
+    ctx = GroupContext(cat_matrix)
+    lam = choose_lambda(cat_matrix, GroupAutomorphism.identity(2))
+    for n in (1, 2):
+        check_box_inclusion_un(ctx, gens, lam, 2, 2, n, 20, np.random.default_rng(1))
+    assert len(built) == 2 and len(ctx.balls) == 2
+    census = word_ball(ctx, gens, 8)
+    census.census()
+    compared = word_ball(ctx, gens, 8)
+    qi_comparison(compared, compute_splitting(cat_matrix))
+    assert all(o._index is None for o in (*built, census, compared))
 
 
 def test_cat_map_layout_reaches_radius_16(ctx, gens):

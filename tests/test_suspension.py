@@ -15,6 +15,7 @@ from unstretch import (
     log_distance_bounds,
     qi_comparison,
 )
+from unstretch.suspension import qi_report
 
 from conftest import D3_COMPLEX, D3_REAL, D4_BLOCK
 
@@ -187,7 +188,17 @@ def test_blockwise_bounds_are_bit_identical(cat_matrix, oracle8, monkeypatch):
     top = qi_comparison(oracle8, split)
     assert np.array_equal(top.bounds.view(np.int64), whole.view(np.int64))
     assert np.array_equal(top.lengths, lengths.astype(float))
+    assert top.lengths.dtype == np.uint8
     for r in (6, 7):
         n = oracle8.ball_size(r)
         rep = qi_comparison(oracle8.restricted(r), split)
         assert np.array_equal(rep.bounds.view(np.int64), top.bounds[:n].view(np.int64))
+
+
+def test_uint8_lengths_give_the_float64_report(cat_matrix, oracle8):
+    top = qi_comparison(oracle8, compute_splitting(cat_matrix))
+    wide = qi_report(top.radius, top.lengths.astype(float), top.bounds)
+    fields = lambda rep: (rep.q_hat, rep.fitted_slope, rep.intercept, rep.max_ratio,
+                          rep.coverage_ok, rep.n_entries)
+    assert fields(top) == fields(wide)
+    assert np.array_equal(top.ratios.view(np.int64), wide.ratios.view(np.int64))
