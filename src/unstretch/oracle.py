@@ -53,14 +53,18 @@ class WordLengthOracle:
         self._full = full  # the oracle a restricted view is cut from
         self._index = None
 
+    @property
+    def _owner(self) -> "WordLengthOracle":
+        """The full oracle, which holds the lookup copy."""
+        return self if self._full is None else self._full
+
     def _lookup_index(self):
-        """(sorted keys, their uint8 lengths), of the full oracle."""
-        if self._full is not None:
-            return self._full._lookup_index()
-        if self._index is None:
-            order = self.keys.argsort()
-            self._index = (self.keys[order], self._length_column(np.uint8)[order])
-        return self._index
+        """(sorted keys, their uint8 lengths) of the full oracle."""
+        owner = self._owner
+        if owner._index is None:
+            order = owner.keys.argsort()
+            owner._index = (owner.keys[order], owner._length_column(np.uint8)[order])
+        return owner._index
 
     def _length_column(self, dtype=np.int64) -> np.ndarray:
         return np.repeat(np.arange(len(self.sphere_sizes), dtype=dtype), self.sphere_sizes)
@@ -98,8 +102,7 @@ class WordLengthOracle:
     def nbytes(self) -> int:
         """Bytes held by the keys and, once the first lookup has built it,
         the sorted lookup copy (of the full oracle, for a restricted view)."""
-        index = (self._full or self)._index
-        return self.keys.nbytes + sum(a.nbytes for a in index or ())
+        return self.keys.nbytes + sum(a.nbytes for a in self._owner._index or ())
 
     def items(self) -> Iterator[tuple]:
         """(element, length) pairs in breadth-first order, decoded
@@ -136,7 +139,7 @@ class WordLengthOracle:
         return WordLengthOracle(
             self.ctx, self.gens, radius, self.layout,
             self.keys[: self.ball_size(radius)], self.sphere_sizes[: radius + 1],
-            full=self._full or self,
+            full=self._owner,
         )
 
 

@@ -120,11 +120,12 @@ def test_restricted_view_hides_longer_elements(oracle6):
     assert list(small.items()) == [(g, n) for g, n in oracle6.items() if n <= 3]
 
 
+@pytest.mark.parametrize("block", [1 << 16, 5])
 @pytest.mark.parametrize("rows, radius", [(CAT, 10), (D3_REAL, 6), (WIDE, 2)])
-def test_ball_streamed_in_small_blocks_matches_dict_search(rows, radius, monkeypatch):
+def test_streamed_ball_matches_dict_search(rows, radius, block, monkeypatch):
     # Blocks of 5 candidates cut every sphere at each exponent, so each
     # block is one exponent and the order is read off many mask chunks.
-    monkeypatch.setattr(packed, "BLOCK_KEYS", 5)
+    monkeypatch.setattr(packed, "BLOCK_KEYS", block)
     ctx = GroupContext(ToralMatrix(rows))
     gens = GeneratingSet.standard(ctx.dim)
     oracle = word_ball(ctx, gens, radius)
