@@ -268,6 +268,13 @@ def exponent_major(layout: KeyLayout, keys: np.ndarray) -> np.ndarray:
     return images
 
 
+def _first_runs(ordered: np.ndarray, index: np.ndarray):
+    """The distinct values of the sorted array ``ordered`` and, for each,
+    the least ``index`` entry over its run."""
+    heads = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    return ordered[heads], np.minimum.reduceat(index, heads)
+
+
 def _unseen(fresh: np.ndarray, previous) -> np.ndarray:
     """Mask of the keys in ``fresh`` that none of the sorted arrays holds."""
     keep = np.ones(len(fresh), dtype=bool)
@@ -298,19 +305,29 @@ def next_sphere(table: StepTable, frontier: np.ndarray, previous, what: str):
     are symmetric, so nothing earlier is adjacent to the frontier). Returns
     the sphere and the next step's ``previous``.
 
-    The packing certificate runs on the whole frontier first. A candidate's
+    The packing certificate runs on the whole frontier first. Candidates
+    are deduplicated keeping the least flat index (frontier position *
+    generators + generator). If they fit one block of BLOCK_KEYS, they are
+    the translates in flat order, and the kept flat indices, sorted, give
+    the breadth-first order. Otherwise they are streamed: a candidate's
     exponent is its source's plus its generator's z part, so the candidates
-    split by exponent into blocks that share no key: the frontier is grouped
+    split by exponent into blocks that share no key. The frontier is grouped
     by exponent once, and each block of about BLOCK_KEYS candidates takes
     its sources for each generator as one slice of the grouped frontier.
-    Within a block, candidates are deduplicated keeping the least flat index
-    (frontier position * generators + generator); the kept indices are
-    marked in one mask over all (element, generator) pairs, whose set bits,
-    read in order, give the breadth-first order without a sort.
+    The kept flat indices are marked in one mask over all (element,
+    generator) pairs, whose set bits, read in order, give the breadth-first
+    order without a sort.
     """
     layout = table.layout
     rows = table.certified_rows(frontier, what)
     n_rows, n_gens = table.deltas.shape
+    if len(frontier) * n_gens <= BLOCK_KEYS:  # one block, in flat order
+        translates = (frontier[:, None] + table.deltas[rows]).ravel()
+        images = exponent_major(layout, translates)
+        order = images.argsort()
+        fresh, first = _first_runs(images[order], order)
+        keep = _unseen(fresh, previous)
+        return translates[np.sort(first[keep])], (fresh[keep], previous[0])
     counts = np.bincount(rows, minlength=n_rows)
     # A stable sort of small unsigned rows is a radix sort.
     by_row = rows.astype(np.min_scalar_type(n_rows)).argsort(kind="stable")
@@ -350,9 +367,8 @@ def next_sphere(table: StepTable, frontier: np.ndarray, previous, what: str):
         cand = cand[order]
         flat = flat[order]
         del order
-        heads = np.flatnonzero(np.concatenate(([True], cand[1:] != cand[:-1])))
-        fresh, first = cand[heads], np.minimum.reduceat(flat, heads)
-        del cand, flat, heads
+        fresh, first = _first_runs(cand, flat)
+        del cand, flat
         span = (lo << shift, hi << shift)  # the block's exponent_major images
         keep = _unseen(fresh, [seen[slice(*seen.searchsorted(span))] for seen in previous])
         ranked.append(fresh[keep])
