@@ -20,7 +20,7 @@ import numpy as np
 from . import packed
 from .errors import BudgetError, ValidationError
 from .group import GeneratingSet, GroupContext, GroupElement
-from .packed import exponent_major, find, next_sphere, translate_steps
+from .packed import find, next_sphere, translate_steps
 
 # Element-count cap for ball/neighborhood construction. Growth is exponential,
 # so this bounds memory, not accuracy; results below the cap are exact.
@@ -156,8 +156,9 @@ def word_ball(
     and r-2 (the generators are symmetric, so no earlier element is adjacent
     to sphere r-1), keeping first occurrences in (element, generator) order,
     which is the order a dictionary-driven search would insert them in. The
-    step streams the candidates by blocks of exponents, so only one block of
-    them is alive at once.
+    step streams the candidates by blocks of whole exponent rows, so the
+    candidates alive at once are about BLOCK_KEYS or one row's, whichever is
+    larger, not the whole sphere's.
 
     Raises BudgetError (reporting the largest completed radius) if the table
     would exceed ``budget`` elements, and ValidationError naming the radius
@@ -173,8 +174,7 @@ def word_ball(
     layout = table.layout
     n_gens = len(gens.all)
     spheres = [np.array([layout.key(ctx.identity)], dtype=np.int64)]
-    # Spheres r-1 and r-2 as sorted exponent_major images.
-    previous = (exponent_major(layout, spheres[0]), spheres[0][:0])
+    previous = (spheres[0], spheres[0][:0])  # spheres r-1 and r-2, sorted
     total = 1
     for r in range(1, radius + 1):
         frontier = spheres[-1]

@@ -28,21 +28,26 @@ KEY_BITS = 63
 # Keys or rows per block wherever a whole set is processed in pieces
 # (``spread``'s frontier, ``next_sphere``'s candidates, decoding keys for
 # the packing certificate and the oracle, qi-compare's bounds and CSV
-# rows), so only one block of temporaries is alive at once. Even, so a
-# matrix product over a block never has a lone row, which numpy would sum
-# in another order (see ``suspension._projected_norms``).
+# rows), so only one block of temporaries is alive at once (a block of
+# ``next_sphere`` is whole exponent rows, so it can exceed BLOCK_KEYS). Even,
+# so a matrix product over a block never has a lone row, which numpy would
+# sum in another order (see ``suspension._projected_norms``).
 BLOCK_KEYS = 1 << 16
 
 
 class KeyLayout:
     """Fixed bit fields that pack an element (x, k) into one int64 key.
 
-    The low ``k_bits`` bits hold k + radius, and above them each coordinate
-    x_i gets ``x_bits`` bits holding x_i + 2^(x_bits - 1); the fields fill at
-    most KEY_BITS bits, so every key is a nonnegative int64. While all fields
-    stay in range, packing is additive: key(x + y, k + m) = key(x, k) + delta
-    with delta = sum y_i 2^shift_i + m, so a generator step is one addition.
-    An element fits when |k| <= radius and every |x_i| <= x_limit.
+    Each coordinate x_i gets ``x_bits`` bits from the bottom up, holding
+    x_i + 2^(x_bits - 1), and the ``k_bits`` bits above them, from
+    ``k_shift``, hold k + radius; the fields fill at most KEY_BITS bits, so
+    every key is a nonnegative int64. While all fields stay in range, packing
+    is additive: key(x + y, k + m) = key(x, k) + delta with delta =
+    sum y_i 2^shift_i + m 2^k_shift, so a generator step is one addition.
+    With the exponent on top, keys sort by exponent first: the keys of a
+    range of exponents are one slice of a sorted array, and ``keys >>
+    k_shift`` is each key's exponent row k + radius. An element fits when
+    |k| <= radius and every |x_i| <= x_limit.
     """
 
     def __init__(self, dim: int, radius: int):
@@ -56,18 +61,19 @@ class KeyLayout:
             )
         self.x_offset = 1 << (self.x_bits - 1)
         self.x_limit = self.x_offset - 1
-        self.shifts = tuple(self.k_bits + i * self.x_bits for i in range(dim))
+        self.shifts = tuple(i * self.x_bits for i in range(dim))
+        self.k_shift = dim * self.x_bits
 
-    def delta(self, y) -> int:
-        """The key increment of the lattice translation by y."""
-        return sum(v << s for v, s in zip(y, self.shifts))
+    def delta(self, y, m: int) -> int:
+        """The key increment of the translation by (y, m)."""
+        return sum(v << s for v, s in zip(y, self.shifts)) + (m << self.k_shift)
 
     def key(self, g: GroupElement):
         """The key of one element, or None if it does not fit."""
         x, k = g
         if len(x) != self.dim or not -self.radius <= k <= self.radius:
             return None
-        key = k + self.radius
+        key = (k + self.radius) << self.k_shift
         for v, shift in zip(x, self.shifts):
             if not -self.x_limit <= v <= self.x_limit:
                 return None
@@ -78,7 +84,7 @@ class KeyLayout:
         """Keys of the rows that fit, and the mask of those rows."""
         lim, rad = self.x_limit, self.radius
         fits = ((xs >= -lim) & (xs <= lim)).all(axis=1) & (ks >= -rad) & (ks <= rad)
-        keys = ks[fits] + self.radius
+        keys = (ks[fits] + self.radius) << self.k_shift
         for i, shift in enumerate(self.shifts):
             keys += (xs[fits, i] + self.x_offset) << shift
         return keys, fits
@@ -105,7 +111,7 @@ class KeyLayout:
         xs = np.empty((len(keys), self.dim), dtype=np.int64)
         for i, shift in enumerate(self.shifts):
             xs[:, i] = ((keys >> shift) & mask) - self.x_offset
-        ks = (keys & ((1 << self.k_bits) - 1)) - self.radius
+        ks = (keys >> self.k_shift) - self.radius
         return xs, ks
 
     def reach(self, keys: np.ndarray) -> list:
@@ -180,9 +186,7 @@ class StepTable:
             vecs = self.vectors(row - self.layout.radius)
             reach = [max(abs(v[i]) for v in vecs) for i in range(self.layout.dim)]
             if max(reach) <= self.layout.x_limit:  # else certificates refuse the row
-                self.deltas[row] = [
-                    self.layout.delta(v) + dk for v, dk in zip(vecs, self.dks)
-                ]
+                self.deltas[row] = list(map(self.layout.delta, vecs, self.dks))
             self._reach[row] = reach
         return reach
 
@@ -194,7 +198,7 @@ class StepTable:
         naming ``what`` if either could leave the layout.
         """
         layout = self.layout
-        rows = keys & ((1 << layout.k_bits) - 1)
+        rows = keys >> layout.k_shift
         present = np.flatnonzero(np.bincount(rows, minlength=len(self.deltas)))
         twist = [0] * layout.dim
         for row in present.tolist():
@@ -254,20 +258,6 @@ def distinct(values: np.ndarray) -> np.ndarray:
     return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
 
 
-def exponent_major(layout: KeyLayout, keys: np.ndarray) -> np.ndarray:
-    """The keys with their exponent field moved above the coordinate fields.
-
-    A bijection onto nonnegative int64 whose order sorts by exponent first,
-    so the sorted images of a block of exponents all precede those of any
-    higher block.
-    """
-    images = keys >> layout.k_bits
-    rows = keys & ((1 << layout.k_bits) - 1)
-    rows <<= KEY_BITS - layout.k_bits
-    images |= rows
-    return images
-
-
 def _first_runs(ordered: np.ndarray, index: np.ndarray):
     """The distinct values of the sorted array ``ordered`` and, for each,
     the least ``index`` entry over its run."""
@@ -300,46 +290,33 @@ def next_sphere(table: StepTable, frontier: np.ndarray, previous, what: str):
 
     Each key comes at its first occurrence in (frontier element, generator)
     order, which is the order a dictionary-driven search inserts them in;
-    ``previous`` holds the ``exponent_major`` images of the frontier and
-    the sphere before it, sorted, and their keys are dropped (the generators
+    ``previous`` holds the frontier and the sphere before it as sorted keys,
+    which are dropped (the generators
     are symmetric, so nothing earlier is adjacent to the frontier). Returns
     the sphere and the next step's ``previous``.
 
-    The packing certificate runs on the whole frontier first. Candidates
-    are deduplicated keeping the least flat index (frontier position *
-    generators + generator). If they fit one block of BLOCK_KEYS, they are
-    the translates in flat order, and the kept flat indices, sorted, give
-    the breadth-first order. Otherwise they are streamed: a candidate's
-    exponent is its source's plus its generator's z part, so the candidates
-    split by exponent into blocks that share no key. The frontier is grouped
-    by exponent once, and each block of about BLOCK_KEYS candidates takes
-    its sources for each generator as one slice of the grouped frontier.
-    The kept flat indices are marked in one mask over all (element,
-    generator) pairs, whose set bits, read in order, give the breadth-first
-    order without a sort.
+    The packing certificate runs on the whole frontier first. Then the
+    candidates are streamed: a candidate's exponent is its source's plus its
+    generator's z part, so the candidates split by exponent into blocks that
+    share no key. The frontier is grouped by exponent once, and each block
+    takes its sources for each generator as one slice of the grouped
+    frontier. A block is cut at the first exponent row that brings it to
+    BLOCK_KEYS candidates and never splits a row, so the candidates alive at
+    once are bounded by BLOCK_KEYS plus the largest row, not by BLOCK_KEYS.
+    Each block's candidates are deduplicated keeping the least flat index
+    (frontier position * generators + generator), which is marked in one
+    mask over all (element, generator) pairs; its set bits, read in order,
+    give the breadth-first order without a sort.
     """
-    layout = table.layout
     rows = table.certified_rows(frontier, what)
     n_rows, n_gens = table.deltas.shape
-    if len(frontier) * n_gens <= BLOCK_KEYS:  # one block, in flat order
-        translates = (frontier[:, None] + table.deltas[rows]).ravel()
-        images = exponent_major(layout, translates)
-        order = images.argsort()
-        fresh, first = _first_runs(images[order], order)
-        keep = _unseen(fresh, previous)
-        return translates[np.sort(first[keep])], (fresh[keep], previous[0])
     counts = np.bincount(rows, minlength=n_rows)
     # A stable sort of small unsigned rows is a radix sort.
     by_row = rows.astype(np.min_scalar_type(n_rows)).argsort(kind="stable")
     del rows
-    grouped = exponent_major(layout, frontier[by_row])
+    grouped = frontier[by_row]
     by_row *= n_gens  # flat index of each grouped element's first generator
     starts = np.concatenate(([0], np.cumsum(counts))).tolist()
-    # Key increments are additive field by field, so they carry over to
-    # exponent_major images with the exponent step moved up.
-    dks = np.array(table.dks, dtype=np.int64)
-    shift = KEY_BITS - layout.k_bits
-    steps = ((table.deltas - dks) >> layout.k_bits) + (dks << shift)
     firsts = np.zeros(len(frontier) * n_gens, dtype=bool)
     ranked = []
     for lo, hi in _exponent_blocks(counts, table.dks):
@@ -355,9 +332,9 @@ def next_sphere(table: StepTable, frontier: np.ndarray, previous, what: str):
         at = 0
         for g, r0, r1, a, b in pieces:
             if r1 - r0 == 1:
-                step = steps[r0, g]
+                step = table.deltas[r0, g]
             else:
-                step = np.repeat(steps[r0:r1, g], counts[r0:r1])
+                step = np.repeat(table.deltas[r0:r1, g], counts[r0:r1])
             np.add(grouped[a:b], step, out=cand[at : at + b - a])
             np.add(by_row[a:b], g, out=flat[at : at + b - a])
             at += b - a
@@ -369,7 +346,7 @@ def next_sphere(table: StepTable, frontier: np.ndarray, previous, what: str):
         del order
         fresh, first = _first_runs(cand, flat)
         del cand, flat
-        span = (lo << shift, hi << shift)  # the block's exponent_major images
+        span = (lo << table.layout.k_shift, hi << table.layout.k_shift)  # the block's rows
         keep = _unseen(fresh, [seen[slice(*seen.searchsorted(span))] for seen in previous])
         ranked.append(fresh[keep])
         firsts[first[keep]] = True
@@ -402,13 +379,12 @@ def _read_in_order(table: StepTable, frontier: np.ndarray, firsts: np.ndarray, s
     + generator) the mask ``firsts`` sets, in flat index order, translated
     afresh ``BLOCK_KEYS`` mask entries at a time."""
     n_gens = table.deltas.shape[1]
-    rows = (1 << table.layout.k_bits) - 1
     out = np.empty(size, dtype=np.int64)
     at = 0
     for lo in range(0, len(firsts), BLOCK_KEYS):
         pos, g = np.divmod(np.flatnonzero(firsts[lo : lo + BLOCK_KEYS]) + lo, n_gens)
         keys = frontier[pos]
-        keys += table.deltas[keys & rows, g]
+        keys += table.deltas[keys >> table.layout.k_shift, g]
         out[at : at + len(keys)] = keys
         at += len(keys)
     return out

@@ -179,8 +179,8 @@ def qi_comparison(oracle: WordLengthOracle, split: HyperbolicSplitting) -> QiRep
     and exponents of all the oracle's keys. Lengths are uint8 (radii stop
     at 255). Nothing here holds the oracle once its bounds exist, so a
     caller that passes ``word_ball(...)`` straight in has the ball freed
-    before the fit (on CPython 3.11 and later, where a call hands its
-    arguments to the callee; 3.10 keeps them on the caller's stack).
+    before the fit (CPython 3.11, the oldest supported version, hands a
+    call's arguments to the callee).
     """
     if oracle.radius < QI_MIN_RADIUS:
         raise ValidationError(

@@ -348,8 +348,6 @@ def test_qi_compare_memory_per_row(tmp_path, ctx, gens, cat_matrix):
     assert (peak - start) / len(oracle) < QI_PEAK_BYTES_PER_ROW
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="3.10 keeps call arguments on the caller's stack")
 def test_qi_compare_frees_the_ball_before_the_fit(tmp_path, monkeypatch):
     # Untraced, no frame holds the ball or its keys once the bounds exist,
     # so every polyfit runs with them freed.

@@ -194,6 +194,20 @@ def test_control_seed_leaving_the_layout_is_refused(cat_matrix):
         abelian_control(cat_matrix, 1, [[1 << 30, 0]], 3)
 
 
+def test_keys_sort_by_exponent_first():
+    # next_sphere slices a block's exponent rows out of sorted keys.
+    layout = packed.KeyLayout(3, 6)
+    rng = np.random.default_rng(5)
+    xs = rng.integers(-layout.x_limit, layout.x_limit + 1, size=(400, 3))
+    ks = rng.integers(-6, 7, size=400)
+    keys = layout.pack_rows(xs, ks, "sample")
+    fields = np.column_stack([ks, xs[:, ::-1]])
+    lex = np.lexsort(fields.T[::-1])
+    assert (fields[keys.argsort()] == fields[lex]).all()
+    assert ((keys >> layout.k_shift) == ks + 6).all()
+    assert all((a == b).all() for a, b in zip(layout.unpack(keys), (xs, ks)))
+
+
 def test_envelope_columns_match_scalar_test(cat_matrix):
     # The vectorised test compares against p^(2 ell) // q^(2 ell); the scalar
     # one cross-multiplies. Near the boundary they must agree exactly.
