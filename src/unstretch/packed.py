@@ -291,9 +291,9 @@ def next_sphere(table: StepTable, frontier: np.ndarray, previous, what: str):
     Each key comes at its first occurrence in (frontier element, generator)
     order, which is the order a dictionary-driven search inserts them in;
     ``previous`` holds the frontier and the sphere before it as sorted keys,
-    which are dropped (the generators
-    are symmetric, so nothing earlier is adjacent to the frontier). Returns
-    the sphere and the next step's ``previous``.
+    which are dropped (the generators are symmetric, so nothing earlier is
+    adjacent to the frontier). Returns the sphere and the next step's
+    ``previous``.
 
     The packing certificate runs on the whole frontier first. Then the
     candidates are streamed: a candidate's exponent is its source's plus its
