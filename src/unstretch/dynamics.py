@@ -13,8 +13,8 @@ where the word metric is the l1 distance and diameters are exact at any
 scale, to exhibit the contrasting exponential growth.
 
 Both iterations run on sorted int64 key arrays of one key layout fixed for
-the run (``packed.py``): the map is one array step on the unpacked columns,
-U_N is ``packed.spread``, and the envelope and diameters read the columns.
+the run (``packed.py``): the map is one array step on the unpacked coordinate
+rows, U_N is ``packed.spread``, and the envelope and diameters read the rows.
 """
 
 from __future__ import annotations
@@ -110,17 +110,18 @@ def _map_keys(layout: KeyLayout, keys: np.ndarray, rows, shift, e: int, what: st
     radius = layout.radius
     present = np.flatnonzero(np.bincount(ks + radius, minlength=2 * radius + 1))
     shifts = {int(row) - radius: shift(int(row) - radius) for row in present}
-    reach = [max(int(v), 1) for v in np.abs(xs).max(axis=0, initial=0)]
+    reach = [max(int(v), 1) for v in np.abs(xs).max(axis=1, initial=0)]
     bound = max(
         sum(abs(m) * r for m, r in zip(row, reach))
         + max((abs(c[i]) for c in shifts.values()), default=0)
         for i, row in enumerate(rows)
     )
     certify(what, "the image", bound, layout.x_limit)
-    table = np.zeros((2 * radius + 1, layout.dim), dtype=np.int64)
+    table = np.zeros((layout.dim, 2 * radius + 1), dtype=np.int64)
     for k, c in shifts.items():
-        table[k + radius] = c
-    mapped = xs @ np.array(rows, dtype=np.int64).T + table[ks + radius]
+        table[:, k + radius] = c
+    mapped = np.array(rows, dtype=np.int64) @ xs
+    mapped += np.take(table, ks + radius, axis=1)
     return layout.pack_rows(mapped, e * ks, what)
 
 
@@ -338,9 +339,9 @@ def _l1_diameter(layout: KeyLayout, keys: np.ndarray, signs: np.ndarray) -> int:
     projections on the sign vectors, taken over ``packed.BLOCK_KEYS`` keys at
     a time."""
     ends = np.array([
-        (proj.min(axis=0), proj.max(axis=0))
+        (proj.min(axis=1), proj.max(axis=1))
         for proj in (
-            layout.unpack(keys[lo : lo + packed.BLOCK_KEYS])[0] @ signs.T
+            signs @ layout.unpack(keys[lo : lo + packed.BLOCK_KEYS])[0]
             for lo in range(0, len(keys), packed.BLOCK_KEYS)
         )
     ])

@@ -83,8 +83,8 @@ class WordLengthOracle:
         return None
 
     def column_lengths(self, xs: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        """Exact lengths as int64 of the elements with int64 coordinates xs
-        (n, dim) and exponents ks (n,); -1 certifies > radius."""
+        """Exact lengths as int64 of the elements with coordinate rows xs
+        (``packed``'s layout) and exponents ks; -1 certifies > radius."""
         sorted_keys, lengths = self._lookup_index()
         keys, fits = self.layout.pack(xs, ks)
         pos, hit = find(sorted_keys, keys)
@@ -111,7 +111,7 @@ class WordLengthOracle:
         block = packed.BLOCK_KEYS
         for lo in range(0, len(self), block):
             xs, ks = self.layout.unpack(self.keys[lo : lo + block])
-            elements = map(GroupElement, map(tuple, xs.tolist()), ks.tolist())
+            elements = map(GroupElement, zip(*xs.tolist()), ks.tolist())
             yield from zip(elements, lengths[lo : lo + block].tolist())
 
     def elements(self) -> Iterator[GroupElement]:
@@ -160,9 +160,10 @@ def word_ball(
     candidates alive at once are about BLOCK_KEYS or one row's, whichever is
     larger, not the whole sphere's.
 
-    Raises BudgetError (reporting the largest completed radius) if the table
-    would exceed ``budget`` elements, and ValidationError naming the radius
-    if a sphere could leave the int64 key layout.
+    Raises BudgetError once a completed sphere takes the table past
+    ``budget`` elements, reporting the spheres before it as the largest
+    completed radius and the ``partial`` oracle, and ValidationError naming
+    the radius if a sphere could leave the int64 key layout.
     """
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
@@ -172,27 +173,23 @@ def word_ball(
         )
     table = translate_steps(ctx, gens.all, radius)
     layout = table.layout
-    n_gens = len(gens.all)
     spheres = [np.array([layout.key(ctx.identity)], dtype=np.int64)]
     previous = (spheres[0], spheres[0][:0])  # spheres r-1 and r-2, sorted
     total = 1
     for r in range(1, radius + 1):
-        frontier = spheres[-1]
-        # Conservative pre-check: the next layer can add at most one element
-        # per (frontier element, generator) pair.
-        projected = total + len(frontier) * n_gens
-        if projected > budget:
+        sphere, previous = next_sphere(table, spheres[-1], previous, f"ball of radius {r}")
+        total += len(sphere)
+        if total > budget:
+            del sphere, previous
             raise BudgetError(
-                f"ball of radius {r} may exceed budget of {budget} elements",
+                f"ball of radius {r} exceeds budget of {budget} elements",
                 completed_radius=r - 1,
                 partial=WordLengthOracle(
                     ctx, gens, r - 1, layout, np.concatenate(spheres),
                     [len(s) for s in spheres],
                 ),
             )
-        sphere, previous = next_sphere(table, frontier, previous, f"ball of radius {r}")
         spheres.append(sphere)
-        total += len(sphere)
     del previous
     return WordLengthOracle(
         ctx, gens, radius, layout, np.concatenate(spheres), [len(s) for s in spheres]

@@ -130,11 +130,13 @@ def _projected_norms(xs: np.ndarray, proj: np.ndarray) -> np.ndarray:
 def log_distance_bounds(split: HyperbolicSplitting, xs, ss) -> np.ndarray:
     """Upper bounds for the cover distances from points (x, s) to the origin.
 
-    ``xs`` holds one lattice point per row and ``ss`` the flow coordinates.
-    Each bound is monotone in ||x_s||, ||x_u|| and |s|; the constant 2 absorbs
-    the unit slack of the two leafwise estimates.
+    ``xs`` holds the points' coordinate rows (``packed``'s layout) and ``ss``
+    their flow coordinates. Each bound is monotone in ||x_s||, ||x_u|| and
+    |s|; the constant 2 absorbs the unit slack of the two leafwise estimates.
+    The projections multiply one point per row, so ``xs`` is transposed into
+    a C-contiguous float copy for ``_projected_norms``.
     """
-    xs = np.ascontiguousarray(xs, dtype=float)
+    xs = np.asarray(xs).T.astype(float, order="C")
     ss = np.asarray(ss, dtype=float)
     norm_s = _projected_norms(xs, split.proj_stable)
     norm_u = _projected_norms(xs, split.proj_unstable)

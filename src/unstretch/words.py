@@ -69,8 +69,8 @@ def set_diameter(oracle: WordLengthOracle, elements) -> Diameter:
 
 
 def column_diameter(oracle: WordLengthOracle, xs: np.ndarray, ks: np.ndarray) -> Diameter:
-    """Max over unordered pairs of |g^-1 h| of the elements with int64
-    coordinates xs (n, dim) and exponents ks (n,), via left invariance.
+    """Max over unordered pairs of |g^-1 h| of the elements with coordinate
+    rows xs (``packed``'s layout) and exponents ks, via left invariance.
 
     Pairs are pruned with the triangle bound d(g, h) <= |g| + |h| after
     seeding the running maximum with two cheap certified lower bounds (the
@@ -100,9 +100,9 @@ def column_diameter(oracle: WordLengthOracle, xs: np.ndarray, ks: np.ndarray) ->
     # as an infinite bound would.
     caps = np.where(lengths < 0, radius + 1, lengths)
     order = np.argsort(-caps, kind="stable")
-    caps, xs, ks = caps[order], xs[order], ks[order]
+    caps, xs, ks = caps[order], np.take(xs, order, axis=1), ks[order]
     rising = -caps
-    reach = [max(2 * max(int(hi), -int(lo)), 1) for lo, hi in zip(xs.min(0), xs.max(0))]
+    reach = [max(2 * max(int(hi), -int(lo)), 1) for lo, hi in zip(xs.min(1), xs.max(1))]
     for a in range(len(ks) - 1):
         end = int(rising.searchsorted(caps[a] - best))  # caps[a] + caps[b] > best
         if end <= a + 1:
@@ -111,7 +111,7 @@ def column_diameter(oracle: WordLengthOracle, xs: np.ndarray, ks: np.ndarray) ->
         rows = oracle.ctx.matrix_power(-k)
         bound = max(sum(abs(m) * r for m, r in zip(row, reach)) for row in rows)
         certify("diameter", "quotient coordinates", bound, _INT64_MAX)
-        quotients = (xs[a + 1 : end] - xs[a]) @ np.array(rows, dtype=np.int64).T
+        quotients = np.array(rows, dtype=np.int64) @ (xs[:, a + 1 : end] - xs[:, a, None])
         found = oracle.column_lengths(quotients, ks[a + 1 : end] - k)
         if found.min() < 0:
             return Diameter(radius + 1, False)
@@ -148,21 +148,20 @@ class BoxSet:
         return sum(v * v for v in g.x) <= self._norm_sq_max
 
     def contains_columns(self, xs: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        """Membership mask of the elements with int64 coordinates xs (n, dim)
-        and exponents ks (n,).
+        """Membership mask of the elements with coordinate rows xs
+        (``packed``'s layout) and exponents ks.
 
         The test is norm_sq <= p^(2 ell) // q^(2 ell), exact as in
         ``contains``. Coordinates must be small enough that the squared norm
         cannot overflow int64, which every key layout guarantees.
         """
-        dim = xs.shape[1]
-        limit = math.isqrt(_INT64_MAX // dim)
-        if len(xs) and (int(xs.max()) > limit or int(xs.min()) < -limit):
+        limit = math.isqrt(_INT64_MAX // len(xs))
+        if len(ks) and (int(xs.max()) > limit or int(xs.min()) < -limit):
             raise ValidationError(
                 f"coordinates beyond {limit} overflow the int64 box test"
             )
         bound = min(self._norm_sq_max, _INT64_MAX)
-        return (np.abs(ks) <= self.h) & ((xs * xs).sum(axis=1) <= bound)
+        return (np.abs(ks) <= self.h) & ((xs * xs).sum(axis=0) <= bound)
 
     def norm_bound(self) -> Fraction:
         return self.lam ** self.ell

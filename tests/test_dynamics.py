@@ -15,6 +15,7 @@ from unstretch import (
     iterate_once,
     lattice_element,
     run_iteration,
+    word_ball,
 )
 from unstretch.dynamics import CurvePoint, GrowthCurve, check_box_inclusion_phi
 
@@ -208,3 +209,27 @@ def test_phi_box_inclusion(ctx, cat_matrix):
     assert not rep.violations and rep.checked == 500
     with pytest.raises(ValidationError):
         check_box_inclusion_phi(ctx, phi, lam, 1, 2, 10, rng)
+
+
+# The growth benchmark's outputs: set-dynamics to k = 8 on an r12 oracle and
+# the lattice control to k = 12, from the benchmark's starting sets.
+GROWTH_SET_SIZES = [3, 18, 77, 300, 1129, 4180, 15383, 56530, 207623]
+GROWTH_EXACT_DIAMETERS = [2, 5, 9]
+CONTROL_L1_DIAMETERS = [
+    1, 5, 16, 45, 121, 320, 841, 2205, 5776, 15125, 39601, 103680, 271441,
+]
+
+
+def test_growth_workload_outputs(ctx, gens, cat_matrix):
+    phi = phi_conj_z()
+    cfg = IterationConfig.make(ctx, phi, 1, default_a0(ctx), 8, choose_lambda(cat_matrix, phi))
+    curve = run_iteration(ctx, gens, cfg, word_ball(ctx, gens, 12))
+    assert [p.set_size for p in curve.points] == GROWTH_SET_SIZES
+    diameters = [(p.diameter, p.diameter_exact) for p in curve.points]
+    exact = len(GROWTH_EXACT_DIAMETERS)
+    assert diameters[:exact] == [(d, True) for d in GROWTH_EXACT_DIAMETERS]
+    assert diameters[exact:] == [(13, False)] * (len(GROWTH_SET_SIZES) - exact)
+    control = abelian_control(cat_matrix, 1, [[0, 0], [1, 0]], len(CONTROL_L1_DIAMETERS) - 1)
+    assert [(p.diameter, p.diameter_exact) for p in control.points] == [
+        (d, True) for d in CONTROL_L1_DIAMETERS
+    ]

@@ -8,6 +8,8 @@ signed-projection l1 diameter. They share no code with the kernel beyond
 group arithmetic, so agreement element for element is a real cross-check.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from unstretch import (
     word_ball,
 )
 from unstretch import matrices, packed
+from unstretch.dynamics import _automorphism_image, _l1_diameter
 
 
 def reference_neighborhood(ctx, gens, elements, n):
@@ -89,6 +92,11 @@ def reference_control(rows, n, a0, k_max):
             frontier = new
         current = grown
     return out
+
+
+def coordinate_rows(xs):
+    """The coordinate rows (dim, n) of points given one per row (n, dim)."""
+    return np.ascontiguousarray(xs.T)
 
 
 def random_set(rng, dim, count, coord, k_max):
@@ -200,23 +208,128 @@ def test_keys_sort_by_exponent_first():
     rng = np.random.default_rng(5)
     xs = rng.integers(-layout.x_limit, layout.x_limit + 1, size=(400, 3))
     ks = rng.integers(-6, 7, size=400)
-    keys = layout.pack_rows(xs, ks, "sample")
+    keys = layout.pack_rows(coordinate_rows(xs), ks, "sample")
     fields = np.column_stack([ks, xs[:, ::-1]])
     lex = np.lexsort(fields.T[::-1])
     assert (fields[keys.argsort()] == fields[lex]).all()
     assert ((keys >> layout.k_shift) == ks + 6).all()
-    assert all((a == b).all() for a, b in zip(layout.unpack(keys), (xs, ks)))
+    assert all((a == b).all() for a, b in zip(layout.unpack(keys), (xs.T, ks)))
 
 
-def test_envelope_columns_match_scalar_test(cat_matrix):
+def test_envelope_columns_match_scalar_test():
     # The vectorised test compares against p^(2 ell) // q^(2 ell); the scalar
-    # one cross-multiplies. Near the boundary they must agree exactly.
-    box = BoxSet(choose_lambda(cat_matrix, GroupAutomorphism.identity(2)), 7, 3)
-    r = int(float(box.norm_bound()))
+    # one cross-multiplies. Near the boundary they must agree exactly, and
+    # with the same test on points given one per row.
     rng = np.random.default_rng(5)
-    xs = rng.integers(-r - 2, r + 3, size=(4000, 2))
-    ks = rng.integers(-5, 6, size=4000)
-    mask = box.contains_columns(xs, ks)
-    scalar = [box.contains(GroupElement(tuple(map(int, x)), int(k))) for x, k in zip(xs, ks)]
-    assert mask.tolist() == scalar
-    assert 0 < mask.sum() < len(mask)
+    for rows, ell in ((CAT, 7), (D3_REAL, 5)):
+        dim = len(rows)
+        box = BoxSet(choose_lambda(ToralMatrix(rows), GroupAutomorphism.identity(dim)), ell, 3)
+        r = int(float(box.norm_bound()))
+        xs = rng.integers(-r - 2, r + 3, size=(4000, dim))
+        ks = rng.integers(-5, 6, size=4000)
+        mask = box.contains_columns(coordinate_rows(xs), ks)
+        scalar = [box.contains(GroupElement(tuple(map(int, x)), int(k))) for x, k in zip(xs, ks)]
+        assert mask.tolist() == scalar
+        reference = (np.abs(ks) <= box.h) & ((xs * xs).sum(axis=1) <= box._norm_sq_max)
+        assert (mask == reference).all()
+        assert 0 < mask.sum() < len(mask)
+
+
+# Coordinate rows against the (n, dim) layout: each kernel below takes
+# coordinate rows, and the references take one point per row.
+
+
+def reference_pack(layout, xs, ks):
+    """Keys and fit mask of points given one per row (n, dim)."""
+    lim, rad = layout.x_limit, layout.radius
+    fits = ((xs >= -lim) & (xs <= lim)).all(axis=1) & (ks >= -rad) & (ks <= rad)
+    keys = (ks[fits] + rad) << layout.k_shift
+    for i, shift in enumerate(layout.shifts):
+        keys += (xs[fits, i] + layout.x_offset) << shift
+    return keys, fits
+
+
+def straddling_points(rng, layout, count):
+    """Points (n, dim) and exponents, about a tenth of them outside the
+    layout in a coordinate or the exponent."""
+    lim, rad = layout.x_limit, layout.radius
+    xs = rng.integers(-lim, lim + 1, size=(count, layout.dim))
+    ks = rng.integers(-rad, rad + 1, size=count)
+    out = np.flatnonzero(rng.random(count) < 0.1)
+    sign = rng.choice([-1, 1], size=len(out))
+    xs[out, rng.integers(0, layout.dim, size=len(out))] += sign * (lim + 1)
+    out = np.flatnonzero(rng.random(count) < 0.05)
+    ks[out] = rng.choice([-1, 1], size=len(out)) * (rad + 1 + rng.integers(0, 3, size=len(out)))
+    return xs, ks
+
+
+@pytest.mark.parametrize("rows, radius", [(CAT, 9), (D3_REAL, 6)])
+def test_unpack_gives_coordinate_rows_that_pack_back(rows, radius):
+    layout = packed.KeyLayout(len(rows), radius)
+    rng = np.random.default_rng(len(rows))
+    xs = rng.integers(-layout.x_limit, layout.x_limit + 1, size=(500, layout.dim))
+    ks = rng.integers(-radius, radius + 1, size=500)
+    keys, _ = reference_pack(layout, xs, ks)
+    got, got_ks = layout.unpack(keys)
+    assert got.shape == (layout.dim, 500) and got.dtype == np.int64
+    assert got.flags.c_contiguous
+    assert (got == xs.T).all() and (got_ks == ks).all()
+    back, fits = layout.pack(got, got_ks)
+    assert fits.all() and (back == keys).all()
+    assert (layout.pack_rows(got, got_ks, "sample") == keys).all()
+    assert layout.elements(keys) == [
+        GroupElement(tuple(map(int, x)), int(k)) for x, k in zip(xs, ks)
+    ]
+
+
+@pytest.mark.parametrize("rows, radius", [(CAT, 9), (D3_REAL, 6)])
+def test_fit_mask_and_reach_match_the_point_rows_references(rows, radius, monkeypatch):
+    monkeypatch.setattr(packed, "BLOCK_KEYS", 64)
+    layout = packed.KeyLayout(len(rows), radius)
+    xs, ks = straddling_points(np.random.default_rng(3 + len(rows)), layout, 1000)
+    keys, fits = layout.pack(coordinate_rows(xs), ks)
+    ref_keys, ref_fits = reference_pack(layout, xs, ks)
+    assert 0 < fits.sum() < len(fits)
+    assert (fits == ref_fits).all() and (keys == ref_keys).all()
+    scalar = [layout.key(GroupElement(tuple(map(int, x)), int(k))) for x, k in zip(xs, ks)]
+    assert keys.tolist() == [key for key in scalar if key is not None]
+    assert layout.reach(keys) == np.abs(xs[ref_fits]).max(axis=0).tolist()
+    i = int(np.flatnonzero(~fits)[0])
+    with pytest.raises(ValidationError, match=re.escape(repr(
+            GroupElement(tuple(map(int, xs[i])), int(ks[i]))))):
+        layout.pack_rows(coordinate_rows(xs), ks, "sample")
+
+
+@pytest.mark.parametrize("rows, b, v, e", [
+    (CAT, CAT, (1, -2), 1),
+    (CAT, ((0, 1), (-1, 0)), (1, -1), -1),
+    (D3_REAL, D3_REAL, (1, 0, -1), 1),
+])
+def test_mapped_keys_match_the_scalar_automorphism(rows, b, v, e):
+    ctx = GroupContext(ToralMatrix(rows))
+    phi = GroupAutomorphism.from_parts(b, v, e)
+    layout = packed.KeyLayout(ctx.dim, 5)
+    rng = np.random.default_rng(ctx.dim)
+    xs = rng.integers(-1000, 1001, size=(300, ctx.dim))
+    ks = rng.integers(-5, 6, size=300)
+    keys = layout.pack_rows(coordinate_rows(xs), ks, "sample")
+    mapped = _automorphism_image(layout, ctx, phi)(keys, "sample")
+    points = [GroupElement(tuple(map(int, x)), int(k)) for x, k in zip(xs, ks)]
+    assert mapped.tolist() == [layout.key(apply_automorphism(ctx, phi, g)) for g in points]
+
+
+@pytest.mark.parametrize("rows", [CAT, D3_REAL])
+def test_l1_diameter_matches_the_tuple_reference(rows, monkeypatch):
+    monkeypatch.setattr(packed, "BLOCK_KEYS", 64)
+    dim = len(rows)
+    layout = packed.KeyLayout(dim, 0)
+    signs = np.array([
+        [1] + [1 if (mask >> i) & 1 else -1 for i in range(dim - 1)]
+        for mask in range(1 << (dim - 1))
+    ], dtype=np.int64)
+    rng = np.random.default_rng(dim)
+    for count in (1, 2, 63, 500):
+        xs = rng.integers(-10**5, 10**5 + 1, size=(count, dim))
+        keys = layout.pack_set(coordinate_rows(xs), np.zeros(count, dtype=np.int64), "sample")
+        points = {tuple(map(int, x)) for x in xs}
+        assert _l1_diameter(layout, keys, signs) == reference_l1_diameter(points)

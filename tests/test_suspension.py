@@ -35,8 +35,8 @@ def embed(g: GroupElement) -> CoverPoint:
 
 
 def oracle_columns(oracle):
-    """Coordinates (n, dim), exponents and lengths of every oracle entry as
-    int64 arrays, in breadth-first order: the whole-table unpack that
+    """Coordinate rows (dim, n), exponents and lengths of every oracle entry
+    as int64 arrays, in breadth-first order: the whole-table unpack that
     ``qi_comparison`` does block by block."""
     xs, ks = oracle.layout.unpack(oracle.keys)
     lengths = np.repeat(np.arange(len(oracle.sphere_sizes)), oracle.sphere_sizes)
@@ -45,7 +45,7 @@ def oracle_columns(oracle):
 
 def log_distance_bound(split: HyperbolicSplitting, point: CoverPoint) -> float:
     """The bound of ``log_distance_bounds`` for one point."""
-    return float(log_distance_bounds(split, [point.x], [point.s])[0])
+    return float(log_distance_bounds(split, [[c] for c in point.x], [point.s])[0])
 
 
 def test_splitting_cat(cat_matrix):
@@ -175,7 +175,7 @@ def test_scalar_and_array_bounds_agree_exactly(cat_matrix, oracle6):
     scalar = [log_distance_bound(split, embed(g)) for g in oracle6.elements()]
     assert bounds.tolist() == scalar
     # a batch's rows do not depend on the batch around them
-    assert log_distance_bounds(split, xs[:7], ks[:7]).tolist() == scalar[:7]
+    assert log_distance_bounds(split, xs[:, :7], ks[:7]).tolist() == scalar[:7]
 
 
 def test_blockwise_bounds_are_bit_identical(cat_matrix, oracle8, monkeypatch):

@@ -143,6 +143,18 @@ def test_budget_error_reports_completed_radius(ctx, gens):
     assert partial.radius == info.value.completed_radius
 
 
+@pytest.mark.parametrize("r", [1, 4, 6])
+def test_budget_refuses_only_a_ball_past_it(ctx, gens, oracle6, r):
+    # The budget counts the ball's elements, not (element, generator) pairs.
+    size = oracle6.ball_size(r)
+    assert word_ball(ctx, gens, r, budget=size).census() == oracle6.census()[: r + 1]
+    with pytest.raises(BudgetError, match=f"radius {r} exceeds") as info:
+        word_ball(ctx, gens, r, budget=size - 1)
+    assert info.value.completed_radius == r - 1
+    assert info.value.partial.census() == oracle6.census()[:r]
+    assert list(info.value.partial.items()) == list(oracle6.restricted(r - 1).items())
+
+
 def test_set_diameter_examples(ctx, oracle6):
     assert set_diameter(oracle6, [ctx.z]) == (0, True)
     assert set_diameter(oracle6, [ctx.identity, ctx.z]) == (1, True)
@@ -206,6 +218,21 @@ def test_column_diameter_of_one_and_two_elements(ctx, oracle6):
         assert_diameter_matches_reference(ctx, oracle6, elements)
     assert set_diameter(oracle6, [far]) == (0, True)
     assert set_diameter(oracle6, [ctx.identity, far]) == (7, False)
+
+
+def test_column_diameter_matches_the_scalar_loop_on_random_sets(ctx, oracle6):
+    # Every other set holds one element outside the oracle's key layout.
+    near = [g for g, n in oracle6.items() if n <= 3]
+    far = [GroupElement((1 << 40, -3), 1), GroupElement((2, 1), -9),
+           GroupElement((0, -(1 << 35)), 0)]
+    rng = np.random.default_rng(11)
+    seen = set()
+    for trial in range(40):
+        picks = [near[i] for i in rng.choice(len(near), size=int(rng.integers(1, 12)))]
+        if trial % 2:
+            picks.append(far[trial % len(far)])
+        seen.add(assert_diameter_matches_reference(ctx, oracle6, picks)[1])
+    assert seen == {True, False}
 
 
 def test_column_diameter_refuses_a_quotient_that_could_overflow(ctx, oracle6):
