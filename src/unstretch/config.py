@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import difflib
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -120,7 +121,8 @@ class ExperimentConfig:
 def _check_type(key: str, value, annotation):
     """Reject a value whose JSON type does not match the field annotation,
     or a list item that does not match its item type; a bool is not accepted
-    as an int or a float, and an int is accepted as a float."""
+    as an int or a float, an int is accepted as a float, and a float must be
+    finite (JSON as Python reads it admits Infinity and NaN)."""
     if typing.get_origin(annotation) is list:
         _check_type(key, value, list)
         (item,) = typing.get_args(annotation)
@@ -128,6 +130,10 @@ def _check_type(key: str, value, annotation):
         if bad:
             raise ValidationError(f"config key {key!r} must be a list of {item.__name__}, "
                                   f"not one holding {type(bad[0]).__name__} {bad[0]!r}")
+        nonfinite = [v for v in value if isinstance(v, float) and not math.isfinite(v)]
+        if nonfinite:
+            raise ValidationError(f"config key {key!r} must hold finite numbers, "
+                                  f"not {nonfinite[0]!r}")
         return
     allowed = typing.get_args(annotation) or (annotation,)
     if isinstance(value, bool) and bool not in allowed or not isinstance(value, allowed):

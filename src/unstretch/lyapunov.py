@@ -10,20 +10,31 @@ keeps the invariant line fields in closed form, which is what makes the
 time-average versus space-average comparison well posed. ``toy_system`` is
 the one table that pairs a map kind with a direction and its line field.
 
-Orbits and cocycles run on lanes: each map has one array step that advances
-m points and pushes a tangent vector at each, so all orbit starts move in
-lockstep. Point coordinates take the float operations of the one-point
-formula in its order (explicit products summed left to right, ``% 1.0`` as
-Python computes it, ``np.sin``/``np.cos``), so each orbit has the bits of
-the one-point formula, whichever lanes run beside it. The cocycle applies
-the Jacobian factor by factor, which matches the one-point product of the
-factors to 1e-12 relative rather than bit for bit. Directions are
-renormalized at every step (Benettin et al.), so exponents accumulate as log
-sums and never overflow. Lanes and samples go in blocks of ``BLOCK`` rows.
+Each toy map emits its one-point formula once, when it is built, as
+straight-line Python source (``ToyMap.source``): the image of a point, and a
+step that also pushes a tangent vector by the differential and returns the
+pushed vector's length. Products are summed left to right, entries 1 take no
+product, ``% 1.0`` is taken as Python takes it, and the length is
+sqrt(p0 * p0 + p1 * p1 + ...). The source is compiled twice: over numpy
+(``np.sin``, ``np.cos``, ``np.sqrt``), where each coordinate is an array of
+lanes and all orbit starts of a block move in lockstep, and over ``math``,
+for one point on Python floats. Every operation is IEEE-rounded, and
+``math.sin``/``math.cos`` give the bits of ``np.sin``/``np.cos`` on float64
+(a premise that the bit-equality tests pin), so an orbit has the bits of the
+one-point formula on either path, whichever lanes run beside it. A block of
+fewer than ``FLOAT_LANES`` orbit starts runs lane by lane on floats, since a
+lockstep step costs about 30 numpy dispatches whatever its lanes. The
+cocycle applies the Jacobian factor by factor, which matches the one-point
+product of the factors to 1e-12 relative rather than bit for bit.
+Directions are renormalized at every step (Benettin et al.), so exponents
+accumulate as log sums and never overflow; on both paths the factors of
+``STEPS`` steps are held, checked for a collapse, then logged by ``np.log``
+and summed in step order. Lanes and samples go in blocks of ``BLOCK`` rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -39,6 +50,12 @@ STABLE_ERROR = 1e-6
 # Rows (orbit lanes or Monte Carlo samples) per array step: bounds the
 # temporaries, whatever the number of starts or samples.
 BLOCK = 1024
+# Blocks of fewer orbit starts than this run lane by lane on Python floats:
+# below it a lockstep step's numpy dispatch, about 30 ufunc calls, costs more
+# than stepping each lane alone. The measured crossover is 16 lanes for the
+# linear maps and 25-40 for the shear conjugates; the smallest is taken, so
+# that no map runs slower on floats than it would on lanes.
+FLOAT_LANES = 16
 # Steps whose expansion factors are held, then logged, summed and checked for
 # a collapse in one pass: a per-step reduction would cost more than the step.
 STEPS = 64
@@ -50,52 +67,115 @@ def _row_terms(matrix: ToralMatrix):
     return [[(float(a), j) for j, a in enumerate(r) if a] for r in matrix.entries]
 
 
-def _matvec(rows, coords, mod=False):
-    """A x for x given as coordinate rows, each row reduced ``% 1.0`` if
-    ``mod``: a_0 x_0 + a_1 x_1 + ... summed left to right, with zero entries
-    skipped and entries 1 taking no product. Both are exact, up to the sign
-    of a zero sum, which ``% 1.0`` removes."""
-    out = []
-    for terms in rows:
-        acc = None
-        for a, j in terms:
-            term = coords[j] if a == 1.0 else a * coords[j]
-            acc = term if acc is None else acc + term
-        out.append(acc % 1.0 if mod else acc)
-    return out
+def _names(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}{i}" for i in range(n)]
 
 
-def _lengths(coords, out=None):
-    """Euclidean lengths of the vectors given as coordinate rows."""
-    out = np.hypot(coords[0], coords[1] if len(coords) > 1 else 0.0, out=out)
-    for c in coords[2:]:
-        np.hypot(out, c, out=out)
-    return out
+def _sums(rows, names) -> list[str]:
+    """A x as source, one expression per row, for x given by variable names:
+    a_0 x_0 + a_1 x_1 + ... summed left to right, with zero entries skipped
+    and entries 1 taking no product. Both are exact, up to the sign of a zero
+    sum, which ``% 1.0`` removes."""
+    return [
+        " + ".join(names[j] if a == 1.0 else f"{a!r} * {names[j]}" for a, j in terms)
+        for terms in rows
+    ]
+
+
+def _length_source(names) -> str:
+    """The Euclidean length of a vector, as source: sqrt(p0 * p0 + p1 * p1 +
+    ...), only IEEE-rounded operations, so floats and lanes give the same
+    bits."""
+    return "sqrt(" + " + ".join(f"{n} * {n}" for n in names) + ")"
+
+
+def _def(name: str, params, lines, result: str) -> str:
+    """The source of a straight-line function."""
+    body = "".join(f"    {line}\n" for line in lines)
+    return f"def {name}({', '.join(params)}):\n{body}    return {result}\n"
+
+
+def _compile(source: str, module) -> dict:
+    """The functions ``source`` defines, with ``sin``, ``cos`` and ``sqrt``
+    taken from ``module``: ``np`` for lanes, ``math`` for Python floats."""
+    namespace = {"sin": module.sin, "cos": module.cos, "sqrt": module.sqrt}
+    exec(source, namespace)
+    return namespace
+
+
+@functools.cache
+def _length(dim: int) -> Callable:
+    """length(p0, ..., p_{dim-1}) over lanes."""
+    names = _names("p", dim)
+    return _compile(_def("length", names, [], _length_source(names)), np)["length"]
+
+
+class Step(NamedTuple):
+    """A toy map's formulas compiled over one numeric module."""
+
+    image: Callable
+    step: Callable
 
 
 @dataclass(frozen=True)
 class ToyMap:
-    """A torus map with closed-form differential, acting on lanes.
+    """A torus map with closed-form differential, compiled from its
+    one-point formula.
 
-    ``advance(points, dirs)`` takes m points of [0,1)^d and a tangent vector
-    at each, both as coordinate rows (d arrays of length m: the transpose of
-    an (m, d) array), and returns the image points and the vectors pushed
-    forward by the differential (None when ``dirs`` is None), as lists of
-    coordinate rows.
+    ``source`` defines two functions of the coordinates of one point,
+    straight-line code with no loop:
+
+    - ``image(x0, ...)`` returns the image point;
+    - ``step(x0, ..., v0, ..., r)`` pushes the unit vector v / r at x by the
+      differential and returns, flat, the image point, the pushed vector and
+      its length, so a step's output is the next step's input.
+
+    ``lanes`` holds them compiled over numpy, where each coordinate is an
+    array of lanes (so ``*rows`` of a (d, m) array is m points), and
+    ``floats`` over ``math``, for one point in Python floats.
     """
 
     dim: int
-    advance: Callable
+    source: str
+    lanes: Step
+    floats: Step
+
+
+def _toy_map(dim: int, body: Callable) -> ToyMap:
+    """Emit and compile ``image`` and ``step`` from ``body(push)``, which
+    returns the lines that compute the image, and with ``push`` also the
+    pushed vector p0, ..., from the point x0, ... and the unit vector u0, ...,
+    and the expressions of the image's coordinates."""
+    xs, vs, us, ps = (_names(c, dim) for c in "xvup")
+    lines, images = body(False)
+    source = _def("image", xs, lines, ", ".join(images))
+    lines, images = body(True)
+    units = [f"{u} = {v} / r" for u, v in zip(us, vs)]
+    result = ", ".join(images + ps + [_length_source(ps)])
+    source += "\n" + _def("step", xs + vs + ["r"], units + lines, result)
+
+    def compiled(module):
+        namespace = _compile(source, module)
+        return Step(namespace["image"], namespace["step"])
+
+    return ToyMap(dim, source, compiled(np), compiled(math))
+
+
+def _linear_body(matrix: ToralMatrix) -> Callable:
+    """The ``_toy_map`` body of x -> A x mod 1, with constant differential A."""
+    d = matrix.dim
+    rows = _row_terms(matrix)
+
+    def body(push):
+        pushed = [f"p{i} = {e}" for i, e in enumerate(_sums(rows, _names("u", d)))]
+        return (pushed if push else []), [f"({e}) % 1.0" for e in _sums(rows, _names("x", d))]
+
+    return body
 
 
 def linear_toral(matrix: ToralMatrix) -> ToyMap:
     """x -> A x mod 1 with constant differential A."""
-    rows = _row_terms(matrix)
-
-    def advance(points, dirs=None):
-        return _matvec(rows, points, mod=True), None if dirs is None else _matvec(rows, dirs)
-
-    return ToyMap(matrix.dim, advance)
+    return _toy_map(matrix.dim, _linear_body(matrix))
 
 
 def suspension_time_one(matrix: ToralMatrix) -> ToyMap:
@@ -106,34 +186,42 @@ def suspension_time_one(matrix: ToralMatrix) -> ToyMap:
     carried isometrically.
     """
     d = matrix.dim
-    rows = _row_terms(matrix)
+    base = _linear_body(matrix)
 
-    def advance(points, dirs=None):
-        images = _matvec(rows, points, mod=True) + [points[d]]
-        return images, None if dirs is None else _matvec(rows, dirs) + [dirs[d]]
+    def body(push):
+        lines, images = base(push)
+        return (lines + [f"p{d} = u{d}"] if push else lines), images + [f"x{d}"]
 
-    return ToyMap(d + 1, advance)
+    return _toy_map(d + 1, body)
 
 
-def _shear_profile(coefficients: Sequence[float]):
-    """The shear profile s(y) and its derivative s'(y), both at once.
+def _shear_terms(coefficients: Sequence[float]) -> list[tuple[float, float]]:
+    """(c_j, 2 pi (j+1)) for each coefficient of the shear profile."""
+    terms = [(float(c), 2.0 * math.pi * (j + 1)) for j, c in enumerate(coefficients)]
+    if not all(math.isfinite(c) for c, _ in terms):
+        raise ValidationError("shear coefficients must be finite")
+    return terms
+
+
+def _profile(terms, y: str, parts) -> list[str]:
+    """Lines that set each of ``parts``, ``s`` for the shear profile s(y) and
+    ``ds`` for its derivative s'(y), at the variable ``y``.
 
     s(y) = sum_j c_j sin(2 pi (j+1) y) / (2 pi (j+1)), so the maximum slope
     is bounded by sum |c_j| and the shear h(x) = x + s(x_last) e_0 has unit
     Jacobian determinant exactly. Each sine and cosine is evaluated once per
     argument; with no coefficients both are 0.0.
     """
-    terms = [(float(c), 2.0 * math.pi * (j + 1)) for j, c in enumerate(coefficients)]
-
-    def profile(y):
-        s = ds = None
-        for c, k in terms:
-            arg = k * y
-            term, slope = c * np.sin(arg) / k, c * np.cos(arg)
-            s, ds = (term, slope) if s is None else (s + term, ds + slope)
-        return (0.0, 0.0) if s is None else (s, ds)
-
-    return profile
+    if not terms:
+        return [f"{part} = 0.0" for part in parts]
+    formulas = {"s": "{c!r} * sin(a) / {k!r}", "ds": "{c!r} * cos(a)"}
+    lines = []
+    for j, (c, k) in enumerate(terms):
+        lines.append(f"a = {k!r} * {y}")
+        for part in parts:
+            term = formulas[part].format(c=c, k=k)
+            lines.append(f"{part} = {term}" if j == 0 else f"{part} = {part} + {term}")
+    return lines
 
 
 def shear_conjugated(matrix: ToralMatrix, coefficients: Sequence[float]) -> ToyMap:
@@ -149,21 +237,22 @@ def shear_conjugated(matrix: ToralMatrix, coefficients: Sequence[float]) -> ToyM
     if d < 2:
         raise ValidationError("shear conjugation needs dimension >= 2")
     rows = _row_terms(matrix)
-    profile = _shear_profile(coefficients)
+    terms = _shear_terms(coefficients)
+    xs, us = _names("x", d), _names("u", d)
 
-    def advance(points, dirs=None):
-        s_p, ds_p = profile(points[d - 1])
+    def body(push):
+        parts = ("s", "ds") if push else ("s",)
         # h^-1 only moves the first coordinate, by -s of the last one.
-        w = _matvec(rows, [points[0] - s_p, *points[1:]], mod=True)
-        s_w, ds_w = profile(w[d - 1])
-        pushed = None
-        if dirs is not None:
-            pushed = _matvec(rows, [dirs[0] - ds_p * dirs[d - 1], *dirs[1:]])
-            pushed[0] = pushed[0] + ds_w * pushed[d - 1]
-        w[0] = w[0] + s_w
-        return [c % 1.0 for c in w], pushed
+        lines = _profile(terms, xs[-1], parts) + ["h0 = x0 - s"]
+        lines += [f"q0 = u0 - ds * {us[-1]}"] if push else []
+        lines += [f"w{i} = ({e}) % 1.0" for i, e in enumerate(_sums(rows, ["h0", *xs[1:]]))]
+        if push:
+            lines += [f"p{i} = {e}" for i, e in enumerate(_sums(rows, ["q0", *us[1:]]))]
+        lines += _profile(terms, f"w{d - 1}", parts)
+        lines += [f"p0 = p0 + ds * p{d - 1}"] if push else []
+        return lines, ["(w0 + s) % 1.0", *(f"w{i} % 1.0" for i in range(1, d))]
 
-    return ToyMap(d, advance)
+    return _toy_map(d, body)
 
 
 @dataclass(frozen=True)
@@ -178,12 +267,12 @@ class DirectionField:
 
     def at(self, points: np.ndarray) -> np.ndarray:
         """Unit vectors at the rows of ``points``, as an (m, d) array; raises
-        ValidationError if any is shorter than ``TOL_DIRECTION``."""
+        ValidationError if any is shorter than ``TOL_DIRECTION``, or NaN."""
         coords = np.broadcast_to(
             np.asarray(self.evaluator(points), dtype=float), points.shape
         ).T
-        lengths = _lengths(coords)
-        if (lengths < TOL_DIRECTION).any():
+        lengths = _length(points.shape[1])(*coords)
+        if not (lengths >= TOL_DIRECTION).all():
             raise ValidationError("direction field returned a degenerate vector")
         return (coords / lengths).T
 
@@ -237,12 +326,13 @@ def shear_conjugated_eigen(
     """The invariant line field of a shear conjugate: the pushforward of the
     linear model's eigendirection under the conjugacy."""
     d = matrix.dim
-    profile = _shear_profile(coefficients)
+    lines = _profile(_shear_terms(coefficients), "y", ("ds",))
+    slope_at = _compile(_def("slope", ["y"], lines, "ds"), np)["slope"]
     v0 = _unit_eigenvector(matrix, which)
 
     def evaluator(points):
         # D h at h^-1(p); the last coordinate is untouched by the shear.
-        slope = profile(points[:, d - 1])[1]
+        slope = slope_at(points[:, d - 1])
         vectors = np.tile(v0, (len(points), 1))
         vectors[:, 0] = v0[0] + slope * v0[d - 1]
         return vectors
@@ -277,45 +367,65 @@ def toy_system(
     return toy, eigen_direction(matrix, direction)
 
 
+def _log_sums(step: Callable, state: tuple, n: int):
+    """The sums of the logs of n expansion factors, from ``state``: of every
+    lane at once on arrays, of one lane on Python floats.
+
+    The factors of STEPS steps are held, checked for a collapse (a factor
+    below ``TOL_DIRECTION``, or NaN), then logged and added in step order: a
+    plain sum's order would depend on the number of lanes. Until a check,
+    the lanes run on without warnings.
+    """
+    total = 0.0
+    with np.errstate(all="ignore"):
+        for done in range(0, n, STEPS):
+            held = []
+            try:
+                for _ in range(min(STEPS, n - done)):
+                    state = step(*state)
+                    held.append(state[-1])
+            except ZeroDivisionError:
+                # a zero length on floats; lanes divide it into NaN
+                raise ValidationError("cocycle collapsed to a degenerate direction") from None
+            held = np.array(held)
+            if not (held >= TOL_DIRECTION).all():
+                raise ValidationError("cocycle collapsed to a degenerate direction")
+            logs = np.log(held)
+            logs[0] += total
+            total = np.add.accumulate(logs)[-1]
+    return total
+
+
 def finite_time_exponents(toy_map: ToyMap, field: DirectionField, starts, n: int):
     """Finite-time exponents of the orbits of all rows of ``starts`` at once.
 
     Lane i is the orbit of ``starts[i]``: its direction is seeded from the
     field there and pushed forward by the differential at every step, and its
     exponent is (1/n) times the sum of the log expansion factors,
-    renormalized at every step. The lanes advance in lockstep, in blocks of
-    ``BLOCK``; each lane's exponent is that of the lane run alone.
+    renormalized at every step. Lanes go in blocks of ``BLOCK``; a block of
+    at least ``FLOAT_LANES`` lanes advances in lockstep on arrays, a smaller
+    one lane by lane on Python floats. Each lane's exponent is that of the
+    lane run alone, on either path.
     """
     if n < 1:
         raise ValidationError("orbit length n must be >= 1")
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[1] != toy_map.dim:
         raise ValidationError(f"orbit starts must be rows of length {toy_map.dim}")
-    values = np.empty(len(starts))
-    # A collapse is checked on every lane and step, and reported after each
-    # run of STEPS steps; until then the lanes run on without warnings.
-    with np.errstate(all="ignore"):
-        for lo in range(0, len(starts), BLOCK):
-            block = starts[lo:lo + BLOCK]
-            u = field.at(block).T
-            x = block.T
-            total = np.zeros(len(block))
-            expansions = np.empty((min(n, STEPS), len(block)))
-            for done in range(0, n, STEPS):
-                held = expansions[:min(STEPS, n - done)]
-                for factor in held:
-                    x, pushed = toy_map.advance(x, u)
-                    _lengths(pushed, out=factor)
-                    u = [c / factor for c in pushed]
-                if (held < TOL_DIRECTION).any():
-                    raise ValidationError("cocycle collapsed to a degenerate direction")
-                # one running sum per lane in step order; a plain sum's order
-                # would depend on the number of lanes
-                logs = np.log(held)
-                logs[0] += total
-                total = np.add.accumulate(logs)[-1]
-            values[lo:lo + BLOCK] = total / n
-    return values
+    if not np.isfinite(starts).all():
+        raise ValidationError("orbit starts must be finite")
+    sums = np.empty(len(starts))
+    for lo in range(0, len(starts), BLOCK):
+        block = starts[lo:lo + BLOCK]
+        dirs = field.at(block)
+        if len(block) < FLOAT_LANES:
+            sums[lo:lo + BLOCK] = [
+                _log_sums(toy_map.floats.step, (*x, *u, 1.0), n)
+                for x, u in zip(block.tolist(), dirs.tolist())
+            ]
+        else:
+            sums[lo:lo + BLOCK] = _log_sums(toy_map.lanes.step, (*block.T, *dirs.T, 1.0), n)
+    return sums / n
 
 
 def finite_time_exponent(toy_map: ToyMap, field: DirectionField, x0, n: int) -> float:
@@ -330,14 +440,25 @@ def finite_time_exponent(toy_map: ToyMap, field: DirectionField, x0, n: int) -> 
 
 def orbits(toy_map: ToyMap, starts: np.ndarray, steps: int) -> Iterator[np.ndarray]:
     """The first ``steps`` points of each start's orbit, start by start, as
-    (steps, d) arrays; the lanes advance in blocks of ``BLOCK``."""
+    (steps, d) arrays. Starts go in blocks of ``BLOCK``, each run as
+    ``finite_time_exponents`` runs it: in lockstep on arrays, or lane by lane
+    on floats when it has fewer than ``FLOAT_LANES`` starts."""
     for lo in range(0, len(starts), BLOCK):
-        x = starts[lo:lo + BLOCK].T
-        path = np.empty((steps,) + x.shape)
-        for t in range(steps):
-            path[t] = x
-            x = toy_map.advance(x)[0]
-        yield from path.transpose(2, 0, 1)
+        block = starts[lo:lo + BLOCK]
+        if len(block) < FLOAT_LANES:
+            for x in block.tolist():
+                path = np.empty((steps, toy_map.dim))
+                for t in range(steps):
+                    path[t] = x
+                    x = toy_map.floats.image(*x)
+                yield path
+        else:
+            x = block.T
+            path = np.empty((steps,) + x.shape)
+            for t in range(steps):
+                path[t] = x
+                x = toy_map.lanes.image(*x)
+            yield from path.transpose(2, 0, 1)
 
 
 class CenterEstimate(NamedTuple):
@@ -363,8 +484,8 @@ def center_integral(
     pts = rng.random((n_samples, toy_map.dim))
     for lo in range(0, n_samples, BLOCK):
         x = pts[lo:lo + BLOCK]
-        pushed = toy_map.advance(x.T, field.at(x).T)[1]
-        values[lo:lo + BLOCK] = np.log(_lengths(pushed))
+        length = toy_map.lanes.step(*x.T, *field.at(x).T, 1.0)[-1]
+        values[lo:lo + BLOCK] = np.log(length)
     half_width = float(values.std(ddof=1) / math.sqrt(n_samples))
     return CenterEstimate(float(values.mean()), half_width, n_samples)
 

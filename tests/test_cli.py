@@ -115,6 +115,21 @@ def test_malformed_matrix_exits_2_without_outputs(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_non_finite_shear_coefficients_exit_2_without_outputs(tmp_path, capsys):
+    out = tmp_path / "nope"
+    for experiment in ("lyapunov", "birkhoff"):
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            cfg = write_cfg(tmp_path, "shear", {
+                "experiment": experiment, "matrix": CAT,
+                "map_kind": "shear_conjugated", "shear_coefficients": [0.05, bad],
+                "output_dir": str(out),
+            })
+            assert run_cli(cfg) == 2
+            assert "config key 'shear_coefficients' must hold finite numbers" in (
+                capsys.readouterr().err)
+            assert not out.exists()
+
+
 def test_non_hyperbolic_matrix_exits_2(tmp_path):
     cfg = write_cfg(tmp_path, "rot", {
         "experiment": "ball-census", "matrix": [[0, 1], [-1, 0]],

@@ -135,10 +135,11 @@ def reference_center_values(differential, field, pts):
 def volume_residuals(toy_map, n_points, rng):
     """Max |det of the differential - 1| over random points; column j of each
     Jacobian is the push of the unit vector e_j."""
-    pts = rng.random((n_points, toy_map.dim)).T
+    d = toy_map.dim
+    pts = rng.random((n_points, d)).T
     columns = [
-        toy_map.advance(pts, np.broadcast_to(e[:, None], pts.shape))[1]
-        for e in np.eye(toy_map.dim)
+        toy_map.lanes.step(*pts, *np.broadcast_to(e[:, None], pts.shape), 1.0)[d:2 * d]
+        for e in np.eye(d)
     ]
     # columns[j][i] is row i of the pushed e_j: entry (i, j) of each Jacobian
     dets = np.linalg.det(np.transpose(columns, (2, 1, 0)))
@@ -276,9 +277,9 @@ def test_shear_field_is_invariant(cat_matrix):
     fld = shear_conjugated_eigen(cat_matrix, SHEAR, "unstable")
     rng = np.random.default_rng(54)
     xs = rng.random((50, 2))
-    images, pushed = toy.advance(xs.T, fld.at(xs).T)
-    targets = fld.at(np.transpose(images))
-    for p, target in zip(np.transpose(pushed), targets):
+    out = toy.lanes.step(*xs.T, *fld.at(xs).T, 1.0)
+    targets = fld.at(np.transpose(out[:2]))
+    for p, target in zip(np.transpose(out[2:4]), targets):
         p = p / np.linalg.norm(p)
         assert min(np.linalg.norm(p - target),
                    np.linalg.norm(p + target)) < 1e-10
@@ -376,32 +377,79 @@ def test_center_integral_matches_scalar_path(kind, entries, coefficients, monkey
     assert center_integral(toy, fld, 2500, np.random.default_rng(63)) == est
 
 
-def test_one_degenerate_lane_is_rejected(cat_matrix):
+# FLOAT_LANES values that send every block down one path.
+PATHS = {"lanes": 0, "floats": lyapunov.BLOCK + 1}
+
+
+@pytest.mark.parametrize("kind,entries,coefficients", CASES)
+def test_float_and_lane_paths_are_bit_equal(kind, entries, coefficients, monkeypatch):
+    toy, fld = case_map(kind, entries, coefficients)
+    starts = np.random.default_rng(66).random((5, toy.dim))
+    results = {}
+    for path, float_lanes in PATHS.items():
+        monkeypatch.setattr(lyapunov, "FLOAT_LANES", float_lanes)
+        exponents = finite_time_exponents(toy, fld, starts, 200)
+        ends = [orbit[-1] for orbit in orbits(toy, starts, 201)]
+        results[path] = bits(exponents), bits(ends)
+    assert all(np.array_equal(a, b) for a, b in zip(results["lanes"], results["floats"]))
+
+
+def test_one_degenerate_lane_is_rejected(cat_matrix, monkeypatch):
     toy = linear_toral(cat_matrix)
     unit = eigen_direction(cat_matrix, "unstable").at(np.zeros((1, 2)))[0]
-    # zero exactly on the last start's half of the square
-    fld = DirectionField(lambda p: np.where(p[:, :1] < 0.5, 1.0, 0.0) * unit)
     starts = np.array([[0.1, 0.2], [0.3, 0.9], [0.7, 0.4]])
-    finite_time_exponents(toy, fld, starts[:2], 5)
-    with pytest.raises(ValidationError, match="degenerate vector"):
-        finite_time_exponents(toy, fld, starts, 5)
-    with pytest.raises(ValidationError, match="degenerate vector"):
-        center_integral(toy, fld, 1000, np.random.default_rng(64))
+    # zero, or NaN, exactly on the last start's half of the square
+    for bad in (0.0, math.nan):
+        fld = DirectionField(lambda p: np.where(p[:, :1] < 0.5, 1.0, bad) * unit)
+        for float_lanes in PATHS.values():
+            monkeypatch.setattr(lyapunov, "FLOAT_LANES", float_lanes)
+            finite_time_exponents(toy, fld, starts[:2], 5)
+            with pytest.raises(ValidationError, match="degenerate vector"):
+                finite_time_exponents(toy, fld, starts, 5)
+        with pytest.raises(ValidationError, match="degenerate vector"):
+            center_integral(toy, fld, 1000, np.random.default_rng(64))
 
 
-def test_one_collapsed_lane_is_rejected(cat_matrix):
+def _collapse_at_origin(step, where):
+    """``step`` with the pushed vector and its length c replaced by
+    ``where(at_origin, c)`` on a 2-d map."""
+
+    def broken(*state):
+        out = step(*state)
+        at_origin = (state[0] == 0.0) & (state[1] == 0.0)
+        return out[:2] + tuple(where(at_origin, c) for c in out[2:])
+
+    return broken
+
+
+def test_one_collapsed_lane_is_rejected(cat_matrix, monkeypatch):
+    # the lane started at the origin loses its vector at every step, to a
+    # zero (which the float path then divides by) or to NaN
     toy = linear_toral(cat_matrix)
-
-    def collapsing(points, dirs=None):
-        images, pushed = toy.advance(points, dirs)
-        keep = np.arange(len(points[0])) < len(points[0]) - 1
-        return images, [np.where(keep, c, 0.0) for c in pushed]
-
-    broken = dataclasses.replace(toy, advance=collapsing)
     fld = eigen_direction(cat_matrix, "unstable")
     starts = np.random.default_rng(65).random((4, 2))
-    with pytest.raises(ValidationError, match="cocycle collapsed"):
-        finite_time_exponents(broken, fld, starts, 3)
+    starts[-1] = 0.0
+    for bad in (0.0, math.nan):
+        broken = dataclasses.replace(
+            toy,
+            lanes=lyapunov.Step(toy.lanes.image, _collapse_at_origin(
+                toy.lanes.step, lambda at, c: np.where(at, bad, c))),
+            floats=lyapunov.Step(toy.floats.image, _collapse_at_origin(
+                toy.floats.step, lambda at, c: bad if at else c)),
+        )
+        for float_lanes in PATHS.values():
+            monkeypatch.setattr(lyapunov, "FLOAT_LANES", float_lanes)
+            finite_time_exponents(broken, fld, starts[:-1], 3)
+            for n in (1, 3, 70):
+                with pytest.raises(ValidationError, match="cocycle collapsed"):
+                    finite_time_exponents(broken, fld, starts, n)
+
+
+def test_shear_coefficients_must_be_finite(cat_matrix):
+    for bad in (math.inf, -math.inf, math.nan):
+        for build in (shear_conjugated, shear_conjugated_eigen):
+            with pytest.raises(ValidationError, match="finite"):
+                build(cat_matrix, [0.05, bad])
 
 
 def test_initial_direction_is_normalised(cat_matrix):
@@ -416,6 +464,15 @@ def test_starts_must_match_the_map_dimension(cat_matrix):
     fld = eigen_direction(cat_matrix, "unstable")
     with pytest.raises(ValidationError):
         finite_time_exponents(toy, fld, np.zeros((2, 3)), 5)
+
+
+def test_starts_must_be_finite(cat_matrix):
+    # an infinite coordinate would raise ValueError in math.sin on floats and
+    # run on as NaN on lanes
+    toy, fld = toy_system(cat_matrix, "shear_conjugated", "unstable", SHEAR)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="finite"):
+            finite_time_exponents(toy, fld, [[0.1, 0.2], [bad, 0.3]], 5)
 
 
 def test_shear_dump_orbit_equals_scalar_replay(tmp_path):
@@ -440,3 +497,37 @@ def test_shear_dump_orbit_equals_scalar_replay(tmp_path):
                 writer.writerow([i, t] + [repr(float(c)) for c in x])
                 x = step(x)
     assert (out / "orbits.csv").read_bytes() == expected.read_bytes()
+
+
+# The birkhoff benchmark's summary: 4 shear starts of 10,000 steps, which run
+# on the one-lane float path, at seeds 1 and 7. Pinned to the bit, so that
+# neither path drifts unnoticed.
+BIRKHOFF_WORKLOAD_VERDICTS = {
+    1: {
+        "orbit_mean": 0.962424306929754, "orbit_se": 1.147540831242745e-06,
+        "space_value": 0.9624105963162674, "space_se": 0.00022334039812000396,
+        "discrepancy": 1.371061348665048e-05, "combined_se": 0.00022334334617884016,
+        "x_count": 4, "n": 10000,
+    },
+    7: {
+        "orbit_mean": 0.9624229728561414, "orbit_se": 1.17654332930356e-06,
+        "space_value": 0.9625246521967965, "space_se": 0.00022032681903039273,
+        "discrepancy": 0.00010167934065508089, "combined_se": 0.00022032996037365675,
+        "x_count": 4, "n": 10000,
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BIRKHOFF_WORKLOAD_VERDICTS))
+def test_birkhoff_workload_summary(tmp_path, seed):
+    cfg = tmp_path / "birkhoff.json"
+    cfg.write_text(json.dumps({
+        "experiment": "birkhoff", "matrix": CAT, "map_kind": "shear_conjugated",
+        "shear_coefficients": [0.05], "direction": "unstable",
+        "birkhoff_starts": 4, "birkhoff_steps": 10_000,
+    }))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--seed", str(seed),
+                     "--output-dir", str(out)]) == 0
+    verdicts = json.loads((out / "summary.json").read_text())["verdicts"]
+    assert verdicts == BIRKHOFF_WORKLOAD_VERDICTS[seed]
