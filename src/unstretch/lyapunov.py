@@ -34,7 +34,6 @@ and summed in step order. Lanes and samples go in blocks of ``BLOCK`` rows.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -52,9 +51,9 @@ STABLE_ERROR = 1e-6
 BLOCK = 1024
 # Blocks of fewer orbit starts than this run lane by lane on Python floats:
 # below it a lockstep step's numpy dispatch, about 30 ufunc calls, costs more
-# than stepping each lane alone. The measured crossover is 16 lanes for the
-# linear maps and 25-40 for the shear conjugates; the smallest is taken, so
-# that no map runs slower on floats than it would on lanes.
+# than stepping each lane alone. The crossover measured in-process is about
+# 16 lanes for the linear maps and 25-40 for the shear conjugates; the
+# linear maps' is taken for every map.
 FLOAT_LANES = 16
 # Steps whose expansion factors are held, then logged, summed and checked for
 # a collapse in one pass: a per-step reduction would cost more than the step.
@@ -101,13 +100,6 @@ def _compile(source: str, module) -> dict:
     namespace = {"sin": module.sin, "cos": module.cos, "sqrt": module.sqrt}
     exec(source, namespace)
     return namespace
-
-
-@functools.cache
-def _length(dim: int) -> Callable:
-    """length(p0, ..., p_{dim-1}) over lanes."""
-    names = _names("p", dim)
-    return _compile(_def("length", names, [], _length_source(names)), np)["length"]
 
 
 class Step(NamedTuple):
@@ -271,7 +263,7 @@ class DirectionField:
         coords = np.broadcast_to(
             np.asarray(self.evaluator(points), dtype=float), points.shape
         ).T
-        lengths = _length(points.shape[1])(*coords)
+        lengths = np.sqrt(sum(c * c for c in coords))
         if not (lengths >= TOL_DIRECTION).all():
             raise ValidationError("direction field returned a degenerate vector")
         return (coords / lengths).T
@@ -440,25 +432,14 @@ def finite_time_exponent(toy_map: ToyMap, field: DirectionField, x0, n: int) -> 
 
 def orbits(toy_map: ToyMap, starts: np.ndarray, steps: int) -> Iterator[np.ndarray]:
     """The first ``steps`` points of each start's orbit, start by start, as
-    (steps, d) arrays. Starts go in blocks of ``BLOCK``, each run as
-    ``finite_time_exponents`` runs it: in lockstep on arrays, or lane by lane
-    on floats when it has fewer than ``FLOAT_LANES`` starts."""
+    (steps, d) arrays; the lanes advance in blocks of ``BLOCK``."""
     for lo in range(0, len(starts), BLOCK):
-        block = starts[lo:lo + BLOCK]
-        if len(block) < FLOAT_LANES:
-            for x in block.tolist():
-                path = np.empty((steps, toy_map.dim))
-                for t in range(steps):
-                    path[t] = x
-                    x = toy_map.floats.image(*x)
-                yield path
-        else:
-            x = block.T
-            path = np.empty((steps,) + x.shape)
-            for t in range(steps):
-                path[t] = x
-                x = toy_map.lanes.image(*x)
-            yield from path.transpose(2, 0, 1)
+        x = starts[lo:lo + BLOCK].T
+        path = np.empty((steps,) + x.shape)
+        for t in range(steps):
+            path[t] = x
+            x = toy_map.lanes.image(*x)
+        yield from path.transpose(2, 0, 1)
 
 
 class CenterEstimate(NamedTuple):

@@ -385,13 +385,19 @@ PATHS = {"lanes": 0, "floats": lyapunov.BLOCK + 1}
 def test_float_and_lane_paths_are_bit_equal(kind, entries, coefficients, monkeypatch):
     toy, fld = case_map(kind, entries, coefficients)
     starts = np.random.default_rng(66).random((5, toy.dim))
-    results = {}
+    exponents = {}
     for path, float_lanes in PATHS.items():
         monkeypatch.setattr(lyapunov, "FLOAT_LANES", float_lanes)
-        exponents = finite_time_exponents(toy, fld, starts, 200)
-        ends = [orbit[-1] for orbit in orbits(toy, starts, 201)]
-        results[path] = bits(exponents), bits(ends)
-    assert all(np.array_equal(a, b) for a, b in zip(results["lanes"], results["floats"]))
+        exponents[path] = bits(finite_time_exponents(toy, fld, starts, 200))
+    assert np.array_equal(exponents["lanes"], exponents["floats"])
+    # the state after 200 steps: the point, the pushed vector and its length
+    dirs = fld.at(starts)
+    lanes = (*starts.T, *dirs.T, 1.0)
+    floats = [(*x, *u, 1.0) for x, u in zip(starts.tolist(), dirs.tolist())]
+    for _ in range(200):
+        lanes = toy.lanes.step(*lanes)
+        floats = [toy.floats.step(*state) for state in floats]
+    assert np.array_equal(bits(np.array(lanes).T), bits(np.array(floats)))
 
 
 def test_one_degenerate_lane_is_rejected(cat_matrix, monkeypatch):
@@ -500,8 +506,12 @@ def test_shear_dump_orbit_equals_scalar_replay(tmp_path):
 
 
 # The birkhoff benchmark's summary: 4 shear starts of 10,000 steps, which run
-# on the one-lane float path, at seeds 1 and 7. Pinned to the bit, so that
-# neither path drifts unnoticed.
+# on the one-lane float path, at seeds 1 and 7. The counts are pinned
+# exactly, the floats to a relative tolerance: np.log, np.sin and numpy's
+# reductions may round differently in the last bit on another CPU or numpy
+# release, and the standard errors and the discrepancy are small differences
+# of nearly equal numbers, which amplify that. Bit stability between the two
+# paths is test_float_and_lane_paths_are_bit_equal's.
 BIRKHOFF_WORKLOAD_VERDICTS = {
     1: {
         "orbit_mean": 0.962424306929754, "orbit_se": 1.147540831242745e-06,
@@ -518,6 +528,12 @@ BIRKHOFF_WORKLOAD_VERDICTS = {
 }
 
 
+BIRKHOFF_WORKLOAD_TOLERANCES = {
+    "orbit_mean": 1e-12, "space_value": 1e-12,
+    "orbit_se": 1e-9, "space_se": 1e-9, "discrepancy": 1e-9, "combined_se": 1e-9,
+}
+
+
 @pytest.mark.parametrize("seed", sorted(BIRKHOFF_WORKLOAD_VERDICTS))
 def test_birkhoff_workload_summary(tmp_path, seed):
     cfg = tmp_path / "birkhoff.json"
@@ -530,4 +546,8 @@ def test_birkhoff_workload_summary(tmp_path, seed):
     assert cli_main(["run", "--config", str(cfg), "--seed", str(seed),
                      "--output-dir", str(out)]) == 0
     verdicts = json.loads((out / "summary.json").read_text())["verdicts"]
-    assert verdicts == BIRKHOFF_WORKLOAD_VERDICTS[seed]
+    expected = BIRKHOFF_WORKLOAD_VERDICTS[seed]
+    assert verdicts.keys() == expected.keys()
+    assert (verdicts["x_count"], verdicts["n"]) == (expected["x_count"], expected["n"])
+    for name, rel in BIRKHOFF_WORKLOAD_TOLERANCES.items():
+        assert verdicts[name] == pytest.approx(expected[name], rel=rel, abs=0), name
