@@ -112,7 +112,7 @@ def check_hyperbolic(matrix: ToralMatrix) -> HyperbolicityReport:
     for m in np.abs(matrix.eigenvalues):
         if abs(m - 1.0) <= TOL_EIG:
             return HyperbolicityReport(
-                False, f"eigenvalue modulus {m!r} is within {TOL_EIG} of 1"
+                False, f"eigenvalue modulus {float(m)!r} is within {TOL_EIG} of 1"
             )
     ident = matrices.identity(matrix.dim)
     if matrices.det(matrices.mat_sub(entries, ident)) == 0:

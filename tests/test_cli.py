@@ -28,6 +28,8 @@ from unstretch.config import COMMON_KEYS, EXPERIMENT_NAMES, ExperimentConfig, lo
 from unstretch.errors import CertificationError, ValidationError
 from unstretch.experiments import REGISTRY, ExperimentInfo, list_experiments, prepare
 
+import repr_sweep
+
 CAT = [[2, 1], [1, 1]]
 
 
@@ -518,13 +520,43 @@ def test_summary_peak_is_not_the_launchers(tmp_path):
     assert read_summary(out)["peak_rss_mb"] < 128
 
 
+# Exact ties between two shortest candidates, which round to the even one.
+TIES = {950569045138165.75: "950569045138165.8", 209416943474789.375: "209416943474789.38"}
+OUT_OF_BAND = [0.0, -0.0, 1e-05, 1e16, 2.0**50, 5e-324, -2.5, float("nan"), float("inf")]
+
+
+def _band_powers():
+    """Every power of two and of ten in [1e-4, 2**50), with the floats one
+    ulp below and above each."""
+    powers = np.array([2.0**p for p in range(-13, 50)] + [float(f"1e{p}") for p in range(-4, 16)])
+    return np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+
+
 def test_text_table_is_repr_of_each_float():
-    values = np.array(
-        [0.0, -0.0, 1e-05, 1e16, 5e-324, 123456789.123, 1e16, -0.0, 0.0, 1e-05]
-    )
+    band = np.sort(np.concatenate([
+        repr_sweep.band_sample(np.random.default_rng(0), 200_000),
+        [12.5, 0.001, 100.0, 1e15, *TIES],
+    ]))
+    assert band[0] >= 1e-4 and band[-1] < 2.0**50
+    assert [t.decode() for t in qicsv.shortest_text(np.array(list(TIES)))] == list(TIES.values())
+    assert qicsv.shortest_text(band).tolist() == [repr(v).encode() for v in band.tolist()]
+    values = np.concatenate([band, _band_powers(), OUT_OF_BAND])
+    values = np.concatenate([values, values[::-1]])
     table, codes = qicsv.text_table(values)
-    assert len(table) == 6
-    assert [table[c].decode() for c in codes] == [repr(v) for v in values.tolist()]
+    assert len(table) == len(np.unique(values.view(np.int64)))
+    texts = [repr(v).encode() for v in values.tolist()]
+    assert table[codes].tolist() == texts
+    assert table.itemsize == max(map(len, texts))
+
+
+def test_radius_14_text_tables_are_repr(ctx, gens, cat_matrix):
+    rep = qi_comparison(word_ball(ctx, gens, 14), compute_splitting(cat_matrix))
+    for values in rep.bounds, rep.ratios:
+        table, codes = qicsv.text_table(values)
+        distinct = np.empty(len(table))
+        distinct[codes] = values
+        assert np.array_equal(distinct[codes].view(np.int64), values.view(np.int64))
+        assert table.tolist() == [repr(v).encode() for v in distinct.tolist()]
 
 
 def test_centralizer_run(tmp_path):
@@ -730,6 +762,27 @@ def test_validation_failure_leaves_no_output_directory(tmp_path, capsys, data):
     if data.get("box_ell_values") == [48]:
         assert "u1 inclusion check does not fit the int64 key layout" in err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("experiment", [
+    "qi-compare", "ball-census", "set-dynamics", "abelian-control", "word-length",
+])
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, experiment, budget
+):
+    # Not a budget exhausted by the first sphere (exit 3, partial summary),
+    # but a validation error before any ball or neighborhood is built.
+    monkeypatch.setattr(experiments, "word_ball", lambda *a, **k: pytest.fail("ran"))
+    monkeypatch.setattr(experiments.dynamics, "abelian_control", lambda *a, **k: pytest.fail("ran"))
+    out = tmp_path / "out"
+    data = {"experiment": experiment, "matrix": CAT, "budget_elements": budget,
+            "output_dir": str(out)}
+    if experiment == "word-length":
+        data["elements"] = [[[1, 0], 0]]
+    assert run_cli(write_cfg(tmp_path, "budget", data)) == 2
+    assert f"'budget_elements' must be at least 1, not {budget}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validation_failure_keeps_an_existing_output_directory(tmp_path):

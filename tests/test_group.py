@@ -68,6 +68,7 @@ def test_check_hyperbolic_verdicts():
     assert not rot.hyperbolic
     parabolic = check_hyperbolic(ToralMatrix([[1, 1], [0, 1]]))
     assert not parabolic.hyperbolic
+    assert parabolic.reason == "eigenvalue modulus 1.0 is within 1e-09 of 1"
     assert check_hyperbolic(ToralMatrix(D3_REAL)).hyperbolic
     with pytest.raises(ValidationError):
         check_hyperbolic(ToralMatrix([[1, 0, 0], [0, 1, 0]]))
