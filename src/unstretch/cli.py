@@ -43,16 +43,21 @@ def _own_peak_kb() -> int:
 
 
 def _write_summary(outdir: Path, payload: dict, started: float):
-    """summary.json, with the run's wall time and peak RSS (the larger, in
-    MB, of the process's own peak and the ru_maxrss of its reaped children,
-    such as qi-compare's forked worker) beside the verdicts."""
+    """summary.json, with the run's wall time and peak RSS (the process's
+    own peak, in MB: every run is one process) beside the verdicts."""
     payload["wall_time_s"] = time.perf_counter() - started
-    payload["peak_rss_mb"] = max(
-        _own_peak_kb(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    ) / 1024
+    payload["peak_rss_mb"] = _own_peak_kb() / 1024
     (outdir / "summary.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
+
+
+def _remove(created: list):
+    """Remove the directories a run created, deepest first; rmdir refuses a
+    directory written into."""
+    for d in created:
+        with contextlib.suppress(OSError):
+            d.rmdir()
 
 
 def run_command(args) -> int:
@@ -69,7 +74,13 @@ def run_command(args) -> int:
 
     outdir = Path(cfg.output_dir)
     created = [d for d in (outdir, *outdir.parents) if not d.exists()]
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"validation error: cannot create output directory {outdir}: "
+              f"{exc.strerror}", file=sys.stderr)
+        _remove(created)
+        return 2
     rng = np.random.default_rng(cfg.seed)
     summary = {
         "experiment": cfg.experiment,
@@ -83,9 +94,7 @@ def run_command(args) -> int:
         summary["verdicts"] = REGISTRY[cfg.experiment].runner(prep, rng, outdir)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
-        for d in created:  # deepest first; rmdir refuses a directory written into
-            with contextlib.suppress(OSError):
-                d.rmdir()
+        _remove(created)
         return 2
     except BudgetError as exc:
         summary["partial"] = True

@@ -148,9 +148,14 @@ def _check_type(key: str, value, annotation):
 def load_config(path) -> ExperimentConfig:
     p = Path(path)
     try:
-        data = json.loads(p.read_text())
+        data = json.loads(p.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ValidationError(f"config file {p} does not exist") from None
+    except OSError as exc:
+        raise ValidationError(f"config file {p} cannot be read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config file {p} is not UTF-8 text: {exc.reason} "
+                              f"at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config file {p} is not valid JSON: {exc}") from None
     return ExperimentConfig.from_dict(data)

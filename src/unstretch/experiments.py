@@ -62,6 +62,9 @@ class Prepared:
 
 def prepare(cfg: ExperimentConfig) -> Prepared:
     """Validate every precondition the chosen experiment relies on."""
+    if cfg.seed < 0:
+        # np.random.default_rng takes only seeds of at least 0.
+        raise ValidationError(f"seed must be at least 0, not {cfg.seed}")
     try:
         matrix = ToralMatrix(cfg.matrix)
     except ValidationError as exc:

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 import weakref
 from dataclasses import fields
@@ -395,107 +394,21 @@ def test_qi_compare_frees_the_ball_before_the_fit(tmp_path, monkeypatch):
     assert read_summary(out)["verdicts"]["per_radius"]["8"]["entries"] == 7277
 
 
-def _worker_only(action):
-    """``qicsv.text_table`` that first runs ``action`` when it is
-    called in a process forked from this one, as the ratio worker is."""
-    parent = os.getpid()
-    text_table = qicsv.text_table
-
-    def patched(values):
-        if os.getpid() != parent:
-            action()
-        return text_table(values)
-
-    return patched
-
-
-def test_failing_worker_raises_and_leaves_no_child(
-    tmp_path, monkeypatch, capfd, oracle8, cat_matrix
-):
-    rep = qi_comparison(oracle8, compute_splitting(cat_matrix))
-
-    def fail():
-        raise MemoryError("planted worker failure")
-
-    monkeypatch.setattr(qicsv, "text_table", _worker_only(fail))
-    with pytest.raises(RuntimeError, match="text-table worker"):
-        qicsv.write_qi_csvs(tmp_path, rep, {8: rep.n_entries})
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert "planted worker failure" in capfd.readouterr().err
-    assert not (tmp_path / "qi_r8.csv").exists()
-
-
-def test_worker_exit_status_is_checked(tmp_path, monkeypatch, oracle8, cat_matrix):
-    # The worker sends its whole table, then exits with status 3.
-    rep = qi_comparison(oracle8, compute_splitting(cat_matrix))
-    leave = os._exit
-    monkeypatch.setattr(os, "_exit", lambda status: leave(3))
-    with pytest.raises(RuntimeError, match="exited with status 3"):
-        qicsv.write_qi_csvs(tmp_path, rep, {8: rep.n_entries})
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_parent_failure_kills_and_reaps_the_worker(
+def test_failing_text_table_propagates_and_writes_no_csv(
     tmp_path, monkeypatch, oracle8, cat_matrix
 ):
     rep = qi_comparison(oracle8, compute_splitting(cat_matrix))
-    # The worker would sleep for a minute; the parent fails on its own table.
-    worker_sleeps = _worker_only(lambda: time.sleep(60))
+    text_table = qicsv.text_table
 
-    def text_table(values):
-        worker_sleeps(values)
-        raise KeyError("planted parent failure")
+    def fail_on_ratios(values):
+        if values is not rep.bounds:
+            raise MemoryError("planted text-table failure")
+        return text_table(values)
 
-    monkeypatch.setattr(qicsv, "text_table", text_table)
-    started = time.monotonic()
-    with pytest.raises(KeyError, match="planted parent failure"):
+    monkeypatch.setattr(qicsv, "text_table", fail_on_ratios)
+    with pytest.raises(MemoryError, match="planted text-table failure"):
         qicsv.write_qi_csvs(tmp_path, rep, {8: rep.n_entries})
-    assert time.monotonic() - started < 30
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-# A qi-compare run whose worker touches 64 MB more than the parent holds; it
-# prints its own and its reaped children's ru_maxrss in MB.
-PEAKS = """
-import os, resource, sys
-import numpy as np
-from unstretch import cli, qicsv
-
-parent = os.getpid()
-text_table = qicsv.text_table
-
-def heavy_worker(values):
-    if os.getpid() != parent:
-        np.ones(64 << 20, dtype=np.uint8)
-    return text_table(values)
-
-qicsv.text_table = heavy_worker
-assert cli.main(["run", "--config", sys.argv[1]]) == 0
-print(*(resource.getrusage(who).ru_maxrss / 1024
-        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
-"""
-
-
-def test_qi_compare_summary_peak_includes_the_worker(tmp_path):
-    # Only RUSAGE_CHILDREN sees the run's peak. A process exec'd straight from
-    # this one would start with this one's peak as its own ru_maxrss, so
-    # the script runs as a child of a shell, which forks it.
-    out = tmp_path / "out"
-    cfg = write_cfg(tmp_path, "qi", {
-        "experiment": "qi-compare", "matrix": CAT, "qi_radii": [6, 8],
-        "output_dir": str(out),
-    })
-    env = {**os.environ, "PYTHONPATH": str(Path(unstretch.__file__).parents[1])}
-    done = subprocess.run(
-        ["/bin/sh", "-c", '"$0" -c "$1" "$2"; exit $?', sys.executable, PEAKS, str(cfg)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    own, children = map(float, done.stdout.split()[-2:])
-    assert children > own + 32
-    assert read_summary(out)["peak_rss_mb"] >= children
+    assert not (tmp_path / "qi_r8.csv").exists()
 
 
 # A launcher that touches 256 MB, then execs the CLI in its own process.
@@ -516,6 +429,30 @@ def test_summary_peak_is_not_the_launchers(tmp_path):
     })
     env = {**os.environ, "PYTHONPATH": str(Path(unstretch.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", LAUNCHER, str(cfg)], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+    assert read_summary(out)["peak_rss_mb"] < 128
+
+
+# A process that runs and reaps a child touching 256 MB, then runs the CLI
+# in its own process.
+REAPER = """
+import subprocess, sys
+from unstretch import cli
+subprocess.run([sys.executable, "-c", "held = b'x' * (256 << 20)"], check=True)
+sys.exit(cli.main(["run", "--config", sys.argv[1]]))
+"""
+
+
+def test_summary_peak_is_not_that_of_a_reaped_child(tmp_path):
+    # RUSAGE_CHILDREN holds the 256 MB child reaped before the run; the run
+    # reports the peak of its own process.
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "wl", {
+        "experiment": "word-length", "matrix": CAT, "bfs_radius": 4,
+        "elements": [[[1, 0], 0]], "output_dir": str(out),
+    })
+    env = {**os.environ, "PYTHONPATH": str(Path(unstretch.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", REAPER, str(cfg)], env=env, check=True,
                    stdout=subprocess.DEVNULL)
     assert read_summary(out)["peak_rss_mb"] < 128
 
@@ -783,6 +720,44 @@ def test_budget_below_one_exits_2_before_any_work(
     assert run_cli(write_cfg(tmp_path, "budget", data)) == 2
     assert f"'budget_elements' must be at least 1, not {budget}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, flag", [(-1, []), (0, ["--seed", "-5"])], ids=["key", "flag"])
+def test_negative_seed_exits_2_without_outputs(tmp_path, capsys, key, flag):
+    out = tmp_path / "runs" / "out"
+    cfg = write_cfg(tmp_path, "seed", {
+        "experiment": "ball-census", "matrix": CAT, "bfs_radius": 2, "seed": key,
+        "output_dir": str(out),
+    })
+    assert run_cli(cfg, *flag) == 2
+    seed = flag[1] if flag else key
+    assert f"seed must be at least 0, not {seed}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("config, output_dir, named, reason", [
+    ("cfgdir", "out", "cfgdir", "cannot be read: Is a directory"),
+    ("latin1.json", "out", "latin1.json", "is not UTF-8 text"),
+    ("ok.json", "taken", "taken", "File exists"),
+    ("ok.json", "taken/runs/out", "taken/runs/out", "Not a directory"),
+], ids=["config-is-a-directory", "config-is-latin-1", "output-dir-is-a-file",
+        "output-dir-under-a-file"])
+def test_unreadable_config_or_bad_output_dir_exits_2(
+    tmp_path, capsys, config, output_dir, named, reason
+):
+    (tmp_path / "cfgdir").mkdir()
+    (tmp_path / "taken").write_text("a file\n")
+    data = {"experiment": "ball-census", "matrix": CAT, "bfs_radius": 2,
+            "notes": "caf\u00e9", "output_dir": str(tmp_path / output_dir)}
+    (tmp_path / "ok.json").write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    (tmp_path / "latin1.json").write_text(json.dumps(data, ensure_ascii=False), encoding="latin-1")
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli(tmp_path / config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and reason in err
+    assert str(tmp_path / named) in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "taken").read_text() == "a file\n"
 
 
 def test_validation_failure_keeps_an_existing_output_directory(tmp_path):

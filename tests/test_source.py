@@ -126,3 +126,27 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
         if (func, name) not in passed and (func, position) not in passed
     )
     assert not unused, f"defaulted parameters no caller outside the tests passes: {unused}"
+
+
+PROCESS_MODULES = {"subprocess", "multiprocessing", "concurrent"}
+PROCESS_CALLS = {"fork", "forkpty", "posix_spawn", "posix_spawnp", "system", "popen"}
+
+
+def test_no_module_starts_a_process():
+    # Every run is one process: its summary reports that process's own peak
+    # RSS, which would miss the memory of any child it started.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif (isinstance(node, ast.Attribute) and node.attr in PROCESS_CALLS
+                  and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                names = [f"os.{node.attr}"]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.startswith("os.") or name.split(".")[0] in PROCESS_MODULES]
+    assert not found, f"package code that starts a process: {found}"
