@@ -43,8 +43,6 @@ class ExperimentConfig:
     automorphism: dict | None = None  # {"b": rows, "v": vec, "e": +-1}
     neighborhood_n: int = 1
     a0: list = field(default_factory=list)  # [[x..., ], k] pairs; empty -> identity
-    ell0: int | None = None
-    h0: int | None = None
     k_max: int = 6
 
     # ball enumeration

@@ -67,7 +67,9 @@ class IterationConfig:
     h0: int
 
     @classmethod
-    def make(cls, ctx, phi, n_rounds, a0, k_max, lam, ell0=None, h0=None):
+    def make(cls, ctx, phi, n_rounds, a0, k_max, lam):
+        """The iteration from ``a0`` in its least box: h0 = max |k| over a0,
+        and the least ell0 whose box B(ell0, h0) holds a0."""
         require_valid(ctx.matrix, phi)
         a0 = frozenset(a0)
         if not a0:
@@ -77,19 +79,11 @@ class IterationConfig:
         if k_max < 0:
             raise ValidationError("k_max must be nonnegative")
         lam = Fraction(lam)
-        if h0 is None:
-            h0 = max(abs(g.k) for g in a0)
-        if ell0 is None:
-            ell0 = 0
-            while not all(BoxSet(lam, ell0, h0).contains(g) for g in a0):
-                ell0 += 1
-        box = BoxSet(lam, ell0, h0)
-        for g in a0:
-            if not box.contains(g):
-                raise ValidationError(
-                    f"starting element {g} lies outside the declared box {box}"
-                )
-        return cls(phi, int(n_rounds), a0, int(k_max), lam, int(ell0), int(h0))
+        h0 = max(abs(g.k) for g in a0)
+        ell0 = 0
+        while not all(BoxSet(lam, ell0, h0).contains(g) for g in a0):
+            ell0 += 1
+        return cls(phi, int(n_rounds), a0, int(k_max), lam, ell0, h0)
 
 
 def envelope_offset(h0: int, n_rounds: int, k: int) -> int:

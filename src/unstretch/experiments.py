@@ -93,11 +93,9 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
         prep.gens = GeneratingSet.standard(matrix.dim)
         require_valid(matrix, phi)
     if cfg.experiment == "set-dynamics":
-        # Validated once, cross-checking the starting set against its box.
         a0 = [_parse_element(raw, matrix.dim) for raw in cfg.a0] or [prep.ctx.identity]
         prep.iteration = dynamics.IterationConfig.make(
-            prep.ctx, phi, cfg.neighborhood_n, a0,
-            cfg.k_max, choose_lambda(matrix, phi), cfg.ell0, cfg.h0,
+            prep.ctx, phi, cfg.neighborhood_n, a0, cfg.k_max, choose_lambda(matrix, phi)
         )
     if cfg.experiment == "word-length":
         if not cfg.elements:
@@ -420,7 +418,7 @@ REGISTRY = {
     ),
     "set-dynamics": ExperimentInfo(
         run_set_dynamics,
-        ("automorphism", "neighborhood_n", "a0", "ell0", "h0", "k_max",
+        ("automorphism", "neighborhood_n", "a0", "k_max",
          "bfs_radius", "budget_elements"),
         "growth.csv, summary.json", context=True,
     ),

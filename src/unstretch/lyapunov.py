@@ -11,11 +11,12 @@ time-average versus space-average comparison well posed. ``toy_system`` is
 the one table that pairs a map kind with a direction and its line field.
 
 Each toy map emits its one-point formula once, when it is built, as
-straight-line Python source (``ToyMap.source``): the image of a point, and a
-step that also pushes a tangent vector by the differential and returns the
-pushed vector's length. Products are summed left to right, entries 1 take no
-product, ``% 1.0`` is taken as Python takes it, and the length is
-sqrt(p0 * p0 + p1 * p1 + ...). The source is compiled twice: over numpy
+straight-line Python source (``ToyMap.source``): one step that maps a point,
+pushes a tangent vector by the differential and returns the image, the pushed
+vector and its length; an orbit reads its points off the step's first
+outputs. Products are summed left to right, entries 1 take no product,
+``% 1.0`` is taken as Python takes it, and the length is sqrt(p0 * p0 +
+p1 * p1 + ...). The source is compiled twice: over numpy
 (``np.sin``, ``np.cos``, ``np.sqrt``), where each coordinate is an array of
 lanes and all orbit starts of a block move in lockstep, and over ``math``,
 for one point on Python floats. Every operation is IEEE-rounded, and
@@ -102,72 +103,51 @@ def _compile(source: str, module) -> dict:
     return namespace
 
 
-class Step(NamedTuple):
-    """A toy map's formulas compiled over one numeric module."""
-
-    image: Callable
-    step: Callable
-
-
 @dataclass(frozen=True)
 class ToyMap:
     """A torus map with closed-form differential, compiled from its
     one-point formula.
 
-    ``source`` defines two functions of the coordinates of one point,
-    straight-line code with no loop:
+    ``source`` defines ``step(x0, ..., v0, ..., r)``, straight-line code of
+    the coordinates of one point with no loop: it pushes the unit vector
+    v / r at x by the differential and returns, flat, the image point, the
+    pushed vector and its length, so a step's output is the next step's
+    input. The image point is the first ``dim`` outputs.
 
-    - ``image(x0, ...)`` returns the image point;
-    - ``step(x0, ..., v0, ..., r)`` pushes the unit vector v / r at x by the
-      differential and returns, flat, the image point, the pushed vector and
-      its length, so a step's output is the next step's input.
-
-    ``lanes`` holds them compiled over numpy, where each coordinate is an
+    ``lanes`` is ``step`` compiled over numpy, where each coordinate is an
     array of lanes (so ``*rows`` of a (d, m) array is m points), and
     ``floats`` over ``math``, for one point in Python floats.
     """
 
     dim: int
     source: str
-    lanes: Step
-    floats: Step
+    lanes: Callable
+    floats: Callable
 
 
-def _toy_map(dim: int, body: Callable) -> ToyMap:
-    """Emit and compile ``image`` and ``step`` from ``body(push)``, which
-    returns the lines that compute the image, and with ``push`` also the
-    pushed vector p0, ..., from the point x0, ... and the unit vector u0, ...,
-    and the expressions of the image's coordinates."""
+def _toy_map(dim: int, lines: list[str], images: list[str]) -> ToyMap:
+    """Emit and compile ``step`` from ``lines``, which compute the pushed
+    vector p0, ... from the point x0, ... and the unit vector u0, ..., and
+    ``images``, the expressions of the image's coordinates."""
     xs, vs, us, ps = (_names(c, dim) for c in "xvup")
-    lines, images = body(False)
-    source = _def("image", xs, lines, ", ".join(images))
-    lines, images = body(True)
     units = [f"{u} = {v} / r" for u, v in zip(us, vs)]
     result = ", ".join(images + ps + [_length_source(ps)])
-    source += "\n" + _def("step", xs + vs + ["r"], units + lines, result)
-
-    def compiled(module):
-        namespace = _compile(source, module)
-        return Step(namespace["image"], namespace["step"])
-
-    return ToyMap(dim, source, compiled(np), compiled(math))
+    source = _def("step", xs + vs + ["r"], units + lines, result)
+    return ToyMap(dim, source, _compile(source, np)["step"], _compile(source, math)["step"])
 
 
-def _linear_body(matrix: ToralMatrix) -> Callable:
-    """The ``_toy_map`` body of x -> A x mod 1, with constant differential A."""
+def _linear_body(matrix: ToralMatrix) -> tuple[list[str], list[str]]:
+    """The ``_toy_map`` lines and images of x -> A x mod 1, with constant
+    differential A."""
     d = matrix.dim
     rows = _row_terms(matrix)
-
-    def body(push):
-        pushed = [f"p{i} = {e}" for i, e in enumerate(_sums(rows, _names("u", d)))]
-        return (pushed if push else []), [f"({e}) % 1.0" for e in _sums(rows, _names("x", d))]
-
-    return body
+    pushed = [f"p{i} = {e}" for i, e in enumerate(_sums(rows, _names("u", d)))]
+    return pushed, [f"({e}) % 1.0" for e in _sums(rows, _names("x", d))]
 
 
 def linear_toral(matrix: ToralMatrix) -> ToyMap:
     """x -> A x mod 1 with constant differential A."""
-    return _toy_map(matrix.dim, _linear_body(matrix))
+    return _toy_map(matrix.dim, *_linear_body(matrix))
 
 
 def suspension_time_one(matrix: ToralMatrix) -> ToyMap:
@@ -178,13 +158,8 @@ def suspension_time_one(matrix: ToralMatrix) -> ToyMap:
     carried isometrically.
     """
     d = matrix.dim
-    base = _linear_body(matrix)
-
-    def body(push):
-        lines, images = base(push)
-        return (lines + [f"p{d} = u{d}"] if push else lines), images + [f"x{d}"]
-
-    return _toy_map(d + 1, body)
+    lines, images = _linear_body(matrix)
+    return _toy_map(d + 1, lines + [f"p{d} = u{d}"], images + [f"x{d}"])
 
 
 def _shear_terms(coefficients: Sequence[float]) -> list[tuple[float, float]]:
@@ -232,19 +207,14 @@ def shear_conjugated(matrix: ToralMatrix, coefficients: Sequence[float]) -> ToyM
     terms = _shear_terms(coefficients)
     xs, us = _names("x", d), _names("u", d)
 
-    def body(push):
-        parts = ("s", "ds") if push else ("s",)
-        # h^-1 only moves the first coordinate, by -s of the last one.
-        lines = _profile(terms, xs[-1], parts) + ["h0 = x0 - s"]
-        lines += [f"q0 = u0 - ds * {us[-1]}"] if push else []
-        lines += [f"w{i} = ({e}) % 1.0" for i, e in enumerate(_sums(rows, ["h0", *xs[1:]]))]
-        if push:
-            lines += [f"p{i} = {e}" for i, e in enumerate(_sums(rows, ["q0", *us[1:]]))]
-        lines += _profile(terms, f"w{d - 1}", parts)
-        lines += [f"p0 = p0 + ds * p{d - 1}"] if push else []
-        return lines, ["(w0 + s) % 1.0", *(f"w{i} % 1.0" for i in range(1, d))]
-
-    return _toy_map(d, body)
+    # h^-1 only moves the first coordinate, by -s of the last one.
+    lines = _profile(terms, xs[-1], ("s", "ds"))
+    lines += ["h0 = x0 - s", f"q0 = u0 - ds * {us[-1]}"]
+    lines += [f"w{i} = ({e}) % 1.0" for i, e in enumerate(_sums(rows, ["h0", *xs[1:]]))]
+    lines += [f"p{i} = {e}" for i, e in enumerate(_sums(rows, ["q0", *us[1:]]))]
+    lines += _profile(terms, f"w{d - 1}", ("s", "ds"))
+    lines += [f"p0 = p0 + ds * p{d - 1}"]
+    return _toy_map(d, lines, ["(w0 + s) % 1.0", *(f"w{i} % 1.0" for i in range(1, d))])
 
 
 @dataclass(frozen=True)
@@ -271,11 +241,6 @@ class DirectionField:
     @classmethod
     def constant(cls, vector) -> "DirectionField":
         v = tuple(float(c) for c in vector)
-        return cls(lambda p: v)
-
-    @classmethod
-    def flow_direction(cls, dim: int) -> "DirectionField":
-        v = (0.0,) * (dim - 1) + (1.0,)
         return cls(lambda p: v)
 
 
@@ -349,7 +314,7 @@ def toy_system(
     if direction == "flow":
         if kind != "suspension_time_one":
             raise ValidationError("flow direction requires the suspension map")
-        return toy, DirectionField.flow_direction(toy.dim)
+        return toy, DirectionField.constant((0.0,) * (toy.dim - 1) + (1.0,))
     if direction not in ("unstable", "stable"):
         raise ValidationError(f"unknown direction {direction!r}")
     if kind == "shear_conjugated":
@@ -412,11 +377,11 @@ def finite_time_exponents(toy_map: ToyMap, field: DirectionField, starts, n: int
         dirs = field.at(block)
         if len(block) < FLOAT_LANES:
             sums[lo:lo + BLOCK] = [
-                _log_sums(toy_map.floats.step, (*x, *u, 1.0), n)
+                _log_sums(toy_map.floats, (*x, *u, 1.0), n)
                 for x, u in zip(block.tolist(), dirs.tolist())
             ]
         else:
-            sums[lo:lo + BLOCK] = _log_sums(toy_map.lanes.step, (*block.T, *dirs.T, 1.0), n)
+            sums[lo:lo + BLOCK] = _log_sums(toy_map.lanes, (*block.T, *dirs.T, 1.0), n)
     return sums / n
 
 
@@ -432,13 +397,16 @@ def finite_time_exponent(toy_map: ToyMap, field: DirectionField, x0, n: int) -> 
 
 def orbits(toy_map: ToyMap, starts: np.ndarray, steps: int) -> Iterator[np.ndarray]:
     """The first ``steps`` points of each start's orbit, start by start, as
-    (steps, d) arrays; the lanes advance in blocks of ``BLOCK``."""
+    (steps, d) arrays; the lanes advance in blocks of ``BLOCK``. A step's
+    image is its first ``dim`` outputs; the point itself is pushed as the
+    tangent vector, over r = 1.0, so no zero length is ever divided."""
+    d = toy_map.dim
     for lo in range(0, len(starts), BLOCK):
         x = starts[lo:lo + BLOCK].T
         path = np.empty((steps,) + x.shape)
         for t in range(steps):
             path[t] = x
-            x = toy_map.lanes.image(*x)
+            x = toy_map.lanes(*x, *x, 1.0)[:d]
         yield from path.transpose(2, 0, 1)
 
 
@@ -465,7 +433,7 @@ def center_integral(
     pts = rng.random((n_samples, toy_map.dim))
     for lo in range(0, n_samples, BLOCK):
         x = pts[lo:lo + BLOCK]
-        length = toy_map.lanes.step(*x.T, *field.at(x).T, 1.0)[-1]
+        length = toy_map.lanes(*x.T, *field.at(x).T, 1.0)[-1]
         values[lo:lo + BLOCK] = np.log(length)
     half_width = float(values.std(ddof=1) / math.sqrt(n_samples))
     return CenterEstimate(float(values.mean()), half_width, n_samples)

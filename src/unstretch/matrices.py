@@ -22,8 +22,8 @@ def freeze_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
     """Coerce to a rectangular tuple-of-tuples of ints, rejecting junk."""
     out = []
     width = None
-    for row in rows:
-        frozen = tuple(_as_int(v) for v in row)
+    for row in _items(rows):
+        frozen = freeze_vector(row)
         if width is None:
             width = len(frozen)
         elif len(frozen) != width:
@@ -35,7 +35,15 @@ def freeze_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
 
 
 def freeze_vector(values: Sequence[int]) -> IntVector:
-    return tuple(_as_int(v) for v in values)
+    return tuple(_as_int(v) for v in _items(values))
+
+
+def _items(values) -> list:
+    """The items of a list; a number or null, which has none, is rejected."""
+    try:
+        return list(values)
+    except TypeError:
+        raise ValidationError(f"{values!r} is not a list") from None
 
 
 def _as_int(v) -> int:

@@ -38,33 +38,25 @@ class WordLengthOracle:
     implicit in ``sphere_sizes``. Lookups binary-search a sorted copy of the
     keys that carries uint8 lengths, built by the first ``word_length`` or
     ``column_lengths`` call, so that a run which never looks anything up
-    never pays for it; absence certifies length > radius. ``restricted``
-    oracles are prefix views that share the full oracle's sorted copy
-    (whichever of them builds it) and ignore its entries beyond their radius.
+    never pays for it; absence certifies length > radius. A ``restricted``
+    oracle is a plain smaller oracle on a prefix of the keys.
     """
 
-    def __init__(self, ctx, gens, radius, layout, keys, sphere_sizes, full=None):
+    def __init__(self, ctx, gens, radius, layout, keys, sphere_sizes):
         self.ctx = ctx
         self.gens = gens
         self.radius = radius
         self.layout = layout
         self.keys = keys
         self.sphere_sizes = list(sphere_sizes)
-        self._full = full  # the oracle a restricted view is cut from
         self._index = None
 
-    @property
-    def _owner(self) -> "WordLengthOracle":
-        """The full oracle, which holds the lookup copy."""
-        return self if self._full is None else self._full
-
     def _lookup_index(self):
-        """(sorted keys, their uint8 lengths) of the full oracle."""
-        owner = self._owner
-        if owner._index is None:
-            order = owner.keys.argsort()
-            owner._index = (owner.keys[order], owner._length_column(np.uint8)[order])
-        return owner._index
+        """(sorted keys, their uint8 lengths), built on the first call."""
+        if self._index is None:
+            order = self.keys.argsort()
+            self._index = (self.keys[order], self._length_column(np.uint8)[order])
+        return self._index
 
     def _length_column(self, dtype=np.int64) -> np.ndarray:
         return np.repeat(np.arange(len(self.sphere_sizes), dtype=dtype), self.sphere_sizes)
@@ -77,9 +69,7 @@ class WordLengthOracle:
         keys, lengths = self._lookup_index()
         i = int(keys.searchsorted(key))
         if i < len(keys) and keys[i] == key:
-            n = int(lengths[i])
-            if n <= self.radius:
-                return n
+            return int(lengths[i])
         return None
 
     def column_lengths(self, xs: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -90,7 +80,6 @@ class WordLengthOracle:
         pos, hit = find(sorted_keys, keys)
         found = np.full(len(keys), -1, dtype=np.int64)
         found[hit] = lengths[pos[hit]]
-        found[found > self.radius] = -1
         out = np.full(len(ks), -1, dtype=np.int64)
         out[fits] = found
         return out
@@ -101,8 +90,8 @@ class WordLengthOracle:
     @property
     def nbytes(self) -> int:
         """Bytes held by the keys and, once the first lookup has built it,
-        the sorted lookup copy (of the full oracle, for a restricted view)."""
-        return self.keys.nbytes + sum(a.nbytes for a in self._owner._index or ())
+        the sorted lookup copy."""
+        return self.keys.nbytes + sum(a.nbytes for a in self._index or ())
 
     def items(self) -> Iterator[tuple]:
         """(element, length) pairs in breadth-first order, decoded
@@ -130,8 +119,8 @@ class WordLengthOracle:
         return rows
 
     def restricted(self, radius: int) -> "WordLengthOracle":
-        """The oracle for a smaller radius: a prefix view of the keys that
-        shares the full oracle's sorted lookup copy."""
+        """The oracle for a smaller radius, on a prefix view of the keys; it
+        builds its own lookup copy on its first lookup."""
         if radius > self.radius:
             raise ValidationError(
                 f"cannot restrict radius {self.radius} oracle to {radius}"
@@ -139,7 +128,6 @@ class WordLengthOracle:
         return WordLengthOracle(
             self.ctx, self.gens, radius, self.layout,
             self.keys[: self.ball_size(radius)], self.sphere_sizes[: radius + 1],
-            full=self._owner,
         )
 
 

@@ -33,14 +33,13 @@ from unstretch import (
 from unstretch.cli import main as cli_main
 from unstretch.dynamics import check_box_inclusion_phi
 from unstretch.lyapunov import (
-    DirectionField,
     birkhoff_consistency,
     eigen_direction,
     finite_time_exponent,
     linear_toral,
     shear_conjugated,
     shear_conjugated_eigen,
-    suspension_time_one,
+    toy_system,
 )
 from unstretch.words import check_box_inclusion_u1, check_box_inclusion_un
 
@@ -231,8 +230,7 @@ def test_criterion_8_lyapunov_numerics(cat_matrix):
         fld = eigen_direction(cat_matrix, "unstable")
         val = finite_time_exponent(toy, fld, (0.2, 0.7), 1000)
         assert abs(val - LOG_LAM) < 1e-9
-        sus = suspension_time_one(cat_matrix)
-        flow = DirectionField.flow_direction(3)
+        sus, flow = toy_system(cat_matrix, "suspension_time_one", "flow", ())
         assert abs(finite_time_exponent(sus, flow, (0.1, 0.8, 0.3), 1000)) < 1e-9
         rng = np.random.default_rng(108)
         sheared = shear_conjugated(cat_matrix, [0.05])

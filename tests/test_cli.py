@@ -106,7 +106,7 @@ def test_word_length_elements_are_parsed_before_the_ball_is_built():
 
 def test_malformed_matrix_exits_2_without_outputs(tmp_path, capsys):
     out = tmp_path / "nope"
-    for matrix in ([[2, 1, 0], [1, 1]], [[2, True], [1, 1]], [[2, 1.5], [1, 1]]):
+    for matrix in ([[2, 1, 0], [1, 1]], [[2, True], [1, 1]], [[2, 1.5], [1, 1]], [5]):
         cfg = write_cfg(tmp_path, "bad", {
             "experiment": "ball-census", "matrix": matrix,
             "output_dir": str(out),
@@ -682,7 +682,14 @@ def test_int_shear_coefficient_counts_as_a_float(tmp_path):
     {"experiment": "set-dynamics", "a0": [[[0.7, 0], 0]]},
     {"experiment": "box-lemmas", "automorphism": {"b": CAT, "v": [0, 0], "e": 1.5}},
     {"experiment": "box-lemmas", "automorphism": {"v": [0, 0]}},
+    {"experiment": "box-lemmas", "automorphism": {"b": 5, "v": [0, 0], "e": 1}},
+    {"experiment": "box-lemmas", "automorphism": {"b": [5, 6], "v": [0, 0], "e": 1}},
+    {"experiment": "box-lemmas", "automorphism": {"b": None, "v": [0, 0], "e": 1}},
+    {"experiment": "box-lemmas", "automorphism": {"b": CAT, "v": 3, "e": 1}},
+    {"experiment": "box-lemmas", "automorphism": {"b": CAT, "v": None, "e": 1}},
     {"experiment": "abelian-control", "control_a0": [[True, 0], [1, 0]]},
+    {"experiment": "abelian-control", "control_a0": [5]},
+    {"experiment": "abelian-control", "control_a0": [None]},
     # Past the float horizon of a stable-direction run: 11 steps on the cat map.
     {"experiment": "lyapunov", "orbit_steps": 12, "direction": "stable"},
     {"experiment": "birkhoff", "birkhoff_steps": 12, "direction": "stable"},
@@ -800,7 +807,7 @@ def test_every_config_field_is_read_by_some_experiment():
     declared = {key for info in REGISTRY.values() for key in info.keys}
     extra = {f.name for f in fields(ExperimentConfig)} - set(COMMON_KEYS)
     assert extra == declared
-    assert sum(len(COMMON_KEYS) + len(info.keys) for info in REGISTRY.values()) == 83
+    assert sum(len(COMMON_KEYS) + len(info.keys) for info in REGISTRY.values()) == 81
 
 
 @pytest.mark.parametrize(

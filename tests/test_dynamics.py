@@ -135,10 +135,6 @@ def test_envelope_violation_raises(ctx, gens, cat_matrix, oracle6):
 def test_iteration_config_validates_box(ctx, cat_matrix):
     lam = choose_lambda(cat_matrix, phi_conj_z())
     with pytest.raises(ValidationError):
-        IterationConfig.make(
-            ctx, phi_conj_z(), 1, {GroupElement((9, 9), 0)}, 2, lam, ell0=0, h0=0
-        )
-    with pytest.raises(ValidationError):
         IterationConfig.make(ctx, phi_conj_z(), 0, {ctx.identity}, 2, lam)
 
 

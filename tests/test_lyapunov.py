@@ -138,7 +138,7 @@ def volume_residuals(toy_map, n_points, rng):
     d = toy_map.dim
     pts = rng.random((n_points, d)).T
     columns = [
-        toy_map.lanes.step(*pts, *np.broadcast_to(e[:, None], pts.shape), 1.0)[d:2 * d]
+        toy_map.lanes(*pts, *np.broadcast_to(e[:, None], pts.shape), 1.0)[d:2 * d]
         for e in np.eye(d)
     ]
     # columns[j][i] is row i of the pushed e_j: entry (i, j) of each Jacobian
@@ -212,8 +212,7 @@ def test_time_reversal_identity(cat_matrix):
 
 
 def test_flow_direction_is_neutral(cat_matrix):
-    toy = suspension_time_one(cat_matrix)
-    fld = DirectionField.flow_direction(3)
+    toy, fld = toy_system(cat_matrix, "suspension_time_one", "flow", ())
     for n in (1, 50, 1000):
         assert abs(finite_time_exponent(toy, fld, (0.1, 0.9, 0.4), n)) < 1e-9
 
@@ -260,8 +259,8 @@ def test_center_integral_constant_field(cat_matrix):
 
 def test_center_integral_flow_direction(cat_matrix):
     rng = np.random.default_rng(52)
-    toy = suspension_time_one(cat_matrix)
-    est = center_integral(toy, DirectionField.flow_direction(3), 1500, rng)
+    toy, fld = toy_system(cat_matrix, "suspension_time_one", "flow", ())
+    est = center_integral(toy, fld, 1500, rng)
     assert est.value == 0.0 and est.half_width == 0.0
 
 
@@ -277,7 +276,7 @@ def test_shear_field_is_invariant(cat_matrix):
     fld = shear_conjugated_eigen(cat_matrix, SHEAR, "unstable")
     rng = np.random.default_rng(54)
     xs = rng.random((50, 2))
-    out = toy.lanes.step(*xs.T, *fld.at(xs).T, 1.0)
+    out = toy.lanes(*xs.T, *fld.at(xs).T, 1.0)
     targets = fld.at(np.transpose(out[:2]))
     for p, target in zip(np.transpose(out[2:4]), targets):
         p = p / np.linalg.norm(p)
@@ -306,8 +305,8 @@ def test_birkhoff_consistency_linear(cat_matrix):
 def test_birkhoff_consistency_flow_direction(cat_matrix):
     # along the flow both the orbit averages and the space average vanish
     rng = np.random.default_rng(59)
-    toy = suspension_time_one(cat_matrix)
-    rep = birkhoff_consistency(toy, DirectionField.flow_direction(3), 5, 400, rng)
+    toy, fld = toy_system(cat_matrix, "suspension_time_one", "flow", ())
+    rep = birkhoff_consistency(toy, fld, 5, 400, rng)
     assert rep.orbit_mean == 0.0 and rep.space_value == 0.0
     assert rep.discrepancy == 0.0 and rep.combined_se == 0.0
 
@@ -363,6 +362,18 @@ def test_lockstep_lanes_equal_single_runs(kind, entries, coefficients, monkeypat
 
 
 @pytest.mark.parametrize("kind,entries,coefficients", CASES)
+def test_orbits_raise_no_floating_point_exception(kind, entries, coefficients):
+    # the origin is a fixed point whose pushed vector has length 0, so a step
+    # that divided by the previous length would give 0/0
+    toy, _ = case_map(kind, entries, coefficients)
+    starts = np.random.default_rng(67).random((4, toy.dim))
+    starts[0] = 0.0
+    with np.errstate(all="raise"):
+        paths = list(orbits(toy, starts, 100))
+    assert not paths[0].any()
+
+
+@pytest.mark.parametrize("kind,entries,coefficients", CASES)
 def test_center_integral_matches_scalar_path(kind, entries, coefficients, monkeypatch):
     toy, fld = case_map(kind, entries, coefficients)
     _, differential = reference_map(kind, entries, coefficients)
@@ -395,8 +406,8 @@ def test_float_and_lane_paths_are_bit_equal(kind, entries, coefficients, monkeyp
     lanes = (*starts.T, *dirs.T, 1.0)
     floats = [(*x, *u, 1.0) for x, u in zip(starts.tolist(), dirs.tolist())]
     for _ in range(200):
-        lanes = toy.lanes.step(*lanes)
-        floats = [toy.floats.step(*state) for state in floats]
+        lanes = toy.lanes(*lanes)
+        floats = [toy.floats(*state) for state in floats]
     assert np.array_equal(bits(np.array(lanes).T), bits(np.array(floats)))
 
 
@@ -438,10 +449,8 @@ def test_one_collapsed_lane_is_rejected(cat_matrix, monkeypatch):
     for bad in (0.0, math.nan):
         broken = dataclasses.replace(
             toy,
-            lanes=lyapunov.Step(toy.lanes.image, _collapse_at_origin(
-                toy.lanes.step, lambda at, c: np.where(at, bad, c))),
-            floats=lyapunov.Step(toy.floats.image, _collapse_at_origin(
-                toy.floats.step, lambda at, c: bad if at else c)),
+            lanes=_collapse_at_origin(toy.lanes, lambda at, c: np.where(at, bad, c)),
+            floats=_collapse_at_origin(toy.floats, lambda at, c: bad if at else c),
         )
         for float_lanes in PATHS.values():
             monkeypatch.setattr(lyapunov, "FLOAT_LANES", float_lanes)

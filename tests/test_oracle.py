@@ -191,21 +191,23 @@ def test_lookup_copy_is_built_once_by_the_first_lookup(ctx, gens):
         GroupElement((int(a), int(b)), int(k))
         for a, b, k in rng.integers(-30, 31, size=(300, 3))
     ]
-    # The view's first lookup builds the full oracle's copy, which both share.
-    assert [small.word_length(g) for g in queries] == [
-        n if n is not None and n <= 5 else None for n in map(reference.get, queries)
-    ]
-    index = oracle._index
-    assert small._index is None and small._lookup_index() is index
-    order = oracle.keys.argsort()
-    eager = (oracle.keys[order], np.repeat(np.arange(9), oracle.sphere_sizes)[order])
-    assert all(np.array_equal(a, b) for a, b in zip(index, eager))
+    # The view's first lookup builds a copy of its own prefix only.
+    cut = [n if n is not None and n <= 5 else None for n in map(reference.get, queries)]
+    assert [small.word_length(g) for g in queries] == cut
+    lengths = small.column_lengths(*packed.element_columns(queries, 2)).tolist()
+    assert lengths == [-1 if n is None else n for n in cut]
+    assert oracle._index is None
+    assert small.nbytes == small.keys.nbytes + 9 * len(small)
     lengths = oracle.column_lengths(*packed.element_columns(queries, 2)).tolist()
     assert lengths == [reference.get(g, -1) for g in queries]
+    index = oracle._index
+    for o, radius in ((small, 5), (oracle, 8)):
+        order = o.keys.argsort()
+        eager = (o.keys[order], np.repeat(np.arange(radius + 1), o.sphere_sizes)[order])
+        assert all(np.array_equal(a, b) for a, b in zip(o._index, eager))
     assert [oracle.word_length(g) for g in queries] == list(map(reference.get, queries))
     assert oracle._index is index
     assert oracle.nbytes == oracle.keys.nbytes + 9 * len(oracle)
-    assert small.nbytes == small.keys.nbytes + 9 * len(oracle)
 
 
 def test_runs_without_lookups_build_no_lookup_copy(gens, cat_matrix, monkeypatch):
