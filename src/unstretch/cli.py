@@ -19,8 +19,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import load_config
 from .errors import BudgetError, CertificationError, ValidationError
@@ -81,7 +79,6 @@ def run_command(args) -> int:
               f"{exc.strerror}", file=sys.stderr)
         _remove(created)
         return 2
-    rng = np.random.default_rng(cfg.seed)
     summary = {
         "experiment": cfg.experiment,
         "version": __version__,
@@ -91,7 +88,7 @@ def run_command(args) -> int:
     }
     started = time.perf_counter()
     try:
-        summary["verdicts"] = REGISTRY[cfg.experiment].runner(prep, rng, outdir)
+        summary["verdicts"] = REGISTRY[cfg.experiment].runner(prep, outdir)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         _remove(created)

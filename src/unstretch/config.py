@@ -16,16 +16,14 @@ round-tripping is exact: from_dict(to_dict(c)) == c.
 from __future__ import annotations
 
 import dataclasses
-import difflib
 import json
 import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import DEFAULT_ELEMENT_BUDGET, ValidationError
 from .experiments import REGISTRY
-from .words import DEFAULT_ELEMENT_BUDGET
 
 EXPERIMENT_NAMES = tuple(sorted(REGISTRY))
 COMMON_KEYS = ("experiment", "matrix", "notes", "seed", "output_dir")
@@ -93,6 +91,8 @@ class ExperimentConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         for key in data:
             if key not in known:
+                import difflib  # only on this error path: a valid config never loads it
+
                 hint = difflib.get_close_matches(key, known, n=1)
                 extra = f" (did you mean {hint[0]!r}?)" if hint else ""
                 raise ValidationError(f"unknown config key {key!r}{extra}")
@@ -104,6 +104,8 @@ class ExperimentConfig:
             _check_type(key, value, hints[key])
         cfg = cls(**data)
         if cfg.experiment not in REGISTRY:
+            import difflib
+
             hint = difflib.get_close_matches(cfg.experiment, EXPERIMENT_NAMES, n=1)
             extra = f"; nearest match is {hint[0]!r}" if hint else ""
             raise ValidationError(f"unknown experiment {cfg.experiment!r}{extra}")

@@ -1,8 +1,14 @@
-"""Exceptions shared across the package.
+"""Exceptions shared across the package, and the default element budget.
 
 The CLI maps these onto exit codes: ValidationError -> 2, BudgetError -> 3,
 CertificationError -> 4.
 """
+
+# Element-count cap for ball/neighborhood construction. Growth is exponential,
+# so this bounds memory, not accuracy; results below the cap are exact. It
+# lives in this leaf module so that the config can default to it without
+# loading the word-metric modules.
+DEFAULT_ELEMENT_BUDGET = 50_000_000
 
 
 class UnstretchError(Exception):

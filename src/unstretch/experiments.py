@@ -7,6 +7,18 @@ any work, writes CSV data files plus a single JSON summary into the output
 directory, and is deterministic for a fixed config and seed (CSV outputs are
 byte identical across runs; the summary additionally records wall time
 and peak RSS).
+
+A runner is called as ``runner(prep, outdir)`` with the `Prepared` inputs and
+the output directory, and returns the verdicts. Each run loads only what its
+experiment uses: where bytecode is not cached every import compiles its
+module's source, and ``numpy.random`` alone adds about 5 MB of peak RSS. So
+this module imports at the top only what `prepare` always needs (autos,
+group, matrices, errors); each runner and each branch of `prepare` imports
+the modules it calls. numpy loads ``numpy.random`` on first use of
+``np.random``, and only the three runners that draw random numbers
+(box-lemmas, lyapunov, birkhoff) use it, each building its own
+``np.random.default_rng(cfg.seed)``. Library functions are called through
+their module (``words.word_ball``), where the benchmark's tracer wraps them.
 """
 
 from __future__ import annotations
@@ -17,14 +29,17 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from . import dynamics, lyapunov, matrices, suspension, words
+import numpy as np
+
+from . import matrices
 from .autos import GroupAutomorphism, enumerate_commuting_matrices, require_valid
 from .errors import BudgetError, ValidationError
-from .group import GroupContext, GroupElement, ToralMatrix
-from .words import GeneratingSet, WordLengthOracle, choose_lambda, word_ball
+from .group import GeneratingSet, GroupContext, GroupElement, ToralMatrix, lattice_element
 
 if TYPE_CHECKING:
+    from . import dynamics, lyapunov
     from .config import ExperimentConfig
+    from .oracle import WordLengthOracle
 
 
 def _parse_element(raw, dim: int) -> GroupElement:
@@ -55,7 +70,7 @@ class Prepared:
     ctx: GroupContext | None = None
     gens: GeneratingSet | None = None
     iteration: dynamics.IterationConfig | None = None
-    elements: list[GroupElement] | None = None
+    elements: list[GroupElement] | None = None  # queries, or control seeds
     toy: lyapunov.ToyMap | None = None
     field: lyapunov.DirectionField | None = None
 
@@ -93,27 +108,47 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
         prep.gens = GeneratingSet.standard(matrix.dim)
         require_valid(matrix, phi)
     if cfg.experiment == "set-dynamics":
+        from . import dynamics, words
+
         a0 = [_parse_element(raw, matrix.dim) for raw in cfg.a0] or [prep.ctx.identity]
         prep.iteration = dynamics.IterationConfig.make(
-            prep.ctx, phi, cfg.neighborhood_n, a0, cfg.k_max, choose_lambda(matrix, phi)
+            prep.ctx, phi, cfg.neighborhood_n, a0, cfg.k_max,
+            words.choose_lambda(matrix, phi),
         )
+    if cfg.experiment == "abelian-control":
+        if cfg.control_a0 is None:
+            seeds = [[0] * matrix.dim, [1] + [0] * (matrix.dim - 1)]
+        else:
+            seeds = cfg.control_a0
+        try:
+            prep.elements = [lattice_element(v) for v in seeds]
+        except ValidationError as exc:
+            raise ValidationError(f"config key 'control_a0': {exc}") from None
+        if not prep.elements:
+            raise ValidationError("config key 'control_a0' must list at least one seed")
+        for g in prep.elements:
+            if len(g.x) != matrix.dim:
+                raise ValidationError(f"config key 'control_a0': seed {list(g.x)} "
+                                      f"has dimension {len(g.x)}, expected {matrix.dim}")
     if cfg.experiment == "word-length":
         if not cfg.elements:
             raise ValidationError("word-length experiment needs a nonempty 'elements' list")
         prep.elements = [_parse_element(raw, matrix.dim) for raw in cfg.elements]
     if "map_kind" in info.keys:
+        from . import lyapunov
+
         prep.toy, prep.field = lyapunov.toy_system(
             matrix, cfg.map_kind, cfg.direction, cfg.shear_coefficients
         )
-    if cfg.direction == "stable":
-        limit = lyapunov.stable_step_limit(matrix)
-        for key in ("orbit_steps", "birkhoff_steps"):
-            steps = getattr(cfg, key)
-            if key in info.keys and steps > limit:
-                raise ValidationError(
-                    f"config key {key!r} is {steps}, above {limit}, the most "
-                    "steps a stable-direction run keeps within float accuracy"
-                )
+        if cfg.direction == "stable":
+            limit = lyapunov.stable_step_limit(matrix)
+            for key in ("orbit_steps", "birkhoff_steps"):
+                steps = getattr(cfg, key)
+                if key in info.keys and steps > limit:
+                    raise ValidationError(
+                        f"config key {key!r} is {steps}, above {limit}, the most "
+                        "steps a stable-direction run keeps within float accuracy"
+                    )
     if cfg.orbit_starts < 1:
         raise ValidationError(
             f"config key 'orbit_starts' must be at least 1, not {cfg.orbit_starts}"
@@ -144,10 +179,12 @@ def _write_census(path: Path, oracle: WordLengthOracle):
     _write_csv(path, ["radius", "ball_size", "sphere_size"], oracle.census())
 
 
-def run_ball_census(prep: Prepared, rng, outdir: Path) -> dict:
+def run_ball_census(prep: Prepared, outdir: Path) -> dict:
+    from . import words
+
     cfg = prep.cfg
     try:
-        oracle = word_ball(
+        oracle = words.word_ball(
             prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements
         )
     except BudgetError as exc:
@@ -158,9 +195,11 @@ def run_ball_census(prep: Prepared, rng, outdir: Path) -> dict:
     return {"radius": oracle.radius, "ball_size": len(oracle)}
 
 
-def run_word_length(prep: Prepared, rng, outdir: Path) -> dict:
+def run_word_length(prep: Prepared, outdir: Path) -> dict:
+    from . import words
+
     cfg = prep.cfg
-    oracle = word_ball(prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements)
+    oracle = words.word_ball(prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements)
     rows = []
     for g in prep.elements:
         n = oracle.word_length(g)
@@ -174,9 +213,12 @@ def run_word_length(prep: Prepared, rng, outdir: Path) -> dict:
     return {"queried": len(rows), "exact": exact, "radius": oracle.radius}
 
 
-def run_box_lemmas(prep: Prepared, rng, outdir: Path) -> dict:
+def run_box_lemmas(prep: Prepared, outdir: Path) -> dict:
+    from . import dynamics, words
+
     cfg = prep.cfg
-    lam = choose_lambda(prep.matrix, prep.phi)
+    rng = np.random.default_rng(cfg.seed)
+    lam = words.choose_lambda(prep.matrix, prep.phi)
     rows = []
     for ell in cfg.box_ell_values:
         for h in cfg.box_h_values:
@@ -224,6 +266,8 @@ def _growth(outdir: Path, iterate: Callable[[], dynamics.GrowthCurve]) -> dict:
     """Write the curve of ``iterate()`` to growth.csv and return its growth
     verdict. On a BudgetError the curve of the steps completed before the
     budget tripped, which are exact, is written before the error goes on."""
+    from . import dynamics
+
     try:
         curve = iterate()
     except BudgetError as exc:
@@ -233,9 +277,11 @@ def _growth(outdir: Path, iterate: Callable[[], dynamics.GrowthCurve]) -> dict:
     return asdict(dynamics.classify_growth(curve))
 
 
-def run_set_dynamics(prep: Prepared, rng, outdir: Path) -> dict:
+def run_set_dynamics(prep: Prepared, outdir: Path) -> dict:
+    from . import dynamics, words
+
     cfg = prep.cfg
-    oracle = word_ball(prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements)
+    oracle = words.word_ball(prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements)
     growth = _growth(outdir, lambda: dynamics.run_iteration(
         prep.ctx, prep.gens, prep.iteration, oracle, budget=cfg.budget_elements
     ))
@@ -246,22 +292,18 @@ def run_set_dynamics(prep: Prepared, rng, outdir: Path) -> dict:
     }
 
 
-def run_abelian_control(prep: Prepared, rng, outdir: Path) -> dict:
+def run_abelian_control(prep: Prepared, outdir: Path) -> dict:
+    from . import dynamics
+
     cfg = prep.cfg
-    if cfg.control_a0 is None:
-        seeds = [[0] * prep.matrix.dim, [1] + [0] * (prep.matrix.dim - 1)]
-    else:
-        seeds = cfg.control_a0
+    seeds = [g.x for g in prep.elements]
     return {"growth": _growth(outdir, lambda: dynamics.abelian_control(
         prep.matrix, cfg.neighborhood_n, seeds, cfg.k_max, budget=cfg.budget_elements
     ))}
 
 
-def run_qi_compare(prep: Prepared, rng, outdir: Path) -> dict:
-    # Imported by the one experiment that uses it: compiling its source and
-    # building its digit tables would add about 4 ms and up to 0.9 MB of
-    # peak RSS to every other experiment's start (box-lemmas benchmark).
-    from . import qicsv
+def run_qi_compare(prep: Prepared, outdir: Path) -> dict:
+    from . import qicsv, suspension, words
 
     cfg = prep.cfg
     radii = sorted(set(cfg.qi_radii))
@@ -287,7 +329,7 @@ def run_qi_compare(prep: Prepared, rng, outdir: Path) -> dict:
     # rows of length at most r. No name here holds the ball, so it is freed
     # once its bounds exist, before the fit.
     top = suspension.qi_comparison(
-        word_ball(prep.ctx, prep.gens, radii[-1], budget=cfg.budget_elements), split
+        words.word_ball(prep.ctx, prep.gens, radii[-1], budget=cfg.budget_elements), split
     )
     sizes = {r: int(top.lengths.searchsorted(r, side="right")) for r in radii}
     reports = [
@@ -313,7 +355,7 @@ def run_qi_compare(prep: Prepared, rng, outdir: Path) -> dict:
     return {"per_radius": per_radius, "q_hat_relative_change": stability}
 
 
-def run_centralizer(prep: Prepared, rng, outdir: Path) -> dict:
+def run_centralizer(prep: Prepared, outdir: Path) -> dict:
     cfg = prep.cfg
     found = enumerate_commuting_matrices(
         prep.matrix, cfg.centralizer_e, cfg.centralizer_bound
@@ -332,9 +374,12 @@ def run_centralizer(prep: Prepared, rng, outdir: Path) -> dict:
     }
 
 
-def run_lyapunov(prep: Prepared, rng, outdir: Path) -> dict:
+def run_lyapunov(prep: Prepared, outdir: Path) -> dict:
+    from . import lyapunov
+
     cfg = prep.cfg
     toy = prep.toy
+    rng = np.random.default_rng(cfg.seed)
     starts = rng.random((cfg.orbit_starts, toy.dim))
     arr = lyapunov.finite_time_exponents(toy, prep.field, starts, cfg.orbit_steps)
     half_width = (
@@ -361,10 +406,13 @@ def run_lyapunov(prep: Prepared, rng, outdir: Path) -> dict:
     }
 
 
-def run_birkhoff(prep: Prepared, rng, outdir: Path) -> dict:
+def run_birkhoff(prep: Prepared, outdir: Path) -> dict:
+    from . import lyapunov
+
     cfg = prep.cfg
     rep = lyapunov.birkhoff_consistency(
-        prep.toy, prep.field, cfg.birkhoff_starts, cfg.birkhoff_steps, rng
+        prep.toy, prep.field, cfg.birkhoff_starts, cfg.birkhoff_steps,
+        np.random.default_rng(cfg.seed),
     )
     return asdict(rep)
 

@@ -18,13 +18,9 @@ from typing import Iterator
 import numpy as np
 
 from . import packed
-from .errors import BudgetError, ValidationError
+from .errors import DEFAULT_ELEMENT_BUDGET, BudgetError, ValidationError
 from .group import GeneratingSet, GroupContext, GroupElement
 from .packed import find, next_sphere, translate_steps
-
-# Element-count cap for ball/neighborhood construction. Growth is exponential,
-# so this bounds memory, not accuracy; results below the cap are exact.
-DEFAULT_ELEMENT_BUDGET = 50_000_000
 
 # Oracle lengths are stored as uint8.
 MAX_ORACLE_RADIUS = 255

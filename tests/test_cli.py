@@ -21,7 +21,7 @@ from unstretch import (
     word_ball,
 )
 import unstretch
-from unstretch import experiments, packed, qicsv
+from unstretch import dynamics, packed, qicsv, words
 from unstretch.cli import main
 from unstretch.config import COMMON_KEYS, EXPERIMENT_NAMES, ExperimentConfig, load_config
 from unstretch.errors import CertificationError, ValidationError
@@ -152,7 +152,7 @@ def test_budget_exhaustion_exits_3_with_partial_flag(tmp_path):
 
 
 def test_certification_failure_exits_4(tmp_path, monkeypatch):
-    def boom(prep, rng, outdir):
+    def boom(prep, outdir):
         raise CertificationError("planted violation")
 
     monkeypatch.setitem(
@@ -174,7 +174,7 @@ def test_every_summary_records_peak_rss(tmp_path, monkeypatch):
     budget = write_cfg(tmp_path, "budget", {**census, "budget_elements": 20})
     assert run_cli(budget, "--output-dir", str(outs[3])) == 3
 
-    def boom(prep, rng, outdir):
+    def boom(prep, outdir):
         raise CertificationError("planted violation")
 
     monkeypatch.setitem(REGISTRY, "ball-census", ExperimentInfo(boom, (), "summary.json"))
@@ -314,7 +314,7 @@ def test_qi_radius_below_six_exits_2_before_building_a_ball(
     tmp_path, capsys, monkeypatch
 ):
     built = []
-    monkeypatch.setattr(experiments, "word_ball", lambda *a, **k: built.append(a))
+    monkeypatch.setattr(words, "word_ball", lambda *a, **k: built.append(a))
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, "qi", {
         "experiment": "qi-compare", "matrix": CAT, "qi_radii": [4, 16],
@@ -330,7 +330,7 @@ def test_qi_bfs_radius_above_the_largest_radius_exits_2_before_building_a_ball(
     tmp_path, capsys, monkeypatch
 ):
     built = []
-    monkeypatch.setattr(experiments, "word_ball", lambda *a, **k: built.append(a))
+    monkeypatch.setattr(words, "word_ball", lambda *a, **k: built.append(a))
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, "qi", {
         "experiment": "qi-compare", "matrix": CAT, "qi_radii": [6, 8],
@@ -368,7 +368,7 @@ def test_qi_compare_frees_the_ball_before_the_fit(tmp_path, monkeypatch):
     # Untraced, no frame holds the ball or its keys once the bounds exist,
     # so every polyfit runs with them freed.
     balls = []
-    build = experiments.word_ball
+    build = words.word_ball
 
     def recorded(*args, **kwargs):
         oracle = build(*args, **kwargs)
@@ -382,7 +382,7 @@ def test_qi_compare_frees_the_ball_before_the_fit(tmp_path, monkeypatch):
         fits.append([ref() is None for ref in balls])
         return polyfit(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "word_ball", recorded)
+    monkeypatch.setattr(words, "word_ball", recorded)
     monkeypatch.setattr(np, "polyfit", fit)
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, "qi", {
@@ -690,6 +690,7 @@ def test_int_shear_coefficient_counts_as_a_float(tmp_path):
     {"experiment": "abelian-control", "control_a0": [[True, 0], [1, 0]]},
     {"experiment": "abelian-control", "control_a0": [5]},
     {"experiment": "abelian-control", "control_a0": [None]},
+    {"experiment": "abelian-control", "control_a0": [[1, 0, 0]]},
     # Past the float horizon of a stable-direction run: 11 steps on the cat map.
     {"experiment": "lyapunov", "orbit_steps": 12, "direction": "stable"},
     {"experiment": "birkhoff", "birkhoff_steps": 12, "direction": "stable"},
@@ -703,6 +704,8 @@ def test_validation_failure_leaves_no_output_directory(tmp_path, capsys, data):
     if "automorphism" in data:
         assert "config key 'automorphism': " in err
         assert "b" in data["automorphism"] or "'b'" in err
+    if "control_a0" in data:
+        assert "config key 'control_a0': " in err
     if data.get("box_ell_values") == [48]:
         assert "u1 inclusion check does not fit the int64 key layout" in err
     assert not (tmp_path / "runs").exists()
@@ -717,8 +720,8 @@ def test_budget_below_one_exits_2_before_any_work(
 ):
     # Not a budget exhausted by the first sphere (exit 3, partial summary),
     # but a validation error before any ball or neighborhood is built.
-    monkeypatch.setattr(experiments, "word_ball", lambda *a, **k: pytest.fail("ran"))
-    monkeypatch.setattr(experiments.dynamics, "abelian_control", lambda *a, **k: pytest.fail("ran"))
+    monkeypatch.setattr(words, "word_ball", lambda *a, **k: pytest.fail("ran"))
+    monkeypatch.setattr(dynamics, "abelian_control", lambda *a, **k: pytest.fail("ran"))
     out = tmp_path / "out"
     data = {"experiment": experiment, "matrix": CAT, "budget_elements": budget,
             "output_dir": str(out)}
