@@ -1,24 +1,26 @@
 """The named experiments behind the CLI.
 
 `REGISTRY` declares each experiment once: its runner, the config keys it
-reads, the files it emits, and whether it needs a group context. Every
-experiment validates all of its cross-field preconditions before doing
-any work, writes CSV data files plus a single JSON summary into the output
-directory, and is deterministic for a fixed config and seed (CSV outputs are
-byte identical across runs; the summary additionally records wall time
-and peak RSS).
+reads and the files it emits. `prepare` checks what every experiment relies
+on (the seed, the matrix, the automorphism and the element budget); each
+runner is the one place that holds its experiment, and parses and checks the
+keys it reads before its first ball, neighbourhood, orbit or file. So a
+validation failure writes nothing. Every experiment writes CSV data files plus
+a single JSON summary into the output directory, and is deterministic for a
+fixed config and seed (CSV outputs are byte identical across runs; the
+summary additionally records wall time and peak RSS).
 
 A runner is called as ``runner(prep, outdir)`` with the `Prepared` inputs and
 the output directory, and returns the verdicts. Each run loads only what its
 experiment uses: where bytecode is not cached every import compiles its
 module's source, and ``numpy.random`` alone adds about 5 MB of peak RSS. So
-this module imports at the top only what `prepare` always needs (autos,
-group, matrices, errors); each runner and each branch of `prepare` imports
-the modules it calls. numpy loads ``numpy.random`` on first use of
-``np.random``, and only the three runners that draw random numbers
-(box-lemmas, lyapunov, birkhoff) use it, each building its own
-``np.random.default_rng(cfg.seed)``. Library functions are called through
-their module (``words.word_ball``), where the benchmark's tracer wraps them.
+this module imports at the top only what `prepare` needs (autos, group,
+matrices, errors); each runner imports the modules it calls. numpy loads
+``numpy.random`` on first use of ``np.random``, and only the three runners
+that draw random numbers (box-lemmas, lyapunov, birkhoff) use it, each
+building its own ``np.random.default_rng(cfg.seed)``. Library functions are
+called through their module (``words.word_ball``), where the benchmark's
+tracer wraps them.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -34,49 +37,54 @@ import numpy as np
 from . import matrices
 from .autos import GroupAutomorphism, enumerate_commuting_matrices, require_valid
 from .errors import BudgetError, ValidationError
-from .group import GeneratingSet, GroupContext, GroupElement, ToralMatrix, lattice_element
+from .group import GeneratingSet, GroupContext, GroupElement, ToralMatrix
 
 if TYPE_CHECKING:
-    from . import dynamics, lyapunov
+    from . import dynamics
     from .config import ExperimentConfig
     from .oracle import WordLengthOracle
 
 
-def _parse_element(raw, dim: int) -> GroupElement:
+def _parse_element(key: str, raw, dim: int) -> GroupElement:
     try:
         vec, k = raw
         x = matrices.freeze_vector(vec)
         k = matrices._as_int(k)
     except (TypeError, ValueError, ValidationError):
         raise ValidationError(
-            f"element {raw!r} is not of the form [[x1, ..., xd], k] with integer entries"
+            f"config key {key!r}: element {raw!r} is not of the form "
+            "[[x1, ..., xd], k] with integer entries"
         ) from None
     if len(x) != dim:
-        raise ValidationError(f"element {raw!r} has dimension {len(x)}, expected {dim}")
+        raise ValidationError(
+            f"config key {key!r}: element {raw!r} has dimension {len(x)}, expected {dim}"
+        )
     return GroupElement(x, k)
-
-
-def _element_row(g: GroupElement) -> list:
-    return [*g.x, g.k]
 
 
 @dataclass
 class Prepared:
-    """Validated inputs shared by the experiment runners."""
+    """The checked inputs every runner shares. The group context and the
+    standard generating set are built on first use, by the runners that
+    work in the group."""
 
     cfg: ExperimentConfig
     matrix: ToralMatrix
     phi: GroupAutomorphism
-    ctx: GroupContext | None = None
-    gens: GeneratingSet | None = None
-    iteration: dynamics.IterationConfig | None = None
-    elements: list[GroupElement] | None = None  # queries, or control seeds
-    toy: lyapunov.ToyMap | None = None
-    field: lyapunov.DirectionField | None = None
+
+    @cached_property
+    def ctx(self) -> GroupContext:
+        return GroupContext(self.matrix)
+
+    @cached_property
+    def gens(self) -> GeneratingSet:
+        return GeneratingSet.standard(self.matrix.dim)
 
 
 def prepare(cfg: ExperimentConfig) -> Prepared:
-    """Validate every precondition the chosen experiment relies on."""
+    """Check the preconditions every experiment shares. A key an experiment
+    does not read keeps its default (`ExperimentConfig.from_dict` rejects
+    it), so these checks hold for every experiment."""
     if cfg.seed < 0:
         # np.random.default_rng takes only seeds of at least 0.
         raise ValidationError(f"seed must be at least 0, not {cfg.seed}")
@@ -101,63 +109,12 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
             )
         except ValidationError as exc:
             raise ValidationError(f"config key 'automorphism': {exc}") from None
-    prep = Prepared(cfg, matrix, phi)
-    info = REGISTRY[cfg.experiment]
-    if info.context:
-        prep.ctx = GroupContext(matrix)
-        prep.gens = GeneratingSet.standard(matrix.dim)
-        require_valid(matrix, phi)
-    if cfg.experiment == "set-dynamics":
-        from . import dynamics, words
-
-        a0 = [_parse_element(raw, matrix.dim) for raw in cfg.a0] or [prep.ctx.identity]
-        prep.iteration = dynamics.IterationConfig.make(
-            prep.ctx, phi, cfg.neighborhood_n, a0, cfg.k_max,
-            words.choose_lambda(matrix, phi),
-        )
-    if cfg.experiment == "abelian-control":
-        if cfg.control_a0 is None:
-            seeds = [[0] * matrix.dim, [1] + [0] * (matrix.dim - 1)]
-        else:
-            seeds = cfg.control_a0
-        try:
-            prep.elements = [lattice_element(v) for v in seeds]
-        except ValidationError as exc:
-            raise ValidationError(f"config key 'control_a0': {exc}") from None
-        if not prep.elements:
-            raise ValidationError("config key 'control_a0' must list at least one seed")
-        for g in prep.elements:
-            if len(g.x) != matrix.dim:
-                raise ValidationError(f"config key 'control_a0': seed {list(g.x)} "
-                                      f"has dimension {len(g.x)}, expected {matrix.dim}")
-    if cfg.experiment == "word-length":
-        if not cfg.elements:
-            raise ValidationError("word-length experiment needs a nonempty 'elements' list")
-        prep.elements = [_parse_element(raw, matrix.dim) for raw in cfg.elements]
-    if "map_kind" in info.keys:
-        from . import lyapunov
-
-        prep.toy, prep.field = lyapunov.toy_system(
-            matrix, cfg.map_kind, cfg.direction, cfg.shear_coefficients
-        )
-        if cfg.direction == "stable":
-            limit = lyapunov.stable_step_limit(matrix)
-            for key in ("orbit_steps", "birkhoff_steps"):
-                steps = getattr(cfg, key)
-                if key in info.keys and steps > limit:
-                    raise ValidationError(
-                        f"config key {key!r} is {steps}, above {limit}, the most "
-                        "steps a stable-direction run keeps within float accuracy"
-                    )
-    if cfg.orbit_starts < 1:
-        raise ValidationError(
-            f"config key 'orbit_starts' must be at least 1, not {cfg.orbit_starts}"
-        )
-    if "budget_elements" in info.keys and cfg.budget_elements < 1:
+    require_valid(matrix, phi)
+    if cfg.budget_elements < 1:
         raise ValidationError(
             f"config key 'budget_elements' must be at least 1, not {cfg.budget_elements}"
         )
-    return prep
+    return Prepared(cfg, matrix, phi)
 
 
 def _write_csv(path: Path, header, rows):
@@ -166,10 +123,6 @@ def _write_csv(path: Path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow(["" if v is None else v for v in row])
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 # ---------------------------------------------------------------- runners
@@ -199,14 +152,17 @@ def run_word_length(prep: Prepared, outdir: Path) -> dict:
     from . import words
 
     cfg = prep.cfg
+    dim = prep.matrix.dim
+    if not cfg.elements:
+        raise ValidationError("word-length experiment needs a nonempty 'elements' list")
+    elements = [_parse_element("elements", raw, dim) for raw in cfg.elements]
     oracle = words.word_ball(prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements)
     rows = []
-    for g in prep.elements:
+    for g in elements:
         n = oracle.word_length(g)
         status = "exact" if n is not None else "gt_radius"
         value = n if n is not None else oracle.radius
-        rows.append(_element_row(g) + [status, value])
-    dim = prep.matrix.dim
+        rows.append([*g.x, g.k, status, value])
     header = [f"x{i}" for i in range(dim)] + ["k", "status", "length"]
     _write_csv(outdir / "word_lengths.csv", header, rows)
     exact = sum(1 for r in rows if r[-2] == "exact")
@@ -216,24 +172,22 @@ def run_word_length(prep: Prepared, outdir: Path) -> dict:
 def run_box_lemmas(prep: Prepared, outdir: Path) -> dict:
     from . import dynamics, words
 
-    cfg = prep.cfg
+    cfg, ctx, gens = prep.cfg, prep.ctx, prep.gens
     rng = np.random.default_rng(cfg.seed)
     lam = words.choose_lambda(prep.matrix, prep.phi)
     rows = []
     for ell in cfg.box_ell_values:
         for h in cfg.box_h_values:
-            rep = words.check_box_inclusion_u1(
-                prep.ctx, prep.gens, lam, ell, h, cfg.box_samples, rng
-            )
+            rep = words.check_box_inclusion_u1(ctx, gens, lam, ell, h, cfg.box_samples, rng)
             rows.append(["u1", ell, h, "", rep.checked, len(rep.violations)])
             for n in cfg.box_n_values:
                 rep = words.check_box_inclusion_un(
-                    prep.ctx, prep.gens, lam, ell, h, n, cfg.box_samples, rng
+                    ctx, gens, lam, ell, h, n, cfg.box_samples, rng
                 )
                 rows.append(["un", ell, h, n, rep.checked, len(rep.violations)])
             if ell >= 2 and h >= 2:
                 rep = dynamics.check_box_inclusion_phi(
-                    prep.ctx, prep.phi, lam, ell, h, cfg.box_samples, rng
+                    ctx, prep.phi, lam, ell, h, cfg.box_samples, rng
                 )
                 rows.append(["phi", ell, h, "", rep.checked, len(rep.violations)])
     total_violations = sum(row[-1] for row in rows)
@@ -281,12 +235,17 @@ def run_set_dynamics(prep: Prepared, outdir: Path) -> dict:
     from . import dynamics, words
 
     cfg = prep.cfg
+    a0 = [_parse_element("a0", raw, prep.matrix.dim) for raw in cfg.a0] or [prep.ctx.identity]
+    iteration = dynamics.IterationConfig.make(
+        prep.ctx, prep.phi, cfg.neighborhood_n, a0, cfg.k_max,
+        words.choose_lambda(prep.matrix, prep.phi),
+    )
     oracle = words.word_ball(prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements)
     growth = _growth(outdir, lambda: dynamics.run_iteration(
-        prep.ctx, prep.gens, prep.iteration, oracle, budget=cfg.budget_elements
+        prep.ctx, prep.gens, iteration, oracle, budget=cfg.budget_elements
     ))
     return {
-        "lambda": str(prep.iteration.lam),
+        "lambda": str(iteration.lam),
         "envelope": "certified",
         "growth": growth,
     }
@@ -296,7 +255,20 @@ def run_abelian_control(prep: Prepared, outdir: Path) -> dict:
     from . import dynamics
 
     cfg = prep.cfg
-    seeds = [g.x for g in prep.elements]
+    dim = prep.matrix.dim
+    raw = cfg.control_a0
+    if raw is None:
+        raw = [[0] * dim, [1] + [0] * (dim - 1)]
+    try:
+        seeds = [matrices.freeze_vector(v) for v in raw]
+    except ValidationError as exc:
+        raise ValidationError(f"config key 'control_a0': {exc}") from None
+    if not seeds:
+        raise ValidationError("config key 'control_a0' must list at least one seed")
+    for x in seeds:
+        if len(x) != dim:
+            raise ValidationError(f"config key 'control_a0': seed {list(x)} "
+                                  f"has dimension {len(x)}, expected {dim}")
     return {"growth": _growth(outdir, lambda: dynamics.abelian_control(
         prep.matrix, cfg.neighborhood_n, seeds, cfg.k_max, budget=cfg.budget_elements
     ))}
@@ -322,14 +294,14 @@ def run_qi_compare(prep: Prepared, outdir: Path) -> dict:
             f"qi-compare builds its ball to its largest radius {radii[-1]}, "
             f"so bfs_radius {cfg.bfs_radius} may not exceed it"
         )
-    split = suspension.compute_splitting(prep.matrix)
     # Each radius's ball is a breadth-first prefix of the largest one, and a
     # row's bound does not depend on the rows around it, so the bounds are
     # computed once and each radius reads the first ball_size(r) rows, the
     # rows of length at most r. No name here holds the ball, so it is freed
     # once its bounds exist, before the fit.
     top = suspension.qi_comparison(
-        words.word_ball(prep.ctx, prep.gens, radii[-1], budget=cfg.budget_elements), split
+        words.word_ball(prep.ctx, prep.gens, radii[-1], budget=cfg.budget_elements),
+        suspension.compute_splitting(prep.matrix),
     )
     sizes = {r: int(top.lengths.searchsorted(r, side="right")) for r in radii}
     reports = [
@@ -374,14 +346,42 @@ def run_centralizer(prep: Prepared, outdir: Path) -> dict:
     }
 
 
+def _toy_system(prep: Prepared, steps_key: str):
+    """The toy map and line field of a lyapunov or birkhoff run, once its map
+    keys are checked and its ``steps_key`` is within the stable-step limit."""
+    from . import lyapunov
+
+    cfg = prep.cfg
+    toy, field = lyapunov.toy_system(
+        prep.matrix, cfg.map_kind, cfg.direction, cfg.shear_coefficients
+    )
+    if cfg.shear_coefficients and cfg.map_kind != "shear_conjugated":
+        raise ValidationError(
+            "config key 'shear_coefficients' is read only by map_kind "
+            f"'shear_conjugated', not by {cfg.map_kind!r}"
+        )
+    if cfg.direction == "stable":
+        steps, limit = getattr(cfg, steps_key), lyapunov.stable_step_limit(prep.matrix)
+        if steps > limit:
+            raise ValidationError(
+                f"config key {steps_key!r} is {steps}, above {limit}, the most "
+                "steps a stable-direction run keeps within float accuracy"
+            )
+    return toy, field
+
+
 def run_lyapunov(prep: Prepared, outdir: Path) -> dict:
     from . import lyapunov
 
     cfg = prep.cfg
-    toy = prep.toy
+    toy, field = _toy_system(prep, "orbit_steps")
+    if cfg.orbit_starts < 1:
+        raise ValidationError(
+            f"config key 'orbit_starts' must be at least 1, not {cfg.orbit_starts}"
+        )
     rng = np.random.default_rng(cfg.seed)
     starts = rng.random((cfg.orbit_starts, toy.dim))
-    arr = lyapunov.finite_time_exponents(toy, prep.field, starts, cfg.orbit_steps)
+    arr = lyapunov.finite_time_exponents(toy, field, starts, cfg.orbit_steps)
     half_width = (
         float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
     )
@@ -389,7 +389,7 @@ def run_lyapunov(prep: Prepared, outdir: Path) -> dict:
         header = ["start", "step"] + [f"x{i}" for i in range(toy.dim)]
         orbits = lyapunov.orbits(toy, starts, min(cfg.orbit_steps, 1000))
         _write_csv(outdir / "orbits.csv", header, (
-            [i, step] + [_fmt(c) for c in point]
+            [i, step] + [repr(float(c)) for c in point]
             for i, orbit in enumerate(orbits) for step, point in enumerate(orbit)
         ))
     return {
@@ -410,8 +410,9 @@ def run_birkhoff(prep: Prepared, outdir: Path) -> dict:
     from . import lyapunov
 
     cfg = prep.cfg
+    toy, field = _toy_system(prep, "birkhoff_steps")
     rep = lyapunov.birkhoff_consistency(
-        prep.toy, prep.field, cfg.birkhoff_starts, cfg.birkhoff_steps,
+        toy, field, cfg.birkhoff_starts, cfg.birkhoff_steps,
         np.random.default_rng(cfg.seed),
     )
     return asdict(rep)
@@ -420,12 +421,11 @@ def run_birkhoff(prep: Prepared, outdir: Path) -> dict:
 @dataclass(frozen=True)
 class ExperimentInfo:
     """One experiment: its runner, the config keys it reads beyond the common
-    five, the files it emits, and whether `prepare` builds a group context."""
+    five, and the files it emits."""
 
     runner: Callable
     keys: tuple[str, ...]
     emits: str
-    context: bool = False
 
 
 REGISTRY = {
@@ -436,7 +436,7 @@ REGISTRY = {
     ),
     "ball-census": ExperimentInfo(
         run_ball_census, ("bfs_radius", "budget_elements"),
-        "census.csv, summary.json", context=True,
+        "census.csv, summary.json",
     ),
     "birkhoff": ExperimentInfo(
         run_birkhoff,
@@ -448,7 +448,7 @@ REGISTRY = {
         run_box_lemmas,
         ("automorphism", "box_ell_values", "box_h_values", "box_n_values",
          "box_samples"),
-        "box_checks.csv, summary.json", context=True,
+        "box_checks.csv, summary.json",
     ),
     "centralizer": ExperimentInfo(
         run_centralizer, ("centralizer_bound", "centralizer_e"),
@@ -462,17 +462,17 @@ REGISTRY = {
     ),
     "qi-compare": ExperimentInfo(
         run_qi_compare, ("qi_radii", "bfs_radius", "budget_elements"),
-        "qi_r<R>.csv per radius, summary.json", context=True,
+        "qi_r<R>.csv per radius, summary.json",
     ),
     "set-dynamics": ExperimentInfo(
         run_set_dynamics,
         ("automorphism", "neighborhood_n", "a0", "k_max",
          "bfs_radius", "budget_elements"),
-        "growth.csv, summary.json", context=True,
+        "growth.csv, summary.json",
     ),
     "word-length": ExperimentInfo(
         run_word_length, ("bfs_radius", "budget_elements", "elements"),
-        "word_lengths.csv, summary.json", context=True,
+        "word_lengths.csv, summary.json",
     ),
 }
 

@@ -24,7 +24,7 @@ import unstretch
 from unstretch import dynamics, packed, qicsv, words
 from unstretch.cli import main
 from unstretch.config import COMMON_KEYS, EXPERIMENT_NAMES, ExperimentConfig, load_config
-from unstretch.errors import CertificationError, ValidationError
+from unstretch.errors import CertificationError
 from unstretch.experiments import REGISTRY, ExperimentInfo, list_experiments, prepare
 
 import repr_sweep
@@ -95,13 +95,18 @@ def test_word_length_requires_elements(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-def test_word_length_elements_are_parsed_before_the_ball_is_built():
-    cfg = ExperimentConfig.from_dict({
+def test_word_length_elements_are_parsed_before_the_ball_is_built(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(words, "word_ball", lambda *a, **k: pytest.fail("ran"))
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "wl", {
         "experiment": "word-length", "matrix": CAT, "bfs_radius": 14,
-        "elements": [[[1, 1], 0], [[1], 0]],
+        "elements": [[[1, 1], 0], [[1], 0]], "output_dir": str(out),
     })
-    with pytest.raises(ValidationError, match="has dimension 1"):
-        prepare(cfg)
+    assert run_cli(cfg) == 2
+    assert "has dimension 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_matrix_exits_2_without_outputs(tmp_path, capsys):
@@ -680,6 +685,7 @@ def test_int_shear_coefficient_counts_as_a_float(tmp_path):
     {"experiment": "word-length", "elements": [[[0.5, 1.9], 0]]},
     {"experiment": "word-length", "elements": [[[True, 0], 0]]},
     {"experiment": "set-dynamics", "a0": [[[0.7, 0], 0]]},
+    {"experiment": "set-dynamics", "a0": [5]},
     {"experiment": "box-lemmas", "automorphism": {"b": CAT, "v": [0, 0], "e": 1.5}},
     {"experiment": "box-lemmas", "automorphism": {"v": [0, 0]}},
     {"experiment": "box-lemmas", "automorphism": {"b": 5, "v": [0, 0], "e": 1}},
@@ -694,6 +700,12 @@ def test_int_shear_coefficient_counts_as_a_float(tmp_path):
     # Past the float horizon of a stable-direction run: 11 steps on the cat map.
     {"experiment": "lyapunov", "orbit_steps": 12, "direction": "stable"},
     {"experiment": "birkhoff", "birkhoff_steps": 12, "direction": "stable"},
+    # Shear coefficients are read by the shear-conjugated map only.
+    {"experiment": "lyapunov", "map_kind": "linear_toral", "shear_coefficients": [0.3]},
+    {"experiment": "birkhoff", "map_kind": "suspension_time_one", "shear_coefficients": [0.3]},
+    {"experiment": "ball-census", "bfs_radius": -1},
+    {"experiment": "centralizer", "centralizer_bound": 0},
+    {"experiment": "birkhoff", "birkhoff_starts": 1},
 ], ids=lambda d: next(f"{k}={v}" for k, v in d.items() if k != "experiment"))
 def test_validation_failure_leaves_no_output_directory(tmp_path, capsys, data):
     out = tmp_path / "runs" / "out"
@@ -704,8 +716,11 @@ def test_validation_failure_leaves_no_output_directory(tmp_path, capsys, data):
     if "automorphism" in data:
         assert "config key 'automorphism': " in err
         assert "b" in data["automorphism"] or "'b'" in err
-    if "control_a0" in data:
-        assert "config key 'control_a0': " in err
+    for key in ("control_a0", "a0", "elements"):
+        if key in data:
+            assert f"config key {key!r}: " in err
+    if "shear_coefficients" in data:
+        assert "config key 'shear_coefficients'" in err
     if data.get("box_ell_values") == [48]:
         assert "u1 inclusion check does not fit the int64 key layout" in err
     assert not (tmp_path / "runs").exists()
@@ -817,9 +832,14 @@ def test_every_config_field_is_read_by_some_experiment():
     "path", sorted(Path(__file__).parent.parent.glob("configs/*.json")),
     ids=lambda p: p.stem,
 )
-def test_shipped_configs_load_and_prepare(path):
+def test_shipped_configs_load_and_prepare(path, tmp_path):
     prep = prepare(load_config(path))
-    assert (prep.ctx is not None) == REGISTRY[prep.cfg.experiment].context
+    assert [f.name for f in fields(prep)] == ["cfg", "matrix", "phi"]
+    assert "ctx" not in vars(prep)
+    REGISTRY[prep.cfg.experiment].runner(prep, tmp_path)
+    # Only the runners that work in the group build its context.
+    in_group = {"ball-census", "box-lemmas", "qi-compare", "set-dynamics", "word-length"}
+    assert ("ctx" in vars(prep)) == (prep.cfg.experiment in in_group)
 
 
 def test_list_shows_each_experiments_keys():
