@@ -98,13 +98,16 @@ def _map_keys(layout: KeyLayout, keys: np.ndarray, rows, shift, e: int, what: st
     exponent, asked once for each exponent present. Packing certificate: a
     coordinate of the image is at most the M-row's |entries| times the set's
     reach (at least 1) plus the largest |shift|; ValidationError naming
-    ``what`` if that could leave the layout.
+    ``what`` if that could leave the layout. The certificate reads the whole
+    set (the reach from ``layout.reach``, the exponents from ``keys >>
+    k_shift``); then the keys are unpacked, mapped and packed
+    ``packed.BLOCK_KEYS`` at a time into one output array, so only one
+    block of coordinates is alive at once.
     """
-    xs, ks = layout.unpack(keys)
     radius = layout.radius
-    present = np.flatnonzero(np.bincount(ks + radius, minlength=2 * radius + 1))
+    present = np.flatnonzero(np.bincount(keys >> layout.k_shift, minlength=2 * radius + 1))
     shifts = {int(row) - radius: shift(int(row) - radius) for row in present}
-    reach = [max(int(v), 1) for v in np.abs(xs).max(axis=1, initial=0)]
+    reach = [max(r, 1) for r in layout.reach(keys)]
     bound = max(
         sum(abs(m) * r for m, r in zip(row, reach))
         + max((abs(c[i]) for c in shifts.values()), default=0)
@@ -114,9 +117,14 @@ def _map_keys(layout: KeyLayout, keys: np.ndarray, rows, shift, e: int, what: st
     table = np.zeros((layout.dim, 2 * radius + 1), dtype=np.int64)
     for k, c in shifts.items():
         table[:, k + radius] = c
-    mapped = np.array(rows, dtype=np.int64) @ xs
-    mapped += np.take(table, ks + radius, axis=1)
-    return layout.pack_rows(mapped, e * ks, what)
+    matrix = np.array(rows, dtype=np.int64)
+    out = np.empty_like(keys)
+    for lo in range(0, len(keys), packed.BLOCK_KEYS):
+        xs, ks = layout.unpack(keys[lo : lo + packed.BLOCK_KEYS])
+        mapped = matrix @ xs
+        mapped += np.take(table, ks + radius, axis=1)
+        out[lo : lo + packed.BLOCK_KEYS] = layout.pack_rows(mapped, e * ks, what)
+    return out
 
 
 class CurvePoint(NamedTuple):
@@ -205,7 +213,8 @@ def run_iteration(
 
     The iterates live on one key layout whose exponent range h0 + N k_max
     holds every envelope. The box membership of every element of every
-    iterate is checked exactly; the first violation aborts the run.
+    iterate is checked exactly, ``packed.BLOCK_KEYS`` keys at a time; the
+    first violation, in key order, aborts the run.
     """
     n = config.n_rounds
     table = translate_steps(ctx, gens.all, config.h0 + n * config.k_max)
@@ -215,17 +224,18 @@ def run_iteration(
     )
 
     def point(k: int, keys: np.ndarray) -> CurvePoint:
-        xs, ks = layout.unpack(keys)
         ell = config.ell0 + envelope_offset(config.h0, n, k)
         h = config.h0 + n * k
         box = BoxSet(config.lam, ell, h)
-        inside = box.contains_columns(xs, ks)
-        if not inside.all():
-            g = layout.elements(keys[~inside][:1])[0]
-            raise CertificationError(
-                f"envelope violated at step {k}: {g} escaped {box}"
-            )
-        diam = column_diameter(oracle, xs, ks)
+        for lo in range(0, len(keys), packed.BLOCK_KEYS):
+            block = keys[lo : lo + packed.BLOCK_KEYS]
+            inside = box.contains_columns(*layout.unpack(block))
+            if not inside.all():
+                g = layout.elements(block[~inside][:1])[0]
+                raise CertificationError(
+                    f"envelope violated at step {k}: {g} escaped {box}"
+                )
+        diam = column_diameter(oracle, *layout.unpack(keys))
         return CurvePoint(k, diam.value, diam.exact, len(keys), ell, h)
 
     image = _automorphism_image(layout, ctx, config.phi)

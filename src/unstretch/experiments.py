@@ -173,6 +173,11 @@ def run_box_lemmas(prep: Prepared, outdir: Path) -> dict:
     from . import dynamics, words
 
     cfg, ctx, gens = prep.cfg, prep.ctx, prep.gens
+    # Every check is made at an (ell, h) pair; box_n_values may be empty,
+    # which leaves only the u1 and phi checks.
+    for key in ("box_ell_values", "box_h_values"):
+        if not getattr(cfg, key):
+            raise ValidationError(f"config key {key!r} must list at least one value")
     rng = np.random.default_rng(cfg.seed)
     lam = words.choose_lambda(prep.matrix, prep.phi)
     rows = []

@@ -70,14 +70,18 @@ class WordLengthOracle:
 
     def column_lengths(self, xs: np.ndarray, ks: np.ndarray) -> np.ndarray:
         """Exact lengths as int64 of the elements with coordinate rows xs
-        (``packed``'s layout) and exponents ks; -1 certifies > radius."""
+        (``packed``'s layout) and exponents ks; -1 certifies > radius. The
+        elements are packed and looked up ``packed.BLOCK_KEYS`` at a time,
+        into one output array."""
         sorted_keys, lengths = self._lookup_index()
-        keys, fits = self.layout.pack(xs, ks)
-        pos, hit = find(sorted_keys, keys)
-        found = np.full(len(keys), -1, dtype=np.int64)
-        found[hit] = lengths[pos[hit]]
         out = np.full(len(ks), -1, dtype=np.int64)
-        out[fits] = found
+        block = packed.BLOCK_KEYS
+        for lo in range(0, len(ks), block):
+            keys, fits = self.layout.pack(xs[:, lo : lo + block], ks[lo : lo + block])
+            pos, hit = find(sorted_keys, keys)
+            found = np.full(len(keys), -1, dtype=np.int64)
+            found[hit] = lengths[pos[hit]]
+            out[lo : lo + block][fits] = found
         return out
 
     def __len__(self):

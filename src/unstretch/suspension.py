@@ -17,6 +17,7 @@ and reports the empirical quasi-isometry constant.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,18 +114,29 @@ def _projected_norms(xs: np.ndarray, proj: np.ndarray) -> np.ndarray:
     ``packed.BLOCK_KEYS`` rows.
 
     numpy multiplies a lone row by gemv, which sums in another order than
-    gemm, so an odd row count is padded with a zero row: every block then
-    holds an even number of rows (the block size is even), and a row's norm
+    gemm, so an odd last block is padded with a zero row: every product then
+    has an even number of rows (the block size is even), and a row's norm
     does not depend on the batch around it. The blocks also keep the
-    operands in cache.
+    operands in cache. Each product is squared in place and its columns are
+    added in order: the bits of ``np.linalg.norm(axis=1)``, whose reduction
+    over fewer than 8 columns adds them in order too, at a quarter of its
+    time (a reduction along an axis of length d runs one short loop per
+    row). For d >= 8 numpy sums pairwise, so a norm there can differ from
+    ``np.linalg.norm``'s by one ulp.
     """
-    n = len(xs)
-    if n % 2:
-        xs = np.concatenate([xs, np.zeros((1, xs.shape[1]))])
-    return np.concatenate([
-        np.linalg.norm(xs[lo : lo + packed.BLOCK_KEYS] @ proj.T, axis=1)
-        for lo in range(0, max(len(xs), 1), packed.BLOCK_KEYS)
-    ])[:n]
+    norms = np.empty(len(xs))
+    for lo in range(0, len(xs), packed.BLOCK_KEYS):
+        block = xs[lo : lo + packed.BLOCK_KEYS]
+        out = norms[lo : lo + len(block)]
+        if len(block) % 2:
+            block = np.concatenate([block, np.zeros((1, xs.shape[1]))])
+        squares = block @ proj.T
+        squares *= squares
+        out[:] = squares[: len(out), 0]
+        for column in squares[: len(out), 1:].T:
+            out += column
+        np.sqrt(out, out=out)
+    return norms
 
 
 def log_distance_bounds(split: HyperbolicSplitting, xs, ss) -> np.ndarray:
@@ -209,15 +221,17 @@ def qi_report(radius: int, lengths: np.ndarray, bounds: np.ndarray) -> QiReport:
     satisfies length <= q_hat * bound + q_hat on all entries; the report
     records that coverage explicitly.
 
-    ``np.polyfit`` runs on the full arrays, so the fitted slope, intercept
-    and q_hat do not depend on any blocking. It is the comparison's memory
-    floor: its Vandermonde matrix, scaled copies and LAPACK workspace hold
-    about 48 bytes per row (29 MB at radius 14), against 9 bytes per row for
-    the bounds and uint8 lengths, and ``qi_comparison`` has let the ball go
-    by then. polyfit and the ratios read uint8 lengths as the float64
-    values they equal, so the results are those of float64 lengths.
+    The line is fitted on the full arrays, so the fitted slope, intercept
+    and q_hat do not depend on any blocking. ``line_fit`` gives the bits
+    of ``np.polyfit(bounds, lengths, 1)`` with fewer arrays alive: it holds
+    at most about 32 bytes per row above the bounds and uint8 lengths (9
+    bytes per row), against polyfit's 48, plus LAPACK's own copy of the
+    matrix and lengths (24 bytes per row) during the solve, and
+    ``qi_comparison`` has let the ball go by then. The fit and the ratios
+    read uint8 lengths as the float64 values they equal, so the results are
+    those of float64 lengths.
     """
-    slope, intercept = np.polyfit(bounds, lengths, 1)
+    slope, intercept = line_fit(bounds, lengths)
     max_ratio = float((lengths / bounds).max())
     q_hat = max(float(slope), max_ratio)
     coverage = bool((lengths <= q_hat * bounds + q_hat).all())
@@ -232,3 +246,22 @@ def qi_report(radius: int, lengths: np.ndarray, bounds: np.ndarray) -> QiReport:
         lengths=lengths,
         bounds=bounds,
     )
+
+
+def line_fit(x: np.ndarray, y: np.ndarray):
+    """(slope, intercept) of the least-squares line through (x, y) for a
+    float64 ``x``, bit-equal to ``np.polyfit(x, y, 1)``: polyfit's own steps
+    (``lstsq`` on the Vandermonde matrix scaled to unit-norm columns, rcond
+    n * eps, the coefficients divided by the scale, RankWarning when the
+    rank is short) without its float copy of ``x``, and with the float copy
+    of ``y`` made only once the scale is taken. So the matrix and its
+    squares, or the matrix and the float ``y``, are all it allocates."""
+    lhs = np.vander(x, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    rcond = len(x) * np.finfo(float).eps
+    coef, _, rank, _ = np.linalg.lstsq(lhs, y.astype(float), rcond)
+    if rank != 2:
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning,
+                      stacklevel=2)
+    return coef / scale

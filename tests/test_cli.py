@@ -350,9 +350,14 @@ def test_qi_bfs_radius_above_the_largest_radius_exits_2_before_building_a_ball(
 
 # Traced bytes per ball row that qi_comparison and write_qi_csvs may hold at
 # their peak, above what is held when they start. Measured at radius 14
-# (600,617 rows): 64.4 with blockwise bounds and batched repr, 105.0 with the
-# whole table unpacked and every distinct float formatted at once.
-QI_PEAK_BYTES_PER_ROW = 72
+# (600,617 rows): 105.0 with the whole table unpacked and every distinct
+# float formatted at once, 64.4 with blockwise bounds and batched repr, 57.4
+# with np.polyfit's float copies of both columns alive through its solve,
+# and 48.0 once the line fit allocates only its Vandermonde matrix, its
+# squares and a float copy of the lengths. The CSV writer sets that peak;
+# the comparison alone peaks at 41.4 (57.4 with polyfit).
+QI_PEAK_BYTES_PER_ROW = 50
+QI_COMPARISON_PEAK_BYTES_PER_ROW = 45
 
 
 def test_qi_compare_memory_per_row(tmp_path, ctx, gens, cat_matrix):
@@ -362,16 +367,18 @@ def test_qi_compare_memory_per_row(tmp_path, ctx, gens, cat_matrix):
     try:
         start = tracemalloc.get_traced_memory()[0]
         rep = qi_comparison(oracle, split)
+        comparison_peak = tracemalloc.get_traced_memory()[1]
         qicsv.write_qi_csvs(tmp_path, rep, {14: len(oracle)})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert (comparison_peak - start) / len(oracle) < QI_COMPARISON_PEAK_BYTES_PER_ROW
     assert (peak - start) / len(oracle) < QI_PEAK_BYTES_PER_ROW
 
 
 def test_qi_compare_frees_the_ball_before_the_fit(tmp_path, monkeypatch):
     # Untraced, no frame holds the ball or its keys once the bounds exist,
-    # so every polyfit runs with them freed.
+    # so every line fit runs with them freed.
     balls = []
     build = words.word_ball
 
@@ -381,14 +388,14 @@ def test_qi_compare_frees_the_ball_before_the_fit(tmp_path, monkeypatch):
         return oracle
 
     fits = []
-    polyfit = np.polyfit
+    lstsq = np.linalg.lstsq
 
     def fit(*args, **kwargs):
         fits.append([ref() is None for ref in balls])
-        return polyfit(*args, **kwargs)
+        return lstsq(*args, **kwargs)
 
     monkeypatch.setattr(words, "word_ball", recorded)
-    monkeypatch.setattr(np, "polyfit", fit)
+    monkeypatch.setattr(np.linalg, "lstsq", fit)
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, "qi", {
         "experiment": "qi-compare", "matrix": CAT, "qi_radii": [6, 8],
@@ -558,6 +565,20 @@ def test_box_lemmas_small(tmp_path):
     assert read_summary(out)["verdicts"]["zero_violations"] is True
 
 
+def test_box_lemmas_with_no_neighborhood_rounds_runs_the_other_checks(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "box", {
+        "experiment": "box-lemmas", "matrix": CAT,
+        "automorphism": {"b": CAT, "v": [1, 0], "e": 1},
+        "box_ell_values": [2], "box_h_values": [2], "box_n_values": [],
+        "box_samples": 20, "output_dir": str(out), "seed": 13,
+    })
+    assert run_cli(cfg) == 0
+    rows = (out / "box_checks.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["u1", "phi"]
+    assert read_summary(out)["verdicts"]["checks"] == 2
+
+
 def test_seed_and_output_dir_overrides(tmp_path):
     out = tmp_path / "somewhere"
     cfg = write_cfg(tmp_path, "ovr", {
@@ -672,6 +693,8 @@ def test_int_shear_coefficient_counts_as_a_float(tmp_path):
 
 @pytest.mark.parametrize("data", [
     {"experiment": "qi-compare", "qi_radii": []},
+    {"experiment": "box-lemmas", "box_ell_values": []},
+    {"experiment": "box-lemmas", "box_h_values": []},
     {"experiment": "box-lemmas", "box_ell_values": [0]},
     {"experiment": "box-lemmas", "box_samples": 0},
     # lam^48 is about 1e20: the box's coordinates overflow int64.
@@ -721,6 +744,9 @@ def test_validation_failure_leaves_no_output_directory(tmp_path, capsys, data):
             assert f"config key {key!r}: " in err
     if "shear_coefficients" in data:
         assert "config key 'shear_coefficients'" in err
+    for key in ("box_ell_values", "box_h_values"):
+        if data.get(key) == []:
+            assert f"config key {key!r} must list at least one value" in err
     if data.get("box_ell_values") == [48]:
         assert "u1 inclusion check does not fit the int64 key layout" in err
     assert not (tmp_path / "runs").exists()

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from unstretch import dynamics, packed
 from unstretch import (
     CertificationError,
     GroupAutomorphism,
@@ -229,3 +232,96 @@ def test_growth_workload_outputs(ctx, gens, cat_matrix):
     assert [(p.diameter, p.diameter_exact) for p in control.points] == [
         (d, True) for d in CONTROL_L1_DIAMETERS
     ]
+
+
+def control_sets(matrix, k_max):
+    """The arguments (layout, keys, rest) of each ``_map_keys`` call of a
+    lattice control run to k_max, whose keys are iterates 0..k_max - 1."""
+    calls = []
+    map_keys = dynamics._map_keys
+
+    def recorded(layout, keys, *args):
+        calls.append((layout, keys, args))
+        return map_keys(layout, keys, *args)
+
+    patch = pytest.MonkeyPatch()
+    patch.setattr(dynamics, "_map_keys", recorded)
+    try:
+        abelian_control(matrix, 1, [[0, 0], [1, 0]], k_max)
+    finally:
+        patch.undo()
+    return calls
+
+
+# Traced bytes that one _map_keys call may hold above its input, over the
+# control's k = 11 set (207,360 keys): 12.9 MiB with the whole set unpacked
+# and mapped at once, 5.6 MiB by blocks of BLOCK_KEYS keys.
+MAP_KEYS_PEAK_BYTES = 7 << 20
+
+
+def test_map_keys_memory(cat_matrix):
+    layout, keys, args = control_sets(cat_matrix, 12)[11]
+    assert len(keys) == 207360
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        dynamics._map_keys(layout, keys, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < MAP_KEYS_PEAK_BYTES
+
+
+def test_blockwise_map_keys_match_one_block(cat_matrix, monkeypatch):
+    calls = control_sets(cat_matrix, 8)
+    whole = [dynamics._map_keys(layout, keys, *args) for layout, keys, args in calls]
+    # Blocks of 64 keys cut the sets from step 3 on (90 keys) into several
+    # blocks, step 7's 4,410 keys into 69.
+    monkeypatch.setattr(packed, "BLOCK_KEYS", 64)
+    assert [len(keys) for _, keys, _ in calls][3:] == [90, 242, 640, 1682, 4410]
+    for (layout, keys, args), want in zip(calls, whole):
+        assert np.array_equal(dynamics._map_keys(layout, keys, *args), want)
+
+
+@pytest.mark.parametrize("block", [1 << 16, 2])
+def test_map_keys_certificate_reads_the_whole_set(cat_matrix, monkeypatch, block):
+    # The far seed sits in the last block; its image may leave the layout.
+    monkeypatch.setattr(packed, "BLOCK_KEYS", block)
+    seeds = [[i, 0] for i in range(9)] + [[2**29, 0]]
+    with pytest.raises(ValidationError) as refused:
+        abelian_control(cat_matrix, 1, seeds, 2)
+    assert str(refused.value) == (
+        "control step 1 does not fit the int64 key layout: "
+        "the image may reach 1073741825 > 1073741823"
+    )
+
+
+def test_blockwise_iteration_matches_one_block(ctx, gens, cat_matrix, oracle6, monkeypatch):
+    lam = choose_lambda(cat_matrix, phi_conj_z())
+    cfg = IterationConfig.make(ctx, phi_conj_z(), 1, default_a0(ctx), 4, lam)
+    control = lambda: abelian_control(cat_matrix, 1, [[0, 0], [1, 0]], 8).points
+    want = run_iteration(ctx, gens, cfg, oracle6).points, control()
+    monkeypatch.setattr(packed, "BLOCK_KEYS", 64)
+    assert (run_iteration(ctx, gens, cfg, oracle6).points, control()) == want
+
+
+@pytest.mark.parametrize("block", [1 << 16, 2])
+def test_envelope_check_names_the_first_escaped_element(ctx, gens, oracle6, monkeypatch,
+                                                        block):
+    from fractions import Fraction
+
+    # B(0, 0) holds the five elements of norm <= 1 at k = 0. Keys order by
+    # x_1, then x_0, so the first escaped element, (1000, 0), opens the third
+    # block of two keys, and (0, 1000) is alone in the fourth.
+    monkeypatch.setattr(packed, "BLOCK_KEYS", block)
+    inside = [GroupElement(x, 0) for x in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))]
+    outside = [GroupElement((1000, 0), 0), GroupElement((0, 1000), 0)]
+    bad = IterationConfig(
+        phi=phi_conj_z(), n_rounds=1, a0=frozenset(inside + outside), k_max=2,
+        lam=Fraction(131, 50), ell0=0, h0=0,
+    )
+    with pytest.raises(CertificationError) as violated:
+        run_iteration(ctx, gens, bad, oracle6)
+    assert str(violated.value).startswith(
+        f"envelope violated at step 0: {GroupElement((1000, 0), 0)} escaped "
+    )

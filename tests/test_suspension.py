@@ -15,8 +15,9 @@ from unstretch import (
     log_distance_bounds,
     qi_comparison,
 )
-from unstretch.suspension import qi_report
+from unstretch.suspension import _projected_norms, line_fit, qi_report
 
+import fit_sweep
 from conftest import D3_COMPLEX, D3_REAL, D4_BLOCK
 
 LOG_LAM = math.log((3 + math.sqrt(5)) / 2)
@@ -202,3 +203,37 @@ def test_uint8_lengths_give_the_float64_report(cat_matrix, oracle8):
                           rep.coverage_ok, rep.n_entries)
     assert fields(top) == fields(wide)
     assert np.array_equal(top.ratios.view(np.int64), wide.ratios.view(np.int64))
+
+
+def bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def test_line_fit_is_polyfit_bit_for_bit(cat_matrix, oracle8):
+    rep = qi_comparison(oracle8, compute_splitting(cat_matrix))
+    datasets = [(rep.bounds, rep.lengths)]
+    rng = np.random.default_rng(25)
+    for n in rng.integers(2, 5000, 40).tolist():
+        x = 2.0 + rng.random(n) * 10.0 ** rng.integers(0, 3)
+        y = (rng.random() * x + rng.normal(size=n)).clip(0, 255).astype(np.uint8)
+        datasets.append((x, y))
+    for x, y in datasets:
+        assert bits(line_fit(x, y)) == bits(np.polyfit(x, y, 1))
+
+
+def test_line_fit_warns_as_polyfit_on_a_rank_deficient_fit():
+    x, y = np.full(5, 3.0), np.arange(5, dtype=np.uint8)
+    with pytest.warns(np.exceptions.RankWarning):
+        want = np.polyfit(x, y, 1)
+    with pytest.warns(np.exceptions.RankWarning):
+        assert bits(line_fit(x, y)) == bits(want)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_column_sum_norms_are_linalg_norm_bit_for_bit(d, monkeypatch):
+    monkeypatch.setattr(packed, "BLOCK_KEYS", 64)
+    rng = np.random.default_rng(d)
+    proj = rng.normal(size=(d, d))
+    for n in (0, 1, 2, 7, 64, 65, 129, 1001):
+        xs = rng.integers(-10**6, 10**6, size=(n, d)).astype(float)
+        assert bits(_projected_norms(xs, proj)) == bits(fit_sweep.linalg_norms(xs, proj))
