@@ -42,6 +42,7 @@ from .packed import (
 from .words import (
     DEFAULT_ELEMENT_BUDGET,
     BoxSet,
+    Diameter,
     GeneratingSet,
     InclusionReport,
     WordLengthOracle,
@@ -163,6 +164,7 @@ def _iterate(table: StepTable, keys: np.ndarray, image: Callable, rounds: int, k
         if k < k_max:
             what = f"{name} step {k + 1}"
             mapped = image(keys, what)
+            del keys  # only its image is spread
             mapped.sort()
             try:
                 keys = spread(mapped, rounds, table, budget, what)
@@ -235,7 +237,13 @@ def run_iteration(
                 raise CertificationError(
                     f"envelope violated at step {k}: {g} escaped {box}"
                 )
-        diam = column_diameter(oracle, *layout.unpack(keys))
+        # Keys sort by exponent first, so the first and last give the exponent
+        # spread; beyond the radius column_diameter answers from it alone.
+        ends = keys[[0, -1]] >> layout.k_shift if len(keys) else (0, 0)
+        if ends[1] - ends[0] > oracle.radius:
+            diam = Diameter(oracle.radius + 1, False)
+        else:
+            diam = column_diameter(oracle, *layout.unpack(keys))
         return CurvePoint(k, diam.value, diam.exact, len(keys), ell, h)
 
     image = _automorphism_image(layout, ctx, config.phi)

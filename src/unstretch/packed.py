@@ -4,13 +4,14 @@ An element x * z^k becomes one nonnegative int64 (``KeyLayout``), so a
 generator step is one integer addition and a finite set of elements is a
 sorted array of distinct keys. ``StepTable`` holds the key increments of
 the generators (or of a ball, for the box checks) at each exponent.
-``next_layer`` is the breadth-first step of right neighborhoods U_N(S)
-(``spread``, behind ``words.neighborhood``), the set iteration and its
-lattice control (``dynamics``). The word ball (``oracle.word_ball``) also
-needs each sphere in breadth-first order: ``next_sphere`` is the ordered
-step, which streams the candidates by blocks of exponents and reads the
-order off one mask over the (element, generator) pairs. Each step is
-preceded by a packing certificate that raises ValidationError instead of
+``spread`` grows right neighborhoods U_N(S) (behind ``words.neighborhood``,
+the set iteration and its lattice control in ``dynamics``) by unordered
+breadth-first steps, built range by range of output keys from sorted runs
+of translates. The word ball (``oracle.word_ball``) also needs each sphere
+in breadth-first order: ``next_sphere`` is the ordered step, which streams
+the candidates by blocks of exponents and reads the order off one mask over
+the (element, generator) pairs. Each step is preceded by a packing
+certificate on its whole frontier that raises ValidationError instead of
 wrapping.
 
 Unpacked elements are coordinate rows: the coordinates of n elements are one
@@ -35,10 +36,12 @@ from .group import GeneratingSet, GroupContext, GroupElement
 # Packed element keys use this many bits of an int64, so keys are nonnegative.
 KEY_BITS = 63
 # Keys or rows per block wherever a whole set is processed in pieces
-# (``spread``'s frontier, ``next_sphere``'s candidates, decoding keys for
-# the packing certificate and the oracle, qi-compare's bounds and CSV
-# rows), so only one block of temporaries is alive at once (a block of
-# ``next_sphere`` is whole exponent rows, so it can exceed BLOCK_KEYS). Even,
+# (the candidates of ``spread``'s key ranges and of ``next_sphere``'s
+# blocks, decoding keys for the packing certificate and the oracle,
+# qi-compare's bounds and CSV rows), so only one block of temporaries is
+# alive at once. Block sizes are approximate where the blocks are cut by
+# value: a range of ``spread`` is cut from the frontier's keys, and a block
+# of ``next_sphere`` is whole exponent rows, so either can exceed it. Even,
 # so a matrix product over a block never has a lone row, which numpy would
 # sum in another order (see ``suspension._projected_norms``).
 BLOCK_KEYS = 1 << 16
@@ -201,16 +204,18 @@ class StepTable:
             self._reach[row] = reach
         return reach
 
-    def certified_rows(self, keys: np.ndarray, what: str) -> np.ndarray:
-        """The exponent rows (k + radius) of the keys, once the packing
-        certificate has passed: the keys' translates lie within the keys'
-        reach plus the largest twisted element at the keys' exponents, and
-        within their exponent range plus the largest z step; ValidationError
-        naming ``what`` if either could leave the layout.
+    def certified_rows(self, keys: np.ndarray, what: str):
+        """The exponent rows (k + radius) of the keys and the number of keys
+        in each row, once the packing certificate has passed: the keys'
+        translates lie within the keys' reach plus the largest twisted
+        element at the keys' exponents, and within their exponent range plus
+        the largest z step; ValidationError naming ``what`` if either could
+        leave the layout.
         """
         layout = self.layout
         rows = keys >> layout.k_shift
-        present = np.flatnonzero(np.bincount(rows, minlength=len(self.deltas)))
+        counts = np.bincount(rows, minlength=len(self.deltas))
+        present = np.flatnonzero(counts)
         twist = [0] * layout.dim
         for row in present.tolist():
             twist = list(map(max, twist, self._row_reach(row)))
@@ -219,12 +224,12 @@ class StepTable:
         if len(present):
             k_reach = max(layout.radius - int(present[0]), int(present[-1]) - layout.radius)
             certify(what, "exponents", k_reach + max(map(abs, self.dks)), layout.radius)
-        return rows
+        return rows, counts
 
     def translates(self, keys: np.ndarray, what: str) -> np.ndarray:
         """Each key's right translates by the table's elements, (n, elements),
         after the packing certificate of ``certified_rows``."""
-        return keys[:, None] + self.deltas[self.certified_rows(keys, what)]
+        return keys[:, None] + self.deltas[self.certified_rows(keys, what)[0]]
 
 
 def translate_steps(ctx: GroupContext, elements: tuple, radius: int) -> StepTable:
@@ -266,13 +271,21 @@ def distinct(values: np.ndarray) -> np.ndarray:
     """Sorted distinct values. (np.unique of int64 hashes before it sorts,
     which is many times slower than one sort.)"""
     ordered = np.sort(values)
-    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    return ordered[_heads(ordered)]
+
+
+def _heads(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values in a sorted array."""
+    heads = np.empty(len(ordered), dtype=bool)
+    heads[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=heads[1:])
+    return heads
 
 
 def _first_runs(ordered: np.ndarray, index: np.ndarray):
     """The distinct values of the sorted array ``ordered`` and, for each,
     the least ``index`` entry over its run."""
-    heads = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    heads = np.flatnonzero(_heads(ordered))
     return ordered[heads], np.minimum.reduceat(index, heads)
 
 
@@ -282,18 +295,6 @@ def _unseen(fresh: np.ndarray, previous) -> np.ndarray:
     for seen in previous:
         keep &= ~find(seen, fresh)[1]
     return keep
-
-
-def next_layer(translates: np.ndarray, previous) -> np.ndarray:
-    """The breadth-first layer after a frontier, as sorted distinct keys.
-
-    ``translates`` holds the frontier's generator translates, and those in
-    the sorted layers ``previous`` (the frontier and the layer before it) are
-    dropped: the generators are symmetric, so nothing earlier is adjacent to
-    the frontier.
-    """
-    fresh = distinct(translates.ravel())
-    return fresh[_unseen(fresh, previous)]
 
 
 def next_sphere(table: StepTable, frontier: np.ndarray, previous, what: str):
@@ -319,9 +320,8 @@ def next_sphere(table: StepTable, frontier: np.ndarray, previous, what: str):
     mask over all (element, generator) pairs; its set bits, read in order,
     give the breadth-first order without a sort.
     """
-    rows = table.certified_rows(frontier, what)
+    rows, counts = table.certified_rows(frontier, what)
     n_rows, n_gens = table.deltas.shape
-    counts = np.bincount(rows, minlength=n_rows)
     # A stable sort of small unsigned rows is a radix sort.
     by_row = rows.astype(np.min_scalar_type(n_rows)).argsort(kind="stable")
     del rows
@@ -406,27 +406,64 @@ def spread(keys: np.ndarray, rounds: int, table: StepTable, budget: int, what: s
 
     Distance to a set is 1-Lipschitz, so layer j + 1 (the elements at
     distance j + 1 from S) is the set of neighbours of layer j outside layers
-    j and j - 1: each round is one ``next_layer`` step from all of S at once.
-    The step runs on BLOCK_KEYS frontier keys at a time (each block with its
-    own packing certificate), and the blocks' layers are merged. Returns
+    j and j - 1: each round is one breadth-first step from all of S at once,
+    and the last one writes the union of every layer and its step. Returns
     sorted distinct keys; BudgetError once the union exceeds ``budget``
     elements.
+
+    A round certifies its whole frontier, then builds its output over ranges
+    of keys cut at every ``BLOCK_KEYS // (generators + 1)``-th frontier key,
+    so a range has about BLOCK_KEYS candidates while neighbouring exponent
+    rows are alike (a row far denser than the next fills that row's ranges
+    with its z translates). A generator adds one increment to the keys of
+    one exponent row, so the row's translates that land in a range are a
+    sorted run: a range's candidates are these runs (in the last round, with
+    every layer's slice of the range), merged by one stable sort and
+    deduplicated; earlier rounds drop the last two layers' slices from them.
+    The ranges' outputs come in key order and are joined, so no round merges
+    or sorts its whole output.
     """
     layers = [keys]
-    previous = (keys, keys[:0])
-    total = len(keys)
-    for _ in range(rounds):
-        frontier = previous[0]
-        fresh = [
-            next_layer(table.translates(frontier[lo : lo + BLOCK_KEYS], what), previous)
-            for lo in range(0, max(len(frontier), 1), BLOCK_KEYS)
-        ]
-        fresh = fresh[0] if len(fresh) == 1 else distinct(np.concatenate(fresh))
-        total += len(fresh)
-        if total > budget:
-            raise BudgetError(f"{what} exceeds budget of {budget} elements")
-        layers.append(fresh)
-        previous = (fresh, frontier)
-    union = np.concatenate(layers)
-    union.sort()
-    return union
+    width = max(BLOCK_KEYS // (len(table.dks) + 1), 1)
+    for step in range(rounds):
+        last = step == rounds - 1
+        frontier = layers[-1]
+        cuts = frontier[width::width]
+        near = layers if last else layers[-2:]
+        total = 0 if last else sum(map(len, layers))
+        out = [keys[:0]]
+        for runs, *slices in zip(_translate_runs(table, frontier, cuts, what),
+                                 *(np.split(layer, layer.searchsorted(cuts)) for layer in near)):
+            runs += [(piece, 0) for piece in slices] if last else []
+            cand = np.empty(sum(len(run) for run, _ in runs), dtype=np.int64)
+            end = 0
+            for run, delta in runs:
+                np.add(run, delta, out=cand[end : end + len(run)])
+                end += len(run)
+            cand.sort(kind="stable")  # timsort, which merges the sorted runs
+            fresh = cand[_heads(cand)]
+            out.append(fresh if last else fresh[_unseen(fresh, slices)])
+            total += len(out[-1])
+            if total > budget:
+                raise BudgetError(f"{what} exceeds budget of {budget} elements")
+        del cand, fresh
+        layers.append(np.concatenate(out))
+    return layers[-1]
+
+
+def _translate_runs(table: StepTable, frontier: np.ndarray, cuts: np.ndarray, what: str):
+    """Per range of keys between the cuts, once the packing certificate has
+    passed, the runs (frontier keys, increment) whose translates land in it:
+    one per present exponent row and generator. A cut is clamped to a row's
+    translated ends before the increment is taken off, so it stays in int64.
+    """
+    counts = table.certified_rows(frontier, what)[1]
+    present = np.flatnonzero(counts)
+    hi = np.repeat(np.cumsum(counts)[present], len(table.dks))
+    lo = hi - np.repeat(counts[present], len(table.dks))
+    deltas = table.deltas[present].reshape(-1, 1)
+    targets = np.clip(cuts, frontier[lo, None] + deltas, frontier[hi - 1, None] + deltas + 1)
+    at = np.column_stack((lo, frontier.searchsorted(targets - deltas), hi)).T.tolist()
+    deltas = deltas.ravel().tolist()
+    return ([(frontier[a:b], d) for d, a, b in zip(deltas, starts, ends) if a < b]
+            for starts, ends in zip(at, at[1:]))

@@ -85,12 +85,17 @@ def column_diameter(oracle: WordLengthOracle, xs: np.ndarray, ks: np.ndarray) ->
     twice the set's reach bounds the quotients and the differences (every
     column of A^-k has a nonzero entry); ValidationError naming the
     diameter if that could overflow int64.
+
+    The exponent spread is taken first: a set whose spread exceeds the
+    radius gets (radius + 1) before any element is looked up.
     """
     if not len(ks):
         raise ValidationError("diameter of an empty set")
-    lengths = oracle.column_lengths(xs, ks)
     radius = oracle.radius
     best = int(ks.max()) - int(ks.min())
+    if best > radius:
+        return Diameter(radius + 1, False)
+    lengths = oracle.column_lengths(xs, ks)
     known = lengths[lengths >= 0]
     if known.size:
         best = max(best, int(known.max() - known.min()))

@@ -272,6 +272,68 @@ def test_map_keys_memory(cat_matrix):
     assert peak - start < MAP_KEYS_PEAK_BYTES
 
 
+# Traced bytes that one spread may hold above its input, over the image of
+# the control's k = 11 set (207,360 keys, 542,882 in the union): 10.6 MiB
+# with blocks of BLOCK_KEYS frontier keys whose layers are then merged and
+# sorted, 8.3 MiB built by ranges of output keys (the union, and the
+# ranges' outputs while they are joined).
+SPREAD_PEAK_BYTES = 9 << 20
+
+
+def test_spread_memory(cat_matrix):
+    layout, keys, args = control_sets(cat_matrix, 12)[11]
+    mapped = dynamics._map_keys(layout, keys, *args)
+    mapped.sort()
+    table = packed.StepTable.lattice(layout)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        union = packed.spread(mapped, 1, table, 10**6, "control step 12")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(mapped), len(union)) == (207360, 542882)
+    assert peak - start < SPREAD_PEAK_BYTES
+
+
+def test_growth_point_beyond_the_radius_neither_unpacks_nor_looks_up_the_set(
+        ctx, gens, cat_matrix, monkeypatch):
+    # At k = 8 the exponents span 17 > 12: the diameter's lower bound comes
+    # from the first and last keys; only the envelope check unpacks, by blocks.
+    oracle = word_ball(ctx, gens, 12)
+    unpacked, looked_up, points = [], [], []
+    unpack, column_lengths, iterate = packed.KeyLayout.unpack, oracle.column_lengths, dynamics._iterate
+
+    def counted_unpack(self, keys):
+        unpacked.append(len(keys))
+        return unpack(self, keys)
+
+    def counted_lengths(xs, ks):
+        looked_up.append(len(ks))
+        return column_lengths(xs, ks)
+
+    def watched_iterate(*args):
+        *args, point = args
+
+        def watched(k, keys):
+            unpacked.clear()
+            looked_up.clear()
+            done = point(k, keys)
+            points.append((k, len(keys), max(unpacked, default=0), len(looked_up)))
+            return done
+
+        return iterate(*args, watched)
+
+    monkeypatch.setattr(packed.KeyLayout, "unpack", counted_unpack)
+    monkeypatch.setattr(oracle, "column_lengths", counted_lengths)
+    monkeypatch.setattr(dynamics, "_iterate", watched_iterate)
+    cfg = IterationConfig.make(ctx, phi_conj_z(), 1, default_a0(ctx), 8,
+                               choose_lambda(cat_matrix, phi_conj_z()))
+    curve = run_iteration(ctx, gens, cfg, oracle)
+    assert (curve.points[-1].diameter, curve.points[-1].diameter_exact) == (13, False)
+    assert points[-1] == (8, 207623, packed.BLOCK_KEYS, 0)
+
+
 def test_blockwise_map_keys_match_one_block(cat_matrix, monkeypatch):
     calls = control_sets(cat_matrix, 8)
     whole = [dynamics._map_keys(layout, keys, *args) for layout, keys, args in calls]

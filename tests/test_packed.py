@@ -162,19 +162,46 @@ def test_control_matches_tuple_loop_variants(rows, n, a0, k_max):
     assert got == reference_control(rows, n, a0, k_max)
 
 
-def test_blocked_spread_and_control_diameter_match_the_references(cat_matrix, monkeypatch):
-    # Blocks of 7 keys put block edges inside every frontier and iterate, so
-    # the blocks' layers must merge across shared neighbours.
-    monkeypatch.setattr(packed, "BLOCK_KEYS", 7)
-    for rows in (CAT, D3_REAL):
-        ctx = GroupContext(ToralMatrix(rows))
-        gens = GeneratingSet.standard(ctx.dim)
-        s = random_set(np.random.default_rng(ctx.dim), ctx.dim, 40, 6, 2)
-        assert neighborhood(ctx, gens, s, 3) == reference_neighborhood(ctx, gens, s, 3)
-        a0 = [[0] * ctx.dim, [1] + [0] * (ctx.dim - 1)]
-        curve = abelian_control(ToralMatrix(rows), 1, a0, 6)
-        got = [(p.set_size, p.diameter) for p in curve.points]
-        assert got == reference_control(rows, 1, a0, 6)
+def test_blocked_spread_and_control_diameter_match_the_references(monkeypatch):
+    # Ranges cut at every frontier key (blocks of 1 and 2 keys) or every
+    # seventh one split exponent rows and coordinate rows, so each range
+    # takes part of several (row, generator) runs and earlier layers.
+    for block in (1, 2, 7):
+        monkeypatch.setattr(packed, "BLOCK_KEYS", block)
+        for rows in (CAT, D3_REAL):
+            ctx = GroupContext(ToralMatrix(rows))
+            gens = GeneratingSet.standard(ctx.dim)
+            s = random_set(np.random.default_rng(ctx.dim), ctx.dim, 40, 6, 2)
+            a0 = [[0] * ctx.dim, [1] + [0] * (ctx.dim - 1)]
+            lattice = packed.StepTable.lattice(packed.KeyLayout(ctx.dim, 0))
+            for n in (1, 2, 3):
+                assert neighborhood(ctx, gens, s, n) == reference_neighborhood(ctx, gens, s, n)
+                assert neighborhood(ctx, gens, set(), n) == set()
+                empty = packed.spread(np.empty(0, dtype=np.int64), n, lattice, 1, "empty set")
+                assert empty.dtype == np.int64 and not len(empty)
+                k_max = 6 // n
+                curve = abelian_control(ToralMatrix(rows), n, a0, k_max)
+                got = [(p.set_size, p.diameter) for p in curve.points]
+                assert got == reference_control(rows, n, a0, k_max)
+
+
+def test_spread_certificate_reads_the_whole_frontier(monkeypatch):
+    # The far element opens the frontier (exponent 0) and the element at
+    # exponent 3, whose generators twist furthest, closes it: the reach of
+    # the one plus the twist of the other may leave the layout, whatever
+    # the ranges.
+    ctx = GroupContext(ToralMatrix(CAT))
+    gens = GeneratingSet.standard(2)
+    table, keys = packed.pack_elements(
+        ctx, gens, [GroupElement(((1 << 28) - 10, 0), 0), GroupElement((0, 0), 3)], 1, "sample")
+    for block in (1 << 16, 1):
+        monkeypatch.setattr(packed, "BLOCK_KEYS", block)
+        with pytest.raises(ValidationError) as refused:
+            packed.spread(keys, 1, table, 100, "neighborhood")
+        assert str(refused.value) == (
+            "neighborhood does not fit the int64 key layout: "
+            "coordinates may reach 268435459 > 268435455"
+        )
 
 
 def test_control_rejects_negative_k_max(cat_matrix):

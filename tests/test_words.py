@@ -170,6 +170,19 @@ def test_set_diameter_lower_bound_beyond_radius(ctx, oracle6):
     assert d == (7, False)
 
 
+def test_diameter_beyond_the_radius_in_exponents_looks_nothing_up(ctx, oracle6, monkeypatch):
+    # Exponents 0 and 7 are further apart than the radius 6, so the lower
+    # bound needs no word length.
+    def refuse(xs, ks):
+        raise AssertionError(f"looked up {len(ks)} elements")
+
+    monkeypatch.setattr(oracle6, "column_lengths", refuse)
+    spread_out = [GroupElement((0, 0), 0), GroupElement((1, 0), 3),
+                  GroupElement((982734, -2387), 7)]
+    assert set_diameter(oracle6, spread_out) == (7, False)
+    assert column_diameter(oracle6, *element_columns(spread_out, 2)) == (7, False)
+
+
 @pytest.mark.parametrize("b, v, e", [
     (CAT, (0, 0), 1),
     (CAT, (1, -2), 1),
