@@ -318,7 +318,11 @@ def next_sphere(table: StepTable, frontier: np.ndarray, previous, what: str):
     Each block's candidates are deduplicated keeping the least flat index
     (frontier position * generators + generator), which is marked in one
     mask over all (element, generator) pairs; its set bits, read in order,
-    give the breadth-first order without a sort.
+    give the breadth-first order without a sort. The block's slices of the
+    two ``previous`` spheres join that sort with flat index -1, so a run
+    whose least index is negative holds a key seen before and is dropped:
+    the one sort deduplicates the candidates and drops the seen keys, with
+    no binary search of the earlier spheres per fresh key.
     """
     rows, counts = table.certified_rows(frontier, what)
     n_rows, n_gens = table.deltas.shape
@@ -336,9 +340,12 @@ def next_sphere(table: StepTable, frontier: np.ndarray, previous, what: str):
             r0, r1 = (min(max(row - dk, 0), n_rows) for row in (lo, hi))
             if starts[r0] < starts[r1]:
                 pieces.append((g, r0, r1, starts[r0], starts[r1]))
-        cand = np.empty(sum(b - a for *_, a, b in pieces), dtype=np.int64)
-        if not len(cand):
+        size = sum(b - a for *_, a, b in pieces)
+        if not size:
             continue
+        span = (lo << table.layout.k_shift, hi << table.layout.k_shift)  # the block's rows
+        seen = [keys[slice(*keys.searchsorted(span))] for keys in previous]
+        cand = np.empty(size + sum(map(len, seen)), dtype=np.int64)
         flat = np.empty_like(cand)
         at = 0
         for g, r0, r1, a, b in pieces:
@@ -349,6 +356,11 @@ def next_sphere(table: StepTable, frontier: np.ndarray, previous, what: str):
             np.add(grouped[a:b], step, out=cand[at : at + b - a])
             np.add(by_row[a:b], g, out=flat[at : at + b - a])
             at += b - a
+        for keys in seen:
+            cand[at : at + len(keys)] = keys
+            at += len(keys)
+        flat[size:] = -1  # below every flat index, so a seen key's run is dropped
+        del seen
         # Distinct candidates, each with its least flat index, from an
         # unstable sort; each array is freed as soon as it is permuted.
         order = cand.argsort()
@@ -357,8 +369,7 @@ def next_sphere(table: StepTable, frontier: np.ndarray, previous, what: str):
         del order
         fresh, first = _first_runs(cand, flat)
         del cand, flat
-        span = (lo << table.layout.k_shift, hi << table.layout.k_shift)  # the block's rows
-        keep = _unseen(fresh, [seen[slice(*seen.searchsorted(span))] for seen in previous])
+        keep = first >= 0
         ranked.append(fresh[keep])
         firsts[first[keep]] = True
     del by_row, grouped

@@ -1,13 +1,20 @@
 """qi-compare's CSV writer: ``qi_r<R>.csv`` as bytes, equal to csv.writer's.
 
 csv.writer formats a float with ``repr``, about 1 us per float through
-bignums. Here each distinct float is formatted once, and those in the band
-of ``shortest_text`` (positive, 1e-4 <= x < 2**50, where ``repr`` prints
-fixed notation) by a numpy kernel that computes ``repr``'s digits exactly
-with uint64 arithmetic, a whole block of values per numpy call; ``repr``
-formats only the few values outside the band, such as the identity row's
-ratio 0.0. The two float columns are formatted one after the other, in
-the calling process.
+bignums. Here each distinct bound is formatted once, and each ratio once
+per distinct bound of its sphere (the rows of one length), and those in the
+band of ``shortest_text`` (positive, 1e-4 <= x < 2**50, where ``repr``
+prints fixed notation) by a numpy kernel that computes ``repr``'s digits
+exactly with uint64 arithmetic, a whole block of values per numpy call;
+``repr`` formats only the few values outside the band, such as the identity
+row's ratio 0.0. The two float columns are formatted one after the other,
+in the calling process.
+
+One sort remains, the bound column's (``text_table``): it finds the
+distinct bounds and puts them in order. The ratio column needs none
+(``ratio_table``): within a sphere every ratio is l / b for one length l,
+which falls as the bound b rises, so the bound order already orders each
+sphere's ratios.
 """
 
 from __future__ import annotations
@@ -167,17 +174,30 @@ def _repr_text(x: np.ndarray) -> np.ndarray:
     return np.array(list(map(repr, x.tolist())), dtype="S")
 
 
+def _texts(values: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The repr of each float of ``values``, whose run [start, stop) is the
+    band of ``shortest_text`` and whose other values are outside it, as a
+    zero-padded bytes table of the itemsize of its longest text. Formats at
+    most ``TEXT_BLOCK`` values at a time, each block wholly inside the band
+    (``shortest_text``) or outside it (``repr``)."""
+    n = len(values)
+    cuts = sorted({0, start, stop, n, *range(0, n, TEXT_BLOCK)})
+    return np.concatenate([
+        (shortest_text if start <= lo < stop else _repr_text)(values[lo:hi])
+        for lo, hi in zip(cuts, cuts[1:])
+    ])
+
+
 def text_table(values: np.ndarray):
     """The repr of each distinct float, formatted once, as a zero-padded
     bytes table, and each value's uint32 row in it.
 
     Values are told apart by their bits, so -0.0 and 0.0 keep their own
     text; one sort finds them (np.unique hashes int64, see packed.distinct),
-    and leaves the band of ``shortest_text`` as one run of rows. The sort's
-    temporaries are freed before formatting, which runs on at most
-    ``TEXT_BLOCK`` distinct values at a time, each block wholly inside the
-    band (``shortest_text``) or outside it (``repr``). The table's itemsize
-    is that of its longest text.
+    and leaves the band of ``shortest_text`` as one run of rows, which
+    ``_texts`` formats once the sort's temporaries are freed. The table's
+    rows are in the order of the values' bits, which for positive floats is
+    their order.
     """
     bits = values.view(np.int64)
     order = bits.argsort()
@@ -192,14 +212,48 @@ def text_table(values: np.ndarray):
     codes[order] = rows
     distinct = values[order[first]]
     del order, first, rows
-    start, stop = distinct.view(np.int64).searchsorted(BAND).tolist()
-    n = len(distinct)
-    cuts = sorted({0, start, stop, n, *range(0, n, TEXT_BLOCK)})
-    table = np.concatenate([
-        (shortest_text if start <= lo < stop else _repr_text)(distinct[lo:hi])
-        for lo, hi in zip(cuts, cuts[1:])
-    ])
-    return table, codes
+    return _texts(distinct, *distinct.view(np.int64).searchsorted(BAND).tolist()), codes
+
+
+def ratio_table(lengths: np.ndarray, bounds: np.ndarray, bound_codes: np.ndarray):
+    """The repr of each ratio length / bound, as a zero-padded bytes table,
+    and each row's uint32 row in it, for nondecreasing ``lengths`` and
+    positive ``bounds`` whose ``text_table`` rows are ``bound_codes``.
+
+    No sort: the rows of one length (a sphere of the ball) are one run, and
+    the sphere's ratios l / b fall as b rises, since correctly rounded
+    division is monotone. So the sphere's distinct bounds, in the order of
+    their bound rows, give its ratios in falling order: a mask over the
+    sphere's span of bound rows marks them, and its running count is each
+    row's ratio row. In that order the band of ``shortest_text`` is one run,
+    cut off by counting the ratios above and below it. Two distinct bounds
+    that give one ratio only give its text twice.
+    """
+    codes = np.empty(len(lengths), dtype=np.uint32)
+    tables = []
+    at = 0
+    edges = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(), len(lengths)]
+    for lo, hi in zip(edges, edges[1:]):
+        sphere = bound_codes[lo:hi]
+        least = sphere.min()
+        span = sphere - least
+        used = np.zeros(int(span.max()) + 1, dtype=bool)
+        used[span] = True
+        # One value per bound row of the span, so each distinct bound appears once.
+        distinct = np.empty(len(used))
+        distinct[span] = bounds[lo:hi]
+        ratios = np.divide(float(lengths[lo]), distinct[used])
+        del distinct
+        rank = np.cumsum(used, dtype=np.uint32)
+        rank -= 1  # the span's first row is used, so no count is 0
+        rank += at
+        np.take(rank, span, out=codes[lo:hi])
+        del span, used, rank
+        bits = ratios.view(np.int64)
+        above, below = np.count_nonzero(bits >= BAND[1]), np.count_nonzero(bits < BAND[0])
+        tables.append(_texts(ratios, int(above), len(ratios) - int(below)))
+        at += len(ratios)
+    return np.concatenate(tables), codes
 
 
 def write_qi_csvs(outdir: Path, rep: suspension.QiReport, sizes: dict):
@@ -207,11 +261,12 @@ def write_qi_csvs(outdir: Path, rep: suspension.QiReport, sizes: dict):
     rows (length, bound, ratio) of ``rep``, byte for byte as csv.writer
     writes them: ints and float reprs, comma separated and CRLF terminated.
 
-    The bound and then the ratio text table are built in this process, one
-    after the other. A block of ``packed.BLOCK_KEYS`` rows is gathered from
-    the text tables of its three columns straight into a preallocated
-    buffer of fixed-width, NUL-padded rows whose commas and CRLF are filled
-    in once, and the block drops its padding at once. The rows are
+    The bound text table and then, from its rows, the ratio text table are
+    built in this process, one after the other. A block of
+    ``packed.BLOCK_KEYS`` rows is gathered from the text tables of its three
+    columns straight into a preallocated buffer of fixed-width, NUL-padded
+    rows whose commas and CRLF are filled in once, and the block drops its
+    padding at once. The rows are
     assembled once, for the largest file: every smaller file is a byte
     prefix of it, cut where the byte lengths of its rows add up to its last
     row.
@@ -222,8 +277,8 @@ def write_qi_csvs(outdir: Path, rep: suspension.QiReport, sizes: dict):
         # Sized to the longest length's digits: astype("S") alone gives S21.
         "length": (np.arange(longest + 1).astype(f"S{len(str(longest))}"), lengths),
         "bound": text_table(rep.bounds),
-        "ratio": text_table(rep.ratios),
     }
+    columns["ratio"] = ratio_table(lengths, rep.bounds, columns["bound"][1])
     rows = np.empty(packed.BLOCK_KEYS, dtype=[
         ("length", columns["length"][0].dtype), ("comma0", "S1"),
         ("bound", columns["bound"][0].dtype), ("comma1", "S1"),

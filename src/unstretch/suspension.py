@@ -177,10 +177,6 @@ class QiReport:
     lengths: np.ndarray
     bounds: np.ndarray
 
-    @property
-    def ratios(self) -> np.ndarray:
-        return self.lengths / self.bounds
-
 
 def qi_comparison(oracle: WordLengthOracle, split: HyperbolicSplitting) -> QiReport:
     """Compare exact word lengths with the logarithmic cover bound over
@@ -224,7 +220,7 @@ def qi_report(radius: int, lengths: np.ndarray, bounds: np.ndarray) -> QiReport:
     The line is fitted on the full arrays, so the fitted slope, intercept
     and q_hat do not depend on any blocking. ``line_fit`` gives the bits
     of ``np.polyfit(bounds, lengths, 1)`` with fewer arrays alive: it holds
-    at most about 32 bytes per row above the bounds and uint8 lengths (9
+    at most about 24 bytes per row above the bounds and uint8 lengths (9
     bytes per row), against polyfit's 48, plus LAPACK's own copy of the
     matrix and lengths (24 bytes per row) during the solve, and
     ``qi_comparison`` has let the ball go by then. The fit and the ratios
@@ -253,13 +249,28 @@ def line_fit(x: np.ndarray, y: np.ndarray):
     float64 ``x``, bit-equal to ``np.polyfit(x, y, 1)``: polyfit's own steps
     (``lstsq`` on the Vandermonde matrix scaled to unit-norm columns, rcond
     n * eps, the coefficients divided by the scale, RankWarning when the
-    rank is short) without its float copy of ``x``, and with the float copy
-    of ``y`` made only once the scale is taken. So the matrix and its
-    squares, or the matrix and the float ``y``, are all it allocates."""
-    lhs = np.vander(x, 2)
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    rcond = len(x) * np.finfo(float).eps
+    rank is short) without its float copy of ``x``, its Vandermonde matrix
+    or that matrix's squares, and with the float copy of ``y`` made only
+    once the scale is taken. So the scaled matrix and the float ``y`` are all it
+    allocates.
+
+    The scaled matrix is written in place. polyfit's column norms come from
+    ``(lhs * lhs).sum(axis=0)`` on the (n, 2) matrix, which adds each
+    column's squares in row order, not pairwise as ``np.sum`` of one column
+    would: column 0 holds the squares of ``x`` and their running sum in row
+    order (``np.add.accumulate``), whose last entry is that norm's square,
+    before it is overwritten by ``x`` over the norm. Column 1 is the ones
+    column, whose squares add to n exactly, so it is 1 / sqrt(n).
+    """
+    n = len(x)
+    lhs = np.empty((n, 2))
+    squares = lhs[:, 0]
+    np.multiply(x, x, out=squares)
+    np.add.accumulate(squares, out=squares)
+    scale = np.sqrt([squares[-1], n])
+    np.divide(x, scale[0], out=squares)
+    lhs[:, 1] = 1.0 / scale[1]
+    rcond = n * np.finfo(float).eps
     coef, _, rank, _ = np.linalg.lstsq(lhs, y.astype(float), rcond)
     if rank != 2:
         warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning,

@@ -27,8 +27,7 @@ from . import matrices
 from .errors import ValidationError
 from .group import GeneratingSet, GroupContext, GroupElement, ToralMatrix
 from .oracle import DEFAULT_ELEMENT_BUDGET, WordLengthOracle, word_ball  # noqa: F401
-from .packed import (KeyLayout, certify, element_columns, pack_elements, spread,
-                     translate_steps)
+from .packed import KeyLayout, element_columns, pack_elements, spread, translate_steps
 
 _INT64_MAX = (1 << 63) - 1
 # choose_lambda bounds ||A^i v|| by lam^i for 2 < i <= I_MAX.
@@ -83,8 +82,10 @@ def column_diameter(oracle: WordLengthOracle, xs: np.ndarray, ks: np.ndarray) ->
     radius, so it is in the oracle. Any quotient outside the oracle radius
     yields the certified lower bound (radius + 1). Each row of A^-k times
     twice the set's reach bounds the quotients and the differences (every
-    column of A^-k has a nonzero entry); ValidationError naming the
-    diameter if that could overflow int64.
+    column of A^-k has a nonzero entry); where that bound could overflow
+    int64, the quotients of that g are computed exactly in Python ints
+    instead, and one with a coordinate past the key layout's ``x_limit`` is
+    outside the ball.
 
     The exponent spread is taken first: a set whose spread exceeds the
     radius gets (radius + 1) before any element is looked up.
@@ -115,13 +116,30 @@ def column_diameter(oracle: WordLengthOracle, xs: np.ndarray, ks: np.ndarray) ->
         k = int(ks[a])
         rows = oracle.ctx.matrix_power(-k)
         bound = max(sum(abs(m) * r for m, r in zip(row, reach)) for row in rows)
-        certify("diameter", "quotient coordinates", bound, _INT64_MAX)
-        quotients = np.array(rows, dtype=np.int64) @ (xs[:, a + 1 : end] - xs[:, a, None])
+        if bound <= _INT64_MAX:
+            quotients = np.array(rows, dtype=np.int64) @ (xs[:, a + 1 : end] - xs[:, a, None])
+        else:
+            quotients = _exact_quotients(rows, xs[:, a + 1 : end], xs[:, a],
+                                         oracle.layout.x_limit)
+            if quotients is None:
+                return Diameter(radius + 1, False)
         found = oracle.column_lengths(quotients, ks[a + 1 : end] - k)
         if found.min() < 0:
             return Diameter(radius + 1, False)
         best = max(best, int(found.max()))
     return Diameter(best, True)
+
+
+def _exact_quotients(rows, partners: np.ndarray, x: np.ndarray, limit: int):
+    """The quotient coordinates rows @ (x_h - x) of the partners' coordinate
+    rows, computed in Python ints, as int64 coordinate rows; None if one of
+    them exceeds ``limit``."""
+    x = x.tolist()
+    quotients = [matrices.matvec(rows, [v - c for v, c in zip(h, x)])
+                 for h in zip(*partners.tolist())]
+    if any(abs(v) > limit for q in quotients for v in q):
+        return None
+    return np.array(quotients, dtype=np.int64).T
 
 
 class BoxSet:

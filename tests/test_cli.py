@@ -1,5 +1,3 @@
-import csv
-import io
 import json
 import os
 import subprocess
@@ -8,6 +6,7 @@ import tracemalloc
 import weakref
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from unstretch.config import COMMON_KEYS, EXPERIMENT_NAMES, ExperimentConfig, lo
 from unstretch.errors import CertificationError
 from unstretch.experiments import REGISTRY, ExperimentInfo, list_experiments, prepare
 
+import qi_csv_sweep
 import repr_sweep
 
 CAT = [[2, 1], [1, 1]]
@@ -286,13 +286,8 @@ def test_qi_csvs_match_csv_writer_over_each_radius(tmp_path, monkeypatch, block)
     split = compute_splitting(matrix)
     for r in (6, 8):
         rep = qi_comparison(oracle.restricted(r), split)
-        buf = io.StringIO(newline="")
-        writer = csv.writer(buf)
-        writer.writerow(["word_length", "bound", "ratio"])
-        writer.writerows(zip(
-            rep.lengths.astype(int).tolist(), rep.bounds.tolist(), rep.ratios.tolist()
-        ))
-        assert (out / f"qi_r{r}.csv").read_bytes() == buf.getvalue().encode()
+        want = qi_csv_sweep.csv_bytes(rep.lengths, rep.bounds)
+        assert (out / f"qi_r{r}.csv").read_bytes() == want
         assert per[str(r)] == {
             "q_hat": rep.q_hat,
             "fitted_slope": rep.fitted_slope,
@@ -301,6 +296,25 @@ def test_qi_csvs_match_csv_writer_over_each_radius(tmp_path, monkeypatch, block)
             "coverage_ok": rep.coverage_ok,
             "entries": rep.n_entries,
         }
+
+
+def test_qi_csvs_of_hand_built_columns_match_csv_writer(tmp_path):
+    # Length 0 gives the ratio 0.0, below the kernel's band. In length 3,
+    # 1e-16 gives a ratio above the band, and 4e4 and 1e5 ratios below it,
+    # which repr prints in exponent notation. In length 7, 3.3 and the float
+    # after it give one ratio. The bound 2.5 repeats within and across lengths.
+    tie = np.nextafter(3.3, 4.0)
+    assert 7 / 3.3 == 7 / tie
+    lengths = np.array([0, 3, 3, 3, 3, 3, 7, 7, 7, 7], dtype=np.uint8)
+    bounds = np.array([2.0, 2.5, 1e-16, 1e5, 2.5, 4e4, 3.3, tie, 2.5, 3.3])
+    sizes = {0: 1, 3: 6, 7: 10}
+    qicsv.write_qi_csvs(tmp_path, SimpleNamespace(lengths=lengths, bounds=bounds), sizes)
+    for r, n in sizes.items():
+        want = qi_csv_sweep.csv_bytes(lengths[:n], bounds[:n])
+        assert (tmp_path / f"qi_r{r}.csv").read_bytes() == want
+    text = (tmp_path / "qi_r7.csv").read_bytes()
+    assert b"0,2.0,0.0\r\n" in text and b"3,1e-16,3e+16\r\n" in text
+    assert b"3,100000.0,3e-05\r\n" in text
 
 
 def test_qi_repeated_radius_is_one_radius(tmp_path):
@@ -353,11 +367,14 @@ def test_qi_bfs_radius_above_the_largest_radius_exits_2_before_building_a_ball(
 # (600,617 rows): 105.0 with the whole table unpacked and every distinct
 # float formatted at once, 64.4 with blockwise bounds and batched repr, 57.4
 # with np.polyfit's float copies of both columns alive through its solve,
-# and 48.0 once the line fit allocates only its Vandermonde matrix, its
-# squares and a float copy of the lengths. The CSV writer sets that peak;
-# the comparison alone peaks at 41.4 (57.4 with polyfit).
-QI_PEAK_BYTES_PER_ROW = 50
-QI_COMPARISON_PEAK_BYTES_PER_ROW = 45
+# 48.0 once the line fit allocates only its Vandermonde matrix, its
+# squares and a float copy of the lengths, and 42.0 once the ratio column is
+# coded sphere by sphere from the bound column's rows, with no ratio array
+# and no second argsort. The CSV writer sets that peak, in its row blocks;
+# the comparison alone peaks at 33.4 with the scaled matrix written in
+# place (41.4 with the squares, 57.4 with polyfit).
+QI_PEAK_BYTES_PER_ROW = 44
+QI_COMPARISON_PEAK_BYTES_PER_ROW = 37
 
 
 def test_qi_compare_memory_per_row(tmp_path, ctx, gens, cat_matrix):
@@ -409,17 +426,24 @@ def test_qi_compare_frees_the_ball_before_the_fit(tmp_path, monkeypatch):
 def test_failing_text_table_propagates_and_writes_no_csv(
     tmp_path, monkeypatch, oracle8, cat_matrix
 ):
+    # The ratio column's table is built last, once the bound column's
+    # text_table exists.
     rep = qi_comparison(oracle8, compute_splitting(cat_matrix))
+    built = []
     text_table = qicsv.text_table
 
-    def fail_on_ratios(values):
-        if values is not rep.bounds:
-            raise MemoryError("planted text-table failure")
+    def recorded(values):
+        built.append(values is rep.bounds)
         return text_table(values)
 
-    monkeypatch.setattr(qicsv, "text_table", fail_on_ratios)
+    def fail_on_ratios(*args):
+        raise MemoryError("planted text-table failure")
+
+    monkeypatch.setattr(qicsv, "text_table", recorded)
+    monkeypatch.setattr(qicsv, "ratio_table", fail_on_ratios)
     with pytest.raises(MemoryError, match="planted text-table failure"):
         qicsv.write_qi_csvs(tmp_path, rep, {8: rep.n_entries})
+    assert built == [True]
     assert not (tmp_path / "qi_r8.csv").exists()
 
 
@@ -500,8 +524,9 @@ def test_text_table_is_repr_of_each_float():
 
 def test_radius_14_text_tables_are_repr(ctx, gens, cat_matrix):
     rep = qi_comparison(word_ball(ctx, gens, 14), compute_splitting(cat_matrix))
-    for values in rep.bounds, rep.ratios:
-        table, codes = qicsv.text_table(values)
+    bounds = qicsv.text_table(rep.bounds)
+    ratios = qicsv.ratio_table(rep.lengths, rep.bounds, bounds[1])
+    for values, (table, codes) in (rep.bounds, bounds), (rep.lengths / rep.bounds, ratios):
         distinct = np.empty(len(table))
         distinct[codes] = values
         assert np.array_equal(distinct[codes].view(np.int64), values.view(np.int64))

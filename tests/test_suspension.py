@@ -202,7 +202,8 @@ def test_uint8_lengths_give_the_float64_report(cat_matrix, oracle8):
     fields = lambda rep: (rep.q_hat, rep.fitted_slope, rep.intercept, rep.max_ratio,
                           rep.coverage_ok, rep.n_entries)
     assert fields(top) == fields(wide)
-    assert np.array_equal(top.ratios.view(np.int64), wide.ratios.view(np.int64))
+    ratios = [rep.lengths / rep.bounds for rep in (top, wide)]
+    assert np.array_equal(*(r.view(np.int64) for r in ratios))
 
 
 def bits(values) -> list:
@@ -219,6 +220,18 @@ def test_line_fit_is_polyfit_bit_for_bit(cat_matrix, oracle8):
         datasets.append((x, y))
     for x, y in datasets:
         assert bits(line_fit(x, y)) == bits(np.polyfit(x, y, 1))
+
+
+def test_line_fit_scales_by_the_in_order_sum_of_squares():
+    # polyfit's column norm adds the squares in row order. Here a pairwise
+    # sum (np.sum of the column) differs in its last bit, and a fit scaled
+    # by it differs from polyfit's in both coefficients.
+    rng = np.random.default_rng(0)
+    x = 2.0 + rng.random(1000) * 30
+    y = (0.5 * x + rng.normal(size=1000)).clip(0, 255).astype(np.uint8)
+    squares = x * x
+    assert np.sum(squares) != np.cumsum(squares)[-1]
+    assert bits(line_fit(x, y)) == bits(np.polyfit(x, y, 1))
 
 
 def test_line_fit_warns_as_polyfit_on_a_rank_deficient_fit():

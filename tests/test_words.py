@@ -21,7 +21,7 @@ from unstretch import (
     set_diameter,
     word_ball,
 )
-from unstretch import matrices
+from unstretch import matrices, words
 from unstretch.autos import apply_automorphism, enumerate_commuting_matrices
 from unstretch.dynamics import check_box_inclusion_phi, iterate_once
 from unstretch.packed import element_columns, pack_elements, spread, translate_steps
@@ -248,14 +248,38 @@ def test_column_diameter_matches_the_scalar_loop_on_random_sets(ctx, oracle6):
     assert seen == {True, False}
 
 
-def test_column_diameter_refuses_a_quotient_that_could_overflow(ctx, oracle6):
+def test_column_diameter_computes_a_quotient_past_int64_exactly(ctx, oracle6):
     # A^-3 = ((5, -8), (-8, 13)), so quotients of coordinate differences up
-    # to 2 * 2^61 could overflow int64; at k = 0 the same pair is a certified
-    # miss.
+    # to 2 * 2^61 could overflow int64: they are computed in Python ints,
+    # and (-5 * 2^61, 8 * 2^61) is outside the ball, as is the same pair at k = 0.
     pair = [GroupElement((2**61, 0), 3), GroupElement((0, 0), 3)]
-    with pytest.raises(ValidationError, match="diameter does not fit"):
-        set_diameter(oracle6, pair)
+    assert assert_diameter_matches_reference(ctx, oracle6, pair) == (7, False)
     assert set_diameter(oracle6, [GroupElement((2**61, 0), 0), ctx.identity]) == (7, False)
+
+
+@pytest.mark.parametrize("k", [2000, 8000])
+def test_column_diameter_of_a_pair_at_a_huge_exponent_is_a_miss(ctx, oracle6, k):
+    # A^-k (1, 0) has hundreds of digits: far past the key layout, so the
+    # pair is certified longer than the radius instead of refused.
+    pair = [GroupElement((0, 0), k), GroupElement((1, 0), k)]
+    assert set_diameter(oracle6, pair) == (7, False)
+    assert_diameter_matches_reference(ctx, oracle6, pair)
+
+
+def test_column_diameter_computes_exactly_only_what_could_overflow(ctx, oracle6, monkeypatch):
+    # A^40's entries are near 2^55, so the pair's quotient could overflow
+    # int64, yet it is (1, 0): the exact path finds it in the ball.
+    far = matrices.matvec(ctx.matrix_power(40), (1, 0))
+    pair = [GroupElement((0, 0), 40), GroupElement(far, 40)]
+    assert assert_diameter_matches_reference(ctx, oracle6, pair) == (1, True)
+
+    def refuse(*args):
+        raise AssertionError("an in-range set took the exact path")
+
+    # A set whose quotients fit int64 stays on the int64 path.
+    monkeypatch.setattr(words, "_exact_quotients", refuse)
+    near = [g for g, n in oracle6.items() if n <= 3]
+    assert assert_diameter_matches_reference(ctx, oracle6, near) == (6, True)
 
 
 def test_neighborhood_basics(ctx, gens, oracle6):
