@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -158,4 +159,9 @@ def load_config(path) -> ExperimentConfig:
                               f"at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config file {p} is not valid JSON: {exc}") from None
+    except ValueError:  # json's integer parse past the digit limit
+        raise ValidationError(
+            f"config file {p} holds an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
     return ExperimentConfig.from_dict(data)

@@ -1,4 +1,5 @@
-"""Exceptions shared across the package, and the default element budget.
+"""Exceptions shared across the package, the default element budget, and
+the text of a bound in their messages.
 
 The CLI maps these onto exit codes: ValidationError -> 2, BudgetError -> 3,
 CertificationError -> 4.
@@ -9,6 +10,16 @@ CertificationError -> 4.
 # lives in this leaf module so that the config can default to it without
 # loading the word-metric modules.
 DEFAULT_ELEMENT_BUDGET = 50_000_000
+
+
+def int_text(n: int) -> str:
+    """``str(n)`` of a bound n >= 0, or, when n has more digits than Python
+    converts to text (``sys.get_int_max_str_digits``), its size as a power
+    of two."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"more than 2^{(n - 1).bit_length() - 1}"
 
 
 class UnstretchError(Exception):

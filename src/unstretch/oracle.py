@@ -3,12 +3,12 @@
 Elements x * z^k are packed into int64 keys (``packed.KeyLayout``), so that a
 generator step is one integer addition. ``word_ball`` enumerates the ball one
 sphere at a time with the ordered breadth-first step of ``packed.py``
-(``next_sphere``, which streams each sphere by blocks of exponents), and
-``WordLengthOracle`` stores it as the keys in breadth-first order with the
-sphere sizes. Only lookups need a sorted copy of the keys with their uint8
-lengths, so it is built on the first lookup. A packing certificate checked
-before every sphere makes the ball refuse to grow past what the layout holds
-instead of wrapping.
+(``next_sphere``, which builds each sphere range by range of output keys,
+as ``spread`` does), and ``WordLengthOracle`` stores it as the keys in
+breadth-first order with the sphere sizes. Only lookups need a sorted copy
+of the keys with their uint8 lengths, so it is built on the first lookup. A
+packing certificate checked before every sphere makes the ball refuse to
+grow past what the layout holds instead of wrapping.
 """
 
 from __future__ import annotations
@@ -144,9 +144,10 @@ def word_ball(
     and r-2 (the generators are symmetric, so no earlier element is adjacent
     to sphere r-1), keeping first occurrences in (element, generator) order,
     which is the order a dictionary-driven search would insert them in. The
-    step streams the candidates by blocks of whole exponent rows, so the
-    candidates alive at once are about BLOCK_KEYS or one row's, whichever is
-    larger, not the whole sphere's.
+    step builds the sphere over ranges of output keys cut from the sorted
+    frontier, as ``spread`` does, so the candidates alive at once are about
+    BLOCK_KEYS (more where a dense exponent row overfills its neighbour's
+    ranges), not the whole sphere's.
 
     Raises BudgetError once a completed sphere takes the table past
     ``budget`` elements, reporting the spheres before it as the largest

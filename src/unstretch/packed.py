@@ -6,13 +6,13 @@ sorted array of distinct keys. ``StepTable`` holds the key increments of
 the generators (or of a ball, for the box checks) at each exponent.
 ``spread`` grows right neighborhoods U_N(S) (behind ``words.neighborhood``,
 the set iteration and its lattice control in ``dynamics``) by unordered
-breadth-first steps, built range by range of output keys from sorted runs
-of translates. The word ball (``oracle.word_ball``) also needs each sphere
-in breadth-first order: ``next_sphere`` is the ordered step, which streams
-the candidates by blocks of exponents and reads the order off one mask over
-the (element, generator) pairs. Each step is preceded by a packing
-certificate on its whole frontier that raises ValidationError instead of
-wrapping.
+breadth-first steps. The word ball (``oracle.word_ball``) also needs each
+sphere in breadth-first order: ``next_sphere`` is the ordered step, which
+reads the order off one mask over the (element, generator) pairs. Both
+steps build their output range by range of output keys, from the sorted
+runs of translates that ``_translate_runs`` cuts off the sorted frontier,
+after a packing certificate on the whole frontier that raises
+ValidationError instead of wrapping.
 
 Unpacked elements are coordinate rows: the coordinates of n elements are one
 C-contiguous (dim, n) int64 array whose row i holds every x_i, and their
@@ -30,20 +30,19 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, int_text
 from .group import GeneratingSet, GroupContext, GroupElement
 
 # Packed element keys use this many bits of an int64, so keys are nonnegative.
 KEY_BITS = 63
 # Keys or rows per block wherever a whole set is processed in pieces
-# (the candidates of ``spread``'s key ranges and of ``next_sphere``'s
-# blocks, decoding keys for the packing certificate and the oracle,
-# qi-compare's bounds and CSV rows), so only one block of temporaries is
-# alive at once. Block sizes are approximate where the blocks are cut by
-# value: a range of ``spread`` is cut from the frontier's keys, and a block
-# of ``next_sphere`` is whole exponent rows, so either can exceed it. Even,
-# so a matrix product over a block never has a lone row, which numpy would
-# sum in another order (see ``suspension._projected_norms``).
+# (the candidates of a breadth-first step's ranges of output keys, decoding
+# keys for the packing certificate and the oracle, qi-compare's bounds and
+# CSV rows), so only one block of temporaries is alive at once. A range's
+# size is approximate: it is cut from the frontier's keys, so a dense
+# neighbouring exponent row can overfill it. Even, so a matrix product over
+# a block never has a lone row, which numpy would sum in another order (see
+# ``suspension._projected_norms``).
 BLOCK_KEYS = 1 << 16
 
 
@@ -166,7 +165,7 @@ def certify(what: str, kind: str, reach: int, limit: int):
     if reach > limit:
         raise ValidationError(
             f"{what} does not fit the int64 key layout: "
-            f"{kind} may reach {reach} > {limit}"
+            f"{kind} may reach {int_text(reach)} > {limit}"
         )
 
 
@@ -307,63 +306,30 @@ def next_sphere(table: StepTable, frontier: np.ndarray, previous, what: str):
     adjacent to the frontier). Returns the sphere and the next step's
     ``previous``.
 
-    The packing certificate runs on the whole frontier first. Then the
-    candidates are streamed: a candidate's exponent is its source's plus its
-    generator's z part, so the candidates split by exponent into blocks that
-    share no key. The frontier is grouped by exponent once, and each block
-    takes its sources for each generator as one slice of the grouped
-    frontier. A block is cut at the first exponent row that brings it to
-    BLOCK_KEYS candidates and never splits a row, so the candidates alive at
-    once are bounded by BLOCK_KEYS plus the largest row, not by BLOCK_KEYS.
-    Each block's candidates are deduplicated keeping the least flat index
-    (frontier position * generators + generator), which is marked in one
-    mask over all (element, generator) pairs; its set bits, read in order,
-    give the breadth-first order without a sort. The block's slices of the
-    two ``previous`` spheres join that sort with flat index -1, so a run
-    whose least index is negative holds a key seen before and is dropped:
-    the one sort deduplicates the candidates and drops the seen keys, with
-    no binary search of the earlier spheres per fresh key.
+    The ranges of output keys and their sorted runs of translates are
+    ``spread``'s (``_translate_runs``, which certifies the whole frontier
+    first). A translate's flat index is its source's breadth-first position
+    * generators + its generator. A range's runs and its slices of the
+    ``previous`` spheres (flat index -1) are merged by one stable sort and
+    deduplicated keeping each key's least flat index; a negative one marks
+    a key seen before, which is dropped. The fresh keys' flat indices are
+    set in one mask over all (element, generator) pairs, whose set bits,
+    read in order, give the breadth-first order without a sort.
     """
-    rows, counts = table.certified_rows(frontier, what)
-    n_rows, n_gens = table.deltas.shape
-    # A stable sort of small unsigned rows is a radix sort.
-    by_row = rows.astype(np.min_scalar_type(n_rows)).argsort(kind="stable")
-    del rows
-    grouped = frontier[by_row]
-    by_row *= n_gens  # flat index of each grouped element's first generator
-    starts = np.concatenate(([0], np.cumsum(counts))).tolist()
-    firsts = np.zeros(len(frontier) * n_gens, dtype=bool)
+    ordered = previous[0]
+    base = frontier.argsort()  # the breadth-first position of each sorted key
+    base *= len(table.dks)  # the flat index of its first generator
+    firsts = np.zeros(len(frontier) * len(table.dks), dtype=bool)
     ranked = []
-    for lo, hi in _exponent_blocks(counts, table.dks):
-        pieces = []  # (generator, source rows, their slice of the grouped frontier)
-        for g, dk in enumerate(table.dks):
-            r0, r1 = (min(max(row - dk, 0), n_rows) for row in (lo, hi))
-            if starts[r0] < starts[r1]:
-                pieces.append((g, r0, r1, starts[r0], starts[r1]))
-        size = sum(b - a for *_, a, b in pieces)
-        if not size:
-            continue
-        span = (lo << table.layout.k_shift, hi << table.layout.k_shift)  # the block's rows
-        seen = [keys[slice(*keys.searchsorted(span))] for keys in previous]
-        cand = np.empty(size + sum(map(len, seen)), dtype=np.int64)
-        flat = np.empty_like(cand)
+    for runs, seen in _translate_runs(table, ordered, previous, what):
+        cand = _candidates(ordered, runs, seen)
+        flat = np.full_like(cand, -1)  # below every flat index, so a seen key's run is dropped
         at = 0
-        for g, r0, r1, a, b in pieces:
-            if r1 - r0 == 1:
-                step = table.deltas[r0, g]
-            else:
-                step = np.repeat(table.deltas[r0:r1, g], counts[r0:r1])
-            np.add(grouped[a:b], step, out=cand[at : at + b - a])
-            np.add(by_row[a:b], g, out=flat[at : at + b - a])
+        for a, b, g, _ in runs:
+            np.add(base[a:b], g, out=flat[at : at + b - a])
             at += b - a
-        for keys in seen:
-            cand[at : at + len(keys)] = keys
-            at += len(keys)
-        flat[size:] = -1  # below every flat index, so a seen key's run is dropped
-        del seen
-        # Distinct candidates, each with its least flat index, from an
-        # unstable sort; each array is freed as soon as it is permuted.
-        order = cand.argsort()
+        # Timsort merges the sorted runs; each array is freed once permuted.
+        order = cand.argsort(kind="stable")
         cand = cand[order]
         flat = flat[order]
         del order
@@ -372,28 +338,9 @@ def next_sphere(table: StepTable, frontier: np.ndarray, previous, what: str):
         keep = first >= 0
         ranked.append(fresh[keep])
         firsts[first[keep]] = True
-    del by_row, grouped
+    del base
     ranked = np.concatenate(ranked)
-    return _read_in_order(table, frontier, firsts, len(ranked)), (ranked, previous[0])
-
-
-def _exponent_blocks(counts: np.ndarray, dks) -> list:
-    """(lo, hi) ranges of exponent rows that cut the candidates of a frontier
-    with ``counts`` elements per row into blocks of about BLOCK_KEYS, each
-    cut at the first row that brings it to BLOCK_KEYS."""
-    n_rows = len(counts)
-    per_row = np.zeros(n_rows, dtype=np.int64)  # candidates by exponent row
-    for dk in dks:  # row t gets one candidate per source in row t - dk
-        lo, hi = max(dk, 0), n_rows + min(dk, 0)
-        if lo < hi:
-            per_row[lo:hi] += counts[lo - dk : hi - dk]
-    cuts, size = [0], 0
-    for row, count in enumerate(per_row.tolist(), 1):
-        size += count
-        if size >= BLOCK_KEYS or row == n_rows:
-            cuts.append(row)
-            size = 0
-    return list(zip(cuts, cuts[1:]))
+    return _read_in_order(table, frontier, firsts, len(ranked)), (ranked, ordered)
 
 
 def _read_in_order(table: StepTable, frontier: np.ndarray, firsts: np.ndarray, size: int):
@@ -422,38 +369,24 @@ def spread(keys: np.ndarray, rounds: int, table: StepTable, budget: int, what: s
     sorted distinct keys; BudgetError once the union exceeds ``budget``
     elements.
 
-    A round certifies its whole frontier, then builds its output over ranges
-    of keys cut at every ``BLOCK_KEYS // (generators + 1)``-th frontier key,
-    so a range has about BLOCK_KEYS candidates while neighbouring exponent
-    rows are alike (a row far denser than the next fills that row's ranges
-    with its z translates). A generator adds one increment to the keys of
-    one exponent row, so the row's translates that land in a range are a
-    sorted run: a range's candidates are these runs (in the last round, with
-    every layer's slice of the range), merged by one stable sort and
-    deduplicated; earlier rounds drop the last two layers' slices from them.
-    The ranges' outputs come in key order and are joined, so no round merges
-    or sorts its whole output.
+    A round builds its output range by range of output keys
+    (``_translate_runs``): a range's sorted runs of translates (in the last
+    round, with every layer's slice of the range) are merged by one stable
+    sort and deduplicated; earlier rounds drop the last two layers' slices
+    from them. The outputs come in key order and are joined, so no round
+    sorts its whole output.
     """
     layers = [keys]
-    width = max(BLOCK_KEYS // (len(table.dks) + 1), 1)
     for step in range(rounds):
         last = step == rounds - 1
         frontier = layers[-1]
-        cuts = frontier[width::width]
-        near = layers if last else layers[-2:]
         total = 0 if last else sum(map(len, layers))
         out = [keys[:0]]
-        for runs, *slices in zip(_translate_runs(table, frontier, cuts, what),
-                                 *(np.split(layer, layer.searchsorted(cuts)) for layer in near)):
-            runs += [(piece, 0) for piece in slices] if last else []
-            cand = np.empty(sum(len(run) for run, _ in runs), dtype=np.int64)
-            end = 0
-            for run, delta in runs:
-                np.add(run, delta, out=cand[end : end + len(run)])
-                end += len(run)
+        for runs, near in _translate_runs(table, frontier, layers if last else layers[-2:], what):
+            cand = _candidates(frontier, runs, near if last else ())
             cand.sort(kind="stable")  # timsort, which merges the sorted runs
             fresh = cand[_heads(cand)]
-            out.append(fresh if last else fresh[_unseen(fresh, slices)])
+            out.append(fresh if last else fresh[_unseen(fresh, near)])
             total += len(out[-1])
             if total > budget:
                 raise BudgetError(f"{what} exceeds budget of {budget} elements")
@@ -462,19 +395,46 @@ def spread(keys: np.ndarray, rounds: int, table: StepTable, budget: int, what: s
     return layers[-1]
 
 
-def _translate_runs(table: StepTable, frontier: np.ndarray, cuts: np.ndarray, what: str):
-    """Per range of keys between the cuts, once the packing certificate has
-    passed, the runs (frontier keys, increment) whose translates land in it:
-    one per present exponent row and generator. A cut is clamped to a row's
-    translated ends before the increment is taken off, so it stays in int64.
+def _translate_runs(table: StepTable, frontier: np.ndarray, layers, what: str):
+    """The ranges of output keys of one breadth-first step from the sorted
+    ``frontier``: per range, once the packing certificate has passed, the
+    runs (start, stop, generator, increment) whose translates
+    ``frontier[start:stop] + increment`` land in it, and the range's slices
+    of the sorted ``layers``.
+
+    The ranges are cut at every ``BLOCK_KEYS // (generators + 1)``-th
+    frontier key, so a range has about BLOCK_KEYS candidates while
+    neighbouring exponent rows are alike (a row far denser than the next
+    fills that row's ranges with its z translates). A generator adds one
+    increment to an exponent row's keys, so there is one sorted run per
+    present row and generator. A cut is clamped to a row's translated ends
+    before the increment is taken off, so it stays in int64.
     """
     counts = table.certified_rows(frontier, what)[1]
+    n_gens = len(table.dks)
+    width = max(BLOCK_KEYS // (n_gens + 1), 1)
+    cuts = frontier[width::width]
     present = np.flatnonzero(counts)
-    hi = np.repeat(np.cumsum(counts)[present], len(table.dks))
-    lo = hi - np.repeat(counts[present], len(table.dks))
+    hi = np.repeat(np.cumsum(counts)[present], n_gens)
+    lo = hi - np.repeat(counts[present], n_gens)
     deltas = table.deltas[present].reshape(-1, 1)
     targets = np.clip(cuts, frontier[lo, None] + deltas, frontier[hi - 1, None] + deltas + 1)
     at = np.column_stack((lo, frontier.searchsorted(targets - deltas), hi)).T.tolist()
-    deltas = deltas.ravel().tolist()
-    return ([(frontier[a:b], d) for d, a, b in zip(deltas, starts, ends) if a < b]
+    steps = list(zip(list(range(n_gens)) * len(present), deltas.ravel().tolist()))
+    runs = ([(a, b, g, d) for (g, d), a, b in zip(steps, starts, ends) if a < b]
             for starts, ends in zip(at, at[1:]))
+    return zip(runs, zip(*(np.split(layer, layer.searchsorted(cuts)) for layer in layers)))
+
+
+def _candidates(keys: np.ndarray, runs, tail) -> np.ndarray:
+    """The translates ``keys[start:stop] + increment`` of the runs, then the
+    arrays of ``tail``, in one array."""
+    cand = np.empty(sum(b - a for a, b, *_ in runs) + sum(map(len, tail)), dtype=np.int64)
+    at = 0
+    for a, b, _, d in runs:
+        np.add(keys[a:b], d, out=cand[at : at + b - a])
+        at += b - a
+    for piece in tail:
+        cand[at : at + len(piece)] = piece
+        at += len(piece)
+    return cand

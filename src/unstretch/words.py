@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import matrices
-from .errors import ValidationError
+from .errors import ValidationError, int_text
 from .group import GeneratingSet, GroupContext, GroupElement, ToralMatrix
 from .oracle import DEFAULT_ELEMENT_BUDGET, WordLengthOracle, word_ball  # noqa: F401
 from .packed import KeyLayout, element_columns, pack_elements, spread, translate_steps
@@ -317,7 +317,7 @@ def check_inclusion(source: BoxSet, target: BoxSet, layout: KeyLayout, images, s
     if reach > layout.x_limit or source.h > layout.radius:
         raise ValidationError(
             f"{what} does not fit the int64 key layout: {source} reaches "
-            f"|x_i| = {reach}, |k| = {source.h}, beyond |x_i| <= {layout.x_limit}, "
+            f"|x_i| = {int_text(reach)}, |k| = {source.h}, beyond |x_i| <= {layout.x_limit}, "
             f"|k| <= {layout.radius}"
         )
     points = sample_box(rng, source, layout.dim, samples)

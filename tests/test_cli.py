@@ -23,7 +23,7 @@ import unstretch
 from unstretch import dynamics, packed, qicsv, words
 from unstretch.cli import main
 from unstretch.config import COMMON_KEYS, EXPERIMENT_NAMES, ExperimentConfig, load_config
-from unstretch.errors import CertificationError
+from unstretch.errors import CertificationError, int_text
 from unstretch.experiments import REGISTRY, ExperimentInfo, list_experiments, prepare
 
 import qi_csv_sweep
@@ -774,6 +774,51 @@ def test_validation_failure_leaves_no_output_directory(tmp_path, capsys, data):
             assert f"config key {key!r} must list at least one value" in err
     if data.get("box_ell_values") == [48]:
         assert "u1 inclusion check does not fit the int64 key layout" in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("key, message", [
+    # lam^20000 and A^20001 have tens of thousands of digits, more than
+    # Python turns into text; the refusals give their size instead.
+    ("box_ell_values", "reaches |x_i| = more than 2^"),
+    ("box_h_values", "coordinates may reach more than 2^"),
+], ids=["ell", "h"])
+def test_box_bound_too_long_to_print_exits_2(tmp_path, capsys, key, message):
+    out = tmp_path / "runs" / "out"
+    cfg = write_cfg(tmp_path, "box", {
+        "experiment": "box-lemmas", "matrix": CAT,
+        "automorphism": {"b": CAT, "v": [1, 0], "e": 1},
+        "box_ell_values": [2], "box_h_values": [2], "box_n_values": [1],
+        "box_samples": 10, key: [20000], "output_dir": str(out),
+    })
+    assert run_cli(cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: u1 inclusion check does not fit") and message in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_int_text_gives_the_size_only_of_an_integer_too_long_to_print():
+    limit = sys.get_int_max_str_digits()
+    for n in (0, 7, 10**limit - 1):
+        assert int_text(n) == str(n)
+    assert int_text(10**limit) == f"more than 2^{(10**limit).bit_length() - 1}"
+    assert int_text(1 << 20000) == "more than 2^19999"
+    assert int_text((1 << 20000) + 1) == "more than 2^20000"
+
+
+def test_config_integer_too_long_to_parse_exits_2(tmp_path, capsys):
+    # json raises a plain ValueError, not a JSONDecodeError, for an integer
+    # literal past Python's digit limit.
+    out = tmp_path / "runs" / "out"
+    cfg = tmp_path / "seed.json"
+    cfg.write_text(json.dumps({
+        "experiment": "ball-census", "matrix": CAT, "bfs_radius": 2, "seed": 0,
+        "output_dir": str(out),
+    }).replace('"seed": 0', '"seed": 1' + "0" * 5000))
+    assert run_cli(cfg) == 2
+    err = capsys.readouterr().err
+    assert err == (f"validation error: config file {cfg} holds an integer of more than "
+                   f"{sys.get_int_max_str_digits()} digits\n")
     assert not (tmp_path / "runs").exists()
 
 

@@ -120,11 +120,14 @@ def test_restricted_view_hides_longer_elements(oracle6):
     assert list(small.items()) == [(g, n) for g, n in oracle6.items() if n <= 3]
 
 
-@pytest.mark.parametrize("block", [1 << 16, 5])
-@pytest.mark.parametrize("rows, radius", [(CAT, 10), (D3_REAL, 6), (WIDE, 2)])
+@pytest.mark.parametrize("block", [1 << 16, 7, 5, 2, 1])
+@pytest.mark.parametrize("rows, radius", [
+    (CAT, 10), (D3_REAL, 6), (WIDE, 2), (((1, 1), (1, 0)), 10),
+])
 def test_streamed_ball_matches_dict_search(rows, radius, block, monkeypatch):
-    # Blocks of 5 candidates cut every sphere at each exponent, so each
-    # block is one exponent and the order is read off many mask chunks.
+    # Blocks of 7 candidates or fewer cut a range at every frontier key, so
+    # ranges split exponent and coordinate rows, and the order is read off
+    # many mask chunks.
     monkeypatch.setattr(packed, "BLOCK_KEYS", block)
     ctx = GroupContext(ToralMatrix(rows))
     gens = GeneratingSet.standard(ctx.dim)
@@ -165,8 +168,10 @@ def test_oracle_arrays_stay_small(ctx, gens):
 # Traced peak bytes per element while word_ball builds the radius-14 cat-map
 # ball (600,617 elements): 63.3 with whole-sphere candidate arrays and the
 # sorted lookup copy built with the ball, 24.8 with candidates streamed by
-# exponent block and the copy left to the first lookup.
-BALL_PEAK_BYTES_PER_ELEMENT = 32
+# exponent block and the copy left to the first lookup, 26.9 once seen keys
+# joined the block sort, and 18.8 with ranges of output keys cut from the
+# sorted frontier, which need no exponent-grouped copy of the frontier.
+BALL_PEAK_BYTES_PER_ELEMENT = 22
 
 
 def test_word_ball_memory_per_element(ctx, gens):

@@ -230,7 +230,8 @@ def test_control_seed_leaving_the_layout_is_refused(cat_matrix):
 
 
 def test_keys_sort_by_exponent_first():
-    # next_sphere slices a block's exponent rows out of sorted keys.
+    # _translate_runs takes each exponent row's keys as one slice of the
+    # sorted frontier.
     layout = packed.KeyLayout(3, 6)
     rng = np.random.default_rng(5)
     xs = rng.integers(-layout.x_limit, layout.x_limit + 1, size=(400, 3))
