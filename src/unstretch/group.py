@@ -194,11 +194,21 @@ class GroupContext:
         return GroupElement(tuple(-v for v in back), -g.k)
 
     def power(self, g: GroupElement, n: int) -> GroupElement:
-        """g^n by repeated multiplication; n may be negative."""
+        """g^n by repeated squaring of g or g^-1; n may be negative.
+
+        Powers of one element commute, so the product's order does not
+        matter, and about 2 log2 |n| multiplications ask for as many matrix
+        powers.
+        """
         base = g if n >= 0 else self.inverse(g)
         out = self.identity
-        for _ in range(abs(n)):
-            out = self.multiply(out, base)
+        n = abs(n)
+        while n:
+            if n & 1:
+                out = self.multiply(out, base)
+            n >>= 1
+            if n:
+                base = self.multiply(base, base)
         return out
 
 

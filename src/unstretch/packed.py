@@ -5,13 +5,14 @@ generator step is one integer addition and a finite set of elements is a
 sorted array of distinct keys. ``StepTable`` holds the key increments of
 the generators (or of a ball, for the box checks) at each exponent.
 ``spread`` grows right neighborhoods U_N(S) (behind ``words.neighborhood``,
-the set iteration and its lattice control in ``dynamics``) by unordered
-breadth-first steps. The word ball (``oracle.word_ball``) also needs each
-sphere in breadth-first order: ``next_sphere`` is the ordered step, which
-reads the order off one mask over the (element, generator) pairs. Both
-steps build their output range by range of output keys, from the sorted
-runs of translates that ``_translate_runs`` cuts off the sorted frontier,
-after a packing certificate on the whole frontier that raises
+the set iteration and its lattice control in ``dynamics``) by N unordered
+union rounds, each the union of the set with its translates by the
+generators. The word ball (``oracle.word_ball``) also needs each sphere in
+breadth-first order: ``next_sphere`` is the ordered step, which reads the
+order off one mask over the (element, generator) pairs. Both steps build
+their output range by range of output keys, from the sorted runs of
+translates that ``_translate_runs`` cuts off the sorted keys they step
+from, after a packing certificate on all of those keys that raises
 ValidationError instead of wrapping.
 
 Unpacked elements are coordinate rows: the coordinates of n elements are one
@@ -270,30 +271,16 @@ def distinct(values: np.ndarray) -> np.ndarray:
     """Sorted distinct values. (np.unique of int64 hashes before it sorts,
     which is many times slower than one sort.)"""
     ordered = np.sort(values)
-    return ordered[_heads(ordered)]
+    return ordered[heads(ordered)]
 
 
-def _heads(ordered: np.ndarray) -> np.ndarray:
-    """Mask of the first entry of each run of equal values in a sorted array."""
-    heads = np.empty(len(ordered), dtype=bool)
-    heads[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=heads[1:])
-    return heads
-
-
-def _first_runs(ordered: np.ndarray, index: np.ndarray):
-    """The distinct values of the sorted array ``ordered`` and, for each,
-    the least ``index`` entry over its run."""
-    heads = np.flatnonzero(_heads(ordered))
-    return ordered[heads], np.minimum.reduceat(index, heads)
-
-
-def _unseen(fresh: np.ndarray, previous) -> np.ndarray:
-    """Mask of the keys in ``fresh`` that none of the sorted arrays holds."""
-    keep = np.ones(len(fresh), dtype=bool)
-    for seen in previous:
-        keep &= ~find(seen, fresh)[1]
-    return keep
+def heads(values: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values; in a sorted
+    array, of each distinct value's first entry."""
+    mask = np.empty(len(values), dtype=bool)
+    mask[:1] = True
+    np.not_equal(values[1:], values[:-1], out=mask[1:])
+    return mask
 
 
 def next_sphere(table: StepTable, frontier: np.ndarray, previous, what: str):
@@ -333,7 +320,8 @@ def next_sphere(table: StepTable, frontier: np.ndarray, previous, what: str):
         cand = cand[order]
         flat = flat[order]
         del order
-        fresh, first = _first_runs(cand, flat)
+        starts = np.flatnonzero(heads(cand))
+        fresh, first = cand[starts], np.minimum.reduceat(flat, starts)
         del cand, flat
         keep = first >= 0
         ranked.append(fresh[keep])
@@ -362,45 +350,38 @@ def _read_in_order(table: StepTable, frontier: np.ndarray, firsts: np.ndarray, s
 def spread(keys: np.ndarray, rounds: int, table: StepTable, budget: int, what: str):
     """The right neighborhood S * B_rounds of the sorted distinct keys S.
 
-    Distance to a set is 1-Lipschitz, so layer j + 1 (the elements at
-    distance j + 1 from S) is the set of neighbours of layer j outside layers
-    j and j - 1: each round is one breadth-first step from all of S at once,
-    and the last one writes the union of every layer and its step. Returns
-    sorted distinct keys; BudgetError once the union exceeds ``budget``
-    elements.
+    B_rounds is B_1 to the power ``rounds``, and B_1 holds the identity, so
+    each round replaces the set by its union with its translates by the
+    generators. Returns sorted distinct keys; BudgetError once a union
+    exceeds ``budget`` elements.
 
-    A round builds its output range by range of output keys
-    (``_translate_runs``): a range's sorted runs of translates (in the last
-    round, with every layer's slice of the range) are merged by one stable
-    sort and deduplicated; earlier rounds drop the last two layers' slices
-    from them. The outputs come in key order and are joined, so no round
-    sorts its whole output.
+    A round builds the union range by range of output keys
+    (``_translate_runs``): a range's sorted runs of translates and the set's
+    own slice of the range are merged by one stable sort and deduplicated.
+    The ranges come in key order and are joined, so no round sorts its
+    whole output.
     """
-    layers = [keys]
-    for step in range(rounds):
-        last = step == rounds - 1
-        frontier = layers[-1]
-        total = 0 if last else sum(map(len, layers))
+    for _ in range(rounds):
         out = [keys[:0]]
-        for runs, near in _translate_runs(table, frontier, layers if last else layers[-2:], what):
-            cand = _candidates(frontier, runs, near if last else ())
+        total = 0
+        for runs, own in _translate_runs(table, keys, [keys], what):
+            cand = _candidates(keys, runs, own)
             cand.sort(kind="stable")  # timsort, which merges the sorted runs
-            fresh = cand[_heads(cand)]
-            out.append(fresh if last else fresh[_unseen(fresh, near)])
+            out.append(cand[heads(cand)])
             total += len(out[-1])
             if total > budget:
                 raise BudgetError(f"{what} exceeds budget of {budget} elements")
-        del cand, fresh
-        layers.append(np.concatenate(out))
-    return layers[-1]
+        del cand
+        keys = np.concatenate(out)
+    return keys
 
 
-def _translate_runs(table: StepTable, frontier: np.ndarray, layers, what: str):
+def _translate_runs(table: StepTable, frontier: np.ndarray, tails, what: str):
     """The ranges of output keys of one breadth-first step from the sorted
     ``frontier``: per range, once the packing certificate has passed, the
     runs (start, stop, generator, increment) whose translates
     ``frontier[start:stop] + increment`` land in it, and the range's slices
-    of the sorted ``layers``.
+    of the sorted arrays ``tails``.
 
     The ranges are cut at every ``BLOCK_KEYS // (generators + 1)``-th
     frontier key, so a range has about BLOCK_KEYS candidates while
@@ -423,7 +404,7 @@ def _translate_runs(table: StepTable, frontier: np.ndarray, layers, what: str):
     steps = list(zip(list(range(n_gens)) * len(present), deltas.ravel().tolist()))
     runs = ([(a, b, g, d) for (g, d), a, b in zip(steps, starts, ends) if a < b]
             for starts, ends in zip(at, at[1:]))
-    return zip(runs, zip(*(np.split(layer, layer.searchsorted(cuts)) for layer in layers)))
+    return zip(runs, zip(*(np.split(tail, tail.searchsorted(cuts)) for tail in tails)))
 
 
 def _candidates(keys: np.ndarray, runs, tail) -> np.ndarray:

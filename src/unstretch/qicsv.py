@@ -156,7 +156,7 @@ def shortest_text(x: np.ndarray) -> np.ndarray:
     words[:, 3::2] = _DIGITS4[halves - upper * 10**4]
     src = words.view(np.uint8)
     text = np.zeros((n, _WIDTH), dtype=np.uint8)
-    starts = [0, *(np.flatnonzero(exp[1:] != exp[:-1]) + 1).tolist(), n]
+    starts = [*np.flatnonzero(packed.heads(exp)).tolist(), n]
     for lo, hi in zip(starts, starts[1:]):
         k = int(exp[lo])
         point, first = max(k, 0) + 1, _LEAD + min(k, 0)
@@ -202,9 +202,7 @@ def text_table(values: np.ndarray):
     bits = values.view(np.int64)
     order = bits.argsort()
     ordered = bits[order]
-    first = np.empty(len(values), dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    first = packed.heads(ordered)
     del ordered
     rows = np.cumsum(first, dtype=np.uint32)
     rows -= 1
@@ -232,7 +230,7 @@ def ratio_table(lengths: np.ndarray, bounds: np.ndarray, bound_codes: np.ndarray
     codes = np.empty(len(lengths), dtype=np.uint32)
     tables = []
     at = 0
-    edges = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(), len(lengths)]
+    edges = [*np.flatnonzero(packed.heads(lengths)).tolist(), len(lengths)]
     for lo, hi in zip(edges, edges[1:]):
         sphere = bound_codes[lo:hi]
         least = sphere.min()

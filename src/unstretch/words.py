@@ -45,8 +45,8 @@ def neighborhood(
     """The right N-neighborhood S * B_N, as a set of elements.
 
     A set-in, set-out adapter over ``packed.spread``: the elements are packed
-    on a key layout that holds N more generator steps, grown by N
-    breadth-first rounds from all of them at once, and unpacked.
+    on a key layout that holds N more generator steps, replaced N times by
+    their union with their translates by the generators, and unpacked.
     """
     if n < 0:
         raise ValidationError("neighborhood rounds must be nonnegative")

@@ -246,6 +246,13 @@ def test_abelian_control_negative_k_max_exits_2(tmp_path):
         "automorphism": {"b": CAT, "v": [0, 0], "e": 1},
         "a0": [[[2**70, 0], 0]], "k_max": 2, "bfs_radius": 4,
     }, str(2**70)),
+    # Far along z: phi's image of the seed takes (v z^e)^100000, which
+    # GroupContext.power forms by squaring before the certificate refuses.
+    ("dyn", {
+        "experiment": "set-dynamics", "matrix": CAT,
+        "automorphism": {"b": CAT, "v": [0, 0], "e": 1},
+        "a0": [[[0, 0], 100000]], "k_max": 2, "bfs_radius": 6,
+    }, "iteration step 1"),
 ])
 def test_seed_leaving_the_key_layout_exits_2(tmp_path, capsys, name, data, step):
     out = tmp_path / "out"

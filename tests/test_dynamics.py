@@ -98,6 +98,19 @@ def test_run_iteration_certifies_envelope(ctx, gens, cat_matrix, oracle6):
     assert sizes == [3, 18, 77, 300, 1129]
 
 
+@pytest.mark.parametrize("n_rounds, sizes", [
+    (2, [3, 70, 660, 5204, 40042, 306635]),
+    (3, [3, 196, 3404, 52202, 799149]),
+])
+def test_run_iteration_with_several_neighborhood_rounds(ctx, gens, cat_matrix, oracle8,
+                                                        n_rounds, sizes):
+    # Sets of up to 799,149 keys, so each spread round runs over many ranges.
+    lam = choose_lambda(cat_matrix, phi_conj_z())
+    cfg = IterationConfig.make(ctx, phi_conj_z(), n_rounds, default_a0(ctx), len(sizes) - 1, lam)
+    curve = run_iteration(ctx, gens, cfg, oracle8)
+    assert [p.set_size for p in curve.points] == sizes
+
+
 def test_run_iteration_flags_inexact_diameters(ctx, gens, cat_matrix, oracle6):
     lam = choose_lambda(cat_matrix, phi_conj_z())
     cfg = IterationConfig.make(ctx, phi_conj_z(), 1, default_a0(ctx), 4, lam)

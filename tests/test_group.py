@@ -182,3 +182,14 @@ def test_power_matches_repeated_multiplication(ctx):
         assert ctx.power(g, n) == acc
         acc = ctx.multiply(acc, g)
     assert ctx.power(g, -3) == ctx.inverse(ctx.power(g, 3))
+
+
+def test_power_asks_for_logarithmically_many_matrix_powers(cat_matrix):
+    # Each multiplication caches A^k for its left factor's exponent k, so
+    # z^3000 by 3,000 multiplications would cache A^0 to A^2999.
+    ctx = GroupContext(cat_matrix)
+    assert ctx.power(ctx.z, 3000) == GroupElement((0, 0), 3000)
+    assert len(ctx._powers) <= 2 * (3000).bit_length() + 1
+    g = GroupElement((1, -1), 1)
+    assert ctx.power(g, 3000) == ctx.multiply(ctx.power(g, 1000), ctx.power(g, 2000))
+    assert ctx.power(g, -77) == ctx.inverse(ctx.power(g, 77))
