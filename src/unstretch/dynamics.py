@@ -327,7 +327,7 @@ def abelian_control(
     dim = A.dim
     if any(len(g.x) != dim for g in seeds):
         raise ValidationError(f"control seeds must have dimension {dim}")
-    table = StepTable.lattice(KeyLayout(dim, 0))
+    table = translate_steps(GroupContext(A), GeneratingSet.standard(dim).h_generators, 0)
     layout = table.layout
     keys = layout.pack_set(*element_columns(seeds, dim), "control seeds (step 0)")
     # Half the sign patterns suffice for the l1 diameter: s and -s give the

@@ -123,10 +123,10 @@ def check_hyperbolic(matrix: ToralMatrix) -> HyperbolicityReport:
 
 
 class GroupContext:
-    """Multiplication context: the defining matrix plus exact power caches.
+    """Multiplication context: the defining matrix plus exact caches.
 
-    The caches are keyed by exponent and only ever store values that are
-    functions of the key, so concurrent duplicate inserts are harmless.
+    The caches only ever store values that are functions of their key, so
+    concurrent duplicate inserts are harmless.
     """
 
     def __init__(self, matrix: ToralMatrix):
@@ -135,10 +135,11 @@ class GroupContext:
             raise ValidationError(f"defining matrix is not hyperbolic: {rep.reason}")
         self.matrix = matrix
         self.dim = matrix.dim
+        # Exact A^j by exponent j: the group law's twists, and the rows of
+        # every step table.
         self._powers: dict = {0: matrices.identity(matrix.dim)}
-        self._twists: dict = {}
         # Packed right-multiplication steps by (elements, key-layout radius),
-        # filled by packed.translate_steps.
+        # filled by packed.translate_steps, each row from one matrix power.
         self.step_tables: dict = {}
         # Word balls B_N as element tuples by (generating set, N), filled by
         # words.check_box_inclusion_un.
@@ -163,15 +164,6 @@ class GroupContext:
                 if n:
                     base = matrices.matmul(base, base)
             self._powers[j] = got
-        return got
-
-    def twist(self, k: int, y: tuple) -> tuple:
-        """Cached A^k y for the handful of vectors hit in hot loops."""
-        key = (k, y)
-        got = self._twists.get(key)
-        if got is None:
-            got = matrices.matvec(self.matrix_power(k), y)
-            self._twists[key] = got
         return got
 
     def _check_dim(self, g: GroupElement):
@@ -233,10 +225,6 @@ class GeneratingSet:
     @property
     def all(self) -> tuple:
         return self.h_generators + self.z_generators
-
-    @property
-    def dim(self) -> int:
-        return len(self.z_generators[0].x)
 
     def __post_init__(self):
         for g in self.h_generators:

@@ -38,9 +38,8 @@ class WordLengthOracle:
     oracle is a plain smaller oracle on a prefix of the keys.
     """
 
-    def __init__(self, ctx, gens, radius, layout, keys, sphere_sizes):
+    def __init__(self, ctx, radius, layout, keys, sphere_sizes):
         self.ctx = ctx
-        self.gens = gens
         self.radius = radius
         self.layout = layout
         self.keys = keys
@@ -126,7 +125,7 @@ class WordLengthOracle:
                 f"cannot restrict radius {self.radius} oracle to {radius}"
             )
         return WordLengthOracle(
-            self.ctx, self.gens, radius, self.layout,
+            self.ctx, radius, self.layout,
             self.keys[: self.ball_size(radius)], self.sphere_sizes[: radius + 1],
         )
 
@@ -174,12 +173,12 @@ def word_ball(
                 f"ball of radius {r} exceeds budget of {budget} elements",
                 completed_radius=r - 1,
                 partial=WordLengthOracle(
-                    ctx, gens, r - 1, layout, np.concatenate(spheres),
+                    ctx, r - 1, layout, np.concatenate(spheres),
                     [len(s) for s in spheres],
                 ),
             )
         spheres.append(sphere)
     del previous
     return WordLengthOracle(
-        ctx, gens, radius, layout, np.concatenate(spheres), [len(s) for s in spheres]
+        ctx, radius, layout, np.concatenate(spheres), [len(s) for s in spheres]
     )

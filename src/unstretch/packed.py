@@ -3,7 +3,9 @@
 An element x * z^k becomes one nonnegative int64 (``KeyLayout``), so a
 generator step is one integer addition and a finite set of elements is a
 sorted array of distinct keys. ``StepTable`` holds the key increments of
-the generators (or of a ball, for the box checks) at each exponent.
+the generators (or of a ball, for the box checks) at each exponent; the
+row of z^k is filled on first use from the context's exact A^k, and
+``translate_steps`` is the one way to get a table, cached in the context.
 ``spread`` grows right neighborhoods U_N(S) (behind ``words.neighborhood``,
 the set iteration and its lattice control in ``dynamics``) by N unordered
 union rounds, each the union of the set with its translates by the
@@ -28,6 +30,7 @@ faster than ``xs[:, index]``.
 from __future__ import annotations
 
 from itertools import chain
+from operator import mul
 
 import numpy as np
 
@@ -75,10 +78,6 @@ class KeyLayout:
         self.x_limit = self.x_offset - 1
         self.shifts = tuple(i * self.x_bits for i in range(dim))
         self.k_shift = dim * self.x_bits
-
-    def delta(self, y, m: int) -> int:
-        """The key increment of the translation by (y, m)."""
-        return sum(v << s for v, s in zip(y, self.shifts)) + (m << self.k_shift)
 
     def key(self, g: GroupElement):
         """The key of one element, or None if it does not fit."""
@@ -173,34 +172,33 @@ def certify(what: str, kind: str, reach: int, limit: int):
 class StepTable:
     """Key increments of right multiplication by a few elements, per exponent.
 
-    ``vectors(k)`` gives the lattice parts of the elements twisted to z^k and
-    ``dks`` their z-exponent parts. Row k + radius of ``deltas`` holds their
-    key increments; rows are filled when an exponent is first met, together
-    with the per-coordinate largest |lattice part|, which the packing
-    certificate adds to a frontier's reach.
+    Row k + radius of ``deltas`` holds the key increments of the elements
+    (y, m) twisted to z^k, (A^k y, m). A row is filled when its exponent is
+    first met: one Python-int product of the context's ``matrix_power(k)``
+    with the lattice parts y gives the twisted parts and the row's reach,
+    their per-coordinate largest |entry|, which the packing certificate adds
+    to a frontier's reach; a row that fits becomes increments in one int64
+    array step.
     """
 
-    def __init__(self, layout: KeyLayout, vectors, dks):
+    def __init__(self, ctx: GroupContext, elements: tuple, layout: KeyLayout):
+        self.ctx = ctx
         self.layout = layout
-        self.vectors = vectors
-        self.dks = tuple(dks)
+        self.ys = [b.x for b in elements]
+        self.dks = tuple(b.k for b in elements)
         self.deltas = np.zeros((2 * layout.radius + 1, len(self.dks)), dtype=np.int64)
         self._reach = [None] * (2 * layout.radius + 1)
-
-    @classmethod
-    def lattice(cls, layout: KeyLayout) -> "StepTable":
-        """The steps +-e_i of the plain lattice, on a layout with radius 0."""
-        units = [tuple(s * int(j == i) for j in range(layout.dim))
-                 for i in range(layout.dim) for s in (1, -1)]
-        return cls(layout, lambda k: units, [0] * len(units))
 
     def _row_reach(self, row: int) -> list:
         reach = self._reach[row]
         if reach is None:
-            vecs = self.vectors(row - self.layout.radius)
-            reach = [max(abs(v[i]) for v in vecs) for i in range(self.layout.dim)]
-            if max(reach) <= self.layout.x_limit:  # else certificates refuse the row
-                self.deltas[row] = list(map(self.layout.delta, vecs, self.dks))
+            layout = self.layout
+            parts = [[sum(map(mul, a, y)) for y in self.ys]
+                     for a in self.ctx.matrix_power(row - layout.radius)]
+            reach = [max(map(abs, p)) for p in parts]
+            if max(reach) <= layout.x_limit:  # else certificates refuse the row
+                units = 1 << np.array((*layout.shifts, layout.k_shift))
+                self.deltas[row] = units @ np.array([*parts, self.dks], dtype=np.int64)
             self._reach[row] = reach
         return reach
 
@@ -211,16 +209,24 @@ class StepTable:
         element at the keys' exponents, and within their exponent range plus
         the largest z step; ValidationError naming ``what`` if either could
         leave the layout.
+
+        Rows are visited nearest k = 0 first, and the running bound is
+        certified at each row first met, so keys at far exponents are
+        refused before the far rows' exact matrix powers are formed (the
+        bound only grows, so this refuses nothing the final check passes).
         """
         layout = self.layout
         rows = keys >> layout.k_shift
         counts = np.bincount(rows, minlength=len(self.deltas))
         present = np.flatnonzero(counts)
+        reach = layout.reach(keys)
         twist = [0] * layout.dim
-        for row in present.tolist():
+        for row in sorted(present.tolist(), key=lambda r: abs(r - layout.radius)):
+            fresh = self._reach[row] is None
             twist = list(map(max, twist, self._row_reach(row)))
-        reach = map(sum, zip(layout.reach(keys), twist))
-        certify(what, "coordinates", max(reach), layout.x_limit)
+            if fresh:
+                certify(what, "coordinates", max(map(sum, zip(reach, twist))), layout.x_limit)
+        certify(what, "coordinates", max(map(sum, zip(reach, twist))), layout.x_limit)
         if len(present):
             k_reach = max(layout.radius - int(present[0]), int(present[-1]) - layout.radius)
             certify(what, "exponents", k_reach + max(map(abs, self.dks)), layout.radius)
@@ -234,19 +240,16 @@ class StepTable:
 
 def translate_steps(ctx: GroupContext, elements: tuple, radius: int) -> StepTable:
     """The step table of right multiplication by ``elements`` (the generators,
-    for a breadth-first step) on the key layout of the given radius.
+    for a breadth-first step; the lattice generators at radius 0, for the
+    lattice control) on the key layout of the given radius.
 
     Tables live in the context's cache, so repeated small enumerations at one
-    radius do not rebuild them.
+    radius do not rebuild them, and their rows share its matrix powers.
     """
     table = ctx.step_tables.get((elements, radius))
     if table is None:
-        table = StepTable(
-            KeyLayout(ctx.dim, radius),
-            lambda k: [ctx.twist(k, b.x) for b in elements],
-            [b.k for b in elements],
-        )
-        ctx.step_tables[(elements, radius)] = table
+        table = ctx.step_tables[(elements, radius)] = StepTable(
+            ctx, elements, KeyLayout(ctx.dim, radius))
     return table
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -146,7 +147,9 @@ class BoxSet:
     """Elements with ||x|| <= lam^ell and |k| <= h, membership exact.
 
     The norm test is sum(x_i^2) <= p^(2 ell) // q^(2 ell) with lam = p/q in
-    lowest terms, so it is a pure integer comparison.
+    lowest terms, so it is a pure integer comparison. That bound is formed on
+    first use: lam > 2, so it exceeds 4^ell, which settles the int64 column
+    test and a key layout's refusal of a large box without it.
     """
 
     def __init__(self, lam, ell: int, h: int):
@@ -158,9 +161,12 @@ class BoxSet:
         self.lam = lam
         self.ell = int(ell)
         self.h = int(h)
+
+    @cached_property
+    def _norm_sq_max(self) -> int:
         # The squared norm is an integer, so it is at most p^(2 ell) / q^(2 ell)
         # exactly when it is at most this floor.
-        self._norm_sq_max = lam.numerator ** (2 * self.ell) // lam.denominator ** (2 * self.ell)
+        return self.lam.numerator ** (2 * self.ell) // self.lam.denominator ** (2 * self.ell)
 
     def __repr__(self):
         return f"BoxSet(lam={self.lam}, ell={self.ell}, h={self.h})"
@@ -183,7 +189,7 @@ class BoxSet:
             raise ValidationError(
                 f"coordinates beyond {limit} overflow the int64 box test"
             )
-        bound = min(self._norm_sq_max, _INT64_MAX)
+        bound = _INT64_MAX if 2 * self.ell >= 63 else min(self._norm_sq_max, _INT64_MAX)
         return (np.abs(ks) <= self.h) & ((xs * xs).sum(axis=0) <= bound)
 
     def norm_bound(self) -> Fraction:
@@ -312,8 +318,14 @@ def check_inclusion(source: BoxSet, target: BoxSet, layout: KeyLayout, images, s
     the same layout; every image is tested with the exact column test. A
     source box that does not fit the layout raises ValidationError naming
     ``what`` before any sample is drawn, so none is dropped.
+
+    lam > 2, so the box reaches |x_i| >= 2^ell. Where that lower bound
+    already passes the layout and is too long to print, the box is refused
+    with it, and its exact bound is never formed.
     """
-    reach = math.isqrt(source._norm_sq_max)
+    reach = 1 << source.ell
+    if reach <= layout.x_limit or int_text(reach).isdigit():
+        reach = math.isqrt(source._norm_sq_max)
     if reach > layout.x_limit or source.h > layout.radius:
         raise ValidationError(
             f"{what} does not fit the int64 key layout: {source} reaches "

@@ -21,6 +21,7 @@ import sys
 
 import numpy as np
 
+from conftest import CAT, D3_REAL
 from test_packed import coordinate_rows, random_set, reference_neighborhood
 from unstretch import GeneratingSet, GroupContext, GroupElement, ToralMatrix, packed
 
@@ -72,7 +73,8 @@ def main(argv: list[str]) -> int:
             case = f"matrix {matrix.entries}"
         else:
             points = {tuple(p) for p in rng.integers(-coord, coord + 1, size=(size, dim)).tolist()}
-            table = packed.StepTable.lattice(packed.KeyLayout(dim, 0))
+            ctx = GroupContext(ToralMatrix(CAT if dim == 2 else D3_REAL))
+            table = packed.translate_steps(ctx, GeneratingSet.standard(dim).h_generators, 0)
             xs = coordinate_rows(np.array(sorted(points), dtype=np.int64).reshape(-1, dim))
             keys = table.layout.pack_set(xs, np.zeros(len(points), dtype=np.int64), "sweep set")
             want = {GroupElement(p, 0) for p in lattice_reference(points, n)}

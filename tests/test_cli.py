@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -785,10 +786,12 @@ def test_validation_failure_leaves_no_output_directory(tmp_path, capsys, data):
 
 
 @pytest.mark.parametrize("key, message", [
-    # lam^20000 and A^20001 have tens of thousands of digits, more than
-    # Python turns into text; the refusals give their size instead.
-    ("box_ell_values", "reaches |x_i| = more than 2^"),
-    ("box_h_values", "coordinates may reach more than 2^"),
+    # lam^20000 has thousands of digits, more than Python turns into text;
+    # the refusal gives the size of its lower bound 2^20000 instead. A^20001
+    # has as many, but the certificate refuses at the first exponent row
+    # past the layout, nearest k = 0, whose bound prints.
+    ("box_ell_values", r"reaches \|x_i\| = more than 2\^19999, "),
+    ("box_h_values", r"coordinates may reach \d+ > 4194303\n"),
 ], ids=["ell", "h"])
 def test_box_bound_too_long_to_print_exits_2(tmp_path, capsys, key, message):
     out = tmp_path / "runs" / "out"
@@ -800,7 +803,22 @@ def test_box_bound_too_long_to_print_exits_2(tmp_path, capsys, key, message):
     })
     assert run_cli(cfg) == 2
     err = capsys.readouterr().err
-    assert err.startswith("validation error: u1 inclusion check does not fit") and message in err
+    assert err.startswith("validation error: u1 inclusion check does not fit")
+    assert re.search(message, err)
+    assert not (tmp_path / "runs").exists()
+
+
+def test_box_with_an_ell_of_a_million_exits_2_without_forming_its_bound(tmp_path):
+    # lam^(2 ell) at ell = 10^6 takes about a minute to form exactly; the
+    # box's lower bound 2^ell already passes the key layout.
+    out = tmp_path / "runs" / "out"
+    cfg = json.loads((Path(__file__).parent.parent / "configs/box-lemmas.json").read_text())
+    cfg = write_cfg(tmp_path, "box", {**cfg, "box_ell_values": [10**6], "output_dir": str(out)})
+    env = {**os.environ, "PYTHONPATH": str(Path(unstretch.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-m", "unstretch.cli", "run", "--config", str(cfg)],
+                         env=env, capture_output=True, text=True, timeout=30)
+    assert run.returncode == 2
+    assert "ell=1000000, h=2) reaches |x_i| = more than 2^999999, " in run.stderr
     assert not (tmp_path / "runs").exists()
 
 

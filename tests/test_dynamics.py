@@ -293,11 +293,11 @@ def test_map_keys_memory(cat_matrix):
 SPREAD_PEAK_BYTES = 9 << 20
 
 
-def test_spread_memory(cat_matrix):
+def test_spread_memory(ctx, gens, cat_matrix):
     layout, keys, args = control_sets(cat_matrix, 12)[11]
     mapped = dynamics._map_keys(layout, keys, *args)
     mapped.sort()
-    table = packed.StepTable.lattice(layout)
+    table = packed.translate_steps(ctx, gens.h_generators, 0)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

@@ -36,16 +36,14 @@ WIDE = ((1000001, 1000000), (1, 1))
 def _expand_frontier(ctx, gens, frontier, table, length):
     """One breadth-first layer of right multiplication with deduplication."""
     new = []
-    h_vecs = [g.x for g in gens.h_generators]
-    for x, k in frontier:
-        for y in h_vecs:
-            s = ctx.twist(k, y)
-            cand = GroupElement(tuple(a + b for a, b in zip(x, s)), k)
+    for g in frontier:
+        for y in gens.h_generators:
+            cand = ctx.multiply(g, y)
             if cand not in table:
                 table[cand] = length
                 new.append(cand)
         for dk in (1, -1):
-            cand = GroupElement(x, k + dk)
+            cand = GroupElement(g.x, g.k + dk)
             if cand not in table:
                 table[cand] = length
                 new.append(cand)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import CAT, D3_REAL
+from test_oracle import WIDE
 from unstretch import (
     BoxSet,
     GeneratingSet,
@@ -173,7 +174,7 @@ def test_blocked_spread_and_control_diameter_match_the_references(monkeypatch):
             gens = GeneratingSet.standard(ctx.dim)
             s = random_set(np.random.default_rng(ctx.dim), ctx.dim, 40, 6, 2)
             a0 = [[0] * ctx.dim, [1] + [0] * (ctx.dim - 1)]
-            lattice = packed.StepTable.lattice(packed.KeyLayout(ctx.dim, 0))
+            lattice = packed.translate_steps(ctx, gens.h_generators, 0)
             for n in (1, 2, 3):
                 assert neighborhood(ctx, gens, s, n) == reference_neighborhood(ctx, gens, s, n)
                 assert neighborhood(ctx, gens, set(), n) == set()
@@ -183,6 +184,42 @@ def test_blocked_spread_and_control_diameter_match_the_references(monkeypatch):
                 curve = abelian_control(ToralMatrix(rows), n, a0, k_max)
                 got = [(p.set_size, p.diameter) for p in curve.points]
                 assert got == reference_control(rows, n, a0, k_max)
+
+
+@pytest.mark.parametrize("radius", [3, 8])
+@pytest.mark.parametrize("rows", [CAT, ((1, 1), (1, 0)), D3_REAL], ids=["cat", "fib", "d3"])
+def test_step_table_rows_are_the_twisted_increments(rows, radius):
+    # Each row against its definition in Python ints: at z^k, the element
+    # (y, m) steps a key by key(A^k y, m) - key(0, 0), and the row's reach
+    # is the largest |A^k y| per coordinate.
+    ctx = GroupContext(ToralMatrix(rows))
+    gens = GeneratingSet.standard(ctx.dim)
+    for elements in (gens.all, tuple(word_ball(ctx, gens, 2).elements())):
+        table = packed.translate_steps(ctx, elements, radius)
+        layout = table.layout
+        for k in range(-radius, radius + 1):
+            z_k = GroupElement((0,) * ctx.dim, k)
+            twisted = [ctx.multiply(z_k, GroupElement(g.x, 0)).x for g in elements]
+            reach = [max(abs(y[i]) for y in twisted) for i in range(ctx.dim)]
+            assert table._row_reach(k + radius) == reach
+            assert max(reach) <= layout.x_limit
+            assert table.deltas[k + radius].tolist() == [
+                sum(v << s for v, s in zip(y, layout.shifts)) + (g.k << layout.k_shift)
+                for y, g in zip(twisted, elements)
+            ]
+
+
+def test_step_table_refuses_a_row_past_the_layout():
+    # WIDE's A e_i fits the 2^28 coordinate field of a radius-5 layout, and
+    # A^2 e_i, near 10^12, does not.
+    ctx = GroupContext(ToralMatrix(WIDE))
+    gens = GeneratingSet.standard(2)
+    table = packed.translate_steps(ctx, gens.all, 5)
+    z1, z2 = table.layout.pack_set(np.zeros((2, 2), dtype=np.int64), np.array([1, 2]), "z^k")
+    moved = table.translates(np.array([z1]), "z^1")[0]
+    assert table.layout.elements(moved) == [ctx.multiply(ctx.z, g) for g in gens.all]
+    with pytest.raises(ValidationError, match=r"z\^2 does not fit .* coordinates may reach"):
+        table.translates(np.array([z2]), "z^2")
 
 
 def test_spread_certificate_reads_the_whole_frontier(monkeypatch):

@@ -636,6 +636,21 @@ def test_inclusion_sample_outside_the_key_layout_raises(ctx, gens, cat_matrix, c
     assert rng.bit_generator.state == state
 
 
+def test_u1_check_at_a_huge_h_refuses_before_the_far_matrix_powers(ctx, gens, monkeypatch):
+    # 1000 exponents drawn from [-10^5, 10^5]: the row nearest k = 0 already
+    # twists past the layout, so no power beyond A^1000 is formed.
+    matrix_power = GroupContext.matrix_power
+
+    def near_powers_only(self, j):
+        if abs(j) > 1000:
+            pytest.fail(f"formed A^{j}")
+        return matrix_power(self, j)
+
+    monkeypatch.setattr(GroupContext, "matrix_power", near_powers_only)
+    with pytest.raises(ValidationError, match="u1 inclusion check does not fit"):
+        check_box_inclusion_u1(ctx, gens, 3, 2, 10**5, 1000, np.random.default_rng(0))
+
+
 def test_oracle_restriction(oracle6):
     small = oracle6.restricted(2)
     assert small.radius == 2
