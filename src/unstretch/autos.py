@@ -5,7 +5,9 @@ the lattice subgroup and sends z to v * z^e, subject to |det B| = 1 and the
 exact twist compatibility A^e B = B A. Application goes through the images of
 the generators and the group law, so one code path covers all sign cases; the
 closed form with the geometric sum of A^i v is a derived property, checked in
-the tests rather than assumed.
+the tests rather than assumed. ``apply_automorphism`` is the scalar reference;
+the set iteration maps packed keys by the triple itself
+(``dynamics._map_keys``), with the shift (v z^e)^k from the same group law.
 """
 
 from __future__ import annotations

@@ -13,13 +13,13 @@ where the word metric is the l1 distance and diameters are exact at any
 scale, to exhibit the contrasting exponential growth.
 
 Both iterations run on sorted int64 key arrays of one key layout fixed for
-the run (``packed.py``): the map is one array step on the unpacked coordinate
-rows, U_N is ``packed.spread``, and the envelope and diameters read the rows.
+the run (``packed.py``): the map applies an automorphism (the control's is
+(A, 0, +1)) as one array step on the unpacked coordinate rows, U_N is
+``packed.spread``, and the envelope and diameters read the rows.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -27,7 +27,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import packed
-from .autos import GroupAutomorphism, apply_automorphism, require_valid
+from .autos import GroupAutomorphism, require_valid
 from .errors import BudgetError, CertificationError, ValidationError
 from .group import GroupContext, GroupElement, ToralMatrix, lattice_element
 from .packed import (
@@ -92,39 +92,41 @@ def envelope_offset(h0: int, n_rounds: int, k: int) -> int:
     return sum(2 * (h0 + n_rounds * i) ** 2 for i in range(1, k + 1))
 
 
-def _map_keys(layout: KeyLayout, keys: np.ndarray, rows, shift, e: int, what: str):
-    """Keys of the images (M x + shift(k), e k) of the keys, in their order.
+def _map_keys(ctx: GroupContext, layout: KeyLayout, keys: np.ndarray,
+              phi: GroupAutomorphism, what: str):
+    """Keys of the images phi(x z^k) = (B x + c_k, e k) of the keys, in their
+    order, where c_k = ``ctx.power(v z^e, k).x`` is the lattice part of
+    (v z^e)^k, formed once for each exponent present.
 
-    ``rows`` is the integer matrix M and ``shift(k)`` a lattice vector per
-    exponent, asked once for each exponent present. Packing certificate: a
-    coordinate of the image is at most the M-row's |entries| times the set's
-    reach (at least 1) plus the largest |shift|; ValidationError naming
-    ``what`` if that could leave the layout. The certificate reads the whole
-    set (the reach from ``layout.reach``, the exponents from ``keys >>
-    k_shift``); then the keys are unpacked, mapped and packed
-    ``packed.BLOCK_KEYS`` at a time into one output array, so only one
-    block of coordinates is alive at once.
+    Packing certificate: a coordinate of the image is at most the B-row's
+    |entries| times the set's reach (at least 1) plus the largest |c_k|;
+    ValidationError naming ``what`` if that could leave the layout. The
+    certificate reads the whole set (the reach from ``layout.reach``, the
+    exponents from ``keys >> k_shift``); then the keys are unpacked, mapped
+    and packed ``packed.BLOCK_KEYS`` at a time into one output array, so only
+    one block of coordinates is alive at once.
     """
     radius = layout.radius
     present = np.flatnonzero(np.bincount(keys >> layout.k_shift, minlength=2 * radius + 1))
-    shifts = {int(row) - radius: shift(int(row) - radius) for row in present}
+    tail = GroupElement(phi.v, phi.e)  # phi(z)
+    shifts = {k: ctx.power(tail, k).x for k in (present - radius).tolist()}
     reach = [max(r, 1) for r in layout.reach(keys)]
     bound = max(
         sum(abs(m) * r for m, r in zip(row, reach))
         + max((abs(c[i]) for c in shifts.values()), default=0)
-        for i, row in enumerate(rows)
+        for i, row in enumerate(phi.B)
     )
     certify(what, "the image", bound, layout.x_limit)
     table = np.zeros((layout.dim, 2 * radius + 1), dtype=np.int64)
     for k, c in shifts.items():
         table[:, k + radius] = c
-    matrix = np.array(rows, dtype=np.int64)
+    matrix = np.array(phi.B, dtype=np.int64)
     out = np.empty_like(keys)
     for lo in range(0, len(keys), packed.BLOCK_KEYS):
         xs, ks = layout.unpack(keys[lo : lo + packed.BLOCK_KEYS])
         mapped = matrix @ xs
         mapped += np.take(table, ks + radius, axis=1)
-        out[lo : lo + packed.BLOCK_KEYS] = layout.pack_rows(mapped, e * ks, what)
+        out[lo : lo + packed.BLOCK_KEYS] = layout.pack_rows(mapped, phi.e * ks, what)
     return out
 
 
@@ -152,18 +154,18 @@ class GrowthCurve:
     points: list
 
 
-def _iterate(table: StepTable, keys: np.ndarray, image: Callable, rounds: int, k_max: int,
-             budget: int, name: str, point: Callable) -> GrowthCurve:
+def _iterate(table: StepTable, keys: np.ndarray, phi: GroupAutomorphism, rounds: int,
+             k_max: int, budget: int, name: str, point: Callable) -> GrowthCurve:
     """The points ``point(k, keys)`` of iterates k = 0..k_max, from the sorted
     distinct keys of iterate 0; iterate k + 1 is ``spread`` by ``rounds`` of
-    the image keys ``image(keys, what)`` of iterate k, ``what`` naming the
-    step. A BudgetError carries the points computed so far as ``partial``."""
+    the image of iterate k under ``phi`` (``_map_keys`` on the table's
+    layout). A BudgetError carries the points computed so far as ``partial``."""
     points = []
     for k in range(k_max + 1):
         points.append(point(k, keys))
         if k < k_max:
             what = f"{name} step {k + 1}"
-            mapped = image(keys, what)
+            mapped = _map_keys(table.ctx, table.layout, keys, phi, what)
             del keys  # only its image is spread
             mapped.sort()
             try:
@@ -172,16 +174,6 @@ def _iterate(table: StepTable, keys: np.ndarray, image: Callable, rounds: int, k
                 exc.partial = GrowthCurve(points)
                 raise
     return GrowthCurve(points)
-
-
-def _automorphism_image(layout: KeyLayout, ctx: GroupContext, phi: GroupAutomorphism):
-    """``image`` for ``_iterate``: the keys of phi(S) on ``layout``, in the
-    order of the keys of S. phi(x z^k) = (B x) (v z^e)^k, so the shift of
-    ``_map_keys`` at k is c_k, the lattice part of (v z^e)^k, computed once
-    per k."""
-    zero = (0,) * ctx.dim
-    shift = functools.cache(lambda k: apply_automorphism(ctx, phi, GroupElement(zero, k)).x)
-    return lambda keys, what: _map_keys(layout, keys, phi.B, shift, phi.e, what)
 
 
 def iterate_once(
@@ -198,8 +190,7 @@ def iterate_once(
     if n_rounds < 1:
         raise ValidationError("neighborhood rounds N must be >= 1")
     table, keys = pack_elements(ctx, gens, list(current), n_rounds, "iteration")
-    image = _automorphism_image(table.layout, ctx, phi)
-    curve = _iterate(table, keys, image, n_rounds, 1, DEFAULT_ELEMENT_BUDGET, "iteration",
+    curve = _iterate(table, keys, phi, n_rounds, 1, DEFAULT_ELEMENT_BUDGET, "iteration",
                      lambda k, keys: keys)
     return set(table.layout.elements(curve.points[-1]))
 
@@ -246,8 +237,7 @@ def run_iteration(
             diam = column_diameter(oracle, *layout.unpack(keys))
         return CurvePoint(k, diam.value, diam.exact, len(keys), ell, h)
 
-    image = _automorphism_image(layout, ctx, config.phi)
-    return _iterate(table, keys, image, n, config.k_max, budget, "iteration", point)
+    return _iterate(table, keys, config.phi, n, config.k_max, budget, "iteration", point)
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray):
@@ -311,7 +301,8 @@ def abelian_control(
     sum, and diameters are exact l1 distances (no enumeration radius limits).
     The measured growth is exponential at the spectral rate, in contrast to
     the group side. It runs the packed kernel of the group iteration on a
-    layout without exponents, with the constant steps +-e_i.
+    layout without exponents, with the constant steps +-e_i, and its map is
+    the automorphism (A, 0, +1), whose only shift is c_0 = 0.
     """
     if not A.is_hyperbolic:
         raise ValidationError(
@@ -337,13 +328,11 @@ def abelian_control(
         for mask in range(1 << (dim - 1))
     ], dtype=np.int64)
 
-    def image(keys: np.ndarray, what: str) -> np.ndarray:
-        return _map_keys(layout, keys, A.entries, lambda _: (0,) * dim, 1, what)
-
     def point(k: int, keys: np.ndarray) -> CurvePoint:
         return CurvePoint(k, _l1_diameter(layout, keys, signs), True, len(keys), None, None)
 
-    return _iterate(table, keys, image, n_rounds, k_max, budget, "control", point)
+    phi = GroupAutomorphism(A.entries, (0,) * dim, 1)
+    return _iterate(table, keys, phi, n_rounds, k_max, budget, "control", point)
 
 
 def _l1_diameter(layout: KeyLayout, keys: np.ndarray, signs: np.ndarray) -> int:
@@ -375,8 +364,8 @@ def check_box_inclusion_phi(
         raise ValidationError("automorphism inclusion check requires ell, h >= 2")
     require_valid(ctx.matrix, phi)
     layout = KeyLayout(ctx.dim, h)
-    image = _automorphism_image(layout, ctx, phi)
     return check_inclusion(
         BoxSet(lam, ell, h), BoxSet(lam, ell + h, h + 1), layout,
-        lambda keys, what: image(keys, what)[:, None], samples, rng, "phi inclusion check",
+        lambda keys, what: _map_keys(ctx, layout, keys, phi, what)[:, None], samples, rng,
+        "phi inclusion check",
     )

@@ -34,7 +34,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError, int_text
+from .errors import DEFAULT_ELEMENT_BUDGET, BudgetError, ValidationError, int_text
 from .group import GeneratingSet, GroupContext, GroupElement
 
 # Packed element keys use this many bits of an int64, so keys are nonnegative.
@@ -62,10 +62,16 @@ class KeyLayout:
     With the exponent on top, keys sort by exponent first: the keys of a
     range of exponents are one slice of a sorted array, and ``keys >>
     k_shift`` is each key's exponent row k + radius. An element fits when
-    |k| <= radius and every |x_i| <= x_limit.
+    |k| <= radius and every |x_i| <= x_limit. Tables hold a row per exponent,
+    so a radius of more than the element budget's rows is refused.
     """
 
     def __init__(self, dim: int, radius: int):
+        if 2 * radius + 1 > DEFAULT_ELEMENT_BUDGET:
+            raise ValidationError(
+                f"radius {int_text(radius)} needs {int_text(2 * radius + 1)} exponent rows "
+                f"in the int64 key layout, more than the element budget {DEFAULT_ELEMENT_BUDGET}"
+            )
         self.dim = dim
         self.radius = radius
         self.k_bits = max(1, (2 * radius).bit_length())
@@ -80,9 +86,11 @@ class KeyLayout:
         self.k_shift = dim * self.x_bits
 
     def key(self, g: GroupElement):
-        """The key of one element, or None if it does not fit."""
+        """The key of one element, or None if it does not fit; ValidationError
+        if its dimension is not the layout's."""
         x, k = g
-        if len(x) != self.dim or not -self.radius <= k <= self.radius:
+        self._check_dim(len(x))
+        if not -self.radius <= k <= self.radius:
             return None
         key = (k + self.radius) << self.k_shift
         for v, shift in zip(x, self.shifts):
@@ -94,12 +102,17 @@ class KeyLayout:
     def pack(self, xs: np.ndarray, ks: np.ndarray):
         """Keys of the elements (coordinate rows xs, exponents ks) that fit,
         and the mask of those elements."""
+        self._check_dim(len(xs))
         lim, rad = self.x_limit, self.radius
         fits = ((xs >= -lim) & (xs <= lim)).all(axis=0) & (ks >= -rad) & (ks <= rad)
         keys = (ks[fits] + self.radius) << self.k_shift
         for x, shift in zip(xs, self.shifts):
             keys += (x[fits] + self.x_offset) << shift
         return keys, fits
+
+    def _check_dim(self, dim: int):
+        if dim != self.dim:
+            raise ValidationError(f"element has dimension {dim}, key layout expects {self.dim}")
 
     def pack_rows(self, xs: np.ndarray, ks: np.ndarray, what: str) -> np.ndarray:
         """Keys of the elements in their order, all of which must fit."""

@@ -822,6 +822,34 @@ def test_box_with_an_ell_of_a_million_exits_2_without_forming_its_bound(tmp_path
     assert not (tmp_path / "runs").exists()
 
 
+# Runs the CLI under a 4 GB address-space cap, so a run that allocates
+# arrays of 2R + 1 exponent rows fails at once instead of swapping.
+CAPPED = """
+import resource, sys
+from unstretch import cli
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+sys.exit(cli.main(["run", "--config", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize("name, changes", [
+    ("box-lemmas", {"box_h_values": [10**9]}),
+    ("set-dynamics", {"k_max": 10**9}),
+    ("set-dynamics", {"a0": [[[0, 0], 10**9]]}),
+], ids=["box-h", "k-max", "a0"])
+def test_key_layout_of_a_billion_exponent_rows_exits_2(tmp_path, name, changes):
+    out = tmp_path / "runs" / "out"
+    cfg = json.loads((Path(__file__).parent.parent / f"configs/{name}.json").read_text())
+    cfg = write_cfg(tmp_path, name, {**cfg, **changes, "output_dir": str(out)})
+    env = {**os.environ, "PYTHONPATH": str(Path(unstretch.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", CAPPED, str(cfg)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    assert re.search(r"radius 100000000\d needs 20000000\d\d exponent rows in the int64 key "
+                     r"layout, more than the element budget 50000000\n", run.stderr)
+    assert not (tmp_path / "runs").exists()
+
+
 def test_int_text_gives_the_size_only_of_an_integer_too_long_to_print():
     limit = sys.get_int_max_str_digits()
     for n in (0, 7, 10**limit - 1):

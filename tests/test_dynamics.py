@@ -248,14 +248,15 @@ def test_growth_workload_outputs(ctx, gens, cat_matrix):
 
 
 def control_sets(matrix, k_max):
-    """The arguments (layout, keys, rest) of each ``_map_keys`` call of a
-    lattice control run to k_max, whose keys are iterates 0..k_max - 1."""
+    """The arguments (ctx, layout, keys, phi, what) of each ``_map_keys``
+    call of a lattice control run to k_max, whose keys are iterates
+    0..k_max - 1."""
     calls = []
     map_keys = dynamics._map_keys
 
-    def recorded(layout, keys, *args):
-        calls.append((layout, keys, args))
-        return map_keys(layout, keys, *args)
+    def recorded(*args):
+        calls.append(args)
+        return map_keys(*args)
 
     patch = pytest.MonkeyPatch()
     patch.setattr(dynamics, "_map_keys", recorded)
@@ -273,12 +274,12 @@ MAP_KEYS_PEAK_BYTES = 7 << 20
 
 
 def test_map_keys_memory(cat_matrix):
-    layout, keys, args = control_sets(cat_matrix, 12)[11]
-    assert len(keys) == 207360
+    args = control_sets(cat_matrix, 12)[11]
+    assert len(args[2]) == 207360
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        dynamics._map_keys(layout, keys, *args)
+        dynamics._map_keys(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -294,8 +295,7 @@ SPREAD_PEAK_BYTES = 9 << 20
 
 
 def test_spread_memory(ctx, gens, cat_matrix):
-    layout, keys, args = control_sets(cat_matrix, 12)[11]
-    mapped = dynamics._map_keys(layout, keys, *args)
+    mapped = dynamics._map_keys(*control_sets(cat_matrix, 12)[11])
     mapped.sort()
     table = packed.translate_steps(ctx, gens.h_generators, 0)
     tracemalloc.start()
@@ -349,13 +349,13 @@ def test_growth_point_beyond_the_radius_neither_unpacks_nor_looks_up_the_set(
 
 def test_blockwise_map_keys_match_one_block(cat_matrix, monkeypatch):
     calls = control_sets(cat_matrix, 8)
-    whole = [dynamics._map_keys(layout, keys, *args) for layout, keys, args in calls]
+    whole = [dynamics._map_keys(*args) for args in calls]
     # Blocks of 64 keys cut the sets from step 3 on (90 keys) into several
     # blocks, step 7's 4,410 keys into 69.
     monkeypatch.setattr(packed, "BLOCK_KEYS", 64)
-    assert [len(keys) for _, keys, _ in calls][3:] == [90, 242, 640, 1682, 4410]
-    for (layout, keys, args), want in zip(calls, whole):
-        assert np.array_equal(dynamics._map_keys(layout, keys, *args), want)
+    assert [len(args[2]) for args in calls][3:] == [90, 242, 640, 1682, 4410]
+    for args, want in zip(calls, whole):
+        assert np.array_equal(dynamics._map_keys(*args), want)
 
 
 @pytest.mark.parametrize("block", [1 << 16, 2])

@@ -118,6 +118,19 @@ def test_restricted_view_hides_longer_elements(oracle6):
     assert list(small.items()) == [(g, n) for g, n in oracle6.items() if n <= 3]
 
 
+def test_word_length_refuses_an_element_of_another_dimension(oracle6):
+    # Not a certificate that the element is longer than the radius.
+    with pytest.raises(ValidationError, match="dimension 3, key layout expects 2"):
+        oracle6.word_length(GroupElement((1, 0, 0), 0))
+
+
+def test_column_lengths_refuse_rows_of_another_dimension(oracle6):
+    # One coordinate row for e_1 is not packed as if it were (1, 0).
+    xs, ks = np.array([[1]], dtype=np.int64), np.zeros(1, dtype=np.int64)
+    with pytest.raises(ValidationError, match="dimension 1, key layout expects 2"):
+        oracle6.column_lengths(xs, ks)
+
+
 @pytest.mark.parametrize("block", [1 << 16, 7, 5, 2, 1])
 @pytest.mark.parametrize("rows, radius", [
     (CAT, 10), (D3_REAL, 6), (WIDE, 2), (((1, 1), (1, 0)), 10),

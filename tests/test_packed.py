@@ -34,7 +34,8 @@ from unstretch import (
     word_ball,
 )
 from unstretch import matrices, packed
-from unstretch.dynamics import _automorphism_image, _l1_diameter
+from unstretch.dynamics import _l1_diameter, _map_keys
+from unstretch.errors import DEFAULT_ELEMENT_BUDGET
 
 
 def reference_neighborhood(ctx, gens, elements, n):
@@ -222,6 +223,18 @@ def test_step_table_refuses_a_row_past_the_layout():
         table.translates(np.array([z2]), "z^2")
 
 
+def test_layout_refuses_more_exponent_rows_than_the_element_budget():
+    # A table on it would hold 2 * 10^9 + 1 rows; one row fewer than the
+    # budget still builds, and the layout itself allocates nothing.
+    with pytest.raises(ValidationError, match=re.escape(
+            "radius 1000000000 needs 2000000001 exponent rows in the int64 key layout, "
+            f"more than the element budget {DEFAULT_ELEMENT_BUDGET}")):
+        packed.KeyLayout(2, 10**9)
+    with pytest.raises(ValidationError, match="radius 25000000 needs"):
+        packed.KeyLayout(2, DEFAULT_ELEMENT_BUDGET // 2)
+    assert packed.KeyLayout(2, DEFAULT_ELEMENT_BUDGET // 2 - 1).radius == 24999999
+
+
 def test_spread_certificate_reads_the_whole_frontier(monkeypatch):
     # The far element opens the frontier (exponent 0) and the element at
     # exponent 3, whose generators twist furthest, closes it: the reach of
@@ -369,6 +382,7 @@ def test_fit_mask_and_reach_match_the_point_rows_references(rows, radius, monkey
     (CAT, CAT, (1, -2), 1),
     (CAT, ((0, 1), (-1, 0)), (1, -1), -1),
     (D3_REAL, D3_REAL, (1, 0, -1), 1),
+    (((1, 1), (1, 0)), ((1, 1), (1, 0)), (1, 2), 1),
 ])
 def test_mapped_keys_match_the_scalar_automorphism(rows, b, v, e):
     ctx = GroupContext(ToralMatrix(rows))
@@ -376,11 +390,27 @@ def test_mapped_keys_match_the_scalar_automorphism(rows, b, v, e):
     layout = packed.KeyLayout(ctx.dim, 5)
     rng = np.random.default_rng(ctx.dim)
     xs = rng.integers(-1000, 1001, size=(300, ctx.dim))
-    ks = rng.integers(-5, 6, size=300)
-    keys = layout.pack_rows(coordinate_rows(xs), ks, "sample")
-    mapped = _automorphism_image(layout, ctx, phi)(keys, "sample")
-    points = [GroupElement(tuple(map(int, x)), int(k)) for x, k in zip(xs, ks)]
-    assert mapped.tolist() == [layout.key(apply_automorphism(ctx, phi, g)) for g in points]
+    # The second keys' exponents are all negative, so every shift c_k comes
+    # through the inverse in ctx.power.
+    for ks in (rng.integers(-5, 6, size=300), rng.integers(-5, 0, size=300)):
+        keys = layout.pack_rows(coordinate_rows(xs), ks, "sample")
+        mapped = _map_keys(ctx, layout, keys, phi, "sample")
+        points = [GroupElement(tuple(map(int, x)), int(k)) for x, k in zip(xs, ks)]
+        assert mapped.tolist() == [layout.key(apply_automorphism(ctx, phi, g)) for g in points]
+
+
+@pytest.mark.parametrize("rows", [CAT, D3_REAL])
+def test_control_map_is_the_matrix_on_the_lattice_layout(rows):
+    # The lattice control maps its radius-0 keys by the automorphism (A, 0, +1).
+    ctx = GroupContext(ToralMatrix(rows))
+    layout = packed.KeyLayout(ctx.dim, 0)
+    xs = np.random.default_rng(ctx.dim).integers(-1000, 1001, size=(300, ctx.dim))
+    keys = layout.pack_rows(coordinate_rows(xs), np.zeros(300, dtype=np.int64), "sample")
+    phi = GroupAutomorphism(rows, (0,) * ctx.dim, 1)
+    mapped = _map_keys(ctx, layout, keys, phi, "sample")
+    assert mapped.tolist() == [
+        layout.key(GroupElement(matrices.matvec(rows, tuple(map(int, x))), 0)) for x in xs
+    ]
 
 
 @pytest.mark.parametrize("rows", [CAT, D3_REAL])
