@@ -96,20 +96,24 @@ def _map_keys(ctx: GroupContext, layout: KeyLayout, keys: np.ndarray,
               phi: GroupAutomorphism, what: str):
     """Keys of the images phi(x z^k) = (B x + c_k, e k) of the keys, in their
     order, where c_k = ``ctx.power(v z^e, k).x`` is the lattice part of
-    (v z^e)^k, formed once for each exponent present.
+    (v z^e)^k, formed once per context for each exponent met (``ctx.shifts``).
 
     Packing certificate: a coordinate of the image is at most the B-row's
     |entries| times the set's reach (at least 1) plus the largest |c_k|;
     ValidationError naming ``what`` if that could leave the layout. The
     certificate reads the whole set (the reach from ``layout.reach``, the
-    exponents from ``keys >> k_shift``); then the keys are unpacked, mapped
+    exponent rows from ``layout.rows``); then the keys are unpacked, mapped
     and packed ``packed.BLOCK_KEYS`` at a time into one output array, so only
     one block of coordinates is alive at once.
     """
     radius = layout.radius
-    present = np.flatnonzero(np.bincount(keys >> layout.k_shift, minlength=2 * radius + 1))
     tail = GroupElement(phi.v, phi.e)  # phi(z)
-    shifts = {k: ctx.power(tail, k).x for k in (present - radius).tolist()}
+    shifts = {}
+    for k in (layout.rows(keys)[0] - radius).tolist():
+        shift = ctx.shifts.get((tail, k))
+        if shift is None:
+            shift = ctx.shifts[(tail, k)] = ctx.power(tail, k).x
+        shifts[k] = shift
     reach = [max(r, 1) for r in layout.reach(keys)]
     bound = max(
         sum(abs(m) * r for m, r in zip(row, reach))

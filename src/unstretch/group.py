@@ -144,6 +144,9 @@ class GroupContext:
         # Word balls B_N as element tuples by (generating set, N), filled by
         # words.check_box_inclusion_un.
         self.balls: dict = {}
+        # Lattice parts of (v z^e)^k by (v z^e, k), filled by
+        # dynamics._map_keys: the shifts of an automorphism's images.
+        self.shifts: dict = {}
         self.identity = identity_element(matrix.dim)
         self.z = z_element(matrix.dim)
 

@@ -148,6 +148,15 @@ class KeyLayout:
             np.maximum(reach, np.abs(xs).max(axis=1), out=reach)
         return reach.tolist()
 
+    def rows(self, keys: np.ndarray):
+        """The exponent rows (k + radius) present among the keys, ascending,
+        and the number of keys in each. The rows are sorted (timsort, one
+        pass over sorted keys' rows), so no array is sized by the layout's
+        2R + 1 rows."""
+        rows = np.sort(keys >> self.k_shift, kind="stable")
+        starts = np.flatnonzero(heads(rows))
+        return rows[starts], np.diff(starts, append=len(rows))
+
     def elements(self, keys: np.ndarray) -> list:
         """The GroupElements of packed keys, in key order."""
         xs, ks = self.unpack(keys)
@@ -200,10 +209,11 @@ class StepTable:
         self.ys = [b.x for b in elements]
         self.dks = tuple(b.k for b in elements)
         self.deltas = np.zeros((2 * layout.radius + 1, len(self.dks)), dtype=np.int64)
-        self._reach = [None] * (2 * layout.radius + 1)
+        # Each filled row's reach, by row: only rows met take room.
+        self._reach: dict = {}
 
     def _row_reach(self, row: int) -> list:
-        reach = self._reach[row]
+        reach = self._reach.get(row)
         if reach is None:
             layout = self.layout
             parts = [[sum(map(mul, a, y)) for y in self.ys]
@@ -216,12 +226,12 @@ class StepTable:
         return reach
 
     def certified_rows(self, keys: np.ndarray, what: str):
-        """The exponent rows (k + radius) of the keys and the number of keys
-        in each row, once the packing certificate has passed: the keys'
-        translates lie within the keys' reach plus the largest twisted
-        element at the keys' exponents, and within their exponent range plus
-        the largest z step; ValidationError naming ``what`` if either could
-        leave the layout.
+        """The exponent rows (k + radius) present among the keys, ascending,
+        and the number of keys in each (``KeyLayout.rows``), once the packing
+        certificate has passed: the keys' translates lie within the keys'
+        reach plus the largest twisted element at the keys' exponents, and
+        within their exponent range plus the largest z step; ValidationError
+        naming ``what`` if either could leave the layout.
 
         Rows are visited nearest k = 0 first, and the running bound is
         certified at each row first met, so keys at far exponents are
@@ -229,13 +239,11 @@ class StepTable:
         bound only grows, so this refuses nothing the final check passes).
         """
         layout = self.layout
-        rows = keys >> layout.k_shift
-        counts = np.bincount(rows, minlength=len(self.deltas))
-        present = np.flatnonzero(counts)
+        present, counts = layout.rows(keys)
         reach = layout.reach(keys)
         twist = [0] * layout.dim
         for row in sorted(present.tolist(), key=lambda r: abs(r - layout.radius)):
-            fresh = self._reach[row] is None
+            fresh = row not in self._reach
             twist = list(map(max, twist, self._row_reach(row)))
             if fresh:
                 certify(what, "coordinates", max(map(sum, zip(reach, twist))), layout.x_limit)
@@ -243,12 +251,13 @@ class StepTable:
         if len(present):
             k_reach = max(layout.radius - int(present[0]), int(present[-1]) - layout.radius)
             certify(what, "exponents", k_reach + max(map(abs, self.dks)), layout.radius)
-        return rows, counts
+        return present, counts
 
     def translates(self, keys: np.ndarray, what: str) -> np.ndarray:
         """Each key's right translates by the table's elements, (n, elements),
         after the packing certificate of ``certified_rows``."""
-        return keys[:, None] + self.deltas[self.certified_rows(keys, what)[0]]
+        self.certified_rows(keys, what)
+        return keys[:, None] + self.deltas[keys >> self.layout.k_shift]
 
 
 def translate_steps(ctx: GroupContext, elements: tuple, radius: int) -> StepTable:
@@ -407,13 +416,12 @@ def _translate_runs(table: StepTable, frontier: np.ndarray, tails, what: str):
     present row and generator. A cut is clamped to a row's translated ends
     before the increment is taken off, so it stays in int64.
     """
-    counts = table.certified_rows(frontier, what)[1]
+    present, counts = table.certified_rows(frontier, what)
     n_gens = len(table.dks)
     width = max(BLOCK_KEYS // (n_gens + 1), 1)
     cuts = frontier[width::width]
-    present = np.flatnonzero(counts)
-    hi = np.repeat(np.cumsum(counts)[present], n_gens)
-    lo = hi - np.repeat(counts[present], n_gens)
+    hi = np.repeat(np.cumsum(counts), n_gens)
+    lo = hi - np.repeat(counts, n_gens)
     deltas = table.deltas[present].reshape(-1, 1)
     targets = np.clip(cuts, frontier[lo, None] + deltas, frontier[hi - 1, None] + deltas + 1)
     at = np.column_stack((lo, frontier.searchsorted(targets - deltas), hi)).T.tolist()

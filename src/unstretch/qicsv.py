@@ -1,20 +1,18 @@
 """qi-compare's CSV writer: ``qi_r<R>.csv`` as bytes, equal to csv.writer's.
 
 csv.writer formats a float with ``repr``, about 1 us per float through
-bignums. Here each distinct bound is formatted once, and each ratio once
-per distinct bound of its sphere (the rows of one length), and those in the
-band of ``shortest_text`` (positive, 1e-4 <= x < 2**50, where ``repr``
-prints fixed notation) by a numpy kernel that computes ``repr``'s digits
-exactly with uint64 arithmetic, a whole block of values per numpy call;
-``repr`` formats only the few values outside the band, such as the identity
-row's ratio 0.0. The two float columns are formatted one after the other,
-in the calling process.
-
-One sort remains, the bound column's (``text_table``): it finds the
-distinct bounds and puts them in order. The ratio column needs none
-(``ratio_table``): within a sphere every ratio is l / b for one length l,
-which falls as the bound b rises, so the bound order already orders each
-sphere's ratios.
+bignums. Here the rows of one length l (a sphere of the ball, one run in
+breadth-first order) are told apart by their bound alone, so each row text
+``l,bound,ratio`` depends only on (sphere, bound). One sort of each
+sphere's bound bits gives its distinct bounds in order and each row's code;
+each distinct bound and its ratio l / b is formatted once per sphere, those
+in the band of ``shortest_text`` (positive, 1e-4 <= x < 2**50, where
+``repr`` prints fixed notation) by a numpy kernel that computes ``repr``'s
+digits exactly with uint64 arithmetic, a whole block of values per numpy
+call; ``repr`` formats only the few values outside the band, such as the
+identity row's ratio 0.0. Each sphere's whole-row texts make one table
+(``row_tables``), and the files are written by gathering whole rows from
+them.
 """
 
 from __future__ import annotations
@@ -188,70 +186,55 @@ def _texts(values: np.ndarray, start: int, stop: int) -> np.ndarray:
     ])
 
 
-def text_table(values: np.ndarray):
-    """The repr of each distinct float, formatted once, as a zero-padded
-    bytes table, and each value's uint32 row in it.
+def row_tables(lengths: np.ndarray, bounds: np.ndarray):
+    """The text ``l,bound,ratio`` and CRLF of each distinct (length, bound)
+    row, as one NUL-padded uint8 table of whole rows per sphere, for
+    nondecreasing ``lengths`` and positive ``bounds``: each row's uint32 row
+    in its sphere's table, and (start, stop, table) for each sphere, the run
+    of rows of one length l.
 
-    Values are told apart by their bits, so -0.0 and 0.0 keep their own
-    text; one sort finds them (np.unique hashes int64, see packed.distinct),
-    and leaves the band of ``shortest_text`` as one run of rows, which
-    ``_texts`` formats once the sort's temporaries are freed. The table's
-    rows are in the order of the values' bits, which for positive floats is
-    their order.
-    """
-    bits = values.view(np.int64)
-    order = bits.argsort()
-    ordered = bits[order]
-    first = packed.heads(ordered)
-    del ordered
-    rows = np.cumsum(first, dtype=np.uint32)
-    rows -= 1
-    codes = np.empty(len(values), dtype=np.uint32)
-    codes[order] = rows
-    distinct = values[order[first]]
-    del order, first, rows
-    return _texts(distinct, *distinct.view(np.int64).searchsorted(BAND).tolist()), codes
-
-
-def ratio_table(lengths: np.ndarray, bounds: np.ndarray, bound_codes: np.ndarray):
-    """The repr of each ratio length / bound, as a zero-padded bytes table,
-    and each row's uint32 row in it, for nondecreasing ``lengths`` and
-    positive ``bounds`` whose ``text_table`` rows are ``bound_codes``.
-
-    No sort: the rows of one length (a sphere of the ball) are one run, and
-    the sphere's ratios l / b fall as b rises, since correctly rounded
-    division is monotone. So the sphere's distinct bounds, in the order of
-    their bound rows, give its ratios in falling order: a mask over the
-    sphere's span of bound rows marks them, and its running count is each
-    row's ratio row. In that order the band of ``shortest_text`` is one run,
-    cut off by counting the ratios above and below it. Two distinct bounds
-    that give one ratio only give its text twice.
+    One sort of the sphere's bound bits (so -0.0 and 0.0 would keep their
+    own text) gives its distinct bounds in order, and each row's rank among
+    them is its code. The sphere's ratios l / b fall as b rises, since
+    correctly rounded division is monotone, so in both columns the band of
+    ``shortest_text`` is one run, cut off by counting the values above and
+    below it. A bound in two spheres is formatted in each, and two distinct
+    bounds that give one ratio give its text twice. The sphere's texts are
+    copied into its table column slice by column slice and dropped before
+    the next sphere is formatted; a field's NUL padding stays inside the
+    row, and each table is as wide as its own longest texts.
     """
     codes = np.empty(len(lengths), dtype=np.uint32)
-    tables = []
-    at = 0
+    spheres = []
     edges = [*np.flatnonzero(packed.heads(lengths)).tolist(), len(lengths)]
     for lo, hi in zip(edges, edges[1:]):
-        sphere = bound_codes[lo:hi]
-        least = sphere.min()
-        span = sphere - least
-        used = np.zeros(int(span.max()) + 1, dtype=bool)
-        used[span] = True
-        # One value per bound row of the span, so each distinct bound appears once.
-        distinct = np.empty(len(used))
-        distinct[span] = bounds[lo:hi]
-        ratios = np.divide(float(lengths[lo]), distinct[used])
-        del distinct
-        rank = np.cumsum(used, dtype=np.uint32)
-        rank -= 1  # the span's first row is used, so no count is 0
-        rank += at
-        np.take(rank, span, out=codes[lo:hi])
-        del span, used, rank
-        bits = ratios.view(np.int64)
-        above, below = np.count_nonzero(bits >= BAND[1]), np.count_nonzero(bits < BAND[0])
-        tables.append(_texts(ratios, int(above), len(ratios) - int(below)))
-        at += len(ratios)
-    return np.concatenate(tables), codes
+        bits = bounds[lo:hi].view(np.int64)
+        order = bits.argsort()
+        ordered = bits[order]
+        first = packed.heads(ordered)
+        rank = np.cumsum(first, dtype=np.uint32)
+        rank -= 1
+        codes[lo:hi][order] = rank
+        distinct = ordered[first].view(np.float64)
+        del order, ordered, first, rank
+        ratios = np.divide(float(lengths[lo]), distinct)
+        ratio_bits = ratios.view(np.int64)
+        above = int(np.count_nonzero(ratio_bits >= BAND[1]))
+        below = int(np.count_nonzero(ratio_bits < BAND[0]))
+        head = f"{int(lengths[lo])},".encode()
+        bound = _texts(distinct, *distinct.view(np.int64).searchsorted(BAND).tolist())
+        ratio = _texts(ratios, above, len(ratios) - below)
+        del distinct, ratios, ratio_bits
+        comma = len(head) + bound.itemsize
+        table = np.empty((len(bound), comma + ratio.itemsize + 3), dtype=np.uint8)
+        table[:, : len(head)] = np.frombuffer(head, dtype=np.uint8)
+        table[:, len(head) : comma] = bound.view(np.uint8).reshape(len(table), -1)
+        table[:, comma] = ord(",")
+        table[:, comma + 1 : -2] = ratio.view(np.uint8).reshape(len(table), -1)
+        table[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+        del bound, ratio
+        spheres.append((lo, hi, table))
+    return codes, spheres
 
 
 def write_qi_csvs(outdir: Path, rep: suspension.QiReport, sizes: dict):
@@ -259,31 +242,17 @@ def write_qi_csvs(outdir: Path, rep: suspension.QiReport, sizes: dict):
     rows (length, bound, ratio) of ``rep``, byte for byte as csv.writer
     writes them: ints and float reprs, comma separated and CRLF terminated.
 
-    The bound text table and then, from its rows, the ratio text table are
-    built in this process, one after the other. A block of
-    ``packed.BLOCK_KEYS`` rows is gathered from the text tables of its three
-    columns straight into a preallocated buffer of fixed-width, NUL-padded
-    rows whose commas and CRLF are filled in once, and the block drops its
-    padding at once. The rows are
-    assembled once, for the largest file: every smaller file is a byte
-    prefix of it, cut where the byte lengths of its rows add up to its last
-    row.
+    The ``row_tables`` of ``rep`` are built before any file is opened.
+    Blocks of at most ``packed.BLOCK_KEYS // 4`` rows of one sphere are
+    gathered from its table with one ``np.take`` of whole rows into one
+    preallocated buffer, and each block drops its NUL padding at once. The
+    rows are assembled once, for the largest file: every smaller file is a
+    byte prefix of it, cut where the byte lengths of its rows add up to its
+    last row.
     """
-    lengths = rep.lengths
-    longest = int(lengths.max())
-    columns = {
-        # Sized to the longest length's digits: astype("S") alone gives S21.
-        "length": (np.arange(longest + 1).astype(f"S{len(str(longest))}"), lengths),
-        "bound": text_table(rep.bounds),
-    }
-    columns["ratio"] = ratio_table(lengths, rep.bounds, columns["bound"][1])
-    rows = np.empty(packed.BLOCK_KEYS, dtype=[
-        ("length", columns["length"][0].dtype), ("comma0", "S1"),
-        ("bound", columns["bound"][0].dtype), ("comma1", "S1"),
-        ("ratio", columns["ratio"][0].dtype), ("eol", "S2"),
-    ])
-    rows["comma0"] = rows["comma1"] = b","
-    rows["eol"] = b"\r\n"
+    codes, spheres = row_tables(rep.lengths, rep.bounds)
+    block = packed.BLOCK_KEYS // 4
+    buffer = np.empty(block * max(table.shape[1] for *_, table in spheres), dtype=np.uint8)
     with contextlib.ExitStack() as stack:
         files = [
             (n, stack.enter_context((outdir / f"qi_r{r}.csv").open("wb")))
@@ -292,17 +261,18 @@ def write_qi_csvs(outdir: Path, rep: suspension.QiReport, sizes: dict):
         for _, fh in files:
             fh.write(b"word_length,bound,ratio\r\n")
         top = max(sizes.values())
-        for lo in range(0, top, packed.BLOCK_KEYS):
-            m = min(top - lo, packed.BLOCK_KEYS)
-            for field, (table, codes) in columns.items():
-                np.take(table, codes[lo : lo + m], out=rows[field][:m])
-            joined = rows[:m].view(np.uint8)
-            data = joined[joined != 0]
-            for n, fh in files:
-                if n >= lo + m:
-                    fh.write(data)
-                elif n > lo:
-                    fh.write(data[: np.count_nonzero(joined[: (n - lo) * rows.itemsize])])
-            # Freed before the next block is built, so that the arrays of
-            # one block at a time are alive.
-            del data
+        for start, stop, table in spheres:
+            width = table.shape[1]
+            for lo in range(start, min(stop, top), block):
+                m = min(stop, top, lo + block) - lo
+                joined = buffer[: m * width]
+                np.take(table, codes[lo : lo + m], axis=0, out=joined.reshape(m, width))
+                data = joined[joined != 0]
+                for n, fh in files:
+                    if n >= lo + m:
+                        fh.write(data)
+                    elif n > lo:
+                        fh.write(data[: np.count_nonzero(joined[: (n - lo) * width])])
+                # Freed before the next block is built, so that the arrays of
+                # one block at a time are alive.
+                del data

@@ -4,8 +4,9 @@
 
 Draws COUNT floats uniformly over the float64 bit patterns of the kernel's
 band, 1e-4 <= x < 2**50 (log-uniform in value), a million at a time, each
-million sorted as ``text_table`` passes its values, and exits 1 at the first value whose text differs from its ``repr``, printing
-the seed, the value and both texts.
+million sorted as ``row_tables`` passes a sphere's bounds, and exits 1 at
+the first value whose text differs from its ``repr``, printing the seed,
+the value and both texts.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from unstretch import qicsv
 
 
 def band_sample(rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` floats of the band, sorted, as ``text_table`` passes them."""
+    """``count`` floats of the band, sorted, as ``row_tables`` passes them."""
     return np.sort(rng.integers(*qicsv.BAND, count)).view(np.float64)
 
 

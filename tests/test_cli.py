@@ -325,6 +325,22 @@ def test_qi_csvs_of_hand_built_columns_match_csv_writer(tmp_path):
     assert b"3,100000.0,3e-05\r\n" in text
 
 
+def test_oracle_workload_qi_csvs_match_csv_writer(tmp_path, ctx, gens, cat_matrix):
+    # The benchmark checks only the word_length column of these two files,
+    # so every byte of its largest table is pinned here.
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "qi", {
+        "experiment": "qi-compare", "matrix": CAT, "qi_radii": [12, 14],
+        "bfs_radius": 14, "output_dir": str(out),
+    })
+    assert run_cli(cfg) == 0
+    rep = qi_comparison(word_ball(ctx, gens, 14), compute_splitting(cat_matrix))
+    for r in (12, 14):
+        n = int(rep.lengths.searchsorted(r, side="right"))
+        want = qi_csv_sweep.csv_bytes(rep.lengths[:n], rep.bounds[:n])
+        assert (out / f"qi_r{r}.csv").read_bytes() == want
+
+
 def test_qi_repeated_radius_is_one_radius(tmp_path):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, "qi", {
@@ -376,12 +392,15 @@ def test_qi_bfs_radius_above_the_largest_radius_exits_2_before_building_a_ball(
 # float formatted at once, 64.4 with blockwise bounds and batched repr, 57.4
 # with np.polyfit's float copies of both columns alive through its solve,
 # 48.0 once the line fit allocates only its Vandermonde matrix, its
-# squares and a float copy of the lengths, and 42.0 once the ratio column is
+# squares and a float copy of the lengths, 42.0 once the ratio column is
 # coded sphere by sphere from the bound column's rows, with no ratio array
-# and no second argsort. The CSV writer sets that peak, in its row blocks;
-# the comparison alone peaks at 33.4 with the scaled matrix written in
-# place (41.4 with the squares, 57.4 with polyfit).
-QI_PEAK_BYTES_PER_ROW = 44
+# and no second argsort, 40.2 with one table of whole-row texts filled once
+# every sphere's texts were formatted, and 34.4 with one such table per
+# sphere, filled as its sphere is formatted, and gathered in blocks of
+# BLOCK_KEYS // 4 rows. The CSV writer sets that peak, while it formats the
+# last sphere; the comparison alone peaks at 33.4 with the scaled matrix
+# written in place (41.4 with the squares, 57.4 with polyfit).
+QI_PEAK_BYTES_PER_ROW = 36
 QI_COMPARISON_PEAK_BYTES_PER_ROW = 37
 
 
@@ -431,28 +450,26 @@ def test_qi_compare_frees_the_ball_before_the_fit(tmp_path, monkeypatch):
     assert read_summary(out)["verdicts"]["per_radius"]["8"]["entries"] == 7277
 
 
-def test_failing_text_table_propagates_and_writes_no_csv(
+def test_failing_row_tables_propagate_and_write_no_csv(
     tmp_path, monkeypatch, oracle8, cat_matrix
 ):
-    # The ratio column's table is built last, once the bound column's
-    # text_table exists.
+    # The row tables are built sphere by sphere before any file is opened; a
+    # failure while the second sphere's texts are formatted leaves no file.
     rep = qi_comparison(oracle8, compute_splitting(cat_matrix))
-    built = []
-    text_table = qicsv.text_table
+    formatted = []
+    texts = qicsv._texts
 
-    def recorded(values):
-        built.append(values is rep.bounds)
-        return text_table(values)
+    def fail_on_the_second_sphere(values, start, stop):
+        formatted.append(len(values))
+        if len(formatted) == 3:
+            raise MemoryError("planted row-tables failure")
+        return texts(values, start, stop)
 
-    def fail_on_ratios(*args):
-        raise MemoryError("planted text-table failure")
-
-    monkeypatch.setattr(qicsv, "text_table", recorded)
-    monkeypatch.setattr(qicsv, "ratio_table", fail_on_ratios)
-    with pytest.raises(MemoryError, match="planted text-table failure"):
+    monkeypatch.setattr(qicsv, "_texts", fail_on_the_second_sphere)
+    with pytest.raises(MemoryError, match="planted row-tables failure"):
         qicsv.write_qi_csvs(tmp_path, rep, {8: rep.n_entries})
-    assert built == [True]
-    assert not (tmp_path / "qi_r8.csv").exists()
+    assert len(formatted) == 3
+    assert list(tmp_path.glob("qi_r*.csv")) == []
 
 
 # A launcher that touches 256 MB, then execs the CLI in its own process.
@@ -513,7 +530,7 @@ def _band_powers():
     return np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
 
 
-def test_text_table_is_repr_of_each_float():
+def test_texts_are_repr_of_each_float():
     band = np.sort(np.concatenate([
         repr_sweep.band_sample(np.random.default_rng(0), 200_000),
         [12.5, 0.001, 100.0, 1e15, *TIES],
@@ -521,24 +538,33 @@ def test_text_table_is_repr_of_each_float():
     assert band[0] >= 1e-4 and band[-1] < 2.0**50
     assert [t.decode() for t in qicsv.shortest_text(np.array(list(TIES)))] == list(TIES.values())
     assert qicsv.shortest_text(band).tolist() == [repr(v).encode() for v in band.tolist()]
+    # Distinct by their bits and in bit order, as row_tables passes them: the
+    # band is one run, with the out-of-band values on either side of it.
     values = np.concatenate([band, _band_powers(), OUT_OF_BAND])
-    values = np.concatenate([values, values[::-1]])
-    table, codes = qicsv.text_table(values)
-    assert len(table) == len(np.unique(values.view(np.int64)))
-    texts = [repr(v).encode() for v in values.tolist()]
-    assert table[codes].tolist() == texts
+    distinct = np.unique(values.view(np.int64))
+    table = qicsv._texts(distinct.view(np.float64), *distinct.searchsorted(qicsv.BAND).tolist())
+    texts = [repr(v).encode() for v in distinct.view(np.float64).tolist()]
+    assert table.tolist() == texts
     assert table.itemsize == max(map(len, texts))
 
 
-def test_radius_14_text_tables_are_repr(ctx, gens, cat_matrix):
+def test_radius_14_row_tables_are_repr(ctx, gens, cat_matrix):
     rep = qi_comparison(word_ball(ctx, gens, 14), compute_splitting(cat_matrix))
-    bounds = qicsv.text_table(rep.bounds)
-    ratios = qicsv.ratio_table(rep.lengths, rep.bounds, bounds[1])
-    for values, (table, codes) in (rep.bounds, bounds), (rep.lengths / rep.bounds, ratios):
-        distinct = np.empty(len(table))
-        distinct[codes] = values
-        assert np.array_equal(distinct[codes].view(np.int64), values.view(np.int64))
-        assert table.tolist() == [repr(v).encode() for v in distinct.tolist()]
+    codes, spheres = qicsv.row_tables(rep.lengths, rep.bounds)
+    edges = [0, *(np.flatnonzero(np.diff(rep.lengths)) + 1).tolist(), len(rep.lengths)]
+    assert [(start, stop) for start, stop, _ in spheres] == list(zip(edges, edges[1:]))
+    for start, stop, table in spheres:
+        sphere = codes[start:stop]
+        assert np.array_equal(np.unique(sphere), np.arange(len(table)))
+        # One source row of each table row; every row with that code has the
+        # bits of its bound.
+        source = np.empty(len(table), dtype=np.intp)
+        source[sphere] = np.arange(start, stop)
+        bounds = rep.bounds[source]
+        assert np.array_equal(bounds[sphere].view(np.int64), rep.bounds[start:stop].view(np.int64))
+        length = int(rep.lengths[start])
+        rows = [row.tobytes().replace(b"\0", b"") for row in table]
+        assert rows == [f"{length},{b!r},{length / b!r}\r\n".encode() for b in bounds.tolist()]
 
 
 def test_centralizer_run(tmp_path):
@@ -847,6 +873,31 @@ def test_key_layout_of_a_billion_exponent_rows_exits_2(tmp_path, name, changes):
     assert run.returncode == 2
     assert re.search(r"radius 100000000\d needs 20000000\d\d exponent rows in the int64 key "
                      r"layout, more than the element budget 50000000\n", run.stderr)
+    assert not (tmp_path / "runs").exists()
+
+
+# Runs the CLI as the only child of a fresh process and prints that child's
+# peak RSS in kB: RUSAGE_CHILDREN holds the peaks of reaped children only.
+CHILD_PEAK = """
+import resource, subprocess, sys
+run = subprocess.run([sys.executable, "-m", "unstretch.cli", "run", "--config", sys.argv[1]])
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+sys.exit(run.returncode)
+"""
+
+
+def test_box_with_an_h_of_ten_million_exits_2_below_100_mb(tmp_path):
+    # The layout's 2R + 1 exponent rows are 20 million here: a reach list or
+    # a row count of that length costs about 150 MB before the refusal.
+    out = tmp_path / "runs" / "out"
+    cfg = json.loads((Path(__file__).parent.parent / "configs/box-lemmas.json").read_text())
+    cfg = write_cfg(tmp_path, "box", {**cfg, "box_h_values": [10**7], "output_dir": str(out)})
+    env = {**os.environ, "PYTHONPATH": str(Path(unstretch.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", CHILD_PEAK, str(cfg)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    assert "u1 inclusion check does not fit the int64 key layout" in run.stderr
+    assert int(run.stdout.split()[-1]) < 100 << 10
     assert not (tmp_path / "runs").exists()
 
 

@@ -7,6 +7,7 @@ from unstretch import dynamics, packed
 from unstretch import (
     CertificationError,
     GroupAutomorphism,
+    GroupContext,
     GroupElement,
     IterationConfig,
     ToralMatrix,
@@ -245,6 +246,33 @@ def test_growth_workload_outputs(ctx, gens, cat_matrix):
     assert [(p.diameter, p.diameter_exact) for p in control.points] == [
         (d, True) for d in CONTROL_L1_DIAMETERS
     ]
+
+
+def test_iteration_forms_each_shift_once_per_context(cat_matrix, gens, monkeypatch):
+    # The shifts c_k, the lattice parts of (v z^e)^k, are cached on the
+    # context: a run's products are those that form each shift it meets
+    # once, and a second run in the same context makes none.
+    ctx = GroupContext(cat_matrix)
+    phi = GroupAutomorphism.from_parts(CAT, [1, 0], 1)
+    cfg = IterationConfig.make(ctx, phi, 1, default_a0(ctx), 5, choose_lambda(cat_matrix, phi))
+    oracle = word_ball(ctx, gens, 6)
+    products = []
+    multiply = GroupContext.multiply
+
+    def counted(self, g, h):
+        products.append(self)
+        return multiply(self, g, h)
+
+    monkeypatch.setattr(GroupContext, "multiply", counted)
+    want = run_iteration(ctx, gens, cfg, oracle).points
+    first = len(products)
+    assert first > 0
+    assert run_iteration(ctx, gens, cfg, oracle).points == want
+    assert len(products) == first
+    fresh = GroupContext(cat_matrix)
+    for tail, k in list(ctx.shifts):
+        fresh.power(tail, k)
+    assert len(products) == 2 * first
 
 
 def control_sets(matrix, k_max):
