@@ -136,9 +136,10 @@ def run_ball_census(prep: Prepared, outdir: Path) -> dict:
     from . import words
 
     cfg = prep.cfg
-    try:
+    try:  # only the sphere sizes are read, so each sphere is built in key order
         oracle = words.word_ball(
-            prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements
+            prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements,
+            breadth_first=False,
         )
     except BudgetError as exc:
         # The radii completed before the budget tripped are exact.
@@ -156,7 +157,9 @@ def run_word_length(prep: Prepared, outdir: Path) -> dict:
     if not cfg.elements:
         raise ValidationError("word-length experiment needs a nonempty 'elements' list")
     elements = [_parse_element("elements", raw, dim) for raw in cfg.elements]
-    oracle = words.word_ball(prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements)
+    # Only looked up, so each sphere is built in key order.
+    oracle = words.word_ball(prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements,
+                             breadth_first=False)
     rows = []
     for g in elements:
         n = oracle.word_length(g)
@@ -245,7 +248,9 @@ def run_set_dynamics(prep: Prepared, outdir: Path) -> dict:
         prep.ctx, prep.phi, cfg.neighborhood_n, a0, cfg.k_max,
         words.choose_lambda(prep.matrix, prep.phi),
     )
-    oracle = words.word_ball(prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements)
+    # Only looked up, so each sphere is built in key order.
+    oracle = words.word_ball(prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements,
+                             breadth_first=False)
     growth = _growth(outdir, lambda: dynamics.run_iteration(
         prep.ctx, prep.gens, iteration, oracle, budget=cfg.budget_elements
     ))
@@ -302,10 +307,12 @@ def run_qi_compare(prep: Prepared, outdir: Path) -> dict:
     # Each radius's ball is a breadth-first prefix of the largest one, and a
     # row's bound does not depend on the rows around it, so the bounds are
     # computed once and each radius reads the first ball_size(r) rows, the
-    # rows of length at most r. No name here holds the ball, so it is freed
-    # once its bounds exist, before the fit.
+    # rows of length at most r. The CSV rows list each sphere in the ball's
+    # breadth-first order. No name here holds the ball, so it is freed once
+    # its bounds exist, before the fit.
     top = suspension.qi_comparison(
-        words.word_ball(prep.ctx, prep.gens, radii[-1], budget=cfg.budget_elements),
+        words.word_ball(prep.ctx, prep.gens, radii[-1], budget=cfg.budget_elements,
+                        breadth_first=True),
         suspension.compute_splitting(prep.matrix),
     )
     sizes = {r: int(top.lengths.searchsorted(r, side="right")) for r in radii}

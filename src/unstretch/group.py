@@ -26,6 +26,9 @@ from .errors import ValidationError
 # |modulus - 1| below this counts as "on the unit circle" for the numeric
 # eigenvalue test; exact integer determinant tests back it up.
 TOL_EIG = 1e-9
+# GroupContext.entry_bits bounds the spectral radius of A (of A^-1) from below
+# by the trace of A^m (of A^-m) at this m.
+TRACE_POWER = 8
 
 
 class GroupElement(NamedTuple):
@@ -169,6 +172,22 @@ class GroupContext:
             self._powers[j] = got
         return got
 
+    def entry_bits(self, k: int) -> int:
+        """A lower bound B >= 0 on log2 of the largest |entry| of A^k, read
+        without forming A^k.
+
+        With m = TRACE_POWER and s the sign of k, every eigenvalue of A^(s m)
+        has modulus at most rho^m, where rho is the spectral radius of A^s, so
+        2^a <= |tr A^(s m)| / d gives rho >= 2^(a / m). The spectral radius
+        rho^|k| of A^k is at most its largest row sum, d times its largest
+        |entry|, so that entry is at least 2^(a (|k| // m)) / d, and
+        B = a (|k| // m) - c with 2^c >= d.
+        """
+        m = TRACE_POWER if k > 0 else -TRACE_POWER
+        trace = abs(sum(row[i] for i, row in enumerate(self.matrix_power(m))))
+        a = max((trace // self.dim).bit_length() - 1, 0)
+        return max(a * (abs(k) // TRACE_POWER) - (self.dim - 1).bit_length(), 0)
+
     def _check_dim(self, g: GroupElement):
         if len(g.x) != self.dim:
             raise ValidationError(
@@ -193,8 +212,11 @@ class GroupContext:
 
         Powers of one element commute, so the product's order does not
         matter, and about 2 log2 |n| multiplications ask for as many matrix
-        powers.
+        powers. A power of z^k alone is z^(k n), with no power of A.
         """
+        if not any(g.x):
+            self._check_dim(g)
+            return GroupElement(g.x, g.k * n)
         base = g if n >= 0 else self.inverse(g)
         out = self.identity
         n = abs(n)

@@ -2,13 +2,17 @@
 
 Elements x * z^k are packed into int64 keys (``packed.KeyLayout``), so that a
 generator step is one integer addition. ``word_ball`` enumerates the ball one
-sphere at a time with the ordered breadth-first step of ``packed.py``
-(``next_sphere``, which builds each sphere range by range of output keys,
-as ``spread`` does), and ``WordLengthOracle`` stores it as the keys in
-breadth-first order with the sphere sizes. Only lookups need a sorted copy
-of the keys with their uint8 lengths, so it is built on the first lookup. A
-packing certificate checked before every sphere makes the ball refuse to
-grow past what the layout holds instead of wrapping.
+sphere at a time, each built range by range of output keys as ``spread``
+builds a union, and ``WordLengthOracle`` stores it as the keys sphere after
+sphere with the sphere sizes. The caller picks the order within a sphere:
+qi-compare, whose CSV rows list the ball, and the ball B_N of the sampled
+uN box check, whose elements order a step table's columns, take breadth-first
+order (``packed.next_sphere``); set-dynamics, word-length and ball-census
+only look the ball up or count it, and take each sphere in key order
+(``packed.sorted_sphere``), which costs about half as much. Only lookups
+need a sorted copy of the keys with their uint8 lengths, so it is built on
+the first lookup. A packing certificate checked before every sphere makes
+the ball refuse to grow past what the layout holds instead of wrapping.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 from . import packed
 from .errors import DEFAULT_ELEMENT_BUDGET, BudgetError, ValidationError
 from .group import GeneratingSet, GroupContext, GroupElement
-from .packed import find, next_sphere, translate_steps
+from .packed import find, next_sphere, sorted_sphere, translate_steps
 
 # Oracle lengths are stored as uint8.
 MAX_ORACLE_RADIUS = 255
@@ -29,13 +33,16 @@ MAX_ORACLE_RADIUS = 255
 class WordLengthOracle:
     """Complete word-length table out to a fixed radius, as packed keys.
 
-    ``keys`` lists the ball in breadth-first order, sphere after sphere, so
-    the word length of ``keys[i]`` is the sphere holding index i; lengths are
+    ``keys`` lists the ball sphere after sphere, each sphere in breadth-first
+    order or in key order (``word_ball``'s ``breadth_first``), so the word
+    length of ``keys[i]`` is the sphere holding index i; lengths are
     implicit in ``sphere_sizes``. Lookups binary-search a sorted copy of the
     keys that carries uint8 lengths, built by the first ``word_length`` or
     ``column_lengths`` call, so that a run which never looks anything up
-    never pays for it; absence certifies length > radius. A ``restricted``
-    oracle is a plain smaller oracle on a prefix of the keys.
+    never pays for it; absence certifies length > radius. The copy comes
+    from one stable argsort, which merges spheres held in key order as
+    sorted runs. A ``restricted`` oracle is a plain smaller oracle on a
+    prefix of the keys.
     """
 
     def __init__(self, ctx, radius, layout, keys, sphere_sizes):
@@ -49,7 +56,7 @@ class WordLengthOracle:
     def _lookup_index(self):
         """(sorted keys, their uint8 lengths), built on the first call."""
         if self._index is None:
-            order = self.keys.argsort()
+            order = self.keys.argsort(kind="stable")
             self._index = (self.keys[order], self._length_column(np.uint8)[order])
         return self._index
 
@@ -93,7 +100,7 @@ class WordLengthOracle:
         return self.keys.nbytes + sum(a.nbytes for a in self._index or ())
 
     def items(self) -> Iterator[tuple]:
-        """(element, length) pairs in breadth-first order, decoded
+        """(element, length) pairs in the order of ``keys``, decoded
         ``packed.BLOCK_KEYS`` keys at a time."""
         lengths = self._length_column()
         block = packed.BLOCK_KEYS
@@ -135,18 +142,22 @@ def word_ball(
     gens: GeneratingSet,
     radius: int,
     budget: int = DEFAULT_ELEMENT_BUDGET,
+    *,
+    breadth_first: bool = True,
 ) -> WordLengthOracle:
     """Enumerate the ball of the given radius by breadth-first search.
 
-    Sphere r comes from sphere r-1 in one ``packed.next_sphere`` step: the
-    keys of every (element, generator) product, less those in spheres r-1
-    and r-2 (the generators are symmetric, so no earlier element is adjacent
-    to sphere r-1), keeping first occurrences in (element, generator) order,
-    which is the order a dictionary-driven search would insert them in. The
-    step builds the sphere over ranges of output keys cut from the sorted
-    frontier, as ``spread`` does, so the candidates alive at once are about
-    BLOCK_KEYS (more where a dense exponent row overfills its neighbour's
-    ranges), not the whole sphere's.
+    Sphere r comes from sphere r-1 in one step: the keys of every (element,
+    generator) product, less those in spheres r-1 and r-2 (the generators
+    are symmetric, so no earlier element is adjacent to sphere r-1). With
+    ``breadth_first`` the step is ``packed.next_sphere``, which keeps first
+    occurrences in (element, generator) order, the order a dictionary-driven
+    search would insert them in; without it the step is
+    ``packed.sorted_sphere``, which gives the sphere as sorted keys for a
+    ball that is only looked up or counted. Both steps build the sphere over
+    ranges of output keys cut from the sorted frontier, as ``spread`` does,
+    so the candidates alive at once are about BLOCK_KEYS (more where a dense
+    exponent row overfills its neighbour's ranges), not the whole sphere's.
 
     Raises BudgetError once a completed sphere takes the table past
     ``budget`` elements, reporting the spheres before it as the largest
@@ -163,9 +174,10 @@ def word_ball(
     layout = table.layout
     spheres = [np.array([layout.key(ctx.identity)], dtype=np.int64)]
     previous = (spheres[0], spheres[0][:0])  # spheres r-1 and r-2, sorted
+    step = next_sphere if breadth_first else sorted_sphere
     total = 1
     for r in range(1, radius + 1):
-        sphere, previous = next_sphere(table, spheres[-1], previous, f"ball of radius {r}")
+        sphere, previous = step(table, spheres[-1], previous, f"ball of radius {r}")
         total += len(sphere)
         if total > budget:
             del sphere, previous

@@ -9,13 +9,17 @@ row of z^k is filled on first use from the context's exact A^k, and
 ``spread`` grows right neighborhoods U_N(S) (behind ``words.neighborhood``,
 the set iteration and its lattice control in ``dynamics``) by N unordered
 union rounds, each the union of the set with its translates by the
-generators. The word ball (``oracle.word_ball``) also needs each sphere in
-breadth-first order: ``next_sphere`` is the ordered step, which reads the
-order off one mask over the (element, generator) pairs. Both steps build
-their output range by range of output keys, from the sorted runs of
-translates that ``_translate_runs`` cuts off the sorted keys they step
-from, after a packing certificate on all of those keys that raises
-ValidationError instead of wrapping.
+generators. The word ball (``oracle.word_ball``) has two steps from one
+sphere to the next. ``sorted_sphere`` gives the sphere as sorted keys,
+for balls that are only looked up or counted (set-dynamics, word-length,
+ball-census). ``next_sphere`` gives it in breadth-first order, which
+qi-compare's CSV rows and the uN box check's ball B_N read, and pays for
+that order with a flat (element, generator) index carried through its sort
+and one mask over all those pairs. All three steps build their output range
+by range of output keys, from the sorted runs of translates that
+``_translate_runs`` cuts off the sorted keys they step from, after a
+packing certificate on all of those keys that raises ValidationError
+instead of wrapping.
 
 Unpacked elements are coordinate rows: the coordinates of n elements are one
 C-contiguous (dim, n) int64 array whose row i holds every x_i, and their
@@ -34,6 +38,7 @@ from operator import mul
 
 import numpy as np
 
+from . import matrices
 from .errors import DEFAULT_ELEMENT_BUDGET, BudgetError, ValidationError, int_text
 from .group import GeneratingSet, GroupContext, GroupElement
 
@@ -48,6 +53,13 @@ KEY_BITS = 63
 # a block never has a lone row, which numpy would sum in another order (see
 # ``suspension._projected_norms``).
 BLOCK_KEYS = 1 << 16
+# A step table's row first met whose reach is at least 2^b with b above this
+# (``GroupContext.entry_bits``) is refused on that bound before the row's
+# exact power of A is formed, which at far exponents takes seconds to
+# minutes. 2^16384 has 4,933 digits, more than the 4,300 that Python turns
+# into text by default, so a refusal that prints its bound as a number
+# (``errors.int_text``) still prints the exact one.
+FLOOR_BITS = 1 << 14
 
 
 class KeyLayout:
@@ -209,6 +221,10 @@ class StepTable:
         self.ys = [b.x for b in elements]
         self.dks = tuple(b.k for b in elements)
         self.deltas = np.zeros((2 * layout.radius + 1, len(self.dks)), dtype=np.int64)
+        # With e_j or -e_j among the lattice parts for every j, a row's reach
+        # is at least the largest |entry| of A^k (``GroupContext.entry_bits``).
+        units = {tuple(map(abs, y)) for y in self.ys}
+        self._units = all(e in units for e in matrices.identity(layout.dim))
         # Each filled row's reach, by row: only rows met take room.
         self._reach: dict = {}
 
@@ -237,6 +253,11 @@ class StepTable:
         certified at each row first met, so keys at far exponents are
         refused before the far rows' exact matrix powers are formed (the
         bound only grows, so this refuses nothing the final check passes).
+        Where the elements' lattice parts hold every unit vector, a row first
+        met whose reach is at least 2^``entry_bits`` > 2^FLOOR_BITS (read
+        without a power of A) is refused on that bound; the exact bound is
+        never smaller, so this refuses the same keys, only naming a smaller
+        size.
         """
         layout = self.layout
         present, counts = layout.rows(keys)
@@ -244,6 +265,10 @@ class StepTable:
         twist = [0] * layout.dim
         for row in sorted(present.tolist(), key=lambda r: abs(r - layout.radius)):
             fresh = row not in self._reach
+            if fresh and self._units:
+                bits = self.ctx.entry_bits(row - layout.radius)
+                if bits > FLOOR_BITS:
+                    certify(what, "coordinates", 1 << bits, layout.x_limit)
             twist = list(map(max, twist, self._row_reach(row)))
             if fresh:
                 certify(what, "coordinates", max(map(sum, zip(reach, twist))), layout.x_limit)
@@ -370,6 +395,34 @@ def _read_in_order(table: StepTable, frontier: np.ndarray, firsts: np.ndarray, s
         out[at : at + len(keys)] = keys
         at += len(keys)
     return out
+
+
+def sorted_sphere(table: StepTable, frontier: np.ndarray, previous, what: str):
+    """The breadth-first sphere after the sorted ``frontier``, as sorted keys.
+
+    The step of a ball that is only looked up, which needs no order within a
+    sphere: ``spread``'s union round over the frontier, less the keys of
+    ``previous``, the frontier and the sphere before it as sorted keys.
+    Returns the sphere and the next step's ``previous``, as ``next_sphere``
+    does.
+
+    Keys have KEY_BITS = 63 bits, so a range's translates and its slices of
+    ``previous`` go into one uint64 array as ``key << 1 | fresh``, with
+    fresh 1 for a translate and 0 for a key seen before, and are merged by
+    one stable sort. A key's group of equal keys then starts with a 0 tag
+    if it was seen before; the key is kept when that first tag is 1.
+    """
+    out = []
+    for runs, seen in _translate_runs(table, frontier, previous, what):
+        tagged = _candidates(frontier, runs, seen).view(np.uint64)
+        tagged <<= 1
+        tagged[: sum(b - a for a, b, *_ in runs)] |= 1
+        tagged.sort(kind="stable")  # timsort, which merges the sorted runs
+        keep = heads(tagged >> 1)
+        keep &= (tagged & 1).astype(bool)
+        out.append((tagged[keep] >> 1).view(np.int64))
+    sphere = np.concatenate(out)
+    return sphere, (sphere, frontier)
 
 
 def spread(keys: np.ndarray, rounds: int, table: StepTable, budget: int, what: str):

@@ -876,6 +876,24 @@ def test_key_layout_of_a_billion_exponent_rows_exits_2(tmp_path, name, changes):
     assert not (tmp_path / "runs").exists()
 
 
+def test_set_dynamics_from_an_exponent_of_ten_million_exits_2_without_forming_its_power(
+    tmp_path
+):
+    # A^(10^7) has entries of about 14 million bits and took about a minute
+    # to form; the lower bound from |tr A^8| refuses its row without it.
+    out = tmp_path / "runs" / "out"
+    cfg = json.loads((Path(__file__).parent.parent / "configs/set-dynamics.json").read_text())
+    cfg = write_cfg(tmp_path, "far", {**cfg, "a0": [[[0, 0], 10**7]], "output_dir": str(out)})
+    env = {**os.environ, "PYTHONPATH": str(Path(unstretch.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", CAPPED, str(cfg)],
+                         env=env, capture_output=True, text=True, timeout=20)
+    assert run.returncode == 2
+    assert run.stderr == (
+        "validation error: iteration step 1 does not fit the int64 key layout: "
+        "coordinates may reach more than 2^12499998 > 262143\n")
+    assert not (tmp_path / "runs").exists()
+
+
 # Runs the CLI as the only child of a fresh process and prints that child's
 # peak RSS in kB: RUSAGE_CHILDREN holds the peaks of reaped children only.
 CHILD_PEAK = """

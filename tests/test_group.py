@@ -193,3 +193,25 @@ def test_power_asks_for_logarithmically_many_matrix_powers(cat_matrix):
     g = GroupElement((1, -1), 1)
     assert ctx.power(g, 3000) == ctx.multiply(ctx.power(g, 1000), ctx.power(g, 2000))
     assert ctx.power(g, -77) == ctx.inverse(ctx.power(g, 77))
+
+
+@pytest.mark.parametrize("rows", [CAT, ((1, 1), (1, 0)), D3_REAL, ((1000001, 1000000), (1, 1))],
+                         ids=["cat", "fib", "d3", "wide"])
+def test_entry_bits_bound_the_largest_entry_of_every_power(rows):
+    ctx = GroupContext(ToralMatrix(rows))
+    for k in range(-80, 81):
+        largest = max(abs(v) for row in ctx.matrix_power(k) for v in row)
+        assert 1 << ctx.entry_bits(k) <= largest
+    assert ctx.entry_bits(0) == 0
+    assert min(ctx.entry_bits(-800), ctx.entry_bits(800)) >= 399
+
+
+def test_power_of_z_alone_forms_no_power_of_the_matrix():
+    ctx = GroupContext(ToralMatrix(CAT))
+    for e, n in ((1, 10**7), (-1, 3), (2, -5), (1, 0)):
+        assert ctx.power(GroupElement((0, 0), e), n) == GroupElement((0, 0), e * n)
+    assert list(ctx._powers) == [0]
+    product = ctx.identity
+    for _ in range(5):
+        product = ctx.multiply(product, GroupElement((0, 0), -2))
+    assert ctx.power(GroupElement((0, 0), 2), -5) == product

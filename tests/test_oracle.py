@@ -15,6 +15,7 @@ import pytest
 from conftest import CAT, D3_REAL
 from unstretch import packed, words
 from unstretch import (
+    BudgetError,
     GeneratingSet,
     GroupAutomorphism,
     GroupContext,
@@ -31,6 +32,7 @@ from unstretch.words import check_box_inclusion_un
 # Twisted generators A^k e_i have entries near 10^(6k): at z^2 they no
 # longer fit the coordinate fields of a radius-5 key layout.
 WIDE = ((1000001, 1000000), (1, 1))
+FIB = ((1, 1), (1, 0))
 
 
 def _expand_frontier(ctx, gens, frontier, table, length):
@@ -148,6 +150,66 @@ def test_streamed_ball_matches_dict_search(rows, radius, block, monkeypatch):
     assert oracle.sphere_sizes == np.bincount(list(reference.values())).tolist()
 
 
+def _sorted_and_breadth_first(rows, radius, budget=10**9):
+    """The ball built each way, or the error each way raised."""
+    ctx = GroupContext(ToralMatrix(rows))
+    gens = GeneratingSet.standard(ctx.dim)
+    built = []
+    for breadth_first in (True, False):
+        try:
+            built.append(word_ball(ctx, gens, radius, budget, breadth_first=breadth_first))
+        except (BudgetError, ValidationError) as exc:
+            built.append(exc)
+    return ctx, gens, built
+
+
+@pytest.mark.parametrize("block", [1 << 16, 5])
+@pytest.mark.parametrize("rows, radius", [(CAT, 10), (FIB, 12), (D3_REAL, 7)],
+                         ids=["cat", "fib", "d3"])
+def test_sorted_ball_holds_the_breadth_first_spheres_in_key_order(rows, radius, block,
+                                                                  monkeypatch):
+    # The same spheres as sets, so the same lengths for every element, for
+    # the next sphere's elements (misses) and for elements off the layout.
+    monkeypatch.setattr(packed, "BLOCK_KEYS", block)
+    ctx, gens, (ordered, keyed) = _sorted_and_breadth_first(rows, radius)
+    assert keyed.sphere_sizes == ordered.sphere_sizes
+    ends = np.cumsum([0, *ordered.sphere_sizes])
+    for lo, hi in zip(ends, ends[1:]):
+        assert np.array_equal(keyed.keys[lo:hi], np.sort(ordered.keys[lo:hi]))
+    ball = list(ordered.elements())
+    rim = ball[ends[-2]:]
+    outside = {ctx.multiply(g, s) for g in rim[::7] for s in gens.all} - set(ball)
+    far = [GroupElement((2**62,) + (0,) * (ctx.dim - 1), 0), GroupElement(rim[0].x, 10**6)]
+    queries = ball + sorted(outside) + far
+    xs, ks = packed.element_columns(queries, ctx.dim)
+    want = [n for _, n in ordered.items()] + [-1] * (len(queries) - len(ball))
+    assert keyed.column_lengths(xs, ks).tolist() == want
+    assert ordered.column_lengths(xs, ks).tolist() == want
+    assert [keyed.word_length(g) for g in queries] == [None if n < 0 else n for n in want]
+
+
+@pytest.mark.parametrize("rows", [CAT, FIB, D3_REAL], ids=["cat", "fib", "d3"])
+def test_sorted_ball_reports_the_same_partial_census(rows):
+    _, _, (small, _) = _sorted_and_breadth_first(rows, 5)
+    _, _, refused = _sorted_and_breadth_first(rows, 8, len(small) + 1)
+    ordered, keyed = refused
+    assert isinstance(ordered, BudgetError) and str(keyed) == str(ordered)
+    assert keyed.completed_radius == ordered.completed_radius == 5
+    assert keyed.partial.census() == ordered.partial.census() == small.census()
+
+
+@pytest.mark.parametrize("rows, radius, message", [
+    (D3_REAL, 14, "ball of radius 13 does not fit the int64 key layout: "
+                  "coordinates may reach 477595 > 262143"),
+    (WIDE, 5, "ball of radius 3 does not fit the int64 key layout: "
+              "coordinates may reach 1000004000002 > 268435455"),
+], ids=["d3", "wide"])
+def test_sorted_ball_refuses_as_the_breadth_first_ball(rows, radius, message):
+    _, _, refused = _sorted_and_breadth_first(rows, radius)
+    assert [type(e) for e in refused] == [ValidationError] * 2
+    assert [str(e) for e in refused] == [message] * 2
+
+
 def test_packing_certificate_refuses_instead_of_wrapping():
     ctx = GroupContext(ToralMatrix(WIDE))
     gens = GeneratingSet.standard(2)
@@ -181,19 +243,22 @@ def test_oracle_arrays_stay_small(ctx, gens):
 # sorted lookup copy built with the ball, 24.8 with candidates streamed by
 # exponent block and the copy left to the first lookup, 26.9 once seen keys
 # joined the block sort, and 18.8 with ranges of output keys cut from the
-# sorted frontier, which need no exponent-grouped copy of the frontier.
+# sorted frontier, which need no exponent-grouped copy of the frontier. The
+# ball with spheres in key order reads 16.0.
 BALL_PEAK_BYTES_PER_ELEMENT = 22
 
 
 def test_word_ball_memory_per_element(ctx, gens):
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        oracle = word_ball(ctx, gens, 14)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - start) / len(oracle) < BALL_PEAK_BYTES_PER_ELEMENT
+    for breadth_first in (True, False):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            oracle = word_ball(ctx, gens, 14, breadth_first=breadth_first)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / len(oracle) < BALL_PEAK_BYTES_PER_ELEMENT
+        del oracle
 
 
 def test_lookup_copy_is_built_once_by_the_first_lookup(ctx, gens):

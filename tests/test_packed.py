@@ -223,6 +223,58 @@ def test_step_table_refuses_a_row_past_the_layout():
         table.translates(np.array([z2]), "z^2")
 
 
+@pytest.mark.parametrize("rows", [CAT, ((1, 1), (1, 0)), D3_REAL], ids=["cat", "fib", "d3"])
+def test_lower_bound_on_a_row_refuses_the_rows_the_exact_bound_refuses(rows, monkeypatch):
+    # With the lower bound read at every row (FLOOR_BITS 0) or at none, the
+    # same rows are refused; the bound refuses some first, naming a smaller
+    # size. A table without the unit vectors never reads it.
+    radius = 80
+    outcomes = []
+    for units in (True, False):
+        for floor_bits in (0, 10**9):
+            monkeypatch.setattr(packed, "FLOOR_BITS", floor_bits)
+            outcomes.append(_row_outcomes(rows, units, radius))
+    lower, exact, plain_lower, plain_exact = outcomes
+    assert [m is None for m in lower] == [m is None for m in exact]
+    assert any(a != b for a, b in zip(lower, exact))
+    assert sum(m is None for m in exact) > 10
+    assert plain_lower == plain_exact
+    assert sum(m is None for m in plain_exact) > 10
+
+
+def _row_outcomes(rows, units, radius):
+    """Per exponent k in [-radius, radius], None if the step table of the
+    generators (of (1, ..., 1) alone, without ``units``) translates z^k, or
+    the refusal's text."""
+    ctx = GroupContext(ToralMatrix(rows))
+    elements = GeneratingSet.standard(ctx.dim).all if units else (
+        GroupElement((1,) * ctx.dim, 0),)
+    table = packed.StepTable(ctx, elements, packed.KeyLayout(ctx.dim, radius))
+    outcome = []
+    for k in range(-radius, radius + 1):
+        key = table.layout.pack_set(np.zeros((ctx.dim, 1), dtype=np.int64),
+                                    np.array([k]), "z^k")
+        try:
+            table.translates(key, f"z^{k}")
+            outcome.append(None)
+        except ValidationError as exc:
+            outcome.append(str(exc))
+    return outcome
+
+
+def test_step_table_refuses_a_far_row_before_forming_its_power():
+    # A^(10^6) has entries of about 1.4 million bits; |tr A^8| = 2207 gives
+    # at least 2^(10 * 10^6 / 8 - 1) without it.
+    ctx = GroupContext(ToralMatrix(CAT))
+    table = packed.translate_steps(ctx, GeneratingSet.standard(2).all, 10**6)
+    key = table.layout.pack_set(np.zeros((2, 1), dtype=np.int64), np.array([10**6]), "z^k")
+    with pytest.raises(ValidationError) as refused:
+        table.translates(key, "z^1000000")
+    assert str(refused.value) == ("z^1000000 does not fit the int64 key layout: "
+                                  "coordinates may reach more than 2^1249998 > 1048575")
+    assert 10**6 not in ctx._powers
+
+
 def test_layout_refuses_more_exponent_rows_than_the_element_budget():
     # A table on it would hold 2 * 10^9 + 1 rows; one row fewer than the
     # budget still builds, and the layout itself allocates nothing.
