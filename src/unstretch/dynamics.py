@@ -169,6 +169,13 @@ def _iterate(table: StepTable, keys: np.ndarray, phi: GroupAutomorphism, rounds:
         points.append(point(k, keys))
         if k < k_max:
             what = f"{name} step {k + 1}"
+            # ``spread`` refuses a far row of the image on a bound alone
+            # (``StepTable.certify_far``), which grows with |k|, so the
+            # image's two extreme rows are tested before ``_map_keys`` forms
+            # their shifts, which at far exponents takes seconds.
+            ends = (keys[[0, -1]] >> table.layout.k_shift) - table.layout.radius
+            for end in sorted((phi.e * ends).tolist(), key=abs):
+                table.certify_far(end, what)
             mapped = _map_keys(table.ctx, table.layout, keys, phi, what)
             del keys  # only its image is spread
             mapped.sort()

@@ -136,11 +136,9 @@ def run_ball_census(prep: Prepared, outdir: Path) -> dict:
     from . import words
 
     cfg = prep.cfg
-    try:  # only the sphere sizes are read, so each sphere is built in key order
-        oracle = words.word_ball(
-            prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements,
-            breadth_first=False,
-        )
+    try:
+        oracle = words.word_ball(prep.ctx, prep.gens, cfg.bfs_radius,
+                                 budget=cfg.budget_elements)
     except BudgetError as exc:
         # The radii completed before the budget tripped are exact.
         _write_census(outdir / "census.csv", exc.partial)
@@ -157,9 +155,7 @@ def run_word_length(prep: Prepared, outdir: Path) -> dict:
     if not cfg.elements:
         raise ValidationError("word-length experiment needs a nonempty 'elements' list")
     elements = [_parse_element("elements", raw, dim) for raw in cfg.elements]
-    # Only looked up, so each sphere is built in key order.
-    oracle = words.word_ball(prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements,
-                             breadth_first=False)
+    oracle = words.word_ball(prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements)
     rows = []
     for g in elements:
         n = oracle.word_length(g)
@@ -248,9 +244,7 @@ def run_set_dynamics(prep: Prepared, outdir: Path) -> dict:
         prep.ctx, prep.phi, cfg.neighborhood_n, a0, cfg.k_max,
         words.choose_lambda(prep.matrix, prep.phi),
     )
-    # Only looked up, so each sphere is built in key order.
-    oracle = words.word_ball(prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements,
-                             breadth_first=False)
+    oracle = words.word_ball(prep.ctx, prep.gens, cfg.bfs_radius, budget=cfg.budget_elements)
     growth = _growth(outdir, lambda: dynamics.run_iteration(
         prep.ctx, prep.gens, iteration, oracle, budget=cfg.budget_elements
     ))
@@ -304,15 +298,14 @@ def run_qi_compare(prep: Prepared, outdir: Path) -> dict:
             f"qi-compare builds its ball to its largest radius {radii[-1]}, "
             f"so bfs_radius {cfg.bfs_radius} may not exceed it"
         )
-    # Each radius's ball is a breadth-first prefix of the largest one, and a
-    # row's bound does not depend on the rows around it, so the bounds are
-    # computed once and each radius reads the first ball_size(r) rows, the
-    # rows of length at most r. The CSV rows list each sphere in the ball's
-    # breadth-first order. No name here holds the ball, so it is freed once
-    # its bounds exist, before the fit.
+    # Each radius's ball is a prefix of the largest one, sphere after
+    # sphere, and a row's bound does not depend on the rows around it, so
+    # the bounds are computed once and each radius reads the first
+    # ball_size(r) rows, the rows of length at most r. The CSV rows list
+    # each sphere in key order. No name here holds the ball, so it is freed
+    # once its bounds exist, before the fit.
     top = suspension.qi_comparison(
-        words.word_ball(prep.ctx, prep.gens, radii[-1], budget=cfg.budget_elements,
-                        breadth_first=True),
+        words.word_ball(prep.ctx, prep.gens, radii[-1], budget=cfg.budget_elements),
         suspension.compute_splitting(prep.matrix),
     )
     sizes = {r: int(top.lengths.searchsorted(r, side="right")) for r in radii}

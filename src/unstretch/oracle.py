@@ -4,15 +4,12 @@ Elements x * z^k are packed into int64 keys (``packed.KeyLayout``), so that a
 generator step is one integer addition. ``word_ball`` enumerates the ball one
 sphere at a time, each built range by range of output keys as ``spread``
 builds a union, and ``WordLengthOracle`` stores it as the keys sphere after
-sphere with the sphere sizes. The caller picks the order within a sphere:
-qi-compare, whose CSV rows list the ball, and the ball B_N of the sampled
-uN box check, whose elements order a step table's columns, take breadth-first
-order (``packed.next_sphere``); set-dynamics, word-length and ball-census
-only look the ball up or count it, and take each sphere in key order
-(``packed.sorted_sphere``), which costs about half as much. Only lookups
-need a sorted copy of the keys with their uint8 lengths, so it is built on
-the first lookup. A packing certificate checked before every sphere makes
-the ball refuse to grow past what the layout holds instead of wrapping.
+sphere with the sphere sizes. Each sphere is sorted keys
+(``packed.sorted_sphere``), so the ball lists its elements by length and
+then by key. Only lookups need a sorted copy of the keys with their uint8
+lengths, so it is built on the first lookup. A packing certificate checked
+before every sphere makes the ball refuse to grow past what the layout
+holds instead of wrapping.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ import numpy as np
 from . import packed
 from .errors import DEFAULT_ELEMENT_BUDGET, BudgetError, ValidationError
 from .group import GeneratingSet, GroupContext, GroupElement
-from .packed import find, next_sphere, sorted_sphere, translate_steps
+from .packed import find, sorted_sphere, translate_steps
 
 # Oracle lengths are stored as uint8.
 MAX_ORACLE_RADIUS = 255
@@ -33,14 +30,13 @@ MAX_ORACLE_RADIUS = 255
 class WordLengthOracle:
     """Complete word-length table out to a fixed radius, as packed keys.
 
-    ``keys`` lists the ball sphere after sphere, each sphere in breadth-first
-    order or in key order (``word_ball``'s ``breadth_first``), so the word
-    length of ``keys[i]`` is the sphere holding index i; lengths are
-    implicit in ``sphere_sizes``. Lookups binary-search a sorted copy of the
-    keys that carries uint8 lengths, built by the first ``word_length`` or
-    ``column_lengths`` call, so that a run which never looks anything up
-    never pays for it; absence certifies length > radius. The copy comes
-    from one stable argsort, which merges spheres held in key order as
+    ``keys`` lists the ball sphere after sphere, each sphere in key order,
+    so the word length of ``keys[i]`` is the sphere holding index i;
+    lengths are implicit in ``sphere_sizes``. Lookups binary-search a sorted
+    copy of the keys that carries uint8 lengths, built by the first
+    ``word_length`` or ``column_lengths`` call, so that a run which never
+    looks anything up never pays for it; absence certifies length > radius.
+    The copy comes from one stable argsort, which merges the spheres as
     sorted runs. A ``restricted`` oracle is a plain smaller oracle on a
     prefix of the keys.
     """
@@ -142,19 +138,13 @@ def word_ball(
     gens: GeneratingSet,
     radius: int,
     budget: int = DEFAULT_ELEMENT_BUDGET,
-    *,
-    breadth_first: bool = True,
 ) -> WordLengthOracle:
     """Enumerate the ball of the given radius by breadth-first search.
 
     Sphere r comes from sphere r-1 in one step: the keys of every (element,
     generator) product, less those in spheres r-1 and r-2 (the generators
-    are symmetric, so no earlier element is adjacent to sphere r-1). With
-    ``breadth_first`` the step is ``packed.next_sphere``, which keeps first
-    occurrences in (element, generator) order, the order a dictionary-driven
-    search would insert them in; without it the step is
-    ``packed.sorted_sphere``, which gives the sphere as sorted keys for a
-    ball that is only looked up or counted. Both steps build the sphere over
+    are symmetric, so no earlier element is adjacent to sphere r-1), as
+    sorted keys (``packed.sorted_sphere``). The step builds the sphere over
     ranges of output keys cut from the sorted frontier, as ``spread`` does,
     so the candidates alive at once are about BLOCK_KEYS (more where a dense
     exponent row overfills its neighbour's ranges), not the whole sphere's.
@@ -173,14 +163,13 @@ def word_ball(
     table = translate_steps(ctx, gens.all, radius)
     layout = table.layout
     spheres = [np.array([layout.key(ctx.identity)], dtype=np.int64)]
-    previous = (spheres[0], spheres[0][:0])  # spheres r-1 and r-2, sorted
-    step = next_sphere if breadth_first else sorted_sphere
     total = 1
     for r in range(1, radius + 1):
-        sphere, previous = step(table, spheres[-1], previous, f"ball of radius {r}")
+        # spheres[-2:] holds spheres r-1 and r-2, or at r = 1 the identity alone
+        sphere = sorted_sphere(table, spheres[-1], spheres[-2:], f"ball of radius {r}")
         total += len(sphere)
         if total > budget:
-            del sphere, previous
+            del sphere
             raise BudgetError(
                 f"ball of radius {r} exceeds budget of {budget} elements",
                 completed_radius=r - 1,
@@ -190,7 +179,6 @@ def word_ball(
                 ),
             )
         spheres.append(sphere)
-    del previous
     return WordLengthOracle(
         ctx, radius, layout, np.concatenate(spheres), [len(s) for s in spheres]
     )

@@ -1,4 +1,4 @@
-"""Group elements packed into int64 keys, and the breadth-first step on them.
+"""Group elements packed into int64 keys, and the generator steps on them.
 
 An element x * z^k becomes one nonnegative int64 (``KeyLayout``), so a
 generator step is one integer addition and a finite set of elements is a
@@ -9,17 +9,13 @@ row of z^k is filled on first use from the context's exact A^k, and
 ``spread`` grows right neighborhoods U_N(S) (behind ``words.neighborhood``,
 the set iteration and its lattice control in ``dynamics``) by N unordered
 union rounds, each the union of the set with its translates by the
-generators. The word ball (``oracle.word_ball``) has two steps from one
-sphere to the next. ``sorted_sphere`` gives the sphere as sorted keys,
-for balls that are only looked up or counted (set-dynamics, word-length,
-ball-census). ``next_sphere`` gives it in breadth-first order, which
-qi-compare's CSV rows and the uN box check's ball B_N read, and pays for
-that order with a flat (element, generator) index carried through its sort
-and one mask over all those pairs. All three steps build their output range
-by range of output keys, from the sorted runs of translates that
-``_translate_runs`` cuts off the sorted keys they step from, after a
-packing certificate on all of those keys that raises ValidationError
-instead of wrapping.
+generators. The word ball (``oracle.word_ball``) takes one step from each
+sphere to the next, ``sorted_sphere``, which is that round over the sorted
+sphere less the two spheres before, so every sphere comes as sorted keys.
+Both steps build their output range by range of output keys, from the
+sorted runs of translates that ``_translate_runs`` cuts off the sorted keys
+they step from, after a packing certificate on all of those keys that raises
+ValidationError instead of wrapping.
 
 Unpacked elements are coordinate rows: the coordinates of n elements are one
 C-contiguous (dim, n) int64 array whose row i holds every x_i, and their
@@ -253,11 +249,7 @@ class StepTable:
         certified at each row first met, so keys at far exponents are
         refused before the far rows' exact matrix powers are formed (the
         bound only grows, so this refuses nothing the final check passes).
-        Where the elements' lattice parts hold every unit vector, a row first
-        met whose reach is at least 2^``entry_bits`` > 2^FLOOR_BITS (read
-        without a power of A) is refused on that bound; the exact bound is
-        never smaller, so this refuses the same keys, only naming a smaller
-        size.
+        A far row first met is refused on a bound alone (``certify_far``).
         """
         layout = self.layout
         present, counts = layout.rows(keys)
@@ -265,10 +257,7 @@ class StepTable:
         twist = [0] * layout.dim
         for row in sorted(present.tolist(), key=lambda r: abs(r - layout.radius)):
             fresh = row not in self._reach
-            if fresh and self._units:
-                bits = self.ctx.entry_bits(row - layout.radius)
-                if bits > FLOOR_BITS:
-                    certify(what, "coordinates", 1 << bits, layout.x_limit)
+            self.certify_far(row - layout.radius, what)
             twist = list(map(max, twist, self._row_reach(row)))
             if fresh:
                 certify(what, "coordinates", max(map(sum, zip(reach, twist))), layout.x_limit)
@@ -277,6 +266,18 @@ class StepTable:
             k_reach = max(layout.radius - int(present[0]), int(present[-1]) - layout.radius)
             certify(what, "exponents", k_reach + max(map(abs, self.dks)), layout.radius)
         return present, counts
+
+    def certify_far(self, k: int, what: str):
+        """Refuse the row of exponent k, if not met yet, on a bound read
+        without a power of A: where the elements' lattice parts hold every
+        unit vector, a row's reach is at least A^k's largest |entry|, at
+        least 2^``entry_bits``, and the row is refused on that bound when it
+        exceeds 2^FLOOR_BITS. The exact bound is never smaller, so this
+        refuses the same keys, only naming a smaller size."""
+        if self._units and k + self.layout.radius not in self._reach:
+            bits = self.ctx.entry_bits(k)
+            if bits > FLOOR_BITS:
+                certify(what, "coordinates", 1 << bits, self.layout.x_limit)
 
     def translates(self, keys: np.ndarray, what: str) -> np.ndarray:
         """Each key's right translates by the table's elements, (n, elements),
@@ -333,96 +334,30 @@ def heads(values: np.ndarray) -> np.ndarray:
     return mask
 
 
-def next_sphere(table: StepTable, frontier: np.ndarray, previous, what: str):
-    """The breadth-first sphere after ``frontier``, in breadth-first order.
-
-    Each key comes at its first occurrence in (frontier element, generator)
-    order, which is the order a dictionary-driven search inserts them in;
-    ``previous`` holds the frontier and the sphere before it as sorted keys,
-    which are dropped (the generators are symmetric, so nothing earlier is
-    adjacent to the frontier). Returns the sphere and the next step's
-    ``previous``.
-
-    The ranges of output keys and their sorted runs of translates are
-    ``spread``'s (``_translate_runs``, which certifies the whole frontier
-    first). A translate's flat index is its source's breadth-first position
-    * generators + its generator. A range's runs and its slices of the
-    ``previous`` spheres (flat index -1) are merged by one stable sort and
-    deduplicated keeping each key's least flat index; a negative one marks
-    a key seen before, which is dropped. The fresh keys' flat indices are
-    set in one mask over all (element, generator) pairs, whose set bits,
-    read in order, give the breadth-first order without a sort.
-    """
-    ordered = previous[0]
-    base = frontier.argsort()  # the breadth-first position of each sorted key
-    base *= len(table.dks)  # the flat index of its first generator
-    firsts = np.zeros(len(frontier) * len(table.dks), dtype=bool)
-    ranked = []
-    for runs, seen in _translate_runs(table, ordered, previous, what):
-        cand = _candidates(ordered, runs, seen)
-        flat = np.full_like(cand, -1)  # below every flat index, so a seen key's run is dropped
-        at = 0
-        for a, b, g, _ in runs:
-            np.add(base[a:b], g, out=flat[at : at + b - a])
-            at += b - a
-        # Timsort merges the sorted runs; each array is freed once permuted.
-        order = cand.argsort(kind="stable")
-        cand = cand[order]
-        flat = flat[order]
-        del order
-        starts = np.flatnonzero(heads(cand))
-        fresh, first = cand[starts], np.minimum.reduceat(flat, starts)
-        del cand, flat
-        keep = first >= 0
-        ranked.append(fresh[keep])
-        firsts[first[keep]] = True
-    del base
-    ranked = np.concatenate(ranked)
-    return _read_in_order(table, frontier, firsts, len(ranked)), (ranked, ordered)
-
-
-def _read_in_order(table: StepTable, frontier: np.ndarray, firsts: np.ndarray, size: int):
-    """The ``size`` keys whose flat indices (frontier position * generators
-    + generator) the mask ``firsts`` sets, in flat index order, translated
-    afresh ``BLOCK_KEYS`` mask entries at a time."""
-    n_gens = table.deltas.shape[1]
-    out = np.empty(size, dtype=np.int64)
-    at = 0
-    for lo in range(0, len(firsts), BLOCK_KEYS):
-        pos, g = np.divmod(np.flatnonzero(firsts[lo : lo + BLOCK_KEYS]) + lo, n_gens)
-        keys = frontier[pos]
-        keys += table.deltas[keys >> table.layout.k_shift, g]
-        out[at : at + len(keys)] = keys
-        at += len(keys)
-    return out
-
-
-def sorted_sphere(table: StepTable, frontier: np.ndarray, previous, what: str):
+def sorted_sphere(table: StepTable, frontier: np.ndarray, seen: list, what: str):
     """The breadth-first sphere after the sorted ``frontier``, as sorted keys.
 
-    The step of a ball that is only looked up, which needs no order within a
-    sphere: ``spread``'s union round over the frontier, less the keys of
-    ``previous``, the frontier and the sphere before it as sorted keys.
-    Returns the sphere and the next step's ``previous``, as ``next_sphere``
-    does.
+    ``spread``'s union round over the frontier, less the keys of ``seen``,
+    sorted arrays that hold the frontier and the sphere before it (the
+    generators are symmetric, so nothing earlier is adjacent to the
+    frontier).
 
     Keys have KEY_BITS = 63 bits, so a range's translates and its slices of
-    ``previous`` go into one uint64 array as ``key << 1 | fresh``, with
+    ``seen`` go into one uint64 array as ``key << 1 | fresh``, with
     fresh 1 for a translate and 0 for a key seen before, and are merged by
     one stable sort. A key's group of equal keys then starts with a 0 tag
     if it was seen before; the key is kept when that first tag is 1.
     """
     out = []
-    for runs, seen in _translate_runs(table, frontier, previous, what):
-        tagged = _candidates(frontier, runs, seen).view(np.uint64)
+    for runs, tails in _translate_runs(table, frontier, seen, what):
+        tagged = _candidates(frontier, runs, tails).view(np.uint64)
         tagged <<= 1
         tagged[: sum(b - a for a, b, *_ in runs)] |= 1
         tagged.sort(kind="stable")  # timsort, which merges the sorted runs
         keep = heads(tagged >> 1)
         keep &= (tagged & 1).astype(bool)
         out.append((tagged[keep] >> 1).view(np.int64))
-    sphere = np.concatenate(out)
-    return sphere, (sphere, frontier)
+    return np.concatenate(out)
 
 
 def spread(keys: np.ndarray, rounds: int, table: StepTable, budget: int, what: str):

@@ -1,8 +1,8 @@
 """qi-compare's CSV writer: ``qi_r<R>.csv`` as bytes, equal to csv.writer's.
 
 csv.writer formats a float with ``repr``, about 1 us per float through
-bignums. Here the rows of one length l (a sphere of the ball, one run in
-breadth-first order) are told apart by their bound alone, so each row text
+bignums. Here the rows of one length l (a sphere of the ball, one run of
+rows) are told apart by their bound alone, so each row text
 ``l,bound,ratio`` depends only on (sphere, bound). One sort of each
 sphere's bound bits gives its distinct bounds in order and each row's code;
 each distinct bound and its ratio l / b is formatted once per sphere, those

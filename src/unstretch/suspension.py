@@ -165,7 +165,8 @@ def log_distance_bounds(split: HyperbolicSplitting, xs, ss) -> np.ndarray:
 @dataclass
 class QiReport:
     """Word length versus cover-distance bound over a full enumerated ball:
-    ``lengths`` (uint8) and ``bounds`` (float64) in breadth-first order."""
+    ``lengths`` (uint8) and ``bounds`` (float64) in the oracle's order,
+    sphere after sphere and each sphere in key order."""
 
     radius: int
     n_entries: int

@@ -379,7 +379,7 @@ def check_box_inclusion_un(
     if n < 0:
         raise ValidationError("N must be nonnegative")
     ball = ctx.balls.get((gens, n))
-    if ball is None:  # breadth-first, which orders the step table's columns
+    if ball is None:  # by length, then by key: the step table's columns
         ball = ctx.balls[(gens, n)] = tuple(word_ball(ctx, gens, n).elements())
     table = translate_steps(ctx, ball, h + n)
     return check_inclusion(

@@ -26,9 +26,11 @@ from unstretch.cli import main
 from unstretch.config import COMMON_KEYS, EXPERIMENT_NAMES, ExperimentConfig, load_config
 from unstretch.errors import CertificationError, int_text
 from unstretch.experiments import REGISTRY, ExperimentInfo, list_experiments, prepare
+from unstretch.suspension import log_distance_bounds
 
 import qi_csv_sweep
 import repr_sweep
+from test_oracle import in_key_order, reference_ball
 
 CAT = [[2, 1], [1, 1]]
 
@@ -304,6 +306,25 @@ def test_qi_csvs_match_csv_writer_over_each_radius(tmp_path, monkeypatch, block)
             "coverage_ok": rep.coverage_ok,
             "entries": rep.n_entries,
         }
+
+
+def test_qi_csv_rows_list_the_reference_ball_by_length_then_key(tmp_path):
+    # The expected rows come from the dictionary search, not from word_ball,
+    # so a change of row order within a sphere shows here.
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "qi", {
+        "experiment": "qi-compare", "matrix": CAT, "qi_radii": [6, 8], "output_dir": str(out),
+    })
+    assert run_cli(cfg) == 0
+    matrix = ToralMatrix(CAT)
+    items = in_key_order(reference_ball(GroupContext(matrix), GeneratingSet.standard(2), 8))
+    lengths = np.array([n for _, n in items])
+    bounds = log_distance_bounds(compute_splitting(matrix), np.array([g.x for g, _ in items]).T,
+                                 [g.k for g, _ in items])
+    for r in (6, 8):
+        n = int(lengths.searchsorted(r, side="right"))
+        want = qi_csv_sweep.csv_bytes(lengths[:n], bounds[:n])
+        assert (out / f"qi_r{r}.csv").read_bytes() == want
 
 
 def test_qi_csvs_of_hand_built_columns_match_csv_writer(tmp_path):
@@ -876,14 +897,14 @@ def test_key_layout_of_a_billion_exponent_rows_exits_2(tmp_path, name, changes):
     assert not (tmp_path / "runs").exists()
 
 
-def test_set_dynamics_from_an_exponent_of_ten_million_exits_2_without_forming_its_power(
-    tmp_path
-):
-    # A^(10^7) has entries of about 14 million bits and took about a minute
-    # to form; the lower bound from |tr A^8| refuses its row without it.
+def _far_set_dynamics_run(tmp_path, changes):
+    """A capped set-dynamics CLI run from the seed z^(10^7), with the
+    config's other keys changed as given; asserts it exits 2 within 20 s
+    refusing the seed's image row, and writes nothing."""
     out = tmp_path / "runs" / "out"
     cfg = json.loads((Path(__file__).parent.parent / "configs/set-dynamics.json").read_text())
-    cfg = write_cfg(tmp_path, "far", {**cfg, "a0": [[[0, 0], 10**7]], "output_dir": str(out)})
+    cfg = write_cfg(tmp_path, "far", {**cfg, "a0": [[[0, 0], 10**7]], **changes,
+                                      "output_dir": str(out)})
     env = {**os.environ, "PYTHONPATH": str(Path(unstretch.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", CAPPED, str(cfg)],
                          env=env, capture_output=True, text=True, timeout=20)
@@ -892,6 +913,23 @@ def test_set_dynamics_from_an_exponent_of_ten_million_exits_2_without_forming_it
         "validation error: iteration step 1 does not fit the int64 key layout: "
         "coordinates may reach more than 2^12499998 > 262143\n")
     assert not (tmp_path / "runs").exists()
+
+
+def test_set_dynamics_from_an_exponent_of_ten_million_exits_2_without_forming_its_power(
+    tmp_path
+):
+    # A^(10^7) has entries of about 14 million bits and took about a minute
+    # to form; the lower bound from |tr A^8| refuses its row without it.
+    _far_set_dynamics_run(tmp_path, {})
+
+
+def test_set_dynamics_with_a_shift_from_an_exponent_of_ten_million_exits_2_before_the_shift(
+    tmp_path
+):
+    # With phi(z) = e_1 z the image of z^k is shifted by the lattice part of
+    # (e_1 z)^k, which at k = 10^6 took over a second to form and at 10^7
+    # far longer; the image row is refused on the same bound before it.
+    _far_set_dynamics_run(tmp_path, {"automorphism": {"b": CAT, "v": [1, 0], "e": 1}})
 
 
 # Runs the CLI as the only child of a fresh process and prints that child's

@@ -1,9 +1,9 @@
-"""The packed breadth-first oracle against an independent dictionary search.
+"""The packed word-length oracle against an independent dictionary search.
 
 The reference below is the plain frontier-by-frontier search over hashed
 GroupElement values that the packed kernel replaced. It shares no code with
 the kernel beyond group arithmetic, so agreement in elements, lengths and
-order is a real cross-check.
+order (by length, then by key) is a real cross-check.
 """
 
 import re
@@ -61,13 +61,19 @@ def reference_ball(ctx, gens, radius) -> dict:
     return table
 
 
+def in_key_order(reference: dict) -> list:
+    """The (element, length) pairs of a reference ball by length, then in
+    key order, which sorts by (k, x_{d-1}, ..., x_0)."""
+    return sorted(reference.items(), key=lambda item: (item[1], item[0].k, item[0].x[::-1]))
+
+
 @pytest.mark.parametrize("rows, radius", [(CAT, 10), (D3_REAL, 5)])
 def test_packed_ball_matches_dict_search(rows, radius):
     ctx = GroupContext(ToralMatrix(rows))
     gens = GeneratingSet.standard(ctx.dim)
     oracle = word_ball(ctx, gens, radius)
     reference = reference_ball(ctx, gens, radius)
-    assert list(oracle.items()) == list(reference.items())
+    assert list(oracle.items()) == in_key_order(reference)
     sizes = np.bincount(list(reference.values())).tolist()
     assert oracle.sphere_sizes == sizes
     assert len(oracle) == len(reference)
@@ -139,63 +145,59 @@ def test_column_lengths_refuse_rows_of_another_dimension(oracle6):
 ])
 def test_streamed_ball_matches_dict_search(rows, radius, block, monkeypatch):
     # Blocks of 7 candidates or fewer cut a range at every frontier key, so
-    # ranges split exponent and coordinate rows, and the order is read off
-    # many mask chunks.
+    # ranges split exponent and coordinate rows.
     monkeypatch.setattr(packed, "BLOCK_KEYS", block)
     ctx = GroupContext(ToralMatrix(rows))
     gens = GeneratingSet.standard(ctx.dim)
     oracle = word_ball(ctx, gens, radius)
     reference = reference_ball(ctx, gens, radius)
-    assert list(oracle.items()) == list(reference.items())
+    assert list(oracle.items()) == in_key_order(reference)
     assert oracle.sphere_sizes == np.bincount(list(reference.values())).tolist()
 
 
-def _sorted_and_breadth_first(rows, radius, budget=10**9):
-    """The ball built each way, or the error each way raised."""
+def _ball(rows, radius, budget=10**9):
     ctx = GroupContext(ToralMatrix(rows))
     gens = GeneratingSet.standard(ctx.dim)
-    built = []
-    for breadth_first in (True, False):
-        try:
-            built.append(word_ball(ctx, gens, radius, budget, breadth_first=breadth_first))
-        except (BudgetError, ValidationError) as exc:
-            built.append(exc)
-    return ctx, gens, built
+    return ctx, gens, word_ball(ctx, gens, radius, budget)
 
 
 @pytest.mark.parametrize("block", [1 << 16, 5])
 @pytest.mark.parametrize("rows, radius", [(CAT, 10), (FIB, 12), (D3_REAL, 7)],
                          ids=["cat", "fib", "d3"])
-def test_sorted_ball_holds_the_breadth_first_spheres_in_key_order(rows, radius, block,
-                                                                  monkeypatch):
-    # The same spheres as sets, so the same lengths for every element, for
-    # the next sphere's elements (misses) and for elements off the layout.
+def test_ball_holds_the_reference_spheres_in_key_order(rows, radius, block, monkeypatch):
+    # Each sphere is the reference's as sorted keys, so every element of the
+    # ball has its length, and the next sphere's elements (misses) and
+    # elements off the layout have none.
     monkeypatch.setattr(packed, "BLOCK_KEYS", block)
-    ctx, gens, (ordered, keyed) = _sorted_and_breadth_first(rows, radius)
-    assert keyed.sphere_sizes == ordered.sphere_sizes
-    ends = np.cumsum([0, *ordered.sphere_sizes])
-    for lo, hi in zip(ends, ends[1:]):
-        assert np.array_equal(keyed.keys[lo:hi], np.sort(ordered.keys[lo:hi]))
-    ball = list(ordered.elements())
-    rim = ball[ends[-2]:]
-    outside = {ctx.multiply(g, s) for g in rim[::7] for s in gens.all} - set(ball)
-    far = [GroupElement((2**62,) + (0,) * (ctx.dim - 1), 0), GroupElement(rim[0].x, 10**6)]
+    ctx, gens, oracle = _ball(rows, radius)
+    reference = reference_ball(ctx, gens, radius)
+    spheres = [[g for g, n in reference.items() if n == r] for r in range(radius + 1)]
+    assert oracle.sphere_sizes == list(map(len, spheres))
+    ends = np.cumsum([0, *oracle.sphere_sizes])
+    for lo, hi, sphere in zip(ends, ends[1:], spheres):
+        keys = oracle.layout.pack_rows(*packed.element_columns(sphere, ctx.dim), "sphere")
+        assert np.array_equal(oracle.keys[lo:hi], np.sort(keys))
+    ball = list(reference)
+    outside = {ctx.multiply(g, s) for g in spheres[-1][::7] for s in gens.all} - set(ball)
+    far = [GroupElement((2**62,) + (0,) * (ctx.dim - 1), 0),
+           GroupElement(spheres[-1][0].x, 10**6)]
     queries = ball + sorted(outside) + far
     xs, ks = packed.element_columns(queries, ctx.dim)
-    want = [n for _, n in ordered.items()] + [-1] * (len(queries) - len(ball))
-    assert keyed.column_lengths(xs, ks).tolist() == want
-    assert ordered.column_lengths(xs, ks).tolist() == want
-    assert [keyed.word_length(g) for g in queries] == [None if n < 0 else n for n in want]
+    want = list(reference.values()) + [-1] * (len(queries) - len(ball))
+    assert oracle.column_lengths(xs, ks).tolist() == want
+    assert [oracle.word_length(g) for g in queries] == [None if n < 0 else n for n in want]
 
 
 @pytest.mark.parametrize("rows", [CAT, FIB, D3_REAL], ids=["cat", "fib", "d3"])
 def test_sorted_ball_reports_the_same_partial_census(rows):
-    _, _, (small, _) = _sorted_and_breadth_first(rows, 5)
-    _, _, refused = _sorted_and_breadth_first(rows, 8, len(small) + 1)
-    ordered, keyed = refused
-    assert isinstance(ordered, BudgetError) and str(keyed) == str(ordered)
-    assert keyed.completed_radius == ordered.completed_radius == 5
-    assert keyed.partial.census() == ordered.partial.census() == small.census()
+    ctx, gens, small = _ball(rows, 5)
+    with pytest.raises(BudgetError) as refused:
+        _ball(rows, 8, len(small) + 1)
+    assert str(refused.value) == f"ball of radius 6 exceeds budget of {len(small) + 1} elements"
+    assert refused.value.completed_radius == 5
+    sizes = np.bincount(list(reference_ball(ctx, gens, 5).values()))
+    census = list(zip(range(6), np.cumsum(sizes).tolist(), sizes.tolist()))
+    assert refused.value.partial.census() == small.census() == census
 
 
 @pytest.mark.parametrize("rows, radius, message", [
@@ -204,17 +206,17 @@ def test_sorted_ball_reports_the_same_partial_census(rows):
     (WIDE, 5, "ball of radius 3 does not fit the int64 key layout: "
               "coordinates may reach 1000004000002 > 268435455"),
 ], ids=["d3", "wide"])
-def test_sorted_ball_refuses_as_the_breadth_first_ball(rows, radius, message):
-    _, _, refused = _sorted_and_breadth_first(rows, radius)
-    assert [type(e) for e in refused] == [ValidationError] * 2
-    assert [str(e) for e in refused] == [message] * 2
+def test_ball_refuses_a_sphere_off_the_key_layout(rows, radius, message):
+    with pytest.raises(ValidationError) as refused:
+        _ball(rows, radius)
+    assert str(refused.value) == message
 
 
 def test_packing_certificate_refuses_instead_of_wrapping():
     ctx = GroupContext(ToralMatrix(WIDE))
     gens = GeneratingSet.standard(2)
     small = word_ball(ctx, gens, 2)
-    assert list(small.items()) == list(reference_ball(ctx, gens, 2).items())
+    assert list(small.items()) == in_key_order(reference_ball(ctx, gens, 2))
     with pytest.raises(ValidationError, match="radius 3"):
         word_ball(ctx, gens, 5)
 
@@ -243,22 +245,21 @@ def test_oracle_arrays_stay_small(ctx, gens):
 # sorted lookup copy built with the ball, 24.8 with candidates streamed by
 # exponent block and the copy left to the first lookup, 26.9 once seen keys
 # joined the block sort, and 18.8 with ranges of output keys cut from the
-# sorted frontier, which need no exponent-grouped copy of the frontier. The
-# ball with spheres in key order reads 16.0.
-BALL_PEAK_BYTES_PER_ELEMENT = 22
+# sorted frontier, which need no exponent-grouped copy of the frontier (19.1
+# when last measured). With every sphere built as sorted keys, and no order
+# index carried through the merge, it reads 16.0 to 16.1.
+BALL_PEAK_BYTES_PER_ELEMENT = 18
 
 
 def test_word_ball_memory_per_element(ctx, gens):
-    for breadth_first in (True, False):
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            oracle = word_ball(ctx, gens, 14, breadth_first=breadth_first)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (peak - start) / len(oracle) < BALL_PEAK_BYTES_PER_ELEMENT
-        del oracle
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        oracle = word_ball(ctx, gens, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / len(oracle) < BALL_PEAK_BYTES_PER_ELEMENT
 
 
 def test_lookup_copy_is_built_once_by_the_first_lookup(ctx, gens):

@@ -37,7 +37,7 @@ def embed(g: GroupElement) -> CoverPoint:
 
 def oracle_columns(oracle):
     """Coordinate rows (dim, n), exponents and lengths of every oracle entry
-    as int64 arrays, in breadth-first order: the whole-table unpack that
+    as int64 arrays, in the oracle's order: the whole-table unpack that
     ``qi_comparison`` does block by block."""
     xs, ks = oracle.layout.unpack(oracle.keys)
     lengths = np.repeat(np.arange(len(oracle.sphere_sizes)), oracle.sphere_sizes)
