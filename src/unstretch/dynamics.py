@@ -251,7 +251,7 @@ def run_iteration(
     return _iterate(table, keys, config.phi, n, config.k_max, budget, "iteration", point)
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray):
+def _fit_line(x: np.ndarray, y: np.ndarray):
     slope, intercept = np.polyfit(x, y, 1)
     pred = slope * x + intercept
     ss_res = float(((y - pred) ** 2).sum())
@@ -281,8 +281,8 @@ def classify_growth(curve: GrowthCurve) -> GrowthVerdict:
         )
     ks = np.array([p.k for p in usable], dtype=float)
     log_d = np.log(np.array([p.diameter for p in usable], dtype=float))
-    degree, _, r2_poly = _line_fit(np.log(ks), log_d)
-    rate, _, r2_exp = _line_fit(ks, log_d)
+    degree, _, r2_poly = _fit_line(np.log(ks), log_d)
+    rate, _, r2_exp = _fit_line(ks, log_d)
     if r2_poly > r2_exp + CLASSIFICATION_MARGIN:
         kind = "polynomial"
     elif r2_exp > r2_poly + CLASSIFICATION_MARGIN:

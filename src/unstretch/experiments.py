@@ -279,7 +279,7 @@ def run_abelian_control(prep: Prepared, outdir: Path) -> dict:
 
 
 def run_qi_compare(prep: Prepared, outdir: Path) -> dict:
-    from . import qicsv, suspension, words
+    from . import suspension, words
 
     cfg = prep.cfg
     radii = sorted(set(cfg.qi_radii))
@@ -299,11 +299,12 @@ def run_qi_compare(prep: Prepared, outdir: Path) -> dict:
             f"so bfs_radius {cfg.bfs_radius} may not exceed it"
         )
     # Each radius's ball is a prefix of the largest one, sphere after
-    # sphere, and a row's bound does not depend on the rows around it, so
-    # the bounds are computed once and each radius reads the first
+    # sphere, and a row's integer bound does not depend on the rows around
+    # it, so the bounds are computed once and each radius reads the first
     # ball_size(r) rows, the rows of length at most r. The CSV rows list
     # each sphere in key order. No name here holds the ball, so it is freed
-    # once its bounds exist, before the fit.
+    # once its bounds exist, before the fit. Each exact value is reported as
+    # its correctly rounded float and, under "exact", as "p/q".
     top = suspension.qi_comparison(
         words.word_ball(prep.ctx, prep.gens, radii[-1], budget=cfg.budget_elements),
         suspension.compute_splitting(prep.matrix),
@@ -313,22 +314,22 @@ def run_qi_compare(prep: Prepared, outdir: Path) -> dict:
         suspension.qi_report(r, top.lengths[: sizes[r]], top.bounds[: sizes[r]])
         for r in radii[:-1]
     ] + [top]
-    qicsv.write_qi_csvs(outdir, top, sizes)
+    suspension.write_qi_csvs(outdir, top, sizes)
+    exact = ("q_hat", "fitted_slope", "intercept", "max_ratio", "min_ratio")
     per_radius = {
         str(rep.radius): {
-            "q_hat": rep.q_hat,
-            "fitted_slope": rep.fitted_slope,
-            "intercept": rep.intercept,
-            "max_ratio": rep.max_ratio,
+            **{key: float(getattr(rep, key)) for key in exact},
             "coverage_ok": rep.coverage_ok,
             "entries": rep.n_entries,
+            "exact": {key: f"{getattr(rep, key).numerator}/{getattr(rep, key).denominator}"
+                      for key in exact},
         }
         for rep in reports
     }
     stability = None
     if len(reports) >= 2:
         first, last = reports[0], reports[-1]
-        stability = abs(last.q_hat - first.q_hat) / first.q_hat
+        stability = float(abs(last.q_hat - first.q_hat) / first.q_hat)
     return {"per_radius": per_radius, "q_hat_relative_change": stability}
 
 

@@ -4,21 +4,26 @@ bound on the universal cover of its mapping torus.
 The cover is R^d x R with the flow coordinate last. Distances along the
 stable and unstable leaves contract exponentially at rate sigma under the
 flow, which turns leafwise distance into a logarithm of the lattice norm; the
-bound implemented here is
+bound implemented here is the integer
 
-    (2/sigma) log+ ||x_s|| + (2/sigma) log+ ||x_u|| + |s| + 2
+    2 ceil(log+ ||x_s|| / sigma) + 2 ceil(log+ ||x_u|| / sigma) + |k| + 2
 
 with x_s, x_u the projections onto the stable and unstable subspaces and the
-additive constant folding the transversality slack. The comparison routine
-regresses exact word lengths against this bound over a whole enumerated ball
-and reports the empirical quasi-isometry constant.
+additive constant folding the transversality slack: the float bound
+(2/sigma) log+ ||x_s|| + (2/sigma) log+ ||x_u|| + |k| + 2 with each leafwise
+term raised to its ceiling. The comparison routine fits exact word lengths
+against this bound over a whole enumerated ball, exactly, from the few
+hundred distinct (length, bound) rows of the ball, reports the empirical
+quasi-isometry constant and the band of ratios, and writes the rows as
+integer CSVs.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -61,7 +66,8 @@ def compute_splitting(matrix: ToralMatrix) -> HyperbolicSplitting:
     Complex eigenvalue pairs contribute a two-dimensional real block spanned
     by the real and imaginary parts of one eigenvector of the pair. sigma is
     the slowest exponential rate over the whole spectrum, shaved by a small
-    safety margin. The projection identities are checked to TOL_LIN.
+    safety margin, and at least that margin (``log_distance_bounds`` needs a
+    floor on sigma). The projection identities are checked to TOL_LIN.
     """
     rep = matrix.hyperbolicity
     if not rep.hyperbolic:
@@ -99,6 +105,11 @@ def compute_splitting(matrix: ToralMatrix) -> HyperbolicSplitting:
     proj_s = basis @ sel_s @ basis_inv
     proj_u = np.eye(matrix.dim) - proj_s
     sigma = min(abs(math.log(abs(ev))) for ev in evals) - SIGMA_MARGIN
+    if sigma < SIGMA_MARGIN:
+        raise ValidationError(
+            f"splitting needs every |log |eigenvalue|| to be at least {2 * SIGMA_MARGIN}, "
+            f"the slowest is {sigma + SIGMA_MARGIN!r}"
+        )
     split = HyperbolicSplitting(stable, unstable, proj_s, proj_u, sigma)
     res = split.residuals(matrix)
     scale = max(1.0, float(np.linalg.norm(a, 2)))
@@ -139,44 +150,62 @@ def _projected_norms(xs: np.ndarray, proj: np.ndarray) -> np.ndarray:
     return norms
 
 
-def log_distance_bounds(split: HyperbolicSplitting, xs, ss) -> np.ndarray:
-    """Upper bounds for the cover distances from points (x, s) to the origin.
+def log_distance_bounds(split: HyperbolicSplitting, xs, ks) -> np.ndarray:
+    """Integer upper bounds for the cover distances from points (x, k) to
+    the origin:
 
-    ``xs`` holds the points' coordinate rows (``packed``'s layout) and ``ss``
-    their flow coordinates. Each bound is monotone in ||x_s||, ||x_u|| and
-    |s|; the constant 2 absorbs the unit slack of the two leafwise estimates.
-    The projections multiply one point per row, so ``xs`` is transposed into
-    a C-contiguous float copy for ``_projected_norms``.
+        b = 2 ceil(log+ ||x_s|| / sigma) + 2 ceil(log+ ||x_u|| / sigma) + |k| + 2
+
+    ``xs`` holds the points' coordinate rows (``packed``'s layout) and ``ks``
+    their integer flow coordinates. The projections multiply one point per
+    row, so ``xs`` is transposed into a C-contiguous float copy for
+    ``_projected_norms``.
+
+    b is the float bound (2/sigma) log+ ||x_s|| + (2/sigma) log+ ||x_u|| +
+    |k| + 2 with each leafwise term t = log+ ||y|| / sigma raised to its
+    ceiling c. Since t <= c < t + 1, b is at least the float bound and less
+    than 4 above it, so it keeps the float bound's role: it is monotone in
+    ||x_s||, ||x_u|| and |k|, and the constant 2 absorbs the unit slack of
+    the two leafwise estimates.
+
+    int64 holds every b. A norm is a finite float64, below 2**1024, so
+    log+ of it is below 710; ``compute_splitting`` gives sigma >=
+    SIGMA_MARGIN, so each ceiling is at most 710 / SIGMA_MARGIN < 2**30.
+    A key layout's exponents have |k| < 2**61, so b < 2**62.
     """
     xs = np.asarray(xs).T.astype(float, order="C")
-    ss = np.asarray(ss, dtype=float)
-    norm_s = _projected_norms(xs, split.proj_stable)
-    norm_u = _projected_norms(xs, split.proj_unstable)
-    log_plus = lambda arr: np.where(arr > 1.0, np.log(np.maximum(arr, 1e-300)), 0.0)
-    two_over_sigma = 2.0 / split.sigma
-    return (
-        two_over_sigma * log_plus(norm_s)
-        + two_over_sigma * log_plus(norm_u)
-        + np.abs(ss)
-        + 2.0
-    )
+    bounds = np.abs(np.asarray(ks, dtype=np.int64)) + 2
+    for proj in (split.proj_stable, split.proj_unstable):
+        terms = _projected_norms(xs, proj)
+        np.maximum(terms, 1.0, out=terms)
+        np.log(terms, out=terms)
+        terms /= split.sigma
+        bounds += 2 * np.ceil(terms, out=terms).astype(np.int64)
+    return bounds
 
 
 @dataclass
 class QiReport:
-    """Word length versus cover-distance bound over a full enumerated ball:
-    ``lengths`` (uint8) and ``bounds`` (float64) in the oracle's order,
-    sphere after sphere and each sphere in key order."""
+    """Word length versus cover-distance bound over a full enumerated ball.
+
+    ``lengths`` (uint8) and ``bounds`` (int64) are the rows in the oracle's
+    order, sphere after sphere and each sphere in key order; ``pairs`` maps
+    each distinct (length, bound) row to its count, in (length, bound)
+    order. The fit and the ratios are exact ``Fraction``s: the least-squares
+    line of length against bound, the largest ratio length / bound, the
+    least over lengths >= 1, and q_hat = max(slope, max_ratio)."""
 
     radius: int
     n_entries: int
-    q_hat: float
-    fitted_slope: float
-    intercept: float
-    max_ratio: float
+    q_hat: Fraction
+    fitted_slope: Fraction
+    intercept: Fraction
+    max_ratio: Fraction
+    min_ratio: Fraction
     coverage_ok: bool
     lengths: np.ndarray
     bounds: np.ndarray
+    pairs: dict
 
 
 def qi_comparison(oracle: WordLengthOracle, split: HyperbolicSplitting) -> QiReport:
@@ -184,14 +213,11 @@ def qi_comparison(oracle: WordLengthOracle, split: HyperbolicSplitting) -> QiRep
     every oracle entry (see ``qi_report``).
 
     The keys are unpacked ``packed.BLOCK_KEYS`` at a time, so only one block
-    of coordinates is alive at once. The blocks are the ones
-    ``_projected_norms`` would cut from the whole table, so the bounds are
-    bit-identical to one ``log_distance_bounds`` call over the coordinates
-    and exponents of all the oracle's keys. Lengths are uint8 (radii stop
-    at 255). Nothing here holds the oracle once its bounds exist, so a
-    caller that passes ``word_ball(...)`` straight in has the ball freed
-    before the fit (CPython 3.11, the oldest supported version, hands a
-    call's arguments to the callee).
+    of coordinates is alive at once. Lengths are uint8 (radii stop at 255).
+    Nothing here holds the oracle once its bounds exist, so a caller that
+    passes ``word_ball(...)`` straight in has the ball freed before the fit
+    (CPython 3.11, the oldest supported version, hands a call's arguments to
+    the callee).
     """
     if oracle.radius < QI_MIN_RADIUS:
         raise ValidationError(
@@ -200,7 +226,7 @@ def qi_comparison(oracle: WordLengthOracle, split: HyperbolicSplitting) -> QiRep
     radius, layout, sizes = oracle.radius, oracle.layout, oracle.sphere_sizes
     keys = oracle.keys
     del oracle
-    bounds = np.empty(len(keys))
+    bounds = np.empty(len(keys), dtype=np.int64)
     block = packed.BLOCK_KEYS
     for lo in range(0, len(keys), block):
         xs, ks = layout.unpack(keys[lo : lo + block])
@@ -210,70 +236,83 @@ def qi_comparison(oracle: WordLengthOracle, split: HyperbolicSplitting) -> QiRep
     return qi_report(radius, lengths, bounds)
 
 
+def pair_counts(lengths: np.ndarray, bounds: np.ndarray) -> dict:
+    """{(length, bound): rows} over the rows of nonnegative integer
+    ``lengths`` and ``bounds``, as Python ints in (length, bound) order: a
+    bincount of the codes length * (max bound + 1) + bound, a few thousand
+    codes for a ball, taken ``packed.BLOCK_KEYS`` rows at a time."""
+    stride = int(bounds.max()) + 1
+    size = (int(lengths.max()) + 1) * stride
+    counts = np.zeros(size, dtype=np.int64)
+    for lo in range(0, len(lengths), packed.BLOCK_KEYS):
+        codes = lengths[lo : lo + packed.BLOCK_KEYS].astype(np.int64)
+        codes *= stride
+        codes += bounds[lo : lo + packed.BLOCK_KEYS]
+        counts += np.bincount(codes, minlength=size)
+    present = np.flatnonzero(counts)
+    return {divmod(code, stride): count
+            for code, count in zip(present.tolist(), counts[present].tolist())}
+
+
 def qi_report(radius: int, lengths: np.ndarray, bounds: np.ndarray) -> QiReport:
     """The comparison over the rows (length, bound) of a ball of ``radius``.
 
-    Regresses length against bound, and reports the empirical constant
-    q_hat = max(fitted slope, max length/bound ratio), which by construction
-    satisfies length <= q_hat * bound + q_hat on all entries; the report
-    records that coverage explicitly.
-
-    The line is fitted on the full arrays, so the fitted slope, intercept
-    and q_hat do not depend on any blocking. ``line_fit`` gives the bits
-    of ``np.polyfit(bounds, lengths, 1)`` with fewer arrays alive: it holds
-    at most about 24 bytes per row above the bounds and uint8 lengths (9
-    bytes per row), against polyfit's 48, plus LAPACK's own copy of the
-    matrix and lengths (24 bytes per row) during the solve, and
-    ``qi_comparison`` has let the ball go by then. The fit and the ratios
-    read uint8 lengths as the float64 values they equal, so the results are
-    those of float64 lengths.
+    The rows' distinct pairs (``pair_counts``) give the five moments n, Sum
+    b, Sum b^2, Sum l and Sum l b as Python ints, and from them the exact
+    least-squares line of length against bound. The largest ratio l / b,
+    the least over lengths >= 1 and q_hat = max(slope, max_ratio) are exact
+    too, and coverage (length <= q_hat * bound + q_hat, which q_hat >=
+    max_ratio gives by construction) is checked exactly on every pair.
     """
-    slope, intercept = line_fit(bounds, lengths)
-    max_ratio = float((lengths / bounds).max())
-    q_hat = max(float(slope), max_ratio)
-    coverage = bool((lengths <= q_hat * bounds + q_hat).all())
+    pairs = pair_counts(lengths, bounds)
+    n = sum_b = sum_bb = sum_l = sum_lb = 0
+    for (length, bound), count in pairs.items():
+        n += count
+        sum_b += count * bound
+        sum_bb += count * bound * bound
+        sum_l += count * length
+        sum_lb += count * length * bound
+    spread = n * sum_bb - sum_b * sum_b
+    slope = Fraction(n * sum_lb - sum_l * sum_b, spread)
+    max_ratio = max(Fraction(length, bound) for length, bound in pairs)
+    q_hat = max(slope, max_ratio)
     return QiReport(
         radius=radius,
-        n_entries=len(lengths),
+        n_entries=n,
         q_hat=q_hat,
-        fitted_slope=float(slope),
-        intercept=float(intercept),
+        fitted_slope=slope,
+        intercept=Fraction(sum_l * sum_bb - sum_b * sum_lb, spread),
         max_ratio=max_ratio,
-        coverage_ok=coverage,
+        min_ratio=min(Fraction(length, bound) for length, bound in pairs if length),
+        coverage_ok=all(length <= q_hat * (bound + 1) for length, bound in pairs),
         lengths=lengths,
         bounds=bounds,
+        pairs=pairs,
     )
 
 
-def line_fit(x: np.ndarray, y: np.ndarray):
-    """(slope, intercept) of the least-squares line through (x, y) for a
-    float64 ``x``, bit-equal to ``np.polyfit(x, y, 1)``: polyfit's own steps
-    (``lstsq`` on the Vandermonde matrix scaled to unit-norm columns, rcond
-    n * eps, the coefficients divided by the scale, RankWarning when the
-    rank is short) without its float copy of ``x``, its Vandermonde matrix
-    or that matrix's squares, and with the float copy of ``y`` made only
-    once the scale is taken. So the scaled matrix and the float ``y`` are all it
-    allocates.
+def write_qi_csvs(outdir: Path, rep: QiReport, sizes: dict):
+    """``qi_r<R>.csv`` for each radius R in ``sizes``: the header
+    ``word_length,bound`` and the first sizes[R] rows of ``rep``, as
+    csv.writer writes integer rows (comma separated, CRLF terminated).
 
-    The scaled matrix is written in place. polyfit's column norms come from
-    ``(lhs * lhs).sum(axis=0)`` on the (n, 2) matrix, which adds each
-    column's squares in row order, not pairwise as ``np.sum`` of one column
-    would: column 0 holds the squares of ``x`` and their running sum in row
-    order (``np.add.accumulate``), whose last entry is that norm's square,
-    before it is overwritten by ``x`` over the norm. Column 1 is the ones
-    column, whose squares add to n exactly, so it is 1 / sqrt(n).
+    The texts of ``rep.pairs`` fill one NUL-padded table indexed by the pair
+    code length * (max bound + 1) + bound, built before any file is opened.
+    Each block of ``packed.BLOCK_KEYS // 4`` rows is gathered whole from it
+    with one ``take`` and drops its NUL padding at once.
     """
-    n = len(x)
-    lhs = np.empty((n, 2))
-    squares = lhs[:, 0]
-    np.multiply(x, x, out=squares)
-    np.add.accumulate(squares, out=squares)
-    scale = np.sqrt([squares[-1], n])
-    np.divide(x, scale[0], out=squares)
-    lhs[:, 1] = 1.0 / scale[1]
-    rcond = n * np.finfo(float).eps
-    coef, _, rank, _ = np.linalg.lstsq(lhs, y.astype(float), rcond)
-    if rank != 2:
-        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning,
-                      stacklevel=2)
-    return coef / scale
+    stride = max(bound for _, bound in rep.pairs) + 1
+    texts = {length * stride + bound: f"{length},{bound}\r\n".encode()
+             for length, bound in rep.pairs}
+    table = np.zeros(max(texts) + 1, dtype=f"S{max(map(len, texts.values()))}")
+    table[list(texts)] = list(texts.values())
+    block = packed.BLOCK_KEYS // 4
+    for r, n in sizes.items():
+        with (outdir / f"qi_r{r}.csv").open("wb") as fh:
+            fh.write(b"word_length,bound\r\n")
+            for lo in range(0, n, block):
+                codes = rep.lengths[lo : min(n, lo + block)].astype(np.intp)
+                codes *= stride
+                codes += rep.bounds[lo : lo + len(codes)]
+                rows = table.take(codes).view(np.uint8)
+                fh.write(rows[rows != 0])

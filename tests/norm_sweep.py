@@ -1,15 +1,13 @@
-"""Check qi-compare's line fit against ``np.polyfit`` and its column-sum
-norms against ``np.linalg.norm`` on seeded random data, bit for bit.
+"""Check the column-sum norms of qi-compare's bounds against
+``np.linalg.norm`` on seeded random data, bit for bit.
 
-    PYTHONPATH=src python tests/fit_sweep.py SEED COUNT
+    PYTHONPATH=src python tests/norm_sweep.py SEED COUNT
 
-Draws COUNT datasets of each kind. A fit dataset is n (log-uniform in
-2..200,000) float bounds of 2 to 2 + 10^j and uint8 lengths near a random
-line through them, as ``qi_report`` passes them. A norm dataset is n
-(log-uniform in 1..200,000, so odd counts and several blocks occur) rows of
-d = 2..7 float coordinates of up to 10^j, projected by a random d x d
-matrix. Exits 1 at the first dataset whose results differ in any bit,
-printing the seed, the dataset's index and both results.
+Draws COUNT datasets. A dataset is n (log-uniform in 1..200,000, so odd
+counts and several blocks occur) rows of d = 2..7 float coordinates of up
+to 10^j, projected by a random d x d matrix. Exits 1 at the first dataset
+whose norms differ in any bit, printing the seed, the dataset's index and
+both norms.
 """
 
 from __future__ import annotations
@@ -19,18 +17,11 @@ import sys
 import numpy as np
 
 from unstretch import packed
-from unstretch.suspension import _projected_norms, line_fit
+from unstretch.suspension import _projected_norms
 
 
 def log_uniform(rng: np.random.Generator, lo: int, hi: int) -> int:
     return int(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-
-
-def fit_dataset(rng: np.random.Generator):
-    n = log_uniform(rng, 2, 200_000)
-    x = 2.0 + rng.random(n) * 10.0 ** rng.integers(0, 4)
-    y = rng.random() * 3 * x + rng.normal(scale=rng.random() * 4, size=n)
-    return x, y.clip(0, 255).astype(np.uint8)
 
 
 def norm_dataset(rng: np.random.Generator):
@@ -60,12 +51,6 @@ def main(argv: list[str]) -> int:
     seed, count = map(int, argv)
     rng = np.random.default_rng(seed)
     for i in range(count):
-        x, y = fit_dataset(rng)
-        got, want = line_fit(x, y), np.polyfit(x, y, 1)
-        if differs(got, want):
-            print(f"seed {seed}: fit {i} ({len(x)} rows) gives {got.tolist()}, "
-                  f"np.polyfit gives {want.tolist()}")
-            return 1
         xs, proj = norm_dataset(rng)
         got, want = _projected_norms(xs, proj), linalg_norms(xs, proj)
         if differs(got, want):
@@ -73,8 +58,7 @@ def main(argv: list[str]) -> int:
             print(f"seed {seed}: norms {i} ({xs.shape[0]} rows, d = {xs.shape[1]}) give "
                   f"{got[j].item()!r} at row {j}, np.linalg.norm gives {want[j].item()!r}")
             return 1
-    print(f"seed {seed}: {count} fits equal np.polyfit and {count} norm sets equal "
-          "np.linalg.norm")
+    print(f"seed {seed}: {count} norm sets equal np.linalg.norm")
     return 0
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -5,9 +7,8 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,15 +22,13 @@ from unstretch import (
     word_ball,
 )
 import unstretch
-from unstretch import dynamics, packed, qicsv, words
+from unstretch import dynamics, packed, suspension, words
 from unstretch.cli import main
 from unstretch.config import COMMON_KEYS, EXPERIMENT_NAMES, ExperimentConfig, load_config
 from unstretch.errors import CertificationError, int_text
 from unstretch.experiments import REGISTRY, ExperimentInfo, list_experiments, prepare
-from unstretch.suspension import log_distance_bounds
+from unstretch.suspension import log_distance_bounds, qi_report
 
-import qi_csv_sweep
-import repr_sweep
 from test_oracle import in_key_order, reference_ball
 
 CAT = [[2, 1], [1, 1]]
@@ -265,6 +264,19 @@ def test_seed_leaving_the_key_layout_exits_2(tmp_path, capsys, name, data, step)
     assert not (out / "growth.csv").exists()
 
 
+def csv_bytes(lengths: np.ndarray, bounds: np.ndarray) -> bytes:
+    """The integer rows (length, bound) as csv.writer writes them."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["word_length", "bound"])
+    writer.writerows(zip(lengths.tolist(), bounds.tolist()))
+    return buf.getvalue().encode()
+
+
+def exact_text(value) -> str:
+    return f"{value.numerator}/{value.denominator}"
+
+
 def test_qi_compare_run(tmp_path):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, "qi", {
@@ -296,15 +308,16 @@ def test_qi_csvs_match_csv_writer_over_each_radius(tmp_path, monkeypatch, block)
     split = compute_splitting(matrix)
     for r in (6, 8):
         rep = qi_comparison(oracle.restricted(r), split)
-        want = qi_csv_sweep.csv_bytes(rep.lengths, rep.bounds)
+        want = csv_bytes(rep.lengths, rep.bounds)
         assert (out / f"qi_r{r}.csv").read_bytes() == want
+        exact = {"q_hat": rep.q_hat, "fitted_slope": rep.fitted_slope,
+                 "intercept": rep.intercept, "max_ratio": rep.max_ratio,
+                 "min_ratio": rep.min_ratio}
         assert per[str(r)] == {
-            "q_hat": rep.q_hat,
-            "fitted_slope": rep.fitted_slope,
-            "intercept": rep.intercept,
-            "max_ratio": rep.max_ratio,
+            **{key: float(value) for key, value in exact.items()},
             "coverage_ok": rep.coverage_ok,
             "entries": rep.n_entries,
+            "exact": {key: exact_text(value) for key, value in exact.items()},
         }
 
 
@@ -323,27 +336,26 @@ def test_qi_csv_rows_list_the_reference_ball_by_length_then_key(tmp_path):
                                  [g.k for g, _ in items])
     for r in (6, 8):
         n = int(lengths.searchsorted(r, side="right"))
-        want = qi_csv_sweep.csv_bytes(lengths[:n], bounds[:n])
+        want = csv_bytes(lengths[:n], bounds[:n])
         assert (out / f"qi_r{r}.csv").read_bytes() == want
 
 
-def test_qi_csvs_of_hand_built_columns_match_csv_writer(tmp_path):
-    # Length 0 gives the ratio 0.0, below the kernel's band. In length 3,
-    # 1e-16 gives a ratio above the band, and 4e4 and 1e5 ratios below it,
-    # which repr prints in exponent notation. In length 7, 3.3 and the float
-    # after it give one ratio. The bound 2.5 repeats within and across lengths.
-    tie = np.nextafter(3.3, 4.0)
-    assert 7 / 3.3 == 7 / tie
-    lengths = np.array([0, 3, 3, 3, 3, 3, 7, 7, 7, 7], dtype=np.uint8)
-    bounds = np.array([2.0, 2.5, 1e-16, 1e5, 2.5, 4e4, 3.3, tie, 2.5, 3.3])
-    sizes = {0: 1, 3: 6, 7: 10}
-    qicsv.write_qi_csvs(tmp_path, SimpleNamespace(lengths=lengths, bounds=bounds), sizes)
+def test_qi_csvs_of_hand_built_columns_match_csv_writer(tmp_path, monkeypatch):
+    # Texts of one to six digits; the bound 5 repeats within and across
+    # lengths, and 4-row blocks cut the files inside a length and at its end.
+    monkeypatch.setattr(packed, "BLOCK_KEYS", 16)
+    lengths = np.array([0, 3, 3, 3, 3, 3, 7, 7, 7, 7, 12], dtype=np.uint8)
+    bounds = np.array([2, 5, 2, 100000, 5, 40000, 3, 10, 5, 3, 999999], dtype=np.int64)
+    sizes = {0: 1, 3: 6, 7: 10, 12: 11}
+    rep = qi_report(12, lengths, bounds)
+    assert list(rep.pairs) == [(0, 2), (3, 2), (3, 5), (3, 40000), (3, 100000), (7, 3),
+                               (7, 5), (7, 10), (12, 999999)]
+    suspension.write_qi_csvs(tmp_path, rep, sizes)
     for r, n in sizes.items():
-        want = qi_csv_sweep.csv_bytes(lengths[:n], bounds[:n])
+        want = csv_bytes(lengths[:n], bounds[:n])
         assert (tmp_path / f"qi_r{r}.csv").read_bytes() == want
-    text = (tmp_path / "qi_r7.csv").read_bytes()
-    assert b"0,2.0,0.0\r\n" in text and b"3,1e-16,3e+16\r\n" in text
-    assert b"3,100000.0,3e-05\r\n" in text
+    assert (tmp_path / "qi_r0.csv").read_bytes() == b"word_length,bound\r\n0,2\r\n"
+    assert b"3,100000\r\n" in (tmp_path / "qi_r7.csv").read_bytes()
 
 
 def test_oracle_workload_qi_csvs_match_csv_writer(tmp_path, ctx, gens, cat_matrix):
@@ -358,7 +370,7 @@ def test_oracle_workload_qi_csvs_match_csv_writer(tmp_path, ctx, gens, cat_matri
     rep = qi_comparison(word_ball(ctx, gens, 14), compute_splitting(cat_matrix))
     for r in (12, 14):
         n = int(rep.lengths.searchsorted(r, side="right"))
-        want = qi_csv_sweep.csv_bytes(rep.lengths[:n], rep.bounds[:n])
+        want = csv_bytes(rep.lengths[:n], rep.bounds[:n])
         assert (out / f"qi_r{r}.csv").read_bytes() == want
 
 
@@ -418,11 +430,15 @@ def test_qi_bfs_radius_above_the_largest_radius_exits_2_before_building_a_ball(
 # and no second argsort, 40.2 with one table of whole-row texts filled once
 # every sphere's texts were formatted, and 34.4 with one such table per
 # sphere, filled as its sphere is formatted, and gathered in blocks of
-# BLOCK_KEYS // 4 rows. The CSV writer sets that peak, while it formats the
-# last sphere; the comparison alone peaks at 33.4 with the scaled matrix
-# written in place (41.4 with the squares, 57.4 with polyfit).
-QI_PEAK_BYTES_PER_ROW = 36
-QI_COMPARISON_PEAK_BYTES_PER_ROW = 37
+# BLOCK_KEYS // 4 rows. The CSV writer set that peak, while it formatted the
+# last sphere; the comparison alone peaked at 33.4 with the float fit's
+# scaled matrix written in place (41.4 with the squares, 57.4 with
+# polyfit). With integer bounds, an exact fit from pair counts and one
+# table of pair texts, the comparison peaks at 16.7 (the int64 bounds and
+# one block of unpacked keys) and the writer, measured from the same start
+# with the report alive, at 9.9 (the report's 9 bytes per row).
+QI_PEAK_BYTES_PER_ROW = 11
+QI_COMPARISON_PEAK_BYTES_PER_ROW = 18
 
 
 def test_qi_compare_memory_per_row(tmp_path, ctx, gens, cat_matrix):
@@ -433,7 +449,8 @@ def test_qi_compare_memory_per_row(tmp_path, ctx, gens, cat_matrix):
         start = tracemalloc.get_traced_memory()[0]
         rep = qi_comparison(oracle, split)
         comparison_peak = tracemalloc.get_traced_memory()[1]
-        qicsv.write_qi_csvs(tmp_path, rep, {14: len(oracle)})
+        tracemalloc.reset_peak()
+        suspension.write_qi_csvs(tmp_path, rep, {14: len(oracle)})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -443,7 +460,7 @@ def test_qi_compare_memory_per_row(tmp_path, ctx, gens, cat_matrix):
 
 def test_qi_compare_frees_the_ball_before_the_fit(tmp_path, monkeypatch):
     # Untraced, no frame holds the ball or its keys once the bounds exist,
-    # so every line fit runs with them freed.
+    # so every fit's moments are taken with them freed.
     balls = []
     build = words.word_ball
 
@@ -453,14 +470,14 @@ def test_qi_compare_frees_the_ball_before_the_fit(tmp_path, monkeypatch):
         return oracle
 
     fits = []
-    lstsq = np.linalg.lstsq
+    moments = suspension.pair_counts
 
     def fit(*args, **kwargs):
         fits.append([ref() is None for ref in balls])
-        return lstsq(*args, **kwargs)
+        return moments(*args, **kwargs)
 
     monkeypatch.setattr(words, "word_ball", recorded)
-    monkeypatch.setattr(np.linalg, "lstsq", fit)
+    monkeypatch.setattr(suspension, "pair_counts", fit)
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, "qi", {
         "experiment": "qi-compare", "matrix": CAT, "qi_radii": [6, 8],
@@ -471,25 +488,20 @@ def test_qi_compare_frees_the_ball_before_the_fit(tmp_path, monkeypatch):
     assert read_summary(out)["verdicts"]["per_radius"]["8"]["entries"] == 7277
 
 
-def test_failing_row_tables_propagate_and_write_no_csv(
-    tmp_path, monkeypatch, oracle8, cat_matrix
-):
-    # The row tables are built sphere by sphere before any file is opened; a
-    # failure while the second sphere's texts are formatted leaves no file.
+class FailingPairs(dict):
+    """A report's pair counts whose iteration fails."""
+
+    def __iter__(self):
+        raise MemoryError("planted pair-table failure")
+
+
+def test_failing_row_tables_propagate_and_write_no_csv(tmp_path, oracle8, cat_matrix):
+    # The table of pair texts is built before any file is opened, so a
+    # failure while it is built leaves no file.
     rep = qi_comparison(oracle8, compute_splitting(cat_matrix))
-    formatted = []
-    texts = qicsv._texts
-
-    def fail_on_the_second_sphere(values, start, stop):
-        formatted.append(len(values))
-        if len(formatted) == 3:
-            raise MemoryError("planted row-tables failure")
-        return texts(values, start, stop)
-
-    monkeypatch.setattr(qicsv, "_texts", fail_on_the_second_sphere)
-    with pytest.raises(MemoryError, match="planted row-tables failure"):
-        qicsv.write_qi_csvs(tmp_path, rep, {8: rep.n_entries})
-    assert len(formatted) == 3
+    rep = replace(rep, pairs=FailingPairs(rep.pairs))
+    with pytest.raises(MemoryError, match="planted pair-table failure"):
+        suspension.write_qi_csvs(tmp_path, rep, {8: rep.n_entries})
     assert list(tmp_path.glob("qi_r*.csv")) == []
 
 
@@ -537,55 +549,6 @@ def test_summary_peak_is_not_that_of_a_reaped_child(tmp_path):
     subprocess.run([sys.executable, "-c", REAPER, str(cfg)], env=env, check=True,
                    stdout=subprocess.DEVNULL)
     assert read_summary(out)["peak_rss_mb"] < 128
-
-
-# Exact ties between two shortest candidates, which round to the even one.
-TIES = {950569045138165.75: "950569045138165.8", 209416943474789.375: "209416943474789.38"}
-OUT_OF_BAND = [0.0, -0.0, 1e-05, 1e16, 2.0**50, 5e-324, -2.5, float("nan"), float("inf")]
-
-
-def _band_powers():
-    """Every power of two and of ten in [1e-4, 2**50), with the floats one
-    ulp below and above each."""
-    powers = np.array([2.0**p for p in range(-13, 50)] + [float(f"1e{p}") for p in range(-4, 16)])
-    return np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
-
-
-def test_texts_are_repr_of_each_float():
-    band = np.sort(np.concatenate([
-        repr_sweep.band_sample(np.random.default_rng(0), 200_000),
-        [12.5, 0.001, 100.0, 1e15, *TIES],
-    ]))
-    assert band[0] >= 1e-4 and band[-1] < 2.0**50
-    assert [t.decode() for t in qicsv.shortest_text(np.array(list(TIES)))] == list(TIES.values())
-    assert qicsv.shortest_text(band).tolist() == [repr(v).encode() for v in band.tolist()]
-    # Distinct by their bits and in bit order, as row_tables passes them: the
-    # band is one run, with the out-of-band values on either side of it.
-    values = np.concatenate([band, _band_powers(), OUT_OF_BAND])
-    distinct = np.unique(values.view(np.int64))
-    table = qicsv._texts(distinct.view(np.float64), *distinct.searchsorted(qicsv.BAND).tolist())
-    texts = [repr(v).encode() for v in distinct.view(np.float64).tolist()]
-    assert table.tolist() == texts
-    assert table.itemsize == max(map(len, texts))
-
-
-def test_radius_14_row_tables_are_repr(ctx, gens, cat_matrix):
-    rep = qi_comparison(word_ball(ctx, gens, 14), compute_splitting(cat_matrix))
-    codes, spheres = qicsv.row_tables(rep.lengths, rep.bounds)
-    edges = [0, *(np.flatnonzero(np.diff(rep.lengths)) + 1).tolist(), len(rep.lengths)]
-    assert [(start, stop) for start, stop, _ in spheres] == list(zip(edges, edges[1:]))
-    for start, stop, table in spheres:
-        sphere = codes[start:stop]
-        assert np.array_equal(np.unique(sphere), np.arange(len(table)))
-        # One source row of each table row; every row with that code has the
-        # bits of its bound.
-        source = np.empty(len(table), dtype=np.intp)
-        source[sphere] = np.arange(start, stop)
-        bounds = rep.bounds[source]
-        assert np.array_equal(bounds[sphere].view(np.int64), rep.bounds[start:stop].view(np.int64))
-        length = int(rep.lengths[start])
-        rows = [row.tobytes().replace(b"\0", b"") for row in table]
-        assert rows == [f"{length},{b!r},{length / b!r}\r\n".encode() for b in bounds.tolist()]
 
 
 def test_centralizer_run(tmp_path):

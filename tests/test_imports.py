@@ -54,7 +54,7 @@ def test_importing_the_package_loads_no_submodule():
 def test_birkhoff_loads_no_word_metric_module(tmp_path):
     loaded = loaded_by_run("configs/birkhoff.json", tmp_path / "out")
     unused = {f"unstretch.{m}" for m in
-              ("words", "oracle", "packed", "dynamics", "suspension", "qicsv")}
+              ("words", "oracle", "packed", "dynamics", "suspension")}
     assert "unstretch.lyapunov" in loaded
     assert not loaded & unused
 

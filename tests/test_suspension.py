@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 from unstretch import packed
 from unstretch import (
+    GeneratingSet,
+    GroupContext,
     GroupElement,
     HyperbolicSplitting,
     ToralMatrix,
@@ -14,25 +17,28 @@ from unstretch import (
     lattice_element,
     log_distance_bounds,
     qi_comparison,
+    word_ball,
 )
-from unstretch.suspension import _projected_norms, line_fit, qi_report
+from unstretch import suspension
+from unstretch.suspension import _projected_norms, qi_report
 
-import fit_sweep
-from conftest import D3_COMPLEX, D3_REAL, D4_BLOCK
+import norm_sweep
+from conftest import CAT, D3_COMPLEX, D3_REAL, D4_BLOCK
 
 LOG_LAM = math.log((3 + math.sqrt(5)) / 2)
 
 
 class CoverPoint(NamedTuple):
-    """A point (x, s) of the universal cover R^d x R."""
+    """A point (x, k) of the universal cover R^d x R at an integer flow
+    coordinate k."""
 
     x: tuple
-    s: float
+    k: int
 
 
 def embed(g: GroupElement) -> CoverPoint:
     """The standard embedding of the group into the cover: x * z^k -> (x, k)."""
-    return CoverPoint(tuple(float(v) for v in g.x), float(g.k))
+    return CoverPoint(tuple(float(v) for v in g.x), g.k)
 
 
 def oracle_columns(oracle):
@@ -44,9 +50,28 @@ def oracle_columns(oracle):
     return xs, ks, lengths
 
 
-def log_distance_bound(split: HyperbolicSplitting, point: CoverPoint) -> float:
+def log_distance_bound(split: HyperbolicSplitting, point: CoverPoint) -> int:
     """The bound of ``log_distance_bounds`` for one point."""
-    return float(log_distance_bounds(split, [[c] for c in point.x], [point.s])[0])
+    return int(log_distance_bounds(split, [[c] for c in point.x], [point.k])[0])
+
+
+def leafwise_terms(split: HyperbolicSplitting, xs) -> list:
+    """log+ ||x_s|| / sigma and log+ ||x_u|| / sigma for each coordinate
+    row of ``xs`` (dim, n), as ``log_distance_bounds`` computes them before
+    taking their ceilings."""
+    rows = np.asarray(xs).T.astype(float, order="C")
+    return [np.log(np.maximum(_projected_norms(rows, proj), 1.0)) / split.sigma
+            for proj in (split.proj_stable, split.proj_unstable)]
+
+
+def float_bounds(split: HyperbolicSplitting, xs, ks) -> np.ndarray:
+    """The float bound (2/sigma) log+ ||x_s|| + (2/sigma) log+ ||x_u|| + |k|
+    + 2, whose leafwise terms ``log_distance_bounds`` raises to ceilings."""
+    rows = np.asarray(xs).T.astype(float)
+    two_over_sigma = 2.0 / split.sigma
+    logs = [np.log(np.maximum(np.linalg.norm(rows @ proj.T, axis=1), 1.0))
+            for proj in (split.proj_stable, split.proj_unstable)]
+    return two_over_sigma * logs[0] + two_over_sigma * logs[1] + np.abs(ks) + 2.0
 
 
 def test_splitting_cat(cat_matrix):
@@ -115,39 +140,50 @@ def test_expansion_certificate_on_basis(cat_matrix):
 
 def test_bound_at_origin(cat_matrix):
     split = compute_splitting(cat_matrix)
-    assert log_distance_bound(split, CoverPoint((0.0, 0.0), 0.0)) == 2.0
+    assert log_distance_bound(split, CoverPoint((0.0, 0.0), 0)) == 2
 
 
 def test_bound_on_stable_leaf(cat_matrix):
+    # A point e^(t sigma) u on the stable leaf has the leafwise term t (and
+    # 0 for t <= 0, a norm below 1), so its bound is 2 ceil(t) + |k| + 2.
     split = compute_splitting(cat_matrix)
-    u = split.stable_basis[:, 0]
-    u = u / np.linalg.norm(u)
-    x = tuple(math.exp(split.sigma) * c for c in u)
-    val = log_distance_bound(split, CoverPoint(x, 0.0))
-    assert abs(val - 4.0) < 1e-6  # (2/sigma) * sigma + 2
+    u = split.stable_basis[:, 0] / np.linalg.norm(split.stable_basis[:, 0])
+    for t, ceiling in [(-0.5, 0), (0.75, 1), (1.5, 2), (3.25, 4)]:
+        x = tuple(math.exp(t * split.sigma) * c for c in u)
+        for k in (0, -3):
+            assert log_distance_bound(split, CoverPoint(x, k)) == 2 * ceiling + abs(k) + 2
 
 
 def test_bound_doubling_rule(cat_matrix):
+    # Each doubling along the unstable leaf adds log 2 / sigma to the
+    # leafwise term, so 2^j u has the bound 2 ceil(j log 2 / sigma) + 2:
+    # it rises by 0 or 2 a doubling, and never falls.
     split = compute_splitting(cat_matrix)
-    u = split.unstable_basis[:, 0]
-    u = u / np.linalg.norm(u)
-    p1 = CoverPoint(tuple(3.0 * c for c in u), 0.0)
-    p2 = CoverPoint(tuple(6.0 * c for c in u), 0.0)
-    delta = log_distance_bound(split, p2) - log_distance_bound(split, p1)
-    assert abs(delta - (2.0 / split.sigma) * math.log(2.0)) < 1e-9
+    u = split.unstable_basis[:, 0] / np.linalg.norm(split.unstable_basis[:, 0])
+    vals = [log_distance_bound(split, CoverPoint(tuple(2.0**j * c for c in u), 0))
+            for j in range(41)]
+    assert vals == [2 * math.ceil(j * math.log(2) / split.sigma) + 2 for j in range(41)]
+    assert {b - a for a, b in zip(vals, vals[1:])} == {0, 2}
 
 
 def test_bound_monotone_in_flow_coordinate(cat_matrix):
     split = compute_splitting(cat_matrix)
-    vals = [log_distance_bound(split, CoverPoint((5.0, 1.0), s)) for s in (0, 1, 2.5)]
-    assert vals == sorted(vals)
-    assert abs(vals[2] - vals[0] - 2.5) < 1e-12
+    vals = [log_distance_bound(split, CoverPoint((5.0, 1.0), k)) for k in (0, 1, -2, 3)]
+    assert [v - vals[0] for v in vals] == [0, 1, 2, 3]
+
+
+def test_sigma_below_its_margin_is_refused(cat_matrix, monkeypatch):
+    # The int64 bounds need sigma >= SIGMA_MARGIN; the cat map's slowest
+    # rate log lam = 0.962 is below a margin of 0.5 twice over.
+    monkeypatch.setattr(suspension, "SIGMA_MARGIN", 0.5)
+    with pytest.raises(ValidationError, match="at least 1.0"):
+        compute_splitting(cat_matrix)
 
 
 def test_embed(ctx):
     g = lattice_element([3, -1])
-    assert embed(g) == CoverPoint((3.0, -1.0), 0.0)
-    assert embed(ctx.z) == CoverPoint((0.0, 0.0), 1.0)
+    assert embed(g) == CoverPoint((3.0, -1.0), 0)
+    assert embed(ctx.z) == CoverPoint((0.0, 0.0), 1)
 
 
 def test_qi_comparison_small(cat_matrix, oracle6):
@@ -162,8 +198,6 @@ def test_qi_comparison_small(cat_matrix, oracle6):
 
 
 def test_qi_comparison_radius_guard(cat_matrix, ctx, gens):
-    from unstretch import word_ball
-
     split = compute_splitting(cat_matrix)
     with pytest.raises(ValidationError):
         qi_comparison(word_ball(ctx, gens, 4), split)
@@ -187,59 +221,85 @@ def test_blockwise_bounds_are_bit_identical(cat_matrix, oracle8, monkeypatch):
     monkeypatch.setattr(packed, "BLOCK_KEYS", 64)
     assert len(oracle8) % 2 == 1 and len(oracle8) > 100 * 64
     top = qi_comparison(oracle8, split)
-    assert np.array_equal(top.bounds.view(np.int64), whole.view(np.int64))
-    assert np.array_equal(top.lengths, lengths.astype(float))
-    assert top.lengths.dtype == np.uint8
+    assert top.bounds.dtype == np.int64 and np.array_equal(top.bounds, whole)
+    assert top.lengths.dtype == np.uint8 and np.array_equal(top.lengths, lengths)
     for r in (6, 7):
         n = oracle8.ball_size(r)
         rep = qi_comparison(oracle8.restricted(r), split)
-        assert np.array_equal(rep.bounds.view(np.int64), top.bounds[:n].view(np.int64))
+        assert np.array_equal(rep.bounds, top.bounds[:n])
 
 
-def test_uint8_lengths_give_the_float64_report(cat_matrix, oracle8):
+def report_fields(rep) -> tuple:
+    return (rep.q_hat, rep.fitted_slope, rep.intercept, rep.max_ratio, rep.min_ratio,
+            rep.coverage_ok, rep.n_entries, rep.pairs)
+
+
+def test_uint8_lengths_give_the_float64_report(cat_matrix, oracle8, monkeypatch):
     top = qi_comparison(oracle8, compute_splitting(cat_matrix))
     wide = qi_report(top.radius, top.lengths.astype(float), top.bounds)
-    fields = lambda rep: (rep.q_hat, rep.fitted_slope, rep.intercept, rep.max_ratio,
-                          rep.coverage_ok, rep.n_entries)
-    assert fields(top) == fields(wide)
-    ratios = [rep.lengths / rep.bounds for rep in (top, wide)]
-    assert np.array_equal(*(r.view(np.int64) for r in ratios))
+    assert report_fields(top) == report_fields(wide)
+    # The pair counts do not depend on how the rows are cut into blocks.
+    monkeypatch.setattr(packed, "BLOCK_KEYS", 1000)
+    assert report_fields(qi_report(top.radius, top.lengths, top.bounds)) == report_fields(top)
+
+
+def brute_force_report(lengths: list, bounds: list) -> tuple:
+    """The least-squares line of length against bound by its textbook
+    formula over every row, in Fractions, and the ratios and q_hat."""
+    n = len(lengths)
+    mean_b, mean_l = Fraction(sum(bounds), n), Fraction(sum(lengths), n)
+    slope = (sum((b - mean_b) * (l - mean_l) for l, b in zip(lengths, bounds))
+             / sum((b - mean_b) ** 2 for b in bounds))
+    ratios = [Fraction(l, b) for l, b in zip(lengths, bounds)]
+    max_ratio = max(ratios)
+    min_ratio = min(r for r, l in zip(ratios, lengths) if l)
+    return slope, mean_l - slope * mean_b, max_ratio, min_ratio, max(slope, max_ratio)
+
+
+def test_exact_fit_is_the_brute_force_fraction_fit(cat_matrix, oracle8):
+    rep = qi_comparison(oracle8, compute_splitting(cat_matrix))
+    assert (rep.fitted_slope, rep.intercept, rep.max_ratio, rep.min_ratio, rep.q_hat) == (
+        brute_force_report(rep.lengths.tolist(), rep.bounds.tolist())
+    )
+    assert rep.coverage_ok and rep.n_entries == len(oracle8) == sum(rep.pairs.values())
+
+
+def test_r12_fit_and_band(cat_matrix, ctx, gens):
+    rep = qi_comparison(word_ball(ctx, gens, 12), compute_splitting(cat_matrix))
+    assert round(float(rep.fitted_slope), 5) == 0.15854
+    assert round(float(rep.intercept), 4) == 7.7221
+    assert (rep.min_ratio, rep.max_ratio, rep.q_hat) == (
+        Fraction(1, 3), Fraction(11, 10), Fraction(11, 10)
+    )
+    assert rep.coverage_ok
+
+
+def test_integer_bound_is_the_float_bound_raised_below_4(cat_matrix, ctx, gens):
+    oracle = word_ball(ctx, gens, 12)
+    split = compute_splitting(cat_matrix)
+    xs, ks, _ = oracle_columns(oracle)
+    rep = qi_comparison(oracle, split)
+    excess = rep.bounds - float_bounds(split, xs, ks)
+    assert excess.min() >= 0 and excess.max() < 4
+    assert len(np.unique(rep.bounds)) == 34 and len(rep.pairs) == 156
+
+
+@pytest.mark.parametrize("matrix, radius", [(CAT, 14), (D3_REAL, 10)])
+def test_no_leafwise_term_is_near_an_integer(matrix, radius):
+    # A term within rounding of an integer could have its ceiling decided
+    # either way by float error; on these balls every positive term keeps
+    # more than 1e-9 from one (measured 2.16e-5 and 1.9e-5).
+    m = ToralMatrix(matrix)
+    oracle = word_ball(GroupContext(m), GeneratingSet.standard(m.dim), radius)
+    split = compute_splitting(m)
+    xs, _, _ = oracle_columns(oracle)
+    for terms in leafwise_terms(split, xs):
+        positive = terms[terms > 0]
+        assert np.abs(positive - np.round(positive)).min() > 1e-9
 
 
 def bits(values) -> list:
     return np.asarray(values, dtype=float).view(np.int64).tolist()
-
-
-def test_line_fit_is_polyfit_bit_for_bit(cat_matrix, oracle8):
-    rep = qi_comparison(oracle8, compute_splitting(cat_matrix))
-    datasets = [(rep.bounds, rep.lengths)]
-    rng = np.random.default_rng(25)
-    for n in rng.integers(2, 5000, 40).tolist():
-        x = 2.0 + rng.random(n) * 10.0 ** rng.integers(0, 3)
-        y = (rng.random() * x + rng.normal(size=n)).clip(0, 255).astype(np.uint8)
-        datasets.append((x, y))
-    for x, y in datasets:
-        assert bits(line_fit(x, y)) == bits(np.polyfit(x, y, 1))
-
-
-def test_line_fit_scales_by_the_in_order_sum_of_squares():
-    # polyfit's column norm adds the squares in row order. Here a pairwise
-    # sum (np.sum of the column) differs in its last bit, and a fit scaled
-    # by it differs from polyfit's in both coefficients.
-    rng = np.random.default_rng(0)
-    x = 2.0 + rng.random(1000) * 30
-    y = (0.5 * x + rng.normal(size=1000)).clip(0, 255).astype(np.uint8)
-    squares = x * x
-    assert np.sum(squares) != np.cumsum(squares)[-1]
-    assert bits(line_fit(x, y)) == bits(np.polyfit(x, y, 1))
-
-
-def test_line_fit_warns_as_polyfit_on_a_rank_deficient_fit():
-    x, y = np.full(5, 3.0), np.arange(5, dtype=np.uint8)
-    with pytest.warns(np.exceptions.RankWarning):
-        want = np.polyfit(x, y, 1)
-    with pytest.warns(np.exceptions.RankWarning):
-        assert bits(line_fit(x, y)) == bits(want)
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -249,4 +309,4 @@ def test_column_sum_norms_are_linalg_norm_bit_for_bit(d, monkeypatch):
     proj = rng.normal(size=(d, d))
     for n in (0, 1, 2, 7, 64, 65, 129, 1001):
         xs = rng.integers(-10**6, 10**6, size=(n, d)).astype(float)
-        assert bits(_projected_norms(xs, proj)) == bits(fit_sweep.linalg_norms(xs, proj))
+        assert bits(_projected_norms(xs, proj)) == bits(norm_sweep.linalg_norms(xs, proj))
